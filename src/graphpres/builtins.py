@@ -14,8 +14,9 @@ from fractions import Fraction
 from .derive import DerivationInput, StabilizerData
 from .golden import GoldenNum, GoldenQuat, QUAT_C, Vec3, quat_mul
 from .graphs import ActionedGraph, Graph, OrientedEdge
-from .perms import FiniteGroupTable, Perm, perm_compose
-from .polyhedra import DodecahedronModel, dodecahedron_model, icosian_group
+from .perms import FiniteGroupTable, Perm, bfs_tree, perm_compose, tree_fold
+from .polyhedra import (DodecahedronModel, dodecahedron_model, icosian_group,
+                        orient_clockwise)
 from .scaffold import build_regular_scaffolding
 from .words import Presentation
 
@@ -108,30 +109,21 @@ def binary_icosahedral_action() -> BinaryIcosahedral:
     quotient; carried by the left-regular permutations of its 120 exact
     quaternions."""
     model = dodecahedron_model()
-    quats = icosian_group(model)
+    tree = icosian_group(model)
+    quats = list(tree)
     index = {q: i for i, q in enumerate(quats)}
-    # left-regular permutations and vertex action of the two generators,
-    # propagated over the group instead of 120^2 quaternion products
-    gen_data = [(index[q], Perm(index[quat_mul(q, r)] for r in quats), perm)
-                for q, perm in ((model.h_quat, model.h_perm),
-                                (model.s1_quat, model.s1_perm))]
-    carrier: list[Perm | None] = [None] * len(quats)
-    action: list[Perm | None] = [None] * len(quats)
-    carrier[0] = Perm.identity(len(quats))
-    action[0] = Perm.identity(model.graph.vertex_count)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g, left_reg, act in gen_data:
-                j = carrier[i](g)  # index of quats[i] * generator
-                if carrier[j] is None:
-                    carrier[j] = perm_compose(carrier[i], left_reg)
-                    action[j] = perm_compose(action[i], act)
-                    nxt.append(j)
-        frontier = nxt
-    assert all(p is not None for p in carrier)
-    table = FiniteGroupTable(carrier)  # type: ignore[arg-type]
+    # left-regular permutations and vertex action of the tree's steps h, s1,
+    # carried down the breadth-first tree instead of 120^2 quaternion products
+    left_regular = [Perm(index[quat_mul(q, r)] for r in quats)
+                    for q in (model.h_quat, model.s1_quat)]
+    vertex_action = [model.h_perm, model.s1_perm]
+    carried = tree_fold(tree, (Perm.identity(len(quats)),
+                               Perm.identity(model.graph.vertex_count)),
+                        lambda pair, k: (perm_compose(pair[0], left_regular[k]),
+                                         perm_compose(pair[1], vertex_action[k])))
+    carrier = [carried[q][0] for q in quats]
+    action = [carried[q][1] for q in quats]
+    table = FiniteGroupTable(carrier)
     named = {"h": index[model.h_quat], "s1": index[model.s1_quat],
              "c": index[QUAT_C], "f": index[model.f_quat]}
     ag = ActionedGraph(model.graph, table, action,
@@ -209,28 +201,19 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
     faces: list[tuple[int, ...]] = []
     for v in range(X.vertex_count):
         cyc = tuple(flag_index[(v, w)] for w in X.neighbors(v))
-        faces.append(_orient_cycle_clockwise(cyc, coords))
+        faces.append(orient_clockwise(cyc, coords))
     for face in model.faces:  # already clockwise vertex cycles of X
         cyc = []
         for a, b in zip(face, face[1:] + face[:1]):
             cyc.append(flag_index[(a, b)])
             cyc.append(flag_index[(b, a)])
-        faces.append(_orient_cycle_clockwise(tuple(cyc), coords))
+        faces.append(orient_clockwise(tuple(cyc), coords))
     assert len(faces) == 32
 
     # free transitive action: element reaching each flag from the base flag
     base = flag_index[(model.labels["v"], model.labels["w1"])]
-    reach = {base: 0}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for fl in frontier:
-            for g in group.gen_indices:
-                img = flag_action[g](fl)
-                if img not in reach:
-                    reach[img] = group.product(g, reach[fl])
-                    nxt.append(img)
-        frontier = nxt
+    tree = bfs_tree(base, lambda fl: [(g, flag_action[g](fl)) for g in group.gen_indices])
+    reach = tree_fold(tree, 0, lambda r, g: group.product(g, r))
     assert len(reach) == 60
 
     t_map: dict[OrientedEdge, int] = {}
@@ -242,20 +225,6 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
     return TruncatedDodecahedron(graph, tuple(flags), flag_index, tuple(coords),
                                  frozenset(pentagon), frozenset(triangle),
                                  tuple(faces), group, flag_action, t_map, model)
-
-
-def _orient_cycle_clockwise(cycle: tuple[int, ...], coords: list[Vec3]) -> tuple[int, ...]:
-    from .golden import cross, dot
-    pts = [coords[i] for i in cycle]
-    center = tuple(sum((p[k] for p in pts), GoldenNum(0)) * GoldenNum(Fraction(1, len(pts)))
-                   for k in range(3))
-    u = tuple(a - b for a, b in zip(pts[0], center))
-    w = tuple(a - b for a, b in zip(pts[1], center))
-    sign = dot(cross(u, w), center).sign()  # type: ignore[arg-type]
-    assert sign != 0
-    if sign > 0:
-        cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
-    return cycle
 
 
 BUILTIN_NAMES = ("simplex:<n>", "dodecahedron", "binary-icosahedral",

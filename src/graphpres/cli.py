@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,10 +20,10 @@ from .derive import (DerivationInput, DerivationInputError,
                      auto_derivation_input, derive_presentation,
                      derived_from_json, derived_to_json)
 from .dot import export_cayley_dot, export_graph_dot, cayley_component
-from .graphs import ActionedGraph, Graph
+from .graphs import ActionedGraph, Graph, validate_action
 from .perms import ClosureLimitError, Perm
-from .verify import (build_kozsul_model, check_covering_isomorphism,
-                     presentation_order_check)
+from .verify import (abelianization_smith, build_kozsul_model,
+                     check_covering_isomorphism, presentation_order_check)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,20 +36,21 @@ class InputError(ValueError):
 
 
 def action_from_json(data: dict, name: str = "action") -> DerivationInput:
+    """The derivation input for an action file; every check on the file's
+    data happens here, before any group is built."""
     try:
-        n = int(data["vertices"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        graph = Graph(int(data["vertices"]), [(int(u), int(v)) for u, v in data["edges"]])
         gens = {str(k): Perm(map(int, data["generators"][k]))
                 for k in sorted(data["generators"])}
+        loops = data.get("loops")
+        if loops is not None:
+            loops = [tuple(map(int, loop)) for loop in loops]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad action data: {exc}") from exc
-    if not gens:
-        raise InputError("bad action data: no generators")
-    graph = Graph(n, edges)
+    problem = validate_action(graph, gens, loops or ())
+    if problem is not None:
+        raise InputError(f"bad action data: {problem}")
     ag = ActionedGraph.from_generators(graph, gens)
-    loops = data.get("loops")
-    if loops is not None:
-        loops = [tuple(map(int, loop)) for loop in loops]
     return auto_derivation_input(ag, loops, name)
 
 
@@ -81,14 +83,23 @@ def _load_input(args) -> DerivationInput:
     return action_from_json(data, path.stem)
 
 
-def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dict, bool]:
+def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dict, int]:
+    """The verification report and its exit code."""
     order = presentation_order_check(derived, inp.ag, limit=limit)
     report = {
         "order_check": {"ok": order.ok, "enumerated": order.enumerated,
                         "expected": order.expected, "detail": order.detail},
     }
     if not order.ok:
-        return report, False
+        code = EXIT_VERIFY
+        if order.enumerated is None and order.relators_sound:
+            # the limit stopped the check, unless the abelianization decides
+            # it: its order divides the presented group's, so when it is
+            # infinite or does not divide |G| the orders differ
+            factors = abelianization_smith(derived.presentation)
+            if 0 not in factors and order.expected % math.prod(factors) == 0:
+                code = EXIT_LIMIT
+        return report, code
     model = build_kozsul_model(derived, inp.ag, inp.sc, limit=limit)
     cover = check_covering_isomorphism(model, inp.ag)
     report["reconstruction"] = {
@@ -96,7 +107,7 @@ def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dic
         "graph_vertices": cover.graph_vertices, "graph_edges": cover.graph_edges,
         "defect": cover.defect,
     }
-    return report, cover.ok
+    return report, EXIT_OK if cover.ok else EXIT_VERIFY
 
 
 def cmd_derive(args) -> int:
@@ -113,14 +124,14 @@ def cmd_derive(args) -> int:
               "families": derived.families,
               "files": [str(out_dir / f"{stem}.presentation.json"),
                         str(out_dir / f"{stem}.relators.txt")]}
-    ok = True
+    code = EXIT_OK
     if args.verify:
-        vreport, ok = _verification_report(derived, inp, args.limit)
+        vreport, code = _verification_report(derived, inp, args.limit)
         report.update(vreport)
-        if ok:
+        if code == EXIT_OK:
             report["order"] = vreport["order_check"]["enumerated"]
     print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -132,10 +143,10 @@ def cmd_verify(args) -> int:
         raise InputError(f"malformed JSON at position {exc.pos}: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad presentation file: {exc}") from exc
-    report, ok = _verification_report(derived, inp, args.limit)
+    report, code = _verification_report(derived, inp, args.limit)
     report["presentation"] = args.presentation
     print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return code
 
 
 def cmd_coxeter_check(args) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .perms import bfs_tree, tree_words
 from .words import Presentation
 
 COSET_LIMIT = 1_000_000
@@ -139,6 +140,7 @@ class CosetTable:
         self.gen_names = tuple(gen_names)
         self.rows = rows
         self.n = len(rows)
+        self._tree: dict | None = None
         self._words: list[tuple[tuple[int, int], ...]] | None = None
 
     @property
@@ -153,27 +155,19 @@ class CosetTable:
             coset = self.rows[coset][2 * g + (0 if s > 0 else 1)]
         return coset
 
-    def generator_permutation(self, gen: int) -> list[int]:
-        return [self.rows[c][2 * gen] for c in range(self.n)]
+    def tree(self) -> dict:
+        """Breadth-first spanning tree from coset 0 over the steps (gen, +-1)."""
+        if self._tree is None:
+            # the letters in column order: (0, 1), (0, -1), (1, 1), ...
+            letters = [(g, s) for g in range(len(self.gen_names)) for s in (1, -1)]
+            self._tree = bfs_tree(0, lambda c: zip(letters, self.rows[c]))
+        return self._tree
 
     def words(self) -> list[tuple[tuple[int, int], ...]]:
         """A canonical short word reaching each coset from coset 0 (BFS)."""
         if self._words is None:
-            out: list[tuple[tuple[int, int], ...] | None] = [None] * self.n
-            out[0] = ()
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    for g in range(len(self.gen_names)):
-                        for s in (1, -1):
-                            d = self.step(c, g, s)
-                            if out[d] is None:
-                                out[d] = out[c] + ((g, s),)
-                                nxt.append(d)
-                frontier = nxt
-            assert all(w is not None for w in out)
-            self._words = out  # type: ignore[assignment]
+            words = tree_words(self.tree())
+            self._words = [words[c] for c in range(self.n)]
         return self._words
 
     # -- element arithmetic for tables over the trivial subgroup ------------
@@ -196,9 +190,6 @@ class CosetTable:
             k = self.element_product(k, a)
             n += 1
         return n
-
-    def commutes(self, a: int, b: int) -> bool:
-        return self.element_product(a, b) == self.element_product(b, a)
 
     def relator_closes_everywhere(self, word: SignedWord) -> bool:
         return all(self.trace(c, word) == c for c in range(self.n))

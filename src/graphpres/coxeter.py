@@ -18,6 +18,7 @@ from .builtins import TruncatedDodecahedron, truncated_dodecahedron
 from .coset import CosetTable, todd_coxeter
 from .golden import GoldenQuat, ONE, quat_mul
 from .graphs import OrientedEdge
+from .perms import bfs_tree
 from .words import Presentation
 
 # the universal example: z := g^2 = r^-3 = (rg)^5, with no order imposed on z
@@ -139,20 +140,8 @@ def build_coxeter_context(Y: TruncatedDodecahedron | None = None,
     # words for the rotation group's elements over its two generators,
     # read inside the enumerated group as r and g
     h_idx, s1_idx = group.gen_indices
-    letter = {h_idx: 1, s1_idx: 0}  # the corner turn reads as r, the flip as g
-    dwords: dict[int, tuple[tuple[int, int], ...]] = {0: ()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for gen in (h_idx, s1_idx):
-                for sign in (1, -1):
-                    step = gen if sign > 0 else group.inverse(gen)
-                    new = group.product(cur, step)
-                    if new not in dwords:
-                        dwords[new] = dwords[cur] + ((letter[gen], sign),)
-                        nxt.append(new)
-        frontier = nxt
+    # the corner turn reads as r (letter 1), the flip as g (letter 0)
+    dwords = group.words({1: h_idx, 0: s1_idx})
 
     def lift(d_elem: int) -> int:
         return table.element_of(dwords[d_elem])
@@ -273,15 +262,7 @@ def _is_simple_path(edges: set[tuple[int, int]], shared_vertices: set[int]) -> b
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    seen = {ends[0]}
-    stack = [ends[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(degree)
+    return len(bfs_tree(ends[0], lambda u: [(w, w) for w in adj[u]])) == len(degree)
 
 
 def greedy_disc_ordering(faces: Sequence[Sequence[int]],

@@ -15,10 +15,11 @@ from typing import Mapping, Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 from .graphs import ActionedGraph, OrientedEdge, find_inversion
+from .perms import bfs_tree, tree_words
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
-from .words import (EdgeLetter, Presentation, StabLetter, Word,
-                    edge_loop_relation, edge_relation, loop_relation,
-                    rewrite_word_to_E1, tautological_relation)
+from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
+                    edge_loop_relation, edge_relation, least_rotation,
+                    loop_relation, rewrite_word_to_E1, tautological_relation)
 
 
 @dataclass(frozen=True)
@@ -95,23 +96,11 @@ def close_pseudo_loops(loops: Sequence[Sequence[int]], ag: ActionedGraph,
         adjacency[u].append(w)
         adjacency[w].append(u)
 
-    def tree_path(a: int, b: int) -> list[int]:
-        prev = {a: a}
-        frontier = [a]
-        while frontier and b not in prev:
-            nxt = []
-            for u in frontier:
-                for w in sorted(adjacency[u]):
-                    if w not in prev:
-                        prev[w] = u
-                        nxt.append(w)
-            frontier = nxt
-        if b not in prev:
+    def tree_path(a: int, b: int) -> tuple[int, ...]:
+        paths = tree_words(bfs_tree(a, lambda u: [(w, w) for w in sorted(adjacency[u])]))
+        if b not in paths:
             raise DerivationInputError("tree does not connect the base vertices")
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        return path[::-1]
+        return (a,) + paths[b]
 
     out = []
     for loop in loops:
@@ -122,7 +111,7 @@ def close_pseudo_loops(loops: Sequence[Sequence[int]], ag: ActionedGraph,
             out.append(loop)
         else:
             prefix = tree_path(loop[-1], loop[0])
-            out.append(tuple(prefix) + loop[1:])
+            out.append(prefix + loop[1:])
     return tuple(out)
 
 
@@ -139,26 +128,6 @@ class DerivedPresentation:
 
     def renamed(self) -> Presentation:
         return self.presentation.rename(self.suggested_renaming)
-
-
-def _stab_canonical_words(ag: ActionedGraph, data: StabilizerData) -> dict[int, tuple[tuple[str, int], ...]]:
-    """Geodesic word over the stabilizer generators for each subgroup element."""
-    group = ag.group
-    names = list(data.presentation.generators)
-    words: dict[int, tuple[tuple[str, int], ...]] = {0: ()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for name in names:
-                g = data.gen_elements[name]
-                for sign, step in ((1, g), (-1, group.inverse(g))):
-                    new = group.product(cur, step)
-                    if new not in words:
-                        words[new] = words[cur] + ((name, sign),)
-                        nxt.append(new)
-        frontier = nxt
-    return words
 
 
 def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedPresentation:
@@ -180,7 +149,8 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
             gen_names.append(name)
             gen_elements[name] = data.gen_elements[name]
             stab_owners[name] = v
-        stab_words[v] = _stab_canonical_words(ag, data)
+        stab_words[v] = ag.group.words(
+            {name: data.gen_elements[name] for name in data.presentation.generators})
 
     edge_gens: dict[str, OrientedEdge] = {}
     edge_gen_names: dict[OrientedEdge, str] = {}
@@ -283,22 +253,8 @@ def presentation_matches(derived: DerivedPresentation, target: Presentation,
 
 
 def _free_cyclic_form(letters: list[tuple[str, int]]) -> tuple:
-    stack: list[tuple[str, int]] = []
-    for name, s in letters:
-        if stack and stack[-1] == (name, -s):
-            stack.pop()
-        else:
-            stack.append((name, s))
-    while len(stack) >= 2 and stack[0] == (stack[-1][0], -stack[-1][1]):
-        stack = stack[1:-1]
-    best = None
-    for cand in (stack, [(n, -s) for n, s in reversed(stack)]):
-        n = len(cand)
-        for r in range(max(n, 1)):
-            rot = tuple(cand[r:] + cand[:r])
-            if best is None or rot < best:
-                best = rot
-    return best if best is not None else ()
+    word = cyclic_reduce(letters)
+    return least_rotation(tuple(word), tuple((n, -s) for n, s in reversed(word)))
 
 
 class PatternMismatchError(ValueError):
@@ -423,31 +379,14 @@ def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | No
     sc = build_regular_scaffolding(ag)
     root = sc.base_vertices[0]
     if loops is None:
-        parent: dict[int, int] = {root: root}
-        order = [root]
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in ag.graph.neighbors(u):
-                    if w not in parent:
-                        parent[w] = u
-                        order.append(w)
-                        nxt.append(w)
-            frontier = nxt
-
-        def to_root(u: int) -> list[int]:
-            path = [u]
-            while path[-1] != root:
-                path.append(parent[path[-1]])
-            return path
-
-        tree = {(min(u, parent[u]), max(u, parent[u])) for u in parent if u != root}
+        tree = bfs_tree(root, lambda u: [(w, w) for w in ag.graph.neighbors(u)])
+        paths = tree_words(tree)  # root to u, without the root
+        tree_edges = {(min(u, p), max(u, p)) for u, (p, _) in tree.items() if u != root}
         loops = []
         for u, w in sorted(ag.graph.edges):
-            if (u, w) in tree:
+            if (u, w) in tree_edges:
                 continue
-            loops.append(tuple(reversed(to_root(u))) + tuple(to_root(w)))
+            loops.append((root,) + paths[u] + paths[w][::-1] + (root,))
     stabilizers = {v: table_presentation(ag, v, f"t{v}_") for v in sc.base_vertices}
     subgroup_gens = {}
     for e in sc.pair_reps:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .graphs import Graph
-from .perms import FiniteGroupTable
+from .perms import FiniteGroupTable, bfs_tree
 
 
 def cayley_component(table: FiniteGroupTable, gens: Mapping[str, int]) -> list[int]:
@@ -31,7 +31,7 @@ def export_cayley_dot(table: FiniteGroupTable, gens: Mapping[str, int]) -> str:
     for name, s in gens.items():
         involutive = table.element_order(s) == 2
         for a in vertices:
-            b = table.mul[a][s]
+            b = table.product(a, s)
             assert b in vset
             if involutive:
                 if a < b:
@@ -50,7 +50,7 @@ def cayley_underlying_graph(table: FiniteGroupTable, gens: Mapping[str, int]) ->
     edges = set()
     for s in gens.values():
         for a in vertices:
-            b = table.mul[a][s]
+            b = table.product(a, s)
             if a != b:
                 edges.add((min(renumber[a], renumber[b]), max(renumber[a], renumber[b])))
     return Graph(len(vertices), edges)
@@ -91,19 +91,12 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
 
     # assign vertices of g1 in a connectivity-friendly order
     order: list[int] = []
-    seen = set()
+    placed: set[int] = set()
     for start in range(n):
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for w in g1.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+        if start not in placed:
+            component = bfs_tree(start, lambda u: [(w, w) for w in g1.neighbors(u)])
+            order.extend(component)
+            placed.update(component)
 
     mapping: dict[int, int] = {}
     used: set[int] = set()

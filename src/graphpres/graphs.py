@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .perms import FiniteGroupTable, Perm, generate_closure
+from .perms import FiniteGroupTable, Perm, bfs_tree, generate_closure
 
 
 class OrientedEdge(NamedTuple):
@@ -50,15 +49,8 @@ class Graph:
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
             return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        reached = bfs_tree(0, lambda u: [(w, w) for w in self.adjacency[u]])
+        return len(reached) == self.vertex_count
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.vertex_count == other.vertex_count
@@ -125,27 +117,32 @@ class ActionedGraph:
                      if p(e.origin) == e.origin and p(e.target) == e.target)
 
 
-@dataclass(frozen=True)
-class ActionViolation:
-    element: int
-    edge: tuple[int, int]
-    reason: str
+def validate_action(graph: Graph, gens: Mapping[str, Perm],
+                    loops: Iterable[Sequence[int]] = ()) -> str | None:
+    """The first reason the data do not describe a graph action, or None.
 
-
-def validate_action(ag: ActionedGraph, require_connected: bool = False) -> ActionViolation | None:
-    """Check that every group element maps edges to edges.
-
-    Returns None when the action is valid, otherwise the first violating
-    (element, edge) pair.  With `require_connected`, a disconnected graph is
-    reported as a violation as well.
+    The graph must have a vertex and be connected, every generator must
+    permute its vertices and map edges to edges, and every loop must walk
+    along edges.  Checking the generators is enough: products and inverses
+    of edge-preserving permutations preserve edges.
     """
-    edges = sorted(ag.graph.edges)
-    for i, p in enumerate(ag.action):
+    if graph.vertex_count < 1:
+        return "the graph has no vertices"
+    if not gens:
+        return "no generators"
+    edges = sorted(graph.edges)
+    for name, p in gens.items():
+        if p.degree != graph.vertex_count:
+            return (f"generator {name} permutes {p.degree} points, "
+                    f"the graph has {graph.vertex_count} vertices")
         for u, v in edges:
-            if not ag.graph.has_edge(p(u), p(v)):
-                return ActionViolation(i, (u, v), "edge mapped to a non-edge")
-    if require_connected and not ag.graph.is_connected():
-        return ActionViolation(-1, (-1, -1), "graph is not connected")
+            if not graph.has_edge(p(u), p(v)):
+                return f"generator {name} maps the edge ({u},{v}) to a non-edge"
+    if not graph.is_connected():
+        return "the graph is not connected"
+    for loop in loops:
+        if not loop or not all(graph.has_edge(a, b) for a, b in zip(loop, loop[1:])):
+            return f"loop {list(loop)} does not walk along edges"
     return None
 
 
@@ -192,34 +189,3 @@ def edge_orbits_at(ag: ActionedGraph, v: int) -> list[tuple[OrientedEdge, ...]]:
         orbits.append(tuple(orbit))
     orbits.sort(key=lambda orb: orb[0])
     return orbits
-
-
-def edge_orbit_involution(ag: ActionedGraph, reps: Sequence[OrientedEdge],
-                          s_map: Mapping[OrientedEdge, int]) -> dict[OrientedEdge, OrientedEdge]:
-    """The pairing on orbit representatives induced by edge reversal.
-
-    `reps` holds one representative per orbit over every base vertex, and
-    `s_map` assigns each representative an element carrying the base vertex
-    of its far endpoint to that endpoint.  A representative maps to the
-    representative of the orbit of s_e^{-1}(reversed e); fixed points are
-    exactly the representatives whose edge admits an inversion.
-    """
-    rep_of: dict[OrientedEdge, OrientedEdge] = {}
-    for r in reps:
-        stab = ag.stabilizer(r.origin)
-        for t in stab:
-            rep_of[ag.apply_edge(t, r)] = r
-    iota: dict[OrientedEdge, OrientedEdge] = {}
-    for r in reps:
-        s_inv = ag.group.inverse(s_map[r])
-        partner = ag.apply_edge(s_inv, r.reverse())
-        if partner not in rep_of:
-            raise ValueError(f"inconsistent s-map at {r}: partner edge {partner} left V")
-        iota[r] = rep_of[partner]
-    for r in reps:
-        if iota[iota[r]] != r:
-            raise ValueError(f"pairing is not an involution at {r}")
-        has_inv = find_inversion(ag, r) is not None
-        if (iota[r] == r) != has_inv:
-            raise ValueError(f"fixed point of the pairing disagrees with inversions at {r}")
-    return iota

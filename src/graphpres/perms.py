@@ -1,4 +1,5 @@
-"""Permutations and multiplication tables of finite permutation groups.
+"""Permutations, multiplication tables of finite permutation groups, and the
+breadth-first search that every traversal in graphpres goes through.
 
 Everything here is exact and immutable; group elements are referred to by
 their index in a deterministically ordered element list.
@@ -6,13 +7,52 @@ their index in a deterministically ordered element list.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import deque
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 CLOSURE_LIMIT = 100_000
 
 
 class ClosureLimitError(RuntimeError):
     """Raised when a breadth-first closure exceeds its element limit."""
+
+
+def bfs_tree(root: Hashable, neighbors: Callable[[Hashable], Iterable[tuple]],
+             limit: int | None = None) -> dict:
+    """Breadth-first spanning tree of everything reachable from `root`.
+
+    `neighbors(node)` gives the (step, next node) pairs leaving a node, in a
+    fixed order.  Returns {node: (parent, step)} in discovery order, with
+    (None, None) for the root; a node's parent is fixed when it is first
+    reached.  Raises ClosureLimitError when more than `limit` nodes are found.
+    """
+    tree = {root: (None, None)}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for step, nxt in neighbors(node):
+            if nxt not in tree:
+                if limit is not None and len(tree) >= limit:
+                    raise ClosureLimitError(f"closure exceeded {limit} elements")
+                tree[nxt] = (node, step)
+                queue.append(nxt)
+    return tree
+
+
+def tree_fold(tree: dict, root_value, extend: Callable) -> dict:
+    """Values carried down a `bfs_tree`: the root gets `root_value`, every
+    other node extend(its parent's value, the step reaching it)."""
+    items = iter(tree.items())
+    root, _ = next(items)
+    values = {root: root_value}
+    for node, (parent, step) in items:
+        values[node] = extend(values[parent], step)
+    return values
+
+
+def tree_words(tree: dict) -> dict:
+    """The sequence of steps from the root to each node of a `bfs_tree`."""
+    return tree_fold(tree, (), lambda word, step: word + (step,))
 
 
 class Perm:
@@ -117,8 +157,8 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 class FiniteGroupTable:
     """A finite group given by its ordered element list and product table.
 
-    Element 0 is always the identity.  `mul[i][j]` is the index of
-    elements[i] * elements[j], and `inv[i]` the index of the inverse.
+    Element 0 is always the identity.  Products and inverses are read
+    through `product` and `inverse`.
     """
 
     def __init__(self, elements: Sequence[Perm], gen_indices: Sequence[int] = ()):
@@ -130,7 +170,7 @@ class FiniteGroupTable:
             raise ValueError("duplicate elements")
         n = len(self.elements)
         by_images = {p.images: i for i, p in enumerate(self.elements)}
-        self.mul = []
+        self._mul = []
         for p in self.elements:
             pi = p.images
             row = []
@@ -139,10 +179,10 @@ class FiniteGroupTable:
                     row.append(by_images[tuple(pi[k] for k in q.images)])
                 except KeyError:
                     raise ValueError("element set is not closed under products")
-            self.mul.append(row)
-        self.inv = [0] * n
+            self._mul.append(row)
+        self._inv = [0] * n
         for i, p in enumerate(self.elements):
-            self.inv[i] = by_images[p.inverse().images]
+            self._inv[i] = by_images[p.inverse().images]
         self.gen_indices = tuple(gen_indices)
 
     @property
@@ -150,25 +190,25 @@ class FiniteGroupTable:
         return len(self.elements)
 
     def product(self, i: int, j: int) -> int:
-        return self.mul[i][j]
+        return self._mul[i][j]
 
     def inverse(self, i: int) -> int:
-        return self.inv[i]
+        return self._inv[i]
 
     def word_product(self, indices: Iterable[int]) -> int:
         acc = 0
         for i in indices:
-            acc = self.mul[acc][i]
+            acc = self._mul[acc][i]
         return acc
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return self.mul[self.mul[g][x]][self.inv[g]]
+        return self._mul[self._mul[g][x]][self._inv[g]]
 
     def element_order(self, i: int) -> int:
         n, k = 1, i
         while k != 0:
-            k = self.mul[k][i]
+            k = self._mul[k][i]
             n += 1
         return n
 
@@ -176,23 +216,24 @@ class FiniteGroupTable:
         s = set(indices)
         if 0 not in s:
             return False
-        return all(self.mul[a][b] in s for a in s for b in s)
+        return all(self._mul[a][b] in s for a in s for b in s)
 
     def subgroup_closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Indices of the subgroup generated, in increasing order."""
-        found = {0}
-        frontier = [0]
         gens = list(gens)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.mul[a][g]
-                    if b not in found:
-                        found.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return tuple(sorted(found))
+        mul = self._mul
+        return tuple(sorted(bfs_tree(0, lambda a: [(g, mul[a][g]) for g in gens])))
+
+    def words(self, gens: Mapping) -> dict[int, tuple]:
+        """A geodesic word for each element of the subgroup generated by
+        `gens` (label -> element index), over the letters (label, +-1).
+
+        Letters are tried label by label, the generator before its inverse.
+        """
+        steps = [((label, sign), g if sign > 0 else self._inv[g])
+                 for label, g in gens.items() for sign in (1, -1)]
+        mul = self._mul
+        return tree_words(bfs_tree(0, lambda a: [(letter, mul[a][g]) for letter, g in steps]))
 
 
 def generate_closure(gens: Sequence[Perm], limit: int = CLOSURE_LIMIT) -> FiniteGroupTable:
@@ -206,24 +247,10 @@ def generate_closure(gens: Sequence[Perm], limit: int = CLOSURE_LIMIT) -> Finite
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must have equal degree")
-    identity = Perm.identity(degree)
-    elements = [identity]
-    seen = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = perm_compose(p, g)
-                if q not in seen:
-                    if len(elements) >= limit:
-                        raise ClosureLimitError(f"closure exceeded {limit} elements")
-                    seen[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    gen_indices = [seen[g] for g in gens]
-    return FiniteGroupTable(elements, gen_indices)
+    elements = list(bfs_tree(Perm.identity(degree),
+                             lambda p: [(g, perm_compose(p, g)) for g in gens], limit))
+    index = {p: i for i, p in enumerate(elements)}
+    return FiniteGroupTable(elements, [index[g] for g in gens])
 
 
 def left_cosets(table: FiniteGroupTable, subgroup: Iterable[int],
@@ -244,5 +271,5 @@ def left_cosets(table: FiniteGroupTable, subgroup: Iterable[int],
             continue
         reps.append(g)
         for s in sub:
-            assigned.add(table.mul[g][s])
+            assigned.add(table.product(g, s))
     return tuple(reps)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, dot,
                      golden_sqrt, quat_from_rotation, quat_mul, vec3)
 from .graphs import Graph
-from .perms import Perm
+from .perms import Perm, bfs_tree
 
 HALF = GoldenNum(Fraction(1, 2))
 INV_PHI = PHI - ONE  # 1/phi
@@ -92,7 +92,7 @@ def _find_faces(graph: Graph) -> list[tuple[int, ...]]:
     return sorted(faces)
 
 
-def _orient_clockwise(cycle: tuple[int, ...], coords: list[Vec3]) -> tuple[int, ...]:
+def orient_clockwise(cycle: tuple[int, ...], coords: list[Vec3]) -> tuple[int, ...]:
     """Reorder a face cycle to run clockwise as seen from outside."""
     pts = [coords[i] for i in cycle]
     center = tuple(sum((p[k] for p in pts), GoldenNum(0)) * GoldenNum(Fraction(1, len(pts)))
@@ -185,7 +185,7 @@ def build_dodecahedron() -> DodecahedronModel:
         f_quat = quat_from_rotation(center, PHI * HALF, lam)
     assert f_quat.rotate(v) == w1
 
-    oriented_faces = tuple(_orient_clockwise(f, coords)
+    oriented_faces = tuple(orient_clockwise(f, coords)
                            for f in _find_faces(graph))
 
     return DodecahedronModel(graph, tuple(coords), labels, oriented_faces,
@@ -202,22 +202,10 @@ def dodecahedron_model() -> DodecahedronModel:
     return _MODEL
 
 
-def icosian_group(model: DodecahedronModel | None = None) -> list[GoldenQuat]:
+def icosian_group(model: DodecahedronModel | None = None) -> dict:
     """The 120 unit quaternions generated by the corner turn and edge flip,
-    in deterministic breadth-first order starting at 1."""
+    as the breadth-first tree {q: (parent, generator index)} from 1 over
+    (h, s1); its keys run in breadth-first order."""
     model = model or dodecahedron_model()
-    gens = [model.h_quat, model.s1_quat]
-    elements = [QUAT_ONE]
-    seen = {QUAT_ONE: 0}
-    frontier = [QUAT_ONE]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for g in gens:
-                r = quat_mul(q, g)
-                if r not in seen:
-                    seen[r] = len(elements)
-                    elements.append(r)
-                    nxt.append(r)
-        frontier = nxt
-    return elements
+    gens = (model.h_quat, model.s1_quat)
+    return bfs_tree(QUAT_ONE, lambda q: [(k, quat_mul(q, g)) for k, g in enumerate(gens)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .graphs import (ActionedGraph, OrientedEdge, edge_orbits_at, find_inversion,
-                     orbit_of_vertex)
+                     orbit_of_vertex, vertex_orbits)
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,9 @@ def build_spanning_tree(ag: ActionedGraph) -> tuple[tuple[int, ...], tuple[tuple
     """
     if not ag.graph.is_connected():
         raise DisconnectedGraphError("graph must be connected")
-    orbits = {v: i for i, orbit in enumerate(
-        sorted({tuple(orbit_of_vertex(ag, v)) for v in range(ag.graph.vertex_count)}))
-        for v in orbit}
-    n_orbits = len(set(orbits.values()))
+    partition = vertex_orbits(ag)
+    orbits = {v: i for i, orbit in enumerate(partition) for v in orbit}
+    n_orbits = len(partition)
     tree_vertices = [0]
     covered = {orbits[0]}
     tree_edges: list[tuple[int, int]] = []
@@ -154,8 +153,8 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
             if rep in oriented_tree:
                 s[rep] = 0
                 reps_final[v].append(rep)
-            elif find_inversion(ag, rep) is not None:
-                s[rep] = find_inversion(ag, rep)
+            elif (inversion := find_inversion(ag, rep)) is not None:
+                s[rep] = inversion
                 iota[rep] = rep
                 pair_reps.append(rep)
                 reps_final[v].append(rep)

@@ -13,6 +13,7 @@ from typing import Sequence
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 from .derive import DerivedPresentation
 from .graphs import ActionedGraph, OrientedEdge
+from .perms import tree_fold
 from .scaffold import Scaffolding
 from .words import EdgeLetter, Presentation, Word, rewrite_word_to_E1
 
@@ -81,12 +82,17 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     common right action of the presented group's generators.
     """
     pres = derived.presentation
+    group = ag.group
     name_index = {n: i for i, n in enumerate(pres.generators)}
     stab_gen_words: dict[int, list] = {v: [] for v in sc.base_vertices}
     for name, v in derived.stab_owners.items():
         stab_gen_words[v].append(((name_index[name], 1),))
     tables = {v: todd_coxeter(pres, stab_gen_words[v], limit=limit)
               for v in sc.base_vertices}
+    # geodesic words for the stabilizer elements over each vertex's generators
+    stab_words = {v: group.words({n: derived.gen_elements[n]
+                                  for n, owner in derived.stab_owners.items() if owner == v})
+                  for v in sc.base_vertices}
 
     def edge_gen_word(e: OrientedEdge) -> list[tuple[int, int]]:
         word = rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc)
@@ -96,27 +102,27 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
                 gname = next(n for n, d in derived.edge_gens.items() if d == letter.edge)
                 out.append((name_index[gname], letter.sign))
             else:
-                elem = letter.element if letter.sign > 0 else ag.group.inverse(letter.element)
-                for gname, sign in _stab_word_of(derived, ag, letter.vertex, elem):
+                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
+                for gname, sign in stab_words[letter.vertex][elem]:
                     out.append((name_index[gname], sign))
         return out
+
+    def element_of(step: tuple[int, int]) -> int:
+        gidx, sign = step
+        elem = derived.gen_elements[pres.generators[gidx]]
+        return elem if sign > 0 else group.inverse(elem)
 
     vertices = [(v, c) for v in sc.base_vertices for c in range(tables[v].n)]
     edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     f: dict[tuple[int, int], int] = {}
 
-    # the covering map: propagate f((v, c)) = phi(delta)^-1(v) over coset words
+    # the covering map f((v, c)) = phi(delta)^-1(v), with phi(delta) carried
+    # down the coset table's spanning tree
     for v in sc.base_vertices:
-        table = tables[v]
-        words = table.words()
-        for c in range(table.n):
-            g = 0
-            for gidx, sign in words[c]:
-                elem = derived.gen_elements[pres.generators[gidx]]
-                if sign < 0:
-                    elem = ag.group.inverse(elem)
-                g = ag.group.product(g, elem)
-            f[(v, c)] = ag.apply(ag.group.inverse(g), v)
+        carried = tree_fold(tables[v].tree(), 0,
+                            lambda g, step: group.product(g, element_of(step)))
+        for c in range(tables[v].n):
+            f[(v, c)] = ag.apply(group.inverse(carried[c]), v)
 
     # edges: gG_v adjacent to g g_e G_w translates, on right cosets, to
     # (v, G_v d) ~ (w, G_w g_e^-1 d); propagate the base edge along words
@@ -131,45 +137,12 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
             ge_inv = [(g, -s) for g, s in reversed(ge)]
             start = table_w.trace(0, ge_inv)
             # equivariant propagation: coset c at v maps to neighbor n(c) at w
-            n_of = [None] * table_v.n
-            n_of[0] = start
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    for gidx in range(len(pres.generators)):
-                        for sign in (1, -1):
-                            d = table_v.step(c, gidx, sign)
-                            if n_of[d] is None:
-                                n_of[d] = table_w.step(n_of[c], gidx, sign)
-                                nxt.append(d)
-                frontier = nxt
+            n_of = tree_fold(table_v.tree(), start, lambda n, step: table_w.step(n, *step))
             for c in range(table_v.n):
                 a, b = (v, c), (w, n_of[c])
                 edges.add((min(a, b), max(a, b)))
 
     return KozsulModel(vertices, edges, f, tables)
-
-
-def _stab_word_of(derived: DerivedPresentation, ag: ActionedGraph, v: int, elem: int):
-    """Geodesic word for a stabilizer element over v's stabilizer generators."""
-    gens = [(n, derived.gen_elements[n]) for n, owner in derived.stab_owners.items()
-            if owner == v]
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        if elem in words:
-            return words[elem]
-        nxt = []
-        for cur in frontier:
-            for name, g in gens:
-                for sign, step in ((1, g), (-1, ag.group.inverse(g))):
-                    new = ag.group.product(cur, step)
-                    if new not in words:
-                        words[new] = words[cur] + ((name, sign),)
-                        nxt.append(new)
-        frontier = nxt
-    return words[elem]
 
 
 @dataclass(frozen=True)

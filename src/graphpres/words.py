@@ -66,51 +66,24 @@ class Word:
     def free_reduce(self, ag: ActionedGraph) -> Word:
         """Normal form in the free product: cancel g_e g_e^-1, fold stabilizer
         letters into single group elements, drop identities."""
-        group = ag.group
-        stack: list[Letter] = []
-        for letter in self.letters:
-            if isinstance(letter, StabLetter):
-                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
-                if stack and isinstance(stack[-1], StabLetter) and stack[-1].vertex == letter.vertex:
-                    elem = group.product(stack.pop().element, elem)
-                if elem != 0:
-                    stack.append(StabLetter(letter.vertex, elem, 1))
-                continue
-            if (stack and isinstance(stack[-1], EdgeLetter)
-                    and stack[-1].edge == letter.edge and stack[-1].sign == -letter.sign):
-                stack.pop()
-                continue
-            stack.append(letter)
-        return Word(stack)
+        return Word(free_reduce(self._positive_letters(ag), _fold_stabilizers(ag)))
 
     def cyclic_normal_form(self, ag: ActionedGraph) -> tuple:
         """Canonical form under free-product reduction, rotation and inversion."""
-        word = self.free_reduce(ag)
-        letters = list(word.letters)
-        group = ag.group
-        changed = True
-        while changed and len(letters) >= 2:
-            changed = False
-            first, last = letters[0], letters[-1]
-            if (isinstance(first, EdgeLetter) and isinstance(last, EdgeLetter)
-                    and first.edge == last.edge and first.sign == -last.sign):
-                letters = letters[1:-1]
-                changed = True
-            elif (isinstance(first, StabLetter) and isinstance(last, StabLetter)
-                    and first.vertex == last.vertex):
-                elem = group.product(last.element, first.element)
-                letters = letters[1:-1]
-                if elem != 0:
-                    letters.append(StabLetter(first.vertex, elem, 1))
-                changed = True
-        best = None
-        for candidate in (letters, list(Word(letters).inverse().free_reduce(ag).letters)):
-            n = len(candidate)
-            for r in range(max(n, 1)):
-                rotation = tuple(_letter_key(x) for x in candidate[r:] + candidate[:r])
-                if best is None or rotation < best:
-                    best = rotation
-        return best if best is not None else ()
+        letters = cyclic_reduce(self._positive_letters(ag), _fold_stabilizers(ag))
+        inverse = Word(letters).inverse().free_reduce(ag).letters
+        return least_rotation(tuple(map(_letter_key, letters)),
+                              tuple(map(_letter_key, inverse)))
+
+    def _positive_letters(self, ag: ActionedGraph) -> Iterable[Letter]:
+        """The letters with stabilizer letters as positive non-identity elements."""
+        for letter in self.letters:
+            if isinstance(letter, StabLetter):
+                elem = letter.element if letter.sign > 0 else ag.group.inverse(letter.element)
+                if elem == 0:
+                    continue
+                letter = StabLetter(letter.vertex, elem, 1)
+            yield letter
 
     def pretty(self) -> str:
         parts = []
@@ -124,6 +97,60 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.pretty()})"
+
+
+def _cancel(a: Sequence, b: Sequence) -> tuple | None:
+    """The free-group rule: (x, s) followed by (x, -s) cancels."""
+    return () if a[0] == b[0] and a[1] == -b[1] else None
+
+
+def _fold_stabilizers(ag: ActionedGraph):
+    """The free-product rule: positive stabilizer letters at one vertex
+    multiply in the group; edge letters cancel as in the free group."""
+    group = ag.group
+
+    def merge(a: Letter, b: Letter) -> tuple | None:
+        if isinstance(a, StabLetter) and isinstance(b, StabLetter) and a.vertex == b.vertex:
+            elem = group.product(a.element, b.element)
+            return () if elem == 0 else (StabLetter(a.vertex, elem, 1),)
+        return _cancel(a, b)
+
+    return merge
+
+
+def free_reduce(letters: Iterable, merge=_cancel) -> list:
+    """Reduce a word on a stack.
+
+    `merge(a, b)` says what two adjacent letters become: () when they cancel,
+    one letter when they fold, None when they do not interact.  The default
+    reduces words of (generator, +-1) letters in the free group.
+    """
+    stack: list = []
+    for letter in letters:
+        merged = merge(stack[-1], letter) if stack else None
+        if merged is None:
+            stack.append(letter)
+        else:
+            stack.pop()
+            stack.extend(merged)
+    return stack
+
+
+def cyclic_reduce(letters: Iterable, merge=_cancel) -> list:
+    """Free reduction followed by merging the last letter with the first
+    until they no longer interact."""
+    letters = free_reduce(letters, merge)
+    while len(letters) >= 2:
+        merged = merge(letters[-1], letters[0])
+        if merged is None:
+            break
+        letters = letters[1:-1] + list(merged)
+    return letters
+
+
+def least_rotation(*words: tuple) -> tuple:
+    """The least rotation of any of the given words; () when all are empty."""
+    return min((w[r:] + w[:r] for w in words for r in range(len(w))), default=())
 
 
 def _letter_key(letter: Letter) -> tuple:
@@ -314,16 +341,8 @@ class Presentation:
         return [[(self.generators[i], s) for i, s in rel] for rel in self.relators]
 
     def free_reduced(self) -> Presentation:
-        rels = []
-        for rel in self.relators:
-            stack: list[tuple[int, int]] = []
-            for idx, sign in rel:
-                if stack and stack[-1] == (idx, -sign):
-                    stack.pop()
-                else:
-                    stack.append((idx, sign))
-            rels.append(tuple(stack))
-        return Presentation(self.generators, tuple(rels))
+        return Presentation(self.generators,
+                            tuple(tuple(free_reduce(rel)) for rel in self.relators))
 
     def rename(self, mapping: dict[str, str]) -> Presentation:
         gens = tuple(mapping.get(g, g) for g in self.generators)

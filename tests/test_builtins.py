@@ -33,7 +33,8 @@ def test_simplex_edges_single_orbit():
 def test_all_builtins_validate():
     for inp in (simplex_action(3), simplex_action(5), dodecahedron_action(),
                 binary_icosahedral_action().input, dihedral_cycle_action(7)):
-        assert validate_action(inp.ag, require_connected=True) is None
+        every_element = {str(i): p for i, p in enumerate(inp.ag.action)}
+        assert validate_action(inp.ag.graph, every_element) is None
         validate_input(inp)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from graphpres.cli import action_from_json, action_to_json, main
 
 
@@ -125,3 +127,37 @@ def test_action_round_trip_byte_identical(tmp_path, capsys):
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "derive", "--builtin", "icosahedron")
     assert code == 2
+
+
+TRIANGLE_EDGES = [[0, 1], [1, 2], [2, 0]]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]], "generators": {"x": [3, 1, 2, 0]}},
+     "maps the edge (0,1) to a non-edge"),
+    ({"vertices": 4, "edges": [[0, 1], [2, 3]], "generators": {"x": [1, 0, 3, 2]}},
+     "not connected"),
+    ({"vertices": 0, "edges": [], "generators": {"x": []}}, "no vertices"),
+    ({"vertices": 3, "edges": [[0, 0], [0, 1], [1, 2]], "generators": {"x": [0, 1, 2]}},
+     "loop at vertex 0"),
+    ({"vertices": 3, "edges": TRIANGLE_EDGES, "generators": {"x": [1, 2, 3, 0]}},
+     "permutes 4 points"),
+    ({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+      "generators": {"r": [1, 2, 3, 0]}, "loops": [[0, 2, 0]]},
+     "does not walk along edges"),
+], ids=["non-edge", "disconnected", "no-vertices", "self-loop", "wrong-degree",
+        "loop-off-edges"])
+def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: bad action data:")
+    assert message in err
+
+
+def test_order_check_limit_exits_4(tmp_path, capsys):
+    code, out, _ = run(capsys, "derive", "--builtin", "simplex:5", "--verify",
+                       "--limit", "50", "--out", str(tmp_path))
+    assert code == 4
+    assert json.loads(out)["order_check"]["enumerated"] is None

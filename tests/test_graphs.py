@@ -1,11 +1,18 @@
 import pytest
 
 from graphpres.builtins import binary_icosahedral_action, dodecahedron_action
-from graphpres.graphs import (ActionedGraph, Graph, OrientedEdge,
-                              edge_orbit_involution, find_inversion,
+from graphpres.graphs import (ActionedGraph, Graph, OrientedEdge, find_inversion,
                               orbit_representatives, validate_action,
                               vertex_orbits)
 from graphpres.perms import Perm
+from graphpres.scaffold import build_regular_scaffolding
+
+
+def assert_pairing_is_involution(ag, iota):
+    # fixed points are exactly the representatives whose edge admits an inversion
+    for r, partner in iota.items():
+        assert iota[partner] == r
+        assert (partner == r) == (find_inversion(ag, r) is not None)
 
 
 def k4_s4():
@@ -23,16 +30,17 @@ def test_graph_rejects_loops_and_range():
 
 
 def test_validate_action_full_symmetric():
-    assert validate_action(k4_s4(), require_connected=True) is None
+    ag = k4_s4()
+    every_element = {str(i): p for i, p in enumerate(ag.action)}
+    assert validate_action(ag.graph, every_element) is None
 
 
 def test_validate_action_catches_broken_edge_map():
     graph = Graph(4, [(0, 1), (1, 2), (2, 3)])  # path
     bad = Perm.transposition(4, 0, 3)  # sends the edge (0,1) to the non-edge (3,1)
-    ag = ActionedGraph.from_generators(graph, {"x": bad})
-    violation = validate_action(ag)
-    assert violation is not None
-    assert violation.edge in {(0, 1), (2, 3)}
+    problem = validate_action(graph, {"x": bad})
+    assert problem is not None
+    assert "edge (0,1)" in problem or "edge (2,3)" in problem
 
 
 def test_vertex_orbits_transitive_dodecahedron():
@@ -139,16 +147,18 @@ def test_conjugated_inversion_property():
 def test_involution_fixes_invertible_representatives():
     ag = dodecahedron_action().ag
     e = OrientedEdge(0, 1)
-    iota = edge_orbit_involution(ag, [e], {e: find_inversion(ag, e)})
+    iota = build_regular_scaffolding(ag).iota
     assert iota == {e: e}
+    assert_pairing_is_involution(ag, iota)
 
 
 def test_involution_fixes_simplex_representative():
     from graphpres.builtins import simplex_action
     inp = simplex_action(4)
     e = OrientedEdge(0, 1)
-    iota = edge_orbit_involution(inp.ag, [e], {e: inp.sc.s[e]})
+    iota = build_regular_scaffolding(inp.ag).iota
     assert iota[e] == e
+    assert_pairing_is_involution(inp.ag, iota)
 
 
 def test_involution_swaps_free_rotation_orbits():
@@ -158,10 +168,9 @@ def test_involution_swaps_free_rotation_orbits():
     rot = Perm.from_cycle(4, [0, 1, 2, 3])
     ag = ActionedGraph.from_generators(graph, {"r": rot})
     e1, e2 = OrientedEdge(0, 1), OrientedEdge(0, 3)
-    s1 = next(i for i, p in enumerate(ag.action) if p(0) == 1)
-    s2 = next(i for i, p in enumerate(ag.action) if p(0) == 3)
-    iota = edge_orbit_involution(ag, [e1, e2], {e1: s1, e2: s2})
+    iota = build_regular_scaffolding(ag).iota
     assert iota[e1] == e2 and iota[e2] == e1
+    assert_pairing_is_involution(ag, iota)
 
 
 def test_kernel_of_double_cover():

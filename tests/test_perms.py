@@ -1,7 +1,7 @@
 import pytest
 
-from graphpres.perms import (ClosureLimitError, Perm, generate_closure,
-                             left_cosets, perm_compose)
+from graphpres.perms import (ClosureLimitError, Perm, bfs_tree, generate_closure,
+                             left_cosets, perm_compose, tree_fold, tree_words)
 
 
 def t(n, i, j):
@@ -51,7 +51,7 @@ def test_closure_symmetric_group():
     # closed and consistent with the product map
     for i in (0, 5, 17):
         for j in (1, 3, 23):
-            assert table.elements[table.mul[i][j]] == perm_compose(
+            assert table.elements[table.product(i, j)] == perm_compose(
                 table.elements[i], table.elements[j])
     # Lagrange for a point stabilizer
     stab = [i for i, p in enumerate(table.elements) if p(0) == 0]
@@ -68,7 +68,9 @@ def test_closure_is_deterministic():
     t1 = generate_closure(gens)
     t2 = generate_closure(gens)
     assert t1.elements == t2.elements
-    assert t1.mul == t2.mul
+    products = [[[t.product(i, j) for j in range(t.order)] for i in range(t.order)]
+                for t in (t1, t2)]
+    assert products[0] == products[1]
 
 
 def test_closure_limit():
@@ -108,7 +110,7 @@ def test_left_cosets_point_stabilizer_in_s4():
     assert len(reps) == 3
     assert reps[0] == 0
     # the cosets partition the stabilizer
-    cosets = [frozenset(table.mul[r][s] for s in g_e) for r in reps]
+    cosets = [frozenset(table.product(r, s) for s in g_e) for r in reps]
     assert len(set(cosets)) == 3
     assert set().union(*cosets) == set(g_v)
 
@@ -123,7 +125,7 @@ def test_left_cosets_cyclic_oracle():
     reps = left_cosets(table, sub)
     brute = set()
     for g in range(6):
-        brute.add(frozenset(table.mul[g][s] for s in sub))
+        brute.add(frozenset(table.product(g, s) for s in sub))
     assert len(reps) == len(brute) == 3
 
 
@@ -132,3 +134,45 @@ def test_left_cosets_rejects_non_subgroup():
     # the two transpositions without their product do not form a subgroup
     with pytest.raises(ValueError):
         left_cosets(table, [0, 1, 2])
+
+
+def test_bfs_tree_discovery_order_on_cycle():
+    # the 6-cycle from 0, stepping +1 before -1: layers {0}, {1, 5}, {2, 4}, {3}
+    tree = bfs_tree(0, lambda v: [(+1, (v + 1) % 6), (-1, (v - 1) % 6)])
+    assert list(tree) == [0, 1, 5, 2, 4, 3]
+    assert tree[0] == (None, None)
+    assert tree[3] == (2, +1)  # first reached from 2, never re-parented from 4
+    assert tree_words(tree) == {0: (), 1: (1,), 5: (-1,), 2: (1, 1), 4: (-1, -1),
+                                3: (1, 1, 1)}
+    assert tree_fold(tree, 0, lambda total, step: total + step)[4] == -2
+
+
+def test_bfs_tree_limit():
+    def successor(n):
+        return [("next", n + 1)] if n < 4 else []
+
+    assert len(bfs_tree(0, successor, limit=5)) == 5  # exactly at the limit
+    with pytest.raises(ClosureLimitError):
+        bfs_tree(0, successor, limit=4)
+    with pytest.raises(ClosureLimitError):
+        bfs_tree(0, lambda n: [("next", n + 1)], limit=100)
+
+
+def test_bfs_tree_on_directed_graph():
+    # not a group: arcs go one way, node 4 is unreachable, 3 has two in-arcs
+    arcs = {0: ["a", "b"], "a": [3], "b": [3], 3: [], 4: [0]}
+    tree = bfs_tree(0, lambda u: [(w, w) for w in arcs[u]])
+    assert list(tree) == [0, "a", "b", 3]
+    assert tree[3] == ("a", 3)
+    assert tree_words(tree)[3] == ("a", 3)
+
+
+def test_group_words_are_geodesic():
+    table = generate_closure([Perm.from_cycle(6, range(6))])
+    r = table.gen_indices[0]
+    words = table.words({"r": r})
+    assert len(words) == 6
+    assert max(len(w) for w in words.values()) == 3  # r^3 is as far as r^-3
+    r_inv = table.inverse(r)
+    for elem, word in words.items():
+        assert table.word_product(r if s > 0 else r_inv for _, s in word) == elem
