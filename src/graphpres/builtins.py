@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .derive import DerivationInput, StabilizerData
-from .golden import GoldenNum, GoldenQuat, QUAT_C, Vec3, quat_mul
+from .golden import GoldenNum, GoldenQuat, QUAT_C, Vec3
 from .graphs import ActionedGraph, Graph, OrientedEdge
 from .perms import FiniteGroupTable, Perm, bfs_tree, perm_compose, tree_fold
 from .polyhedra import (DodecahedronModel, dodecahedron_model, icosian_group,
@@ -106,24 +106,24 @@ class BinaryIcosahedral:
 
 def binary_icosahedral_action() -> BinaryIcosahedral:
     """The order-120 double cover acting on the dodecahedron through its
-    quotient; carried by the left-regular permutations of its 120 exact
-    quaternions."""
+    quotient; carried by permutations of its 120 exact quaternions (the
+    inverses of the right-regular ones)."""
     model = dodecahedron_model()
-    tree = icosian_group(model)
+    tree, right = icosian_group(model)
     quats = list(tree)
     index = {q: i for i, q in enumerate(quats)}
-    # left-regular permutations and vertex action of the tree's steps h, s1,
-    # carried down the breadth-first tree instead of 120^2 quaternion products
-    left_regular = [Perm(index[quat_mul(q, r)] for r in quats)
-                    for q in (model.h_quat, model.s1_quat)]
+    # the carrier of a generator g is the inverse of its right-regular
+    # permutation i -> index(q_i g), a faithful homomorphism; carriers and
+    # vertex action are carried down the breadth-first tree
+    carrier_gens = [Perm(index[right[q][k]] for q in quats).inverse() for k in range(2)]
     vertex_action = [model.h_perm, model.s1_perm]
     carried = tree_fold(tree, (Perm.identity(len(quats)),
                                Perm.identity(model.graph.vertex_count)),
-                        lambda pair, k: (perm_compose(pair[0], left_regular[k]),
+                        lambda pair, k: (perm_compose(pair[0], carrier_gens[k]),
                                          perm_compose(pair[1], vertex_action[k])))
     carrier = [carried[q][0] for q in quats]
     action = [carried[q][1] for q in quats]
-    table = FiniteGroupTable(carrier)
+    table = FiniteGroupTable(carrier, [index[model.h_quat], index[model.s1_quat]])
     named = {"h": index[model.h_quat], "s1": index[model.s1_quat],
              "c": index[QUAT_C], "f": index[model.f_quat]}
     ag = ActionedGraph(model.graph, table, action,

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import builtins as builtin_actions
 from .coset import EnumerationLimitError
 from .coxeter import coxeter_implication_check
-from .derive import (DerivationInput, DerivationInputError,
+from .derive import (DerivationInput, DerivationInputError, DerivedPresentation,
                      auto_derivation_input, derive_presentation,
                      derived_from_json, derived_to_json)
 from .dot import export_cayley_dot, export_graph_dot, cayley_component
@@ -134,6 +134,42 @@ def cmd_derive(args) -> int:
     return code
 
 
+def presentation_file_problem(derived: DerivedPresentation,
+                              inp: DerivationInput) -> str | None:
+    """The first reason a stored presentation does not fit the action, or None.
+
+    Every generator must name a group element; edge generators must name
+    each pairing representative of the scaffolding once; stabilizer
+    generators must belong to base vertices and generate their stabilizers.
+    """
+    group, sc = inp.ag.group, inp.sc
+    generators = set(derived.presentation.generators)
+    for name in derived.presentation.generators:
+        if name not in derived.gen_elements:
+            return f"generator {name} has no group element"
+    for name in [*derived.edge_gens, *derived.stab_owners]:
+        if name not in generators:
+            return f"{name} is not a generator of the presentation"
+    for name, elem in derived.gen_elements.items():
+        if not 0 <= elem < group.order:
+            return f"generator {name} names element {elem}, the group has {group.order}"
+    named = sorted(derived.edge_gens.values())
+    if named != sorted(sc.pair_reps):
+        stray = [e for e in named if e not in sc.pair_reps]
+        if stray:
+            return f"edge ({stray[0].origin}, {stray[0].target}) is not a pairing representative"
+        return "edge generators do not name each pairing representative once"
+    owned: dict[int, list[int]] = {v: [] for v in sc.base_vertices}
+    for name, v in derived.stab_owners.items():
+        if v not in owned:
+            return f"stabilizer generator {name} belongs to {v}, not a base vertex"
+        owned[v].append(derived.gen_elements[name])
+    for v, gens in owned.items():
+        if set(group.subgroup_closure(gens)) != set(inp.ag.stabilizer(v)):
+            return f"the stabilizer generators at {v} do not generate its stabilizer"
+    return None
+
+
 def cmd_verify(args) -> int:
     inp = _load_input(args)
     try:
@@ -143,6 +179,9 @@ def cmd_verify(args) -> int:
         raise InputError(f"malformed JSON at position {exc.pos}: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad presentation file: {exc}") from exc
+    problem = presentation_file_problem(derived, inp)
+    if problem is not None:
+        raise InputError(f"bad presentation file: {problem}")
     report, code = _verification_report(derived, inp, args.limit)
     report["presentation"] = args.presentation
     print(json.dumps(report, indent=2, sort_keys=True))

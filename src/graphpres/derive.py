@@ -334,7 +334,7 @@ def derived_to_json(d: DerivedPresentation) -> dict:
 
 def derived_from_json(data: dict) -> DerivedPresentation:
     presentation = Presentation.from_json_dict(data)
-    edge_gens = {n: OrientedEdge(*pair) for n, pair in data["edge_gens"].items()}
+    edge_gens = {n: OrientedEdge(*map(int, pair)) for n, pair in data["edge_gens"].items()}
     return DerivedPresentation(
         presentation, (), dict(data["families"]), edge_gens,
         {n: int(v) for n, v in data["stab_owners"].items()},

@@ -1,5 +1,6 @@
-"""Permutations, multiplication tables of finite permutation groups, and the
-breadth-first search that every traversal in graphpres goes through.
+"""Permutations, finite permutation groups with products looked up by their
+images on a base, and the breadth-first search that every traversal in
+graphpres goes through.
 
 Everything here is exact and immutable; group elements are referred to by
 their index in a deterministically ordered element list.
@@ -155,42 +156,64 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 
 
 class FiniteGroupTable:
-    """A finite group given by its ordered element list and product table.
+    """A finite permutation group given by its ordered element list.
 
-    Element 0 is always the identity.  Products and inverses are read
-    through `product` and `inverse`.
+    Element 0 is always the identity.  No product table is stored: a *base*
+    (a short list of points whose images tell all elements apart) is chosen
+    once, and `product(i, j)` looks up the element with the base images of
+    p_i * p_j, so memory is O(|G| * degree).  Inverses are precomputed.
+
+    `gen_indices` must generate the element set.  The constructor checks
+    that the set contains 1, that p * g lies in it for every element p and
+    generator g, and that every element is reached from 1 by such steps.  A
+    finite set S with these properties is the group the generators
+    generate: right multiplication by g is injective, so S * g = S, hence
+    S * g^-1 = S and S is closed under right multiplication by the whole
+    group, which contains 1, so the group lies in S; and every element of S
+    is a product of generators.  So every product of two elements lies in
+    S, and since two elements of S that agree on the base are equal, the
+    base lookup returns the true product.  Sets that fail a check raise
+    ValueError.
     """
 
-    def __init__(self, elements: Sequence[Perm], gen_indices: Sequence[int] = ()):
+    def __init__(self, elements: Sequence[Perm], gen_indices: Sequence[int]):
         self.elements = list(elements)
         if not self.elements or not self.elements[0].is_identity():
             raise ValueError("element 0 must be the identity")
         self.index = {p: i for i, p in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements")
-        n = len(self.elements)
-        by_images = {p.images: i for i, p in enumerate(self.elements)}
-        self._mul = []
-        for p in self.elements:
-            pi = p.images
-            row = []
-            for q in self.elements:
-                try:
-                    row.append(by_images[tuple(pi[k] for k in q.images)])
-                except KeyError:
-                    raise ValueError("element set is not closed under products")
-            self._mul.append(row)
-        self._inv = [0] * n
-        for i, p in enumerate(self.elements):
-            self._inv[i] = by_images[p.inverse().images]
         self.gen_indices = tuple(gen_indices)
+        self._images = images = [p.images for p in self.elements]
+        self.base = base = _separating_base(images)
+        self._base_images = [tuple([p[b] for b in base]) for p in images]
+        self._by_key = {key: i for i, key in enumerate(self._base_images)}
+        for g in self.gen_indices:
+            if not 0 <= g < len(images):
+                raise ValueError(f"generator index {g} is not an element")
+
+        def right_steps(i: int) -> list[tuple[int, int]]:
+            steps = []
+            p = images[i]
+            for g in self.gen_indices:
+                prod = tuple([p[k] for k in images[g]])
+                j = self._by_key.get(tuple([prod[b] for b in base]))
+                if j is None or images[j] != prod:
+                    raise ValueError("element set is not closed under the generators")
+                steps.append((g, j))
+            return steps
+
+        if len(bfs_tree(0, right_steps)) != len(images):
+            raise ValueError("the generators do not reach every element")
+        self._inv = [self._by_key[tuple([p.index(b) for b in base])] for p in images]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def product(self, i: int, j: int) -> int:
-        return self._mul[i][j]
+        p = self._images[i]
+        return self._by_key[tuple([p[k] for k in self._base_images[j]])]
 
     def inverse(self, i: int) -> int:
         return self._inv[i]
@@ -198,17 +221,17 @@ class FiniteGroupTable:
     def word_product(self, indices: Iterable[int]) -> int:
         acc = 0
         for i in indices:
-            acc = self._mul[acc][i]
+            acc = self.product(acc, i)
         return acc
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return self._mul[self._mul[g][x]][self._inv[g]]
+        return self.product(self.product(g, x), self._inv[g])
 
     def element_order(self, i: int) -> int:
         n, k = 1, i
         while k != 0:
-            k = self._mul[k][i]
+            k = self.product(k, i)
             n += 1
         return n
 
@@ -216,13 +239,12 @@ class FiniteGroupTable:
         s = set(indices)
         if 0 not in s:
             return False
-        return all(self._mul[a][b] in s for a in s for b in s)
+        return all(self.product(a, b) in s for a in s for b in s)
 
     def subgroup_closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Indices of the subgroup generated, in increasing order."""
         gens = list(gens)
-        mul = self._mul
-        return tuple(sorted(bfs_tree(0, lambda a: [(g, mul[a][g]) for g in gens])))
+        return tuple(sorted(bfs_tree(0, lambda a: [(g, self.product(a, g)) for g in gens])))
 
     def words(self, gens: Mapping) -> dict[int, tuple]:
         """A geodesic word for each element of the subgroup generated by
@@ -232,8 +254,27 @@ class FiniteGroupTable:
         """
         steps = [((label, sign), g if sign > 0 else self._inv[g])
                  for label, g in gens.items() for sign in (1, -1)]
-        mul = self._mul
-        return tree_words(bfs_tree(0, lambda a: [(letter, mul[a][g]) for letter, g in steps]))
+        product = self.product
+        return tree_words(bfs_tree(0, lambda a: [(letter, product(a, g)) for letter, g in steps]))
+
+
+def _separating_base(images: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Points, in increasing order, whose images tell the given distinct
+    permutations apart: a point is kept when it splits some class of
+    permutations that agree on the points kept before it."""
+    labels = [0] * len(images)
+    classes = 1
+    base = []
+    for point in range(len(images[0])):
+        if classes == len(images):
+            break
+        refined: dict[tuple[int, int], int] = {}
+        split = [refined.setdefault((label, p[point]), len(refined))
+                 for label, p in zip(labels, images)]
+        if len(refined) > classes:
+            base.append(point)
+            labels, classes = split, len(refined)
+    return tuple(base)
 
 
 def generate_closure(gens: Sequence[Perm], limit: int = CLOSURE_LIMIT) -> FiniteGroupTable:

@@ -202,10 +202,19 @@ def dodecahedron_model() -> DodecahedronModel:
     return _MODEL
 
 
-def icosian_group(model: DodecahedronModel | None = None) -> dict:
-    """The 120 unit quaternions generated by the corner turn and edge flip,
-    as the breadth-first tree {q: (parent, generator index)} from 1 over
-    (h, s1); its keys run in breadth-first order."""
+def icosian_group(model: DodecahedronModel | None = None) -> tuple[dict, dict]:
+    """The 120 unit quaternions generated by the corner turn and edge flip.
+
+    Returns the breadth-first tree {q: (parent, generator index)} from 1
+    over (h, s1), whose keys run in breadth-first order, and the right
+    products {q: (q*h, q*s1)} the search formed.
+    """
     model = model or dodecahedron_model()
     gens = (model.h_quat, model.s1_quat)
-    return bfs_tree(QUAT_ONE, lambda q: [(k, quat_mul(q, g)) for k, g in enumerate(gens)])
+    right: dict = {}
+
+    def steps(q):
+        right[q] = tuple(quat_mul(q, g) for g in gens)
+        return enumerate(right[q])
+
+    return bfs_tree(QUAT_ONE, steps), right

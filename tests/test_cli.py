@@ -156,6 +156,31 @@ def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     assert message in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"gen_elements": {"g[0]": 2, "h": 999}}, "h names element 999, the group has 60"),
+    ({"gen_elements": {"g[0]": 2, "h": -1}}, "h names element -1"),
+    ({"gen_elements": {"h": 1}}, "generator g[0] has no group element"),
+    ({"edge_gens": {"g[0]": [5, 6]}}, "edge (5, 6) is not a pairing representative"),
+    ({"edge_gens": {}}, "do not name each pairing representative once"),
+    ({"stab_owners": {"h": 7}}, "belongs to 7, not a base vertex"),
+    ({"stab_owners": {"x": 0}}, "x is not a generator"),
+    ({"stab_owners": {}}, "do not generate its stabilizer"),
+], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
+        "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated"])
+def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, message):
+    code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "dodecahedron.presentation.json"
+    data = json.loads(path.read_text())
+    assert data["gen_elements"] == {"g[0]": 2, "h": 1} and data["stab_owners"] == {"h": 0}
+    data.update(edit)
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(path), "--builtin", "dodecahedron")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: bad presentation file:")
+    assert message in err
+
+
 def test_order_check_limit_exits_4(tmp_path, capsys):
     code, out, _ = run(capsys, "derive", "--builtin", "simplex:5", "--verify",
                        "--limit", "50", "--out", str(tmp_path))

@@ -1,7 +1,8 @@
 import pytest
 
-from graphpres.perms import (ClosureLimitError, Perm, bfs_tree, generate_closure,
-                             left_cosets, perm_compose, tree_fold, tree_words)
+from graphpres.perms import (ClosureLimitError, FiniteGroupTable, Perm, bfs_tree,
+                             generate_closure, left_cosets, perm_compose, tree_fold,
+                             tree_words)
 
 
 def t(n, i, j):
@@ -176,3 +177,52 @@ def test_group_words_are_geodesic():
     r_inv = table.inverse(r)
     for elem, word in words.items():
         assert table.word_product(r if s > 0 else r_inv for _, s in word) == elem
+
+
+def _dihedral_7():
+    n = 7
+    return generate_closure([Perm([(i + 1) % n for i in range(n)]),
+                             Perm([(n - i) % n for i in range(n)])])
+
+
+def _binary_icosahedral_carrier():
+    from graphpres.builtins import binary_icosahedral_action
+    return binary_icosahedral_action().input.ag.group
+
+
+@pytest.mark.parametrize("build, order, base_length", [
+    (lambda: generate_closure([t(4, 0, 1), t(4, 1, 2), t(4, 2, 3)]), 24, 3),
+    (_dihedral_7, 14, 2),
+    (_binary_icosahedral_carrier, 120, 1),
+], ids=["s4", "dihedral-7", "binary-icosahedral"])
+def test_products_match_composition(build, order, base_length):
+    table = build()
+    assert table.order == order and len(table.base) == base_length
+    elements = table.elements
+    for i, p in enumerate(elements):
+        assert elements[table.inverse(i)] == p.inverse()
+        for j, q in enumerate(elements):
+            pq = perm_compose(p, q)
+            assert elements[table.product(i, j)] == pq
+            assert elements[table.word_product([i, j, i])] == perm_compose(pq, p)
+
+
+def test_table_rejects_set_not_closed_under_a_generator():
+    # the identity, (0 1) and (1 2) without their products
+    elements = [Perm.identity(3), t(3, 0, 1), t(3, 1, 2)]
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroupTable(elements, [1, 2])
+    # the base is (1,), and looked up by the image of 1 alone the steps by
+    # g = (1 3 2) reach all three elements; but g * g = (1 2 3) is missing,
+    # so the check must compare whole images, not base images
+    elements = [Perm.identity(4), t(4, 1, 2), Perm.from_cycle(4, [1, 3, 2])]
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroupTable(elements, [2])
+
+
+def test_table_rejects_set_the_generators_do_not_reach():
+    # {1, (0 1)} x {1, (2 3)} is a group, but (0 1) alone reaches half of it
+    elements = [Perm.identity(4), t(4, 0, 1), t(4, 2, 3), Perm([1, 0, 3, 2])]
+    assert FiniteGroupTable(elements, [1, 2]).order == 4
+    with pytest.raises(ValueError, match="do not reach"):
+        FiniteGroupTable(elements, [1])

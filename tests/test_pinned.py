@@ -3,7 +3,8 @@
 A change that alters any byte of a derived presentation (generator order,
 relator spelling, evaluation map, family counts) fails here.  The digests
 were taken before the breadth-first searches were routed through
-`perms.bfs_tree`.
+`perms.bfs_tree`; those of simplex:6 and simplex:7 were taken while group
+products still came from a dense |G|^2 table.
 """
 
 import hashlib
@@ -53,6 +54,8 @@ ACTIONS = {
 PINNED = {
     "simplex:4": "3190439765d19a39cbb636dd6d3a447927d2ac3ec0b19327e572ef7caa753a19",
     "simplex:5": "e55cf70c81fd633a227363891268f2a924db74aeb6e40ab36b1ebbe77b846cc5",
+    "simplex:6": "1328472d51007275911b819c8d64263db89067082b0939c3673d09795a2459af",
+    "simplex:7": "488045b5c7547f72e1be66f5843f5e474d6779c9af354b2d80c637c8b64bc663",
     "dodecahedron": "376722a890ac245cb754d0325b096624b566cd5ae8174a6fc4e7611c80cde65e",
     "binary-icosahedral": "b6ead8e54c96a5c2b3924a41fa13b88ccf515adbe1f87392f669222ddcd27277",
     "dihedral:5": "cb53997829659aa99242fa523e0f3d54a87fe3430b11d0d22ab70fe6c491911d",
