@@ -19,7 +19,7 @@ from .coxeter import coxeter_implication_check
 from .derive import (DerivationInput, DerivationInputError, DerivedPresentation,
                      auto_derivation_input, derive_presentation,
                      derived_from_json, derived_to_json)
-from .dot import export_cayley_dot, export_graph_dot, cayley_component
+from .dot import export_cayley_dot, export_graph_dot
 from .graphs import ActionedGraph, Graph, validate_action
 from .perms import ClosureLimitError, Perm
 from .verify import (abelianization_smith, build_kozsul_model,
@@ -78,8 +78,8 @@ def _load_input(args) -> DerivationInput:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
     return action_from_json(data, path.stem)
 
 
@@ -221,7 +221,7 @@ def _resolve_generators(ag: ActionedGraph, names: str) -> dict[str, int]:
 def cmd_export_cayley(args) -> int:
     inp = _load_input(args)
     gens = _resolve_generators(inp.ag, args.gens)
-    if len(cayley_component(inp.ag.group, gens)) != inp.ag.group.order:
+    if len(inp.ag.group.subgroup_closure(gens.values())) != inp.ag.group.order:
         print("warning: the set does not generate; exporting the subgroup diagram",
               file=sys.stderr)
     text = export_cayley_dot(inp.ag.group, gens)
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DerivationInputError) as exc:
+    except (InputError, DerivationInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EnumerationLimitError, ClosureLimitError) as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .perms import bfs_tree, tree_words
+from .perms import FiniteGroupTable, Perm, bfs_tree, perm_compose, tree_fold
 from .words import Presentation
 
 COSET_LIMIT = 1_000_000
@@ -141,11 +141,6 @@ class CosetTable:
         self.rows = rows
         self.n = len(rows)
         self._tree: dict | None = None
-        self._words: list[tuple[tuple[int, int], ...]] | None = None
-
-    @property
-    def ncols(self) -> int:
-        return 2 * len(self.gen_names)
 
     def step(self, coset: int, gen: int, sign: int = 1) -> int:
         return self.rows[coset][2 * gen + (0 if sign > 0 else 1)]
@@ -163,33 +158,29 @@ class CosetTable:
             self._tree = bfs_tree(0, lambda c: zip(letters, self.rows[c]))
         return self._tree
 
-    def words(self) -> list[tuple[tuple[int, int], ...]]:
-        """A canonical short word reaching each coset from coset 0 (BFS)."""
-        if self._words is None:
-            words = tree_words(self.tree())
-            self._words = [words[c] for c in range(self.n)]
-        return self._words
+    def regular_group(self) -> FiniteGroupTable:
+        """The group acting on the cosets, as a permutation group in which
+        element i is the element of coset i.
 
-    # -- element arithmetic for tables over the trivial subgroup ------------
-    # Cosets are then in bijection with group elements via coset 0; products
-    # use the canonical words.
-
-    def element_of(self, word: SignedWord) -> int:
-        return self.trace(0, word)
-
-    def element_product(self, a: int, b: int) -> int:
-        return self.trace(a, self.words()[b])
-
-    def element_inverse(self, a: int) -> int:
-        inv_word = [(g, -s) for g, s in reversed(self.words()[a])]
-        return self.trace(0, inv_word)
-
-    def element_order(self, a: int) -> int:
-        n, k = 1, a
-        while k != 0:
-            k = self.element_product(k, a)
-            n += 1
-        return n
+        Generator k is carried by the inverse of its column permutation
+        c -> c k, which is the column of k^-1, so that words multiply left to
+        right; these carriers are folded down `tree()`, and generator k sits
+        at index step(0, k).  The table constructor checks that the folded
+        set contains 1 and is closed under the generators, which proves it is
+        the group they generate; over the trivial subgroup that is the
+        presented group.  Raises ValueError when the action is not regular
+        (then the set has repeats or is not closed).
+        """
+        ngens = len(self.gen_names)
+        carriers = {(g, s): Perm(row[2 * g + (1 if s > 0 else 0)] for row in self.rows)
+                    for g in range(ngens) for s in (1, -1)}
+        carried = tree_fold(self.tree(), Perm.identity(self.n),
+                            lambda p, letter: perm_compose(p, carriers[letter]))
+        try:
+            return FiniteGroupTable([carried[c] for c in range(self.n)],
+                                    [self.step(0, g) for g in range(ngens)])
+        except ValueError as exc:
+            raise ValueError(f"the action on the cosets is not regular: {exc}") from exc
 
     def relator_closes_everywhere(self, word: SignedWord) -> bool:
         return all(self.trace(c, word) == c for c in range(self.n))

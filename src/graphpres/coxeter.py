@@ -12,13 +12,13 @@ characteristic of the sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .builtins import TruncatedDodecahedron, truncated_dodecahedron
-from .coset import CosetTable, todd_coxeter
+from .coset import todd_coxeter
 from .golden import GoldenQuat, ONE, quat_mul
 from .graphs import OrientedEdge
-from .perms import bfs_tree
+from .perms import FiniteGroupTable, bfs_tree
 from .words import Presentation
 
 # the universal example: z := g^2 = r^-3 = (rg)^5, with no order imposed on z
@@ -68,6 +68,12 @@ class ImplicationReport:
     identities: tuple[tuple[str, bool], ...]
 
 
+def _evaluate(group: FiniteGroupTable, gens: Mapping, word: Sequence[tuple]) -> int:
+    """The element spelled by (label, +-1) letters, gens[label] the element
+    of each label."""
+    return group.word_product(gens[n] if s > 0 else group.inverse(gens[n]) for n, s in word)
+
+
 def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
     """Enumerate the universal two-relator group and verify the implication.
 
@@ -75,19 +81,17 @@ def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
     quotient of order 60 modulo z; every intermediate identity of the
     classical derivation is re-checked as an element equality.
     """
-    p = Presentation.from_strings(
-        ("g", "r"), [[(n, s) for n, s in rel] for rel in UNIVERSAL_GRZ.relator_names()])
-    table = todd_coxeter(p, limit=limit)
-    names = {"g": 0, "r": 1}
+    group = todd_coxeter(UNIVERSAL_GRZ, limit=limit).regular_group()
+    g, r = group.gen_indices
+    gens = {"g": g, "r": r}
 
     def elem(word: Sequence[tuple[str, int]]) -> int:
-        return table.element_of([(names[n], s) for n, s in word])
+        return _evaluate(group, gens, word)
 
     z = elem(_Z)
-    z_central = (table.element_product(z, elem(_G)) == table.element_product(elem(_G), z)
-                 and table.element_product(z, elem(_R)) == table.element_product(elem(_R), z))
-    z_order = table.element_order(z)
-    quotient = todd_coxeter(p, subgroup_words=[[(0, 1), (0, 1)]], limit=limit)
+    z_central = group.conjugate(g, z) == z and group.conjugate(r, z) == z
+    z_order = group.element_order(z)
+    quotient = todd_coxeter(UNIVERSAL_GRZ, subgroup_words=[[(0, 1), (0, 1)]], limit=limit)
 
     checks = [
         ("z = g^2 = r^-3", elem(_Z) == elem(_w(_R, -3))),
@@ -102,11 +106,11 @@ def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
         ("s^3 = (s t^-1)^5", elem(_w(_S, 3)) == elem(_w(_w(_S, 1, _T, -1), 5))),
         ("t^5 = (s^-1 t^2)^5", elem(_w(_T, 5)) == elem(_w(_w(_S, -1, _T, 2), 5))),
         ("t^5 = (t^-2 s)^5", elem(_w(_T, 5)) == elem(_w(_w(_T, -2, _S, 1), 5))),
-        ("z^2 = 1", table.element_product(z, z) == 0),
+        ("z^2 = 1", group.product(z, z) == 0),
     ]
-    ok = (table.n == 120 and z_order == 2 and z_central and quotient.n == 60
+    ok = (group.order == 120 and z_order == 2 and z_central and quotient.n == 60
           and all(flag for _, flag in checks))
-    return ImplicationReport(ok, table.n, z_order, z_central, quotient.n, tuple(checks))
+    return ImplicationReport(ok, group.order, z_order, z_central, quotient.n, tuple(checks))
 
 
 @dataclass
@@ -115,15 +119,14 @@ class CoxeterContext:
     the truncated dodecahedron."""
 
     Y: TruncatedDodecahedron
-    table: CosetTable                      # regular enumeration, 120 elements
+    group: FiniteGroupTable                # the universal group, 120 elements
     z: int
     tau: dict[OrientedEdge, int] = field(default_factory=dict)
 
     def product_along(self, path: Sequence[int]) -> int:
         acc = 0
         for a, b in zip(path, path[1:]):
-            step = self.tau[OrientedEdge(a, b)]
-            acc = self.table.element_product(step, acc)
+            acc = self.group.product(self.tau[OrientedEdge(a, b)], acc)
         return acc
 
 
@@ -133,7 +136,9 @@ def build_coxeter_context(Y: TruncatedDodecahedron | None = None,
     table = todd_coxeter(UNIVERSAL_GRZ, limit=limit)
     if table.n != 120:
         raise RuntimeError("universal group did not close at order 120")
-    z = table.element_of([(0, 1), (0, 1)])
+    cover = table.regular_group()
+    g, r = cover.gen_indices
+    z = cover.product(g, g)
 
     model = Y.model
     group = Y.group
@@ -144,11 +149,7 @@ def build_coxeter_context(Y: TruncatedDodecahedron | None = None,
     dwords = group.words({1: h_idx, 0: s1_idx})
 
     def lift(d_elem: int) -> int:
-        return table.element_of(dwords[d_elem])
-
-    def conj(gamma: int, x: int) -> int:
-        return table.element_product(
-            table.element_product(gamma, x), table.element_inverse(gamma))
+        return _evaluate(cover, {0: g, 1: r}, dwords[d_elem])
 
     # pentagon edges inherit the conjugated flip, corners the conjugated turn
     v0 = model.labels["v"]
@@ -159,11 +160,11 @@ def build_coxeter_context(Y: TruncatedDodecahedron | None = None,
         carrier = next(i for i in range(group.order)
                        if tuple(sorted((group.elements[i](base_edge[0]),
                                         group.elements[i](base_edge[1])))) == d)
-        g_of_x_edge[d] = conj(lift(carrier), table.element_of([(0, 1)]))
+        g_of_x_edge[d] = cover.conjugate(lift(carrier), g)
     r_of_x_vertex: dict[int, int] = {}
     for w in range(model.graph.vertex_count):
         carrier = next(i for i in range(group.order) if group.elements[i](v0) == w)
-        r_of_x_vertex[w] = conj(lift(carrier), table.element_of([(1, 1)]))
+        r_of_x_vertex[w] = cover.conjugate(lift(carrier), r)
 
     clockwise_triangle_steps = set()
     for face in Y.faces:
@@ -180,8 +181,8 @@ def build_coxeter_context(Y: TruncatedDodecahedron | None = None,
         else:
             w = Y.flags[i][0]
             r_w = r_of_x_vertex[w]
-            tau[e] = table.element_inverse(r_w) if (i, j) in clockwise_triangle_steps else r_w
-    return CoxeterContext(Y, table, z, tau)
+            tau[e] = cover.inverse(r_w) if (i, j) in clockwise_triangle_steps else r_w
+    return CoxeterContext(Y, cover, z, tau)
 
 
 def path_product(path: Sequence[int], mode: str, Y: TruncatedDodecahedron,
@@ -226,7 +227,7 @@ def face_boundary_check(ctx: CoxeterContext | None = None) -> FaceBoundaryReport
     e = len(Y.graph.edges)
     f = len(Y.faces)
     euler = v - e + f
-    z2 = ctx.table.element_product(ctx.z, ctx.z) == 0
+    z2 = ctx.group.product(ctx.z, ctx.z) == 0
     ok = (all_z and v == 60 and e == 90 and len(Y.pentagon_edges) == 30
           and len(Y.triangle_edges) == 60 and f == 32 and euler == 2 and z2)
     return FaceBoundaryReport(ok, all_z, v, e, len(Y.pentagon_edges),

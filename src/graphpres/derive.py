@@ -11,11 +11,11 @@ orbits) the tree relations g_e = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 from .graphs import ActionedGraph, OrientedEdge, find_inversion
-from .perms import bfs_tree, tree_words
+from .perms import FiniteGroupTable, bfs_tree, tree_words
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
                     edge_loop_relation, edge_relation, least_rotation,
@@ -130,6 +130,36 @@ class DerivedPresentation:
         return self.presentation.rename(self.suggested_renaming)
 
 
+def word_speller(group: FiniteGroupTable, base_vertices: Sequence[int],
+                 generators: Sequence[str], gen_elements: Mapping[str, int],
+                 stab_owners: Mapping[str, int], edge_gens: Mapping[str, OrientedEdge]
+                 ) -> Callable[[Word], tuple[tuple[int, int], ...]]:
+    """Spell free-product words over the named generators, as (generator
+    index, +-1) letters.
+
+    An edge letter becomes its edge generator; a stabilizer letter becomes a
+    geodesic word over the generators its base vertex owns.
+    """
+    name_index = {name: i for i, name in enumerate(generators)}
+    edge_index = {e: name_index[name] for name, e in edge_gens.items()}
+    owned: dict[int, dict[str, int]] = {v: {} for v in base_vertices}
+    for name, v in stab_owners.items():
+        owned[v][name] = gen_elements[name]
+    stab_words = {v: group.words(gens) for v, gens in owned.items()}
+
+    def spell(word: Word) -> tuple[tuple[int, int], ...]:
+        out: list[tuple[int, int]] = []
+        for letter in word.letters:
+            if isinstance(letter, EdgeLetter):
+                out.append((edge_index[letter.edge], letter.sign))
+            else:
+                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
+                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][elem])
+        return tuple(out)
+
+    return spell
+
+
 def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedPresentation:
     """Run the pipeline on a derivation input; deterministic output order."""
     ag, sc = inp.ag, inp.sc
@@ -140,7 +170,6 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
     gen_names: list[str] = []
     gen_elements: dict[str, int] = {}
     stab_owners: dict[str, int] = {}
-    stab_words: dict[int, dict[int, tuple[tuple[str, int], ...]]] = {}
     for v in sc.base_vertices:
         data = inp.stabilizers[v]
         for name in data.presentation.generators:
@@ -149,30 +178,17 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
             gen_names.append(name)
             gen_elements[name] = data.gen_elements[name]
             stab_owners[name] = v
-        stab_words[v] = ag.group.words(
-            {name: data.gen_elements[name] for name in data.presentation.generators})
 
     edge_gens: dict[str, OrientedEdge] = {}
-    edge_gen_names: dict[OrientedEdge, str] = {}
     for k, e in enumerate(sc.pair_reps):
         name = f"g[{k}]"
         gen_names.append(name)
         edge_gens[name] = e
-        edge_gen_names[e] = name
         gen_elements[name] = sc.s[e]
 
     name_index = {name: i for i, name in enumerate(gen_names)}
-
-    def word_to_relator(word: Word) -> tuple[tuple[int, int], ...]:
-        out: list[tuple[int, int]] = []
-        for letter in word.letters:
-            if isinstance(letter, EdgeLetter):
-                out.append((name_index[edge_gen_names[letter.edge]], letter.sign))
-            else:
-                elem = letter.element if letter.sign > 0 else ag.group.inverse(letter.element)
-                for gname, sign in stab_words[letter.vertex][elem]:
-                    out.append((name_index[gname], sign))
-        return tuple(out)
+    word_to_relator = word_speller(ag.group, sc.base_vertices, gen_names, gen_elements,
+                                   stab_owners, edge_gens)
 
     relators: list[tuple[tuple[int, int], ...]] = []
     relator_words: list[Word] = []
@@ -314,7 +330,7 @@ def _maps_to_identity(pres: Presentation, src: CosetTable,
                 word.extend(sub)
             else:
                 word.extend((g, -s) for g, s in reversed(sub))
-        if src.element_of(word) != 0:
+        if src.trace(0, word) != 0:
             return False
     return True
 

@@ -9,12 +9,6 @@ from .graphs import Graph
 from .perms import FiniteGroupTable, bfs_tree
 
 
-def cayley_component(table: FiniteGroupTable, gens: Mapping[str, int]) -> list[int]:
-    """Elements reachable from the identity along the generating set; the
-    whole group exactly when the set generates."""
-    return list(table.subgroup_closure(gens.values()))
-
-
 def export_cayley_dot(table: FiniteGroupTable, gens: Mapping[str, int]) -> str:
     """DOT text of the Cayley diagram: one vertex per element, an edge from
     each element a to a*s labeled s, with order-2 generators drawn as single
@@ -23,7 +17,7 @@ def export_cayley_dot(table: FiniteGroupTable, gens: Mapping[str, int]) -> str:
     A non-generating set still yields the diagram of the subgroup it
     generates (the identity's component).
     """
-    vertices = cayley_component(table, gens)
+    vertices = table.subgroup_closure(gens.values())
     vset = set(vertices)
     lines = ["digraph cayley {", "    node [shape=circle];"]
     for a in vertices:
@@ -45,7 +39,7 @@ def export_cayley_dot(table: FiniteGroupTable, gens: Mapping[str, int]) -> str:
 def cayley_underlying_graph(table: FiniteGroupTable, gens: Mapping[str, int]) -> Graph:
     """The undirected graph beneath the Cayley diagram (vertices renumbered
     along the identity's component in increasing element order)."""
-    vertices = cayley_component(table, gens)
+    vertices = table.subgroup_closure(gens.values())
     renumber = {a: i for i, a in enumerate(vertices)}
     edges = set()
     for s in gens.values():

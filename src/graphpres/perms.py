@@ -235,12 +235,6 @@ class FiniteGroupTable:
             n += 1
         return n
 
-    def is_subgroup(self, indices: Iterable[int]) -> bool:
-        s = set(indices)
-        if 0 not in s:
-            return False
-        return all(self.product(a, b) in s for a in s for b in s)
-
     def subgroup_closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Indices of the subgroup generated, in increasing order."""
         gens = list(gens)
@@ -293,24 +287,3 @@ def generate_closure(gens: Sequence[Perm], limit: int = CLOSURE_LIMIT) -> Finite
     index = {p: i for i, p in enumerate(elements)}
     return FiniteGroupTable(elements, [index[g] for g in gens])
 
-
-def left_cosets(table: FiniteGroupTable, subgroup: Iterable[int],
-                within: Iterable[int] | None = None) -> tuple[int, ...]:
-    """Least-index representatives of the left cosets g*S.
-
-    `within` restricts to cosets of S inside a subgroup containing S;
-    by default, the whole group.  The identity always represents S itself.
-    """
-    sub = sorted(set(subgroup))
-    if not table.is_subgroup(sub):
-        raise ValueError("subgroup is not closed")
-    ambient = sorted(set(within)) if within is not None else range(table.order)
-    assigned: set[int] = set()
-    reps = []
-    for g in ambient:
-        if g in assigned:
-            continue
-        reps.append(g)
-        for s in sub:
-            assigned.add(table.product(g, s))
-    return tuple(reps)

@@ -106,7 +106,6 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     all non-representative edges inherit s by transversal conjugation.
     """
     base_vertices, tree_edges = build_spanning_tree(ag)
-    vset = set(base_vertices)
     group = ag.group
 
     orbits_at: dict[int, list[tuple[OrientedEdge, ...]]] = {
@@ -127,14 +126,12 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
             rep_of_orbit[orbit] = rep
             orbit_of_rep[rep] = orbit
 
-    def v_of_edge(e: OrientedEdge) -> int:
-        orbit = set(orbit_of_vertex(ag, e.target))
-        (v,) = orbit & vset
-        return v
+    # the base vertex of each vertex's orbit
+    base_of = {w: v for v in base_vertices for w in orbit_of_vertex(ag, v)}
 
     def least_carrier(e: OrientedEdge) -> int:
         """Least-index element taking v_of(e) to target(e)."""
-        w = v_of_edge(e)
+        w = base_of[e.target]
         for i, p in enumerate(ag.action):
             if p(w) == e.target:
                 return i
@@ -202,13 +199,12 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     # far endpoint shares the origin's orbit (then u fixes the base vertex),
     # plain translation u s_e across orbits (then k(e,u) = 1)
     transversals: dict[OrientedEdge, tuple[int, ...]] = {}
-    v_of: dict[OrientedEdge, int] = {}
     rep_decomposition: dict[OrientedEdge, tuple[OrientedEdge, int]] = {}
     for v in base_vertices:
         stab = ag.stabilizer(v)
         for rep in edge_reps[v]:
             e_stab = set(ag.edge_stabilizer(rep)) & set(stab)
-            same_orbit = v_of_edge(rep) == v
+            same_orbit = base_of[rep.target] == v
             trans: list[int] = []
             covered: set[OrientedEdge] = set()
             for u in stab:
@@ -227,8 +223,7 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
                 raise RuntimeError("transversal size mismatch")
             transversals[rep] = tuple(trans)
 
-    for e in s:
-        v_of[e] = v_of_edge(e)
+    v_of = {e: base_of[e.target] for e in s}
 
     pair_reps_sorted = tuple(sorted(pair_reps))
     return Scaffolding(base_vertices, tree_edges, edge_reps, pair_reps_sorted,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
-from .derive import DerivedPresentation
-from .graphs import ActionedGraph, OrientedEdge
+from .derive import DerivedPresentation, word_speller
+from .graphs import ActionedGraph
 from .perms import tree_fold
 from .scaffold import Scaffolding
 from .words import EdgeLetter, Presentation, Word, rewrite_word_to_E1
@@ -36,17 +36,10 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
     assignment.
     """
     group = ag.group
-    sound = True
-    for rel in derived.presentation.relators:
-        acc = 0
-        for i, s in rel:
-            elem = derived.gen_elements[derived.presentation.generators[i]]
-            if s < 0:
-                elem = group.inverse(elem)
-            acc = group.product(acc, elem)
-        if acc != 0:
-            sound = False
-            break
+    gens = [derived.gen_elements[name] for name in derived.presentation.generators]
+    sound = all(group.word_product(gens[i] if s > 0 else group.inverse(gens[i])
+                                   for i, s in rel) == 0
+                for rel in derived.presentation.relators)
     try:
         table = todd_coxeter(derived.presentation, limit=limit)
     except EnumerationLimitError as exc:
@@ -89,28 +82,12 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
         stab_gen_words[v].append(((name_index[name], 1),))
     tables = {v: todd_coxeter(pres, stab_gen_words[v], limit=limit)
               for v in sc.base_vertices}
-    # geodesic words for the stabilizer elements over each vertex's generators
-    stab_words = {v: group.words({n: derived.gen_elements[n]
-                                  for n, owner in derived.stab_owners.items() if owner == v})
-                  for v in sc.base_vertices}
-
-    def edge_gen_word(e: OrientedEdge) -> list[tuple[int, int]]:
-        word = rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc)
-        out: list[tuple[int, int]] = []
-        for letter in word.letters:
-            if isinstance(letter, EdgeLetter):
-                gname = next(n for n, d in derived.edge_gens.items() if d == letter.edge)
-                out.append((name_index[gname], letter.sign))
-            else:
-                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
-                for gname, sign in stab_words[letter.vertex][elem]:
-                    out.append((name_index[gname], sign))
-        return out
-
-    def element_of(step: tuple[int, int]) -> int:
-        gidx, sign = step
-        elem = derived.gen_elements[pres.generators[gidx]]
-        return elem if sign > 0 else group.inverse(elem)
+    spell = word_speller(group, sc.base_vertices, pres.generators, derived.gen_elements,
+                         derived.stab_owners, derived.edge_gens)
+    # the element each letter (generator index, +-1) evaluates to
+    letter_element = {(i, s): elem if s > 0 else group.inverse(elem)
+                      for i, elem in enumerate(derived.gen_elements[n] for n in pres.generators)
+                      for s in (1, -1)}
 
     vertices = [(v, c) for v in sc.base_vertices for c in range(tables[v].n)]
     edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
@@ -120,7 +97,7 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     # down the coset table's spanning tree
     for v in sc.base_vertices:
         carried = tree_fold(tables[v].tree(), 0,
-                            lambda g, step: group.product(g, element_of(step)))
+                            lambda g, step: group.product(g, letter_element[step]))
         for c in range(tables[v].n):
             f[(v, c)] = ag.apply(group.inverse(carried[c]), v)
 
@@ -133,7 +110,7 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
                 continue
             w = sc.v_of[e]
             table_w = tables[w]
-            ge = edge_gen_word(e)
+            ge = spell(rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc))
             ge_inv = [(g, -s) for g, s in reversed(ge)]
             start = table_w.trace(0, ge_inv)
             # equivariant propagation: coset c at v maps to neighbor n(c) at w

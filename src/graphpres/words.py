@@ -163,10 +163,6 @@ def edge_word(e: OrientedEdge, sign: int = 1) -> Word:
     return Word([EdgeLetter(e, sign)])
 
 
-def stab_word(v: int, element: int, sign: int = 1) -> Word:
-    return Word([StabLetter(v, element, sign)])
-
-
 def evaluate_word_in_G(word: Word, ag: ActionedGraph, sc: Scaffolding) -> int:
     """Image of a word under the map sending g_e to s_e and fixing stabilizers."""
     group = ag.group

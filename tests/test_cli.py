@@ -181,6 +181,29 @@ def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, mes
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{tmp}/missing.json", "--builtin", "dodecahedron"], "No such file"),
+    (["verify", "{tmp}", "--builtin", "dodecahedron"], "Is a directory"),
+    (["derive", "--action", "{tmp}/missing.json"], "No such file"),
+    (["derive", "--action", "{tmp}"], "Is a directory"),
+    (["derive", "--action", "{tmp}/binary.json"], "is not UTF-8 text"),
+    (["derive", "--builtin", "dihedral:5", "--out", "{tmp}/file/out"], "Not a directory"),
+    (["export-graph", "--builtin", "dodecahedron", "--out", "{tmp}/missing/x.dot"],
+     "No such file"),
+    (["export-cayley", "--builtin", "dodecahedron", "--gens", "s1,h",
+      "--out", "{tmp}/missing/x.dot"], "No such file"),
+], ids=["verify-missing", "verify-directory", "derive-missing", "derive-directory",
+        "derive-not-text", "derive-out-uncreatable", "export-graph-out-missing",
+        "export-cayley-out-missing"])
+def test_unusable_path_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
+
+
 def test_order_check_limit_exits_4(tmp_path, capsys):
     code, out, _ = run(capsys, "derive", "--builtin", "simplex:5", "--verify",
                        "--limit", "50", "--out", str(tmp_path))

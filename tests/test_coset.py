@@ -17,6 +17,10 @@ BINARY_ICOSAHEDRAL = pres(
     ["g", "r"],
     [[("g", 1), ("g", 1), ("r", 1), ("r", 1), ("r", 1)],
      [("g", 1), ("g", 1)] + [("g", -1), ("r", -1)] * 5])
+# the Frobenius group of order 21: reversing words does not respect its
+# relators, so it tells left-to-right products from right-to-left ones
+FROBENIUS21 = pres(["a", "b"], [[("a", 1)] * 7, [("b", 1)] * 3,
+                                [("b", 1), ("a", 1), ("b", -1), ("a", -1), ("a", -1)]])
 MODULAR_LIKE = pres(["g", "h"], [[("g", 1)] * 2, [("h", 1)] * 3])
 
 
@@ -59,20 +63,45 @@ def test_determinism():
     assert t1.rows == t2.rows
 
 
-def test_element_arithmetic_regular_table():
-    table = todd_coxeter(S4)
-    a = table.element_of([(0, 1)])
-    b = table.element_of([(1, 1)])
-    assert table.element_product(a, a) == 0
-    assert table.element_order(table.element_product(a, b)) == 3
-    ab = table.element_of([(0, 1), (1, 1)])
-    assert table.element_product(a, b) == ab
-    assert table.element_product(ab, table.element_inverse(ab)) == 0
-    # associativity spot check
-    c = table.element_of([(2, 1)])
-    lhs = table.element_product(table.element_product(a, b), c)
-    rhs = table.element_product(a, table.element_product(b, c))
-    assert lhs == rhs
+def random_word(rng, ngens, length):
+    return [(rng.randrange(ngens), rng.choice((1, -1))) for _ in range(length)]
+
+
+def inverse_word(word):
+    return [(g, -s) for g, s in reversed(word)]
+
+
+def test_element_arithmetic_regular_table(rng):
+    # regular_group() against words traced from coset 0: u = 1 exactly when u
+    # returns to coset 0, u = w exactly when both reach the same coset
+    for presentation in (S4, BINARY_ICOSAHEDRAL, FROBENIUS21):
+        table = todd_coxeter(presentation)
+        group = table.regular_group()
+        assert group.order == table.n
+        ngens = len(presentation.generators)
+
+        def value(word):
+            gens = group.gen_indices
+            return group.word_product(gens[g] if s > 0 else group.inverse(gens[g])
+                                      for g, s in word)
+
+        for _ in range(300):
+            u = random_word(rng, ngens, rng.randrange(12))
+            # w often spells u's element too: a conjugated relator inserted in u
+            w = random_word(rng, ngens, rng.randrange(12))
+            if rng.random() < 0.5:
+                rel = list(rng.choice(presentation.relators))
+                k = rng.randrange(len(u) + 1)
+                w = u[:k] + w + rel + inverse_word(w) + u[k:]
+            assert (value(u) == 0) == (table.trace(0, u) == 0)
+            assert (value(u) == value(w)) == (table.trace(0, u) == table.trace(0, w))
+            assert value(u) == table.trace(0, u)  # element i is the element of coset i
+
+
+def test_regular_group_rejects_table_over_nontrivial_subgroup():
+    table = todd_coxeter(S4, subgroup_words=[[(0, 1)], [(1, 1)]])
+    with pytest.raises(ValueError, match="not regular"):
+        table.regular_group()
 
 
 def test_empty_relator_is_tolerated():

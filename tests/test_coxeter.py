@@ -29,11 +29,11 @@ def test_implication_report(ctx):
 def test_lift_projects_onto_edge_labels(ctx):
     # the enumerated element over each oriented edge acts like the label
     Y = ctx.Y
-    table = ctx.table
     # compare via the 60-element quotient: map the lift through g->s1, r->h
     group = Y.group
     h_idx, s1_idx = group.gen_indices
-    words = table.words()
+    g, r = ctx.group.gen_indices
+    words = ctx.group.words({0: g, 1: r})
     for e in sorted(Y.t_map)[::7]:
         word = words[ctx.tau[e]]
         acc = 0
@@ -90,7 +90,7 @@ def test_out_and_back_counts_pentagon_edges(ctx, rng):
         result = ctx.product_along(out_back)
         expected = 0
         for _ in range(k):
-            expected = ctx.table.element_product(expected, ctx.z)
+            expected = ctx.group.product(expected, ctx.z)
         assert result == expected
 
 

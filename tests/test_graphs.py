@@ -66,7 +66,7 @@ def test_stabilizer_dodecahedron_vertex():
     ag = dodecahedron_action().ag
     stab = ag.stabilizer(0)
     assert len(stab) == 3
-    assert ag.group.is_subgroup(stab)
+    assert ag.group.subgroup_closure(stab) == stab
     # cyclic: one element has order 3 and generates
     orders = sorted(ag.group.element_order(i) for i in stab)
     assert orders == [1, 3, 3]

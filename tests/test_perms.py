@@ -1,8 +1,7 @@
 import pytest
 
 from graphpres.perms import (ClosureLimitError, FiniteGroupTable, Perm, bfs_tree,
-                             generate_closure, left_cosets, perm_compose, tree_fold,
-                             tree_words)
+                             generate_closure, perm_compose, tree_fold, tree_words)
 
 
 def t(n, i, j):
@@ -95,46 +94,6 @@ def test_closure_orbit_of_short_words_oracle():
     table = generate_closure(gens)
     assert set(table.elements) == words
     assert table.order == 6
-
-
-def test_left_cosets_whole_group():
-    table = generate_closure([t(3, 0, 1), t(3, 1, 2)])
-    assert left_cosets(table, range(table.order)) == (0,)
-
-
-def test_left_cosets_point_stabilizer_in_s4():
-    table = generate_closure([t(4, 0, 1), t(4, 1, 2), t(4, 2, 3)])
-    g_v = [i for i, p in enumerate(table.elements) if p(0) == 0]
-    g_e = [i for i in g_v if table.elements[i](1) == 1]
-    assert len(g_v) == 6 and len(g_e) == 2
-    reps = left_cosets(table, g_e, within=g_v)
-    assert len(reps) == 3
-    assert reps[0] == 0
-    # the cosets partition the stabilizer
-    cosets = [frozenset(table.product(r, s) for s in g_e) for r in reps]
-    assert len(set(cosets)) == 3
-    assert set().union(*cosets) == set(g_v)
-
-
-def test_left_cosets_cyclic_oracle():
-    # brute force over cosets of the order-2 subgroup of a cyclic 6-group
-    rot = Perm.from_cycle(6, [0, 1, 2, 3, 4, 5])
-    table = generate_closure([rot])
-    assert table.order == 6
-    sub = [i for i in range(6) if table.elements[i].order() in (1, 2)]
-    assert len(sub) == 2
-    reps = left_cosets(table, sub)
-    brute = set()
-    for g in range(6):
-        brute.add(frozenset(table.product(g, s) for s in sub))
-    assert len(reps) == len(brute) == 3
-
-
-def test_left_cosets_rejects_non_subgroup():
-    table = generate_closure([t(3, 0, 1), t(3, 1, 2)])
-    # the two transpositions without their product do not form a subgroup
-    with pytest.raises(ValueError):
-        left_cosets(table, [0, 1, 2])
 
 
 def test_bfs_tree_discovery_order_on_cycle():

@@ -4,7 +4,9 @@ A change that alters any byte of a derived presentation (generator order,
 relator spelling, evaluation map, family counts) fails here.  The digests
 were taken before the breadth-first searches were routed through
 `perms.bfs_tree`; those of simplex:6 and simplex:7 were taken while group
-products still came from a dense |G|^2 table.
+products still came from a dense |G|^2 table.  The `coxeter-check` report
+and the edge labels `tau` of the double cover were pinned while the
+universal group's products were still traced along coset words.
 """
 
 import hashlib
@@ -14,7 +16,8 @@ import json
 import pytest
 
 from graphpres.builtins import load_builtin
-from graphpres.cli import action_from_json
+from graphpres.cli import action_from_json, main
+from graphpres.coxeter import build_coxeter_context
 from graphpres.derive import derive_presentation, derived_to_json
 
 
@@ -74,3 +77,17 @@ def derived_json_text(name: str) -> str:
 @pytest.mark.parametrize("name", list(PINNED))
 def test_derived_json_digest(name):
     assert hashlib.sha256(derived_json_text(name).encode()).hexdigest() == PINNED[name]
+
+
+def test_coxeter_check_report_digest(capsys):
+    assert main(["coxeter-check"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "5d69be57e1ced43d793b9230c33ce501245323064c1d2e6c20df5a0727f53b24"
+
+
+def test_coxeter_tau_digest():
+    ctx = build_coxeter_context()
+    text = json.dumps(sorted(ctx.tau.items()))
+    assert ctx.z == 2
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "675bf3dfd0281af200b688a322ef1297b15c9848c11829aa67480dc4278f9114"
