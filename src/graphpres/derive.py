@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
-from .graphs import ActionedGraph, OrientedEdge, find_inversion
+# unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
+from .graphs import ActionedGraph, OrientedEdge, find_inversion  # noqa: F401
 from .perms import FiniteGroupTable, bfs_tree, tree_words
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
@@ -214,7 +215,7 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
         for t in inp.subgroup_gens.get(e, ()):
             add(edge_relation(e, t, ag, sc), "edge")
     for e in sc.pair_reps:
-        if find_inversion(ag, e) is not None:
+        if sc.iota[e] == e:
             add(edge_loop_relation(e, ag, sc), "edge_loop")
     for loop in loops:
         add(loop_relation(loop, ag, sc), "loop")

@@ -221,9 +221,6 @@ class GoldenQuat:
     def __hash__(self) -> int:
         return hash((self.w, self.x, self.y, self.z))
 
-    def vector(self) -> Vec3:
-        return (self.x, self.y, self.z)
-
     def rotate(self, p: Vec3) -> Vec3:
         """Image of the point p under the rotation this unit quaternion encodes."""
         q = quat_mul(quat_mul(self, GoldenQuat(ZERO, *p)), self.conj())

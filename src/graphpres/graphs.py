@@ -113,8 +113,8 @@ class ActionedGraph:
         """Elements fixing both endpoints of e."""
         if not self.graph.has_edge(e.origin, e.target):
             raise ValueError(f"{e} is not an edge")
-        return tuple(i for i, p in enumerate(self.action)
-                     if p(e.origin) == e.origin and p(e.target) == e.target)
+        return tuple(i for i in self.stabilizer(e.origin)
+                     if self.action[i](e.target) == e.target)
 
 
 def validate_action(graph: Graph, gens: Mapping[str, Perm],
@@ -159,10 +159,6 @@ def vertex_orbits(ag: ActionedGraph) -> list[tuple[int, ...]]:
             seen[w] = True
         orbits.append(tuple(orbit))
     return orbits
-
-
-def orbit_representatives(ag: ActionedGraph) -> tuple[int, ...]:
-    return tuple(orbit[0] for orbit in vertex_orbits(ag))
 
 
 def orbit_of_vertex(ag: ActionedGraph, v: int) -> tuple[int, ...]:

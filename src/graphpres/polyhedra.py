@@ -15,6 +15,7 @@ from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, dot,
                      golden_sqrt, quat_from_rotation, quat_mul, vec3)
 from .graphs import Graph
 from .perms import Perm, bfs_tree
+from .words import least_rotation
 
 HALF = GoldenNum(Fraction(1, 2))
 INV_PHI = PHI - ONE  # 1/phi
@@ -67,14 +68,6 @@ class DodecahedronModel:
         return (L["v"], L["w1"], L["a"], L["b"], L["w2"], L["v"])
 
 
-def _canonical_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
-    k = cyc.index(min(cyc))
-    cyc = cyc[k:] + cyc[:k]
-    if cyc[1] > cyc[-1]:
-        cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
-    return cyc
-
-
 def _find_faces(graph: Graph) -> list[tuple[int, ...]]:
     """All 5-cycles; this graph has girth 5, so these are the 12 faces."""
     faces = set()
@@ -88,7 +81,8 @@ def _find_faces(graph: Graph) -> list[tuple[int, ...]]:
                         continue
                     for v4 in graph.neighbors(v3):
                         if v4 not in (v0, v1, v2, v3) and graph.has_edge(v4, v0):
-                            faces.add(_canonical_cycle((v0, v1, v2, v3, v4)))
+                            cyc = (v0, v1, v2, v3, v4)
+                            faces.add(least_rotation(cyc, cyc[::-1]))
     return sorted(faces)
 
 

@@ -98,34 +98,18 @@ def build_spanning_tree(ag: ActionedGraph) -> tuple[tuple[int, ...], tuple[tuple
 def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     """Construct the canonical regular scaffolding of a validated action.
 
-    Choices, in order: tree edges keep s = 1 and represent their own orbits;
-    orbits admitting an inversion get their least edge with the least-index
-    inversion as s; the remaining orbits are paired by reversal, the pair
-    member with the lexicographically smaller representative choosing its s
-    freely (least index) and forcing the partner's representative and s;
-    all non-representative edges inherit s by transversal conjugation.
+    Choices, in one pass: tree edges keep s = 1 and represent their own
+    orbits; the other orbits are visited by least edge, skipping those
+    already represented.  An orbit admitting an inversion gets its least
+    edge with the least-index inversion as s; any other orbit is primary in
+    its reversal pair, its least edge choosing s freely (least index) and
+    forcing the partner's representative and s.  All non-representative
+    edges inherit s by transversal conjugation.
     """
     base_vertices, tree_edges = build_spanning_tree(ag)
     group = ag.group
-
-    orbits_at: dict[int, list[tuple[OrientedEdge, ...]]] = {
-        v: edge_orbits_at(ag, v) for v in base_vertices}
-
-    oriented_tree = set()
-    for u, w in tree_edges:
-        oriented_tree.add(OrientedEdge(u, w))
-        oriented_tree.add(OrientedEdge(w, u))
-
-    # representative per orbit: a tree edge if the orbit contains one, else least
-    rep_of_orbit: dict[tuple[OrientedEdge, ...], OrientedEdge] = {}
-    orbit_of_rep: dict[OrientedEdge, tuple[OrientedEdge, ...]] = {}
-    for v in base_vertices:
-        for orbit in orbits_at[v]:
-            in_tree = [e for e in orbit if e in oriented_tree]
-            rep = in_tree[0] if in_tree else orbit[0]
-            rep_of_orbit[orbit] = rep
-            orbit_of_rep[rep] = orbit
-
+    orbit_of = {e: orbit for v in base_vertices
+                for orbit in edge_orbits_at(ag, v) for e in orbit}
     # the base vertex of each vertex's orbit
     base_of = {w: v for v in base_vertices for w in orbit_of_vertex(ag, v)}
 
@@ -137,63 +121,35 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
                 return i
         raise RuntimeError("no carrier element; orbit data inconsistent")
 
+    rep_of: dict[tuple[OrientedEdge, ...], OrientedEdge] = {}
     s: dict[OrientedEdge, int] = {}
     iota: dict[OrientedEdge, OrientedEdge] = {}
-    pair_reps: list[OrientedEdge] = []
-    reps_final: dict[int, list[OrientedEdge]] = {v: [] for v in base_vertices}
+    for u, w in tree_edges:
+        for e in (OrientedEdge(u, w), OrientedEdge(w, u)):
+            rep_of[orbit_of[e]] = e
+            s[e] = 0
+            iota[e] = e.reverse()
 
-    # first pass: tree edges and invertible orbits
-    pending: list[OrientedEdge] = []
-    for v in base_vertices:
-        for orbit in orbits_at[v]:
-            rep = rep_of_orbit[orbit]
-            if rep in oriented_tree:
-                s[rep] = 0
-                reps_final[v].append(rep)
-            elif (inversion := find_inversion(ag, rep)) is not None:
-                s[rep] = inversion
-                iota[rep] = rep
-                pair_reps.append(rep)
-                reps_final[v].append(rep)
-            else:
-                pending.append(rep)
-
-    # tree-edge pairing: a tree representative pairs with its reversal
-    for e in sorted(oriented_tree):
-        iota[e] = e.reverse()
-        if e < e.reverse():
-            pair_reps.append(e)
-
-    # second pass: pair the remaining orbits by reversal; the orbit whose
-    # candidate comes first lexicographically is primary and keeps its free
-    # choice of s, the partner's representative and s are then forced
-    handled: set[tuple[OrientedEdge, ...]] = set()
-    for rep in sorted(pending):
-        orbit = orbit_of_rep.get(rep)
-        if orbit is None or orbit in handled:
+    for orbit in sorted(set(orbit_of.values())):
+        if orbit in rep_of:
             continue
-        s_rep = least_carrier(rep)
-        partner = ag.apply_edge(group.inverse(s_rep), rep.reverse())
-        partner_orbit = next(o for o in orbits_at[partner.origin] if partner in o)
-        if partner_orbit == orbit:
+        rep = rep_of[orbit] = orbit[0]
+        if (inversion := find_inversion(ag, rep)) is not None:
+            s[rep] = inversion
+            iota[rep] = rep
+            continue
+        s[rep] = least_carrier(rep)
+        partner = ag.apply_edge(group.inverse(s[rep]), rep.reverse())
+        if orbit_of[partner] == orbit:
             raise RuntimeError(f"pairing failed at {rep}")
-        old = rep_of_orbit[partner_orbit]
-        del orbit_of_rep[old]
-        rep_of_orbit[partner_orbit] = partner
-        orbit_of_rep[partner] = partner_orbit
-        s[rep] = s_rep
-        s[partner] = group.inverse(s_rep)
+        rep_of[orbit_of[partner]] = partner
+        s[partner] = group.inverse(s[rep])
         iota[rep] = partner
         iota[partner] = rep
-        pair_reps.append(rep)
-        reps_final[rep.origin].append(rep)
-        reps_final[partner.origin].append(partner)
-        handled.add(orbit)
-        handled.add(partner_orbit)
 
-    for v in base_vertices:
-        reps_final[v].sort()
-    edge_reps = {v: tuple(reps_final[v]) for v in base_vertices}
+    pair_reps = tuple(sorted(e for e in iota if e <= iota[e]))
+    edge_reps = {v: tuple(sorted(e for e in rep_of.values() if e.origin == v))
+                 for v in base_vertices}
 
     # transversals and propagation of s over each orbit: conjugation when the
     # far endpoint shares the origin's orbit (then u fixes the base vertex),
@@ -203,7 +159,6 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     for v in base_vertices:
         stab = ag.stabilizer(v)
         for rep in edge_reps[v]:
-            e_stab = set(ag.edge_stabilizer(rep)) & set(stab)
             same_orbit = base_of[rep.target] == v
             trans: list[int] = []
             covered: set[OrientedEdge] = set()
@@ -219,14 +174,12 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
                         s[d] = group.word_product((u, s[rep], group.inverse(u)))
                     else:
                         s[d] = group.product(u, s[rep])
-            if len(trans) * len(e_stab) != len(stab):
+            if len(trans) * len(ag.edge_stabilizer(rep)) != len(stab):
                 raise RuntimeError("transversal size mismatch")
             transversals[rep] = tuple(trans)
 
     v_of = {e: base_of[e.target] for e in s}
-
-    pair_reps_sorted = tuple(sorted(pair_reps))
-    return Scaffolding(base_vertices, tree_edges, edge_reps, pair_reps_sorted,
+    return Scaffolding(base_vertices, tree_edges, edge_reps, pair_reps,
                        transversals, s, v_of, iota, rep_decomposition)
 
 

@@ -55,7 +55,8 @@ class KozsulModel:
     """The graph rebuilt from the presented group, with its map back to X.
 
     Vertices are pairs (base vertex, coset) over the per-base-vertex coset
-    tables of the presented group modulo the image of that stabilizer.
+    tables of the presented group modulo the image of that stabilizer; base
+    vertices whose stabilizer generators are the same words share one table.
     """
 
     vertices: list[tuple[int, int]]
@@ -80,8 +81,15 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     stab_gen_words: dict[int, list] = {v: [] for v in sc.base_vertices}
     for name, v in derived.stab_owners.items():
         stab_gen_words[v].append(((name_index[name], 1),))
-    tables = {v: todd_coxeter(pres, stab_gen_words[v], limit=limit)
-              for v in sc.base_vertices}
+    # base vertices with equal subgroup words (none, for a free action) share
+    # one enumeration
+    by_words: dict[tuple, CosetTable] = {}
+    tables: dict[int, CosetTable] = {}
+    for v in sc.base_vertices:
+        key = tuple(stab_gen_words[v])
+        if key not in by_words:
+            by_words[key] = todd_coxeter(pres, stab_gen_words[v], limit=limit)
+        tables[v] = by_words[key]
     spell = word_speller(group, sc.base_vertices, pres.generators, derived.gen_elements,
                          derived.stab_owners, derived.edge_gens)
     # the element each letter (generator index, +-1) evaluates to

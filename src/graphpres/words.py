@@ -301,14 +301,7 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
             w = sc.v_of[e0]
             k = group.word_product((group.inverse(sc.s[letter.edge]), u, sc.s[e0]))
             expansion = [StabLetter(v, u, 1), core, StabLetter(w, k, -1)]
-        if letter.sign > 0:
-            out.extend(expansion)
-        else:
-            for item in reversed(expansion):
-                if isinstance(item, EdgeLetter):
-                    out.append(EdgeLetter(item.edge, -item.sign))
-                else:
-                    out.append(StabLetter(item.vertex, item.element, -item.sign))
+        out.extend(expansion if letter.sign > 0 else Word(expansion).inverse().letters)
     return Word(out)
 
 
@@ -332,9 +325,6 @@ class Presentation:
         index = {name: i for i, name in enumerate(generators)}
         rels = tuple(tuple((index[name], sign) for name, sign in rel) for rel in relators)
         return Presentation(tuple(generators), rels)
-
-    def relator_names(self) -> list[list[tuple[str, int]]]:
-        return [[(self.generators[i], s) for i, s in rel] for rel in self.relators]
 
     def free_reduced(self) -> Presentation:
         return Presentation(self.generators,

@@ -73,9 +73,8 @@ def test_criterion_3_binary_icosahedral():
     derived = derive_presentation(bi.input)
     count = todd_coxeter(derived.presentation).n
     stz = coxeter_substitution(derived.renamed())
-    stz_names = stz.relator_names()
     stz_shape = (stz.generators == ("s", "t", "z")
-                 and [("z", 1), ("z", 1)] in stz_names)
+                 and ((2, 1), (2, 1)) in stz.relators)
     model = build_kozsul_model(derived, bi.input.ag, bi.input.sc)
     cover = check_covering_isomorphism(model, bi.input.ag)
     ok = count == 120 and stz_shape and len(model.vertices) == 20 and cover.ok

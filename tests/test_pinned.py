@@ -6,7 +6,10 @@ were taken before the breadth-first searches were routed through
 `perms.bfs_tree`; those of simplex:6 and simplex:7 were taken while group
 products still came from a dense |G|^2 table.  The `coxeter-check` report
 and the edge labels `tau` of the double cover were pinned while the
-universal group's products were still traced along coset words.
+universal group's products were still traced along coset words.  The
+prisms and the hexagon, the first pinned actions with reversal-paired edge
+orbits, were pinned before the scaffolding was built in one pass over the
+edge orbits.
 """
 
 import hashlib
@@ -47,11 +50,30 @@ def cube() -> dict:
                            "t": [bits(v, (1, 0, 2)) for v in range(8)]}}
 
 
+def prism(n: int, k: int, flip: bool) -> dict:
+    """C_n x P_k under rotation (k vertex orbits, free), with the flip i -> -i
+    when `flip`; vertex (i, j) is j*n + i."""
+    def vid(i, j):
+        return j * n + i % n
+
+    edges = [[vid(i, j), vid(i + 1, j)] for j in range(k) for i in range(n)]
+    edges += [[vid(i, j), vid(i, j + 1)] for j in range(k - 1) for i in range(n)]
+    gens = {"r": [vid(i + 1, j) for j in range(k) for i in range(n)]}
+    if flip:
+        gens["m"] = [vid(-i, j) for j in range(k) for i in range(n)]
+    return {"vertices": n * k, "edges": edges, "generators": gens}
+
+
 ACTIONS = {
     "square": {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
                "generators": {"r": [1, 2, 3, 0], "m": [0, 3, 2, 1]}},
     "cube": cube(),
     "petersen": petersen(),
+    # reversal-paired (non-invertible, non-tree) edge orbits; the prisms also
+    # have several vertex orbits joined by a spanning tree
+    "prism-5x2": prism(5, 2, False),
+    "prism-4x3-dihedral": prism(4, 3, True),
+    "hexagon-rotation": prism(6, 1, False),
 }
 
 PINNED = {
@@ -66,6 +88,9 @@ PINNED = {
     "square": "b63a0146044f038cf240bae4fa958695b89fce7611277f35d9ac943469267d54",
     "cube": "aeb3b80c54f5099d377e50e90ebf9224375bd9778a49d9edc67aa2576077e897",
     "petersen": "a416c5bd2e7e6671e13956a3bb67d1b7207c5070365aa01c8380e56650296098",
+    "prism-5x2": "f64aa1eb62766c7d76f2f8685d68d6c5dce899d861690c6a0a8b802beb9c9afa",
+    "prism-4x3-dihedral": "5280913c8af19a43c92237f8a680b56b66b6d35ae0b54c4aad0f61e651ba7155",
+    "hexagon-rotation": "86ad475e75602f13ee9ce32445fa1e18aea448f2f62268c10e2afc0fe944f40f",
 }
 
 

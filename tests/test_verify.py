@@ -4,6 +4,7 @@ import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
                                 simplex_action)
+from graphpres.cli import action_from_json
 from graphpres.derive import derive_presentation
 from graphpres.verify import (abelianization_smith, build_kozsul_model,
                               check_covering_isomorphism,
@@ -35,6 +36,22 @@ def test_kozsul_triangle():
     d = derive_presentation(inp)
     model = build_kozsul_model(d, inp.ag, inp.sc)
     assert len(model.vertices) == 3 and len(model.edges) == 3
+    assert check_covering_isomorphism(model, inp.ag).ok
+
+
+def test_kozsul_free_base_vertices_share_one_table():
+    # C5 x P2 under rotation: two free vertex orbits, so both base vertices
+    # enumerate over the same (empty) subgroup words
+    n = 5
+    edges = ([(i, (i + 1) % n) for i in range(n)]
+             + [(n + i, n + (i + 1) % n) for i in range(n)]
+             + [(i, n + i) for i in range(n)])
+    rotate = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
+    inp = action_from_json({"vertices": 2 * n, "edges": edges,
+                            "generators": {"r": rotate}}, "prism-5x2")
+    model = build_kozsul_model(derive_presentation(inp), inp.ag, inp.sc)
+    first, second = (model.tables[v] for v in inp.sc.base_vertices)
+    assert first is second and first.n == n
     assert check_covering_isomorphism(model, inp.ag).ok
 
 
