@@ -84,15 +84,27 @@ def _load_input(args) -> DerivationInput:
 
 
 def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dict, int]:
-    """The verification report and its exit code."""
-    order = presentation_order_check(derived, inp.ag, limit=limit)
-    report = {
-        "order_check": {"ok": order.ok, "enumerated": order.enumerated,
-                        "expected": order.expected, "detail": order.detail},
-    }
+    """The verification report and its exit code.
+
+    The reconstruction comes first: its coset tables give the order check
+    the index its Lagrange bound needs.  When the reconstruction stops at
+    the limit, the order check enumerates the presented group in full, and
+    the stop is raised (exit 4) only after that check has passed.
+    """
+    try:
+        model, stopped = build_kozsul_model(derived, inp.ag, inp.sc, limit=limit), None
+    except EnumerationLimitError as exc:
+        model, stopped = None, exc
+    order = presentation_order_check(derived, inp.ag, limit=limit, model=model)
+    check = {"ok": order.ok, "enumerated": order.enumerated, "expected": order.expected,
+             "detail": order.detail, "proof": order.proof}
+    if order.proof == "lagrange":
+        check.update(base_vertex=order.base_vertex, index=order.index,
+                     stabilizer_order=order.stabilizer_order)
+    report = {"order_check": check}
     if not order.ok:
         code = EXIT_VERIFY
-        if order.enumerated is None and order.relators_sound:
+        if order.enumerated is None and order.onto:
             # the limit stopped the check, unless the abelianization decides
             # it: its order divides the presented group's, so when it is
             # infinite or does not divide |G| the orders differ
@@ -100,7 +112,8 @@ def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dic
             if 0 not in factors and order.expected % math.prod(factors) == 0:
                 code = EXIT_LIMIT
         return report, code
-    model = build_kozsul_model(derived, inp.ag, inp.sc, limit=limit)
+    if model is None:
+        raise stopped
     cover = check_covering_isomorphism(model, inp.ag)
     report["reconstruction"] = {
         "ok": cover.ok, "vertices": cover.model_vertices, "edges": cover.model_edges,

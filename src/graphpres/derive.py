@@ -50,7 +50,13 @@ class DerivationInputError(ValueError):
     pass
 
 
-def validate_input(inp: DerivationInput, enumeration_limit: int = 100_000) -> None:
+# cosets a vertex-stabilizer presentation may define before it counts as not
+# closing
+STABILIZER_COSET_LIMIT = 100_000
+
+
+def validate_input(inp: DerivationInput,
+                   enumeration_limit: int = STABILIZER_COSET_LIMIT) -> None:
     """Check the input invariants; raises DerivationInputError on failure."""
     ag, sc = inp.ag, inp.sc
     if validate_regularity(sc, ag) is not None:

@@ -1,8 +1,38 @@
 """Independent checks of a derived presentation against its source action.
 
-Order comparison by coset enumeration, reconstruction of the graph from the
-presented group (with the covering map onto the original graph), and integer
-abelianization via the Smith normal form.
+Order comparison, reconstruction of the graph from the presented group (with
+the covering map onto the original graph), and integer abelianization via
+the Smith normal form.
+
+The order check proves |Gamma| = |G| for the presented group Gamma and the
+acting group G, by Lagrange's theorem where it can (the coset-table index
+bound; Neubueser 1982, Holt-Eick-O'Brien 2005, ch. 5):
+
+1. Sending each generator to its group element defines an onto map
+   Gamma -> G: every relator evaluates to 1, and the elements generate G.
+   Hence |Gamma| >= |G|.  Generation is checked by orbit-stabilizer at a
+   base vertex v: K = <elements> has |K| = |K v| |K_v| >= |K v| |<S_v>|,
+   where S_v are v's stabilizer generators (elements fixing v), so
+   |K v| |<S_v>| = |G| proves K = G; otherwise K is listed and counted.
+2. The reconstruction (`build_kozsul_model`) enumerates the cosets of
+   H_v = <S_v> in Gamma, so its table at v has [Gamma : H_v] rows.
+3. Q_v is the group presented by S_v and those relators of Gamma that use
+   only letters of S_v.  Each of them holds in Gamma, so H_v is a quotient
+   of Q_v and |H_v| <= |Q_v|; Q_v is enumerated over the trivial subgroup.
+4. |Gamma| = [Gamma : H_v] |H_v| <= [Gamma : H_v] |Q_v|.  When this product
+   equals |G|, then |G| <= |Gamma| <= |G|, and the onto map is an
+   isomorphism.
+
+The base vertex is one with the smallest stabilizer (the least such vertex),
+which makes Q_v the smallest enumeration on offer.  For a free action Q_v is
+the trivial group, so the reconstruction's own table is the whole proof.
+
+When the bound does not decide -- the product exceeds |G|, Q_v does not
+close within `STABILIZER_COSET_LIMIT` cosets, or no reconstruction is given
+-- the check enumerates Gamma over the trivial subgroup and compares the
+count with |G|.  So no verdict depends on which proof ran: the bound accepts
+only presentations with |Gamma| = |G|, which the full enumeration accepts
+too, and every other case goes to the full enumeration.
 """
 
 from __future__ import annotations
@@ -11,43 +41,104 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
-from .derive import DerivedPresentation, word_speller
+from .derive import STABILIZER_COSET_LIMIT, DerivedPresentation, word_speller
 from .graphs import ActionedGraph
-from .perms import tree_fold
+from .perms import bfs_tree, tree_fold
 from .scaffold import Scaffolding
 from .words import EdgeLetter, Presentation, Word, rewrite_word_to_E1
 
 
 @dataclass(frozen=True)
 class OrderCheck:
+    """The order check's verdict.
+
+    `enumerated` is the proven order, or the count a failed enumeration
+    reached; it is None when nothing was counted (a limit, or no onto map).
+    `onto` says that the relators are sound and the generators generate G.
+    `proof` is "lagrange" or "enumeration"; a Lagrange proof names its base
+    vertex, the index [Gamma : H_v] and the order of Q_v.
+    """
+
     ok: bool
     enumerated: int | None
     expected: int
-    relators_sound: bool
+    onto: bool
     detail: str = ""
+    proof: str | None = None
+    base_vertex: int | None = None
+    index: int | None = None
+    stabilizer_order: int | None = None
+
+
+def _generated_order(ag: ActionedGraph, gens: Sequence[int], v: int | None,
+                     stab_gens: Sequence[int]) -> int:
+    """The order of the subgroup `gens` generate, or |G| as soon as
+    orbit-stabilizer at v shows that they generate G (module docstring)."""
+    group = ag.group
+    if v is not None and all(ag.apply(g, v) == v for g in stab_gens):
+        orbit = bfs_tree(v, lambda x: [(g, ag.apply(g, x)) for g in gens])
+        if len(orbit) * len(group.subgroup_closure(stab_gens)) == group.order:
+            return group.order
+    return len(group.subgroup_closure(gens))
+
+
+def _subpresentation(pres: Presentation, letters: Sequence[int]) -> Presentation:
+    """The generators `letters` (indices into `pres`) with the relators of
+    `pres` that use only them."""
+    renumber = {g: k for k, g in enumerate(letters)}
+    relators = tuple(tuple((renumber[g], s) for g, s in rel) for rel in pres.relators
+                     if all(g in renumber for g, _ in rel))
+    return Presentation(tuple(pres.generators[g] for g in letters), relators)
 
 
 def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
-                             limit: int = 1_000_000) -> OrderCheck:
-    """Enumerate the presented group and compare with the acting group.
+                             limit: int = 1_000_000,
+                             model: KozsulModel | None = None) -> OrderCheck:
+    """Prove that the presented group has the acting group's order.
 
-    Passes when the coset count over the trivial subgroup equals the group
-    order and every relator evaluates to the identity under the generator
-    assignment.
+    Fails, naming the witness, when the generators do not generate G or a
+    relator does not evaluate to 1.  With a `model` (the reconstruction of
+    the same presentation) it then tries the Lagrange bound at the base
+    vertex with the smallest stabilizer, and otherwise enumerates the whole
+    presented group; the module docstring has the argument.
     """
     group = ag.group
-    gens = [derived.gen_elements[name] for name in derived.presentation.generators]
-    sound = all(group.word_product(gens[i] if s > 0 else group.inverse(gens[i])
-                                   for i, s in rel) == 0
-                for rel in derived.presentation.relators)
+    pres = derived.presentation
+    gens = [derived.gen_elements[name] for name in pres.generators]
+    v, stab_letters = None, []
+    if model is not None:
+        v = min(model.tables, key=lambda u: (len(ag.stabilizer(u)), u))
+        stab_letters = [i for i, name in enumerate(pres.generators)
+                        if derived.stab_owners.get(name) == v]
+
+    generated = _generated_order(ag, gens, v, [gens[i] for i in stab_letters])
+    if generated != group.order:
+        return OrderCheck(False, None, group.order, False,
+                          f"generators generate {generated} of {group.order} elements")
+    for k, rel in enumerate(pres.relators):
+        if group.word_product(gens[i] if s > 0 else group.inverse(gens[i])
+                              for i, s in rel) != 0:
+            return OrderCheck(False, None, group.order, False,
+                              f"relator {k} does not evaluate to 1")
+
+    if model is not None:
+        index = model.tables[v].n
+        try:
+            stabilizer_order = todd_coxeter(_subpresentation(pres, stab_letters),
+                                            limit=min(limit, STABILIZER_COSET_LIMIT)).n
+        except EnumerationLimitError:
+            stabilizer_order = None
+        if stabilizer_order is not None and index * stabilizer_order == group.order:
+            return OrderCheck(True, group.order, group.order, True, proof="lagrange",
+                              base_vertex=v, index=index, stabilizer_order=stabilizer_order)
     try:
-        table = todd_coxeter(derived.presentation, limit=limit)
+        table = todd_coxeter(pres, limit=limit)
     except EnumerationLimitError as exc:
-        return OrderCheck(False, None, group.order, sound,
-                          f"enumeration exceeded {exc.limit} cosets")
-    ok = sound and table.n == group.order
+        return OrderCheck(False, None, group.order, True,
+                          f"enumeration exceeded {exc.limit} cosets", proof="enumeration")
+    ok = table.n == group.order
     detail = "" if ok else f"enumerated {table.n}, group has {group.order}"
-    return OrderCheck(ok, table.n, group.order, sound, detail)
+    return OrderCheck(ok, table.n, group.order, True, detail, proof="enumeration")
 
 
 @dataclass

@@ -205,7 +205,35 @@ def test_unusable_path_exits_2_with_one_line(tmp_path, capsys, argv, message):
 
 
 def test_order_check_limit_exits_4(tmp_path, capsys):
-    code, out, _ = run(capsys, "derive", "--builtin", "simplex:5", "--verify",
+    code, out, _ = run(capsys, "derive", "--builtin", "simplex:6", "--verify",
                        "--limit", "50", "--out", str(tmp_path))
     assert code == 4
     assert json.loads(out)["order_check"]["enumerated"] is None
+
+
+def test_lagrange_proof_verifies_under_a_small_limit(tmp_path, capsys):
+    # the proof needs the reconstruction's 5 cosets and Q_v's 24, not 120
+    code, out, _ = run(capsys, "derive", "--builtin", "simplex:5", "--verify",
+                       "--limit", "50", "--out", str(tmp_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 120
+    assert report["order_check"]["proof"] == "lagrange"
+    assert (report["order_check"]["index"], report["order_check"]["stabilizer_order"]) == (5, 24)
+
+
+@pytest.mark.parametrize("element, detail", [
+    (0, "generators generate 3 of 60 elements"),
+    (4, "relator 1 does not evaluate to 1"),
+], ids=["identity-does-not-generate", "unsound-relator"])
+def test_order_check_names_its_witness(tmp_path, capsys, element, detail):
+    code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "dodecahedron.presentation.json"
+    data = json.loads(path.read_text())
+    data["gen_elements"]["g[0]"] = element
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(path), "--builtin", "dodecahedron")
+    assert code == 3
+    check = json.loads(out)["order_check"]
+    assert not check["ok"] and check["detail"] == detail
