@@ -123,7 +123,7 @@ def binary_icosahedral_action() -> BinaryIcosahedral:
                                          perm_compose(pair[1], vertex_action[k])))
     carrier = [carried[q][0] for q in quats]
     action = [carried[q][1] for q in quats]
-    table = FiniteGroupTable(carrier, [index[model.h_quat], index[model.s1_quat]])
+    table = FiniteGroupTable(carrier_gens, carrier)
     named = {"h": index[model.h_quat], "s1": index[model.s1_quat],
              "c": index[QUAT_C], "f": index[model.f_quat]}
     ag = ActionedGraph(model.graph, table, action,

@@ -165,11 +165,11 @@ class CosetTable:
         Generator k is carried by the inverse of its column permutation
         c -> c k, which is the column of k^-1, so that words multiply left to
         right; these carriers are folded down `tree()`, and generator k sits
-        at index step(0, k).  The table constructor checks that the folded
-        set contains 1 and is closed under the generators, which proves it is
-        the group they generate; over the trivial subgroup that is the
-        presented group.  Raises ValueError when the action is not regular
-        (then the set has repeats or is not closed).
+        at index step(0, k).  The table's search from 1 under right
+        multiplication by the generators must find exactly the folded set,
+        which proves it is the group they generate; over the trivial
+        subgroup that is the presented group.  Raises ValueError when the
+        action is not regular (then the set has repeats or is not closed).
         """
         ngens = len(self.gen_names)
         carriers = {(g, s): Perm(row[2 * g + (1 if s > 0 else 0)] for row in self.rows)
@@ -177,8 +177,8 @@ class CosetTable:
         carried = tree_fold(self.tree(), Perm.identity(self.n),
                             lambda p, letter: perm_compose(p, carriers[letter]))
         try:
-            return FiniteGroupTable([carried[c] for c in range(self.n)],
-                                    [self.step(0, g) for g in range(ngens)])
+            return FiniteGroupTable([carried[self.step(0, g)] for g in range(ngens)],
+                                    [carried[c] for c in range(self.n)])
         except ValueError as exc:
             raise ValueError(f"the action on the cosets is not regular: {exc}") from exc
 

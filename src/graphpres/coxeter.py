@@ -12,7 +12,7 @@ characteristic of the sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .builtins import TruncatedDodecahedron, truncated_dodecahedron
 from .coset import todd_coxeter
@@ -68,12 +68,6 @@ class ImplicationReport:
     identities: tuple[tuple[str, bool], ...]
 
 
-def _evaluate(group: FiniteGroupTable, gens: Mapping, word: Sequence[tuple]) -> int:
-    """The element spelled by (label, +-1) letters, gens[label] the element
-    of each label."""
-    return group.word_product(gens[n] if s > 0 else group.inverse(gens[n]) for n, s in word)
-
-
 def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
     """Enumerate the universal two-relator group and verify the implication.
 
@@ -86,7 +80,7 @@ def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
     gens = {"g": g, "r": r}
 
     def elem(word: Sequence[tuple[str, int]]) -> int:
-        return _evaluate(group, gens, word)
+        return group.evaluate(gens, word)
 
     z = elem(_Z)
     z_central = group.conjugate(g, z) == z and group.conjugate(r, z) == z
@@ -130,10 +124,9 @@ class CoxeterContext:
         return acc
 
 
-def build_coxeter_context(Y: TruncatedDodecahedron | None = None,
-                          limit: int = 100_000) -> CoxeterContext:
-    Y = Y or truncated_dodecahedron()
-    table = todd_coxeter(UNIVERSAL_GRZ, limit=limit)
+def build_coxeter_context() -> CoxeterContext:
+    Y = truncated_dodecahedron()
+    table = todd_coxeter(UNIVERSAL_GRZ)
     if table.n != 120:
         raise RuntimeError("universal group did not close at order 120")
     cover = table.regular_group()
@@ -149,7 +142,7 @@ def build_coxeter_context(Y: TruncatedDodecahedron | None = None,
     dwords = group.words({1: h_idx, 0: s1_idx})
 
     def lift(d_elem: int) -> int:
-        return _evaluate(cover, {0: g, 1: r}, dwords[d_elem])
+        return cover.evaluate({0: g, 1: r}, dwords[d_elem])
 
     # pentagon edges inherit the conjugated flip, corners the conjugated turn
     v0 = model.labels["v"]

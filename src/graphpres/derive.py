@@ -55,8 +55,7 @@ class DerivationInputError(ValueError):
 STABILIZER_COSET_LIMIT = 100_000
 
 
-def validate_input(inp: DerivationInput,
-                   enumeration_limit: int = STABILIZER_COSET_LIMIT) -> None:
+def validate_input(inp: DerivationInput) -> None:
     """Check the input invariants; raises DerivationInputError on failure."""
     ag, sc = inp.ag, inp.sc
     if validate_regularity(sc, ag) is not None:
@@ -67,12 +66,16 @@ def validate_input(inp: DerivationInput,
         data = inp.stabilizers[v]
         stab = set(ag.stabilizer(v))
         gens = list(data.gen_elements.values())
-        closure = set(ag.group.subgroup_closure(gens)) if gens else {0}
+        closure = set(ag.group.subgroup_closure(gens))
         if closure != stab:
             raise DerivationInputError(
                 f"stabilizer generators at {v} generate {len(closure)} of {len(stab)} elements")
+        letters = [data.gen_elements[name] for name in data.presentation.generators]
+        for k, rel in enumerate(data.presentation.relators):
+            if ag.group.evaluate(letters, rel) != 0:
+                raise DerivationInputError(f"stabilizer relator {k} at {v} does not evaluate to 1")
         try:
-            table = todd_coxeter(data.presentation, limit=enumeration_limit)
+            table = todd_coxeter(data.presentation, limit=STABILIZER_COSET_LIMIT)
         except EnumerationLimitError as exc:
             raise DerivationInputError(f"stabilizer presentation at {v} did not close") from exc
         if table.n != len(stab):
@@ -81,7 +84,7 @@ def validate_input(inp: DerivationInput,
     for e in sc.pair_reps:
         gens = inp.subgroup_gens.get(e, ())
         g_e = set(ag.edge_stabilizer(e))
-        closure = set(ag.group.subgroup_closure(gens)) if gens else {0}
+        closure = set(ag.group.subgroup_closure(gens))
         if closure != g_e:
             raise DerivationInputError(
                 f"edge-stabilizer generators at {e} generate {len(closure)} of {len(g_e)}")
@@ -295,7 +298,7 @@ COXETER_STZ = Presentation.from_strings(
 )
 
 
-def coxeter_substitution(p: Presentation, limit: int = 100_000) -> Presentation:
+def coxeter_substitution(p: Presentation) -> Presentation:
     """Tietze substitution z = g^2 = r^3, s = r^-1, t = rg on a two-generator
     presentation of the order-120 double cover; returns the s,t,z form.
 
@@ -306,12 +309,12 @@ def coxeter_substitution(p: Presentation, limit: int = 100_000) -> Presentation:
     if len(p.generators) != 2:
         raise PatternMismatchError("expected a presentation on two generators")
     try:
-        src = todd_coxeter(p, limit=limit)
+        src = todd_coxeter(p, limit=100_000)
     except EnumerationLimitError as exc:
         raise PatternMismatchError("input presentation does not close") from exc
     if src.n != 120:
         raise PatternMismatchError(f"input presents a group of order {src.n}, not 120")
-    tgt = todd_coxeter(COXETER_STZ, limit=limit)
+    tgt = todd_coxeter(COXETER_STZ)
     if tgt.n != 120:
         raise RuntimeError("internal: s,t,z presentation should have order 120")
 

@@ -86,9 +86,9 @@ class ActionedGraph:
         self._stabilizers: dict[int, tuple[int, ...]] = {}
 
     @staticmethod
-    def from_generators(graph: Graph, gens: Mapping[str, Perm], limit: int = 100_000) -> ActionedGraph:
+    def from_generators(graph: Graph, gens: Mapping[str, Perm]) -> ActionedGraph:
         names = list(gens)
-        table = generate_closure([gens[n] for n in names], limit=limit)
+        table = generate_closure([gens[n] for n in names])
         labels = {n: table.gen_indices[i] for i, n in enumerate(names)}
         return ActionedGraph(graph, table, None, labels)
 

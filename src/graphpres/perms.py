@@ -156,55 +156,66 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 
 
 class FiniteGroupTable:
-    """A finite permutation group given by its ordered element list.
+    """The finite permutation group generated by `gens`, as an ordered
+    element list whose element 0 is the identity.
 
-    Element 0 is always the identity.  No product table is stored: a *base*
-    (a short list of points whose images tell all elements apart) is chosen
-    once, and `product(i, j)` looks up the element with the base images of
-    p_i * p_j, so memory is O(|G| * degree).  Inverses are precomputed.
+    No product table is stored: a *base* (a short list of points whose
+    images tell all elements apart) is chosen once, and `product(i, j)`
+    looks up the element with the base images of p_i * p_j, so memory is
+    O(|G| * degree).  Inverses are precomputed.
 
-    `gen_indices` must generate the element set.  The constructor checks
-    that the set contains 1, that p * g lies in it for every element p and
-    generator g, and that every element is reached from 1 by such steps.  A
-    finite set S with these properties is the group the generators
-    generate: right multiplication by g is injective, so S * g = S, hence
-    S * g^-1 = S and S is closed under right multiplication by the whole
-    group, which contains 1, so the group lies in S; and every element of S
-    is a product of generators.  So every product of two elements lies in
-    S, and since two elements of S that agree on the base are equal, the
-    base lookup returns the true product.  Sets that fail a check raise
-    ValueError.
+    The elements are found by one breadth-first search from 1 that steps
+    from each element p found to p * g for every generator g.  The set S it
+    finds contains 1, is closed under right multiplication by each
+    generator, and consists of products of generators.  Such a finite S is
+    the group generated: right multiplication by g is injective, so
+    S * g = S, hence S * g^-1 = S and S is closed under right
+    multiplication by the whole group, which contains 1, so the group lies
+    in S.  So S is closed under products, and since two elements of S that
+    agree on the base are equal, the base lookup returns the true product.
+
+    Without `elements`, the order of discovery is the element order:
+    identity first, then BFS layers with the generators applied on the
+    right in their given order; past `limit` elements ClosureLimitError is
+    raised.  With `elements` (identity first, no repeats) their order is
+    kept, and the search must find exactly their set: every product p * g
+    is looked up in it, so a set that is not closed raises ValueError
+    before more than len(elements) elements are found, and so does a set
+    the generators do not reach.
     """
 
-    def __init__(self, elements: Sequence[Perm], gen_indices: Sequence[int]):
-        self.elements = list(elements)
-        if not self.elements or not self.elements[0].is_identity():
-            raise ValueError("element 0 must be the identity")
+    def __init__(self, gens: Sequence[Perm], elements: Sequence[Perm] | None = None,
+                 limit: int = CLOSURE_LIMIT):
+        if elements is not None:
+            if not elements or not elements[0].is_identity():
+                raise ValueError("element 0 must be the identity")
+            given = {p.images for p in elements}
+            if len(given) != len(elements):
+                raise ValueError("duplicate elements")
+        elif not gens:
+            raise ValueError("need at least one generator")
+        degree = (elements or gens)[0].degree
+        gen_images = [g.images for g in gens]
+        if any(len(g) != degree for g in gen_images):
+            raise ValueError("generators must have equal degree")
+
+        def successors(p: tuple[int, ...]) -> list[tuple[None, tuple[int, ...]]]:
+            steps = [(None, tuple([p[k] for k in g])) for g in gen_images]
+            if elements is not None and not all(q in given for _, q in steps):
+                raise ValueError("element set is not closed under the generators")
+            return steps
+
+        found = bfs_tree(tuple(range(degree)), successors,
+                         limit if elements is None else None)
+        if elements is not None and len(found) != len(elements):
+            raise ValueError("the generators do not reach every element")
+        self.elements = [Perm(p) for p in found] if elements is None else list(elements)
         self.index = {p: i for i, p in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        self.gen_indices = tuple(gen_indices)
+        self.gen_indices = tuple(self.index[g] for g in gens)
         self._images = images = [p.images for p in self.elements]
         self.base = base = _separating_base(images)
         self._base_images = [tuple([p[b] for b in base]) for p in images]
         self._by_key = {key: i for i, key in enumerate(self._base_images)}
-        for g in self.gen_indices:
-            if not 0 <= g < len(images):
-                raise ValueError(f"generator index {g} is not an element")
-
-        def right_steps(i: int) -> list[tuple[int, int]]:
-            steps = []
-            p = images[i]
-            for g in self.gen_indices:
-                prod = tuple([p[k] for k in images[g]])
-                j = self._by_key.get(tuple([prod[b] for b in base]))
-                if j is None or images[j] != prod:
-                    raise ValueError("element set is not closed under the generators")
-                steps.append((g, j))
-            return steps
-
-        if len(bfs_tree(0, right_steps)) != len(images):
-            raise ValueError("the generators do not reach every element")
         self._inv = [self._by_key[tuple([p.index(b) for b in base])] for p in images]
 
     @property
@@ -223,6 +234,11 @@ class FiniteGroupTable:
         for i in indices:
             acc = self.product(acc, i)
         return acc
+
+    def evaluate(self, gens: Mapping | Sequence[int], word: Iterable[tuple]) -> int:
+        """The element spelled by (label, +-1) letters, gens[label] the
+        element of each label."""
+        return self.word_product(gens[n] if s > 0 else self._inv[gens[n]] for n, s in word)
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -272,18 +288,5 @@ def _separating_base(images: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
 
 
 def generate_closure(gens: Sequence[Perm], limit: int = CLOSURE_LIMIT) -> FiniteGroupTable:
-    """Breadth-first closure of a nonempty generating set of equal degree.
-
-    Element order is deterministic: identity first, then BFS layers with the
-    generators applied on the right in their given order.
-    """
-    if not gens:
-        raise ValueError("need at least one generator")
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
-        raise ValueError("generators must have equal degree")
-    elements = list(bfs_tree(Perm.identity(degree),
-                             lambda p: [(g, perm_compose(p, g)) for g in gens], limit))
-    index = {p: i for i, p in enumerate(elements)}
-    return FiniteGroupTable(elements, [index[g] for g in gens])
-
+    """The group generated by a nonempty list of permutations, in BFS order."""
+    return FiniteGroupTable(gens, limit=limit)

@@ -116,8 +116,7 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
         return OrderCheck(False, None, group.order, False,
                           f"generators generate {generated} of {group.order} elements")
     for k, rel in enumerate(pres.relators):
-        if group.word_product(gens[i] if s > 0 else group.inverse(gens[i])
-                              for i, s in rel) != 0:
+        if group.evaluate(gens, rel) != 0:
             return OrderCheck(False, None, group.order, False,
                               f"relator {k} does not evaluate to 1")
 

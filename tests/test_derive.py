@@ -29,6 +29,19 @@ def test_validate_input_catches_bad_stabilizer_presentation():
         validate_input(inp)
 
 
+def test_validate_input_catches_stabilizer_relator_that_fails_in_G():
+    # <s2, s3 | s2^6, s3 s2^-2> is Z6, of the stabilizer's order 6, but
+    # s3 s2^-2 = s3 is not 1 in S4
+    inp = simplex_action(4)
+    unsound = Presentation.from_strings(
+        ["s2", "s3"], [[("s2", 1)] * 6, [("s3", 1), ("s2", -1), ("s2", -1)]])
+    assert todd_coxeter(unsound).n == len(inp.ag.stabilizer(0))
+    inp.stabilizers[0] = StabilizerData(unsound, inp.stabilizers[0].gen_elements)
+    with pytest.raises(DerivationInputError,
+                       match="^stabilizer relator 1 at 0 does not evaluate to 1$"):
+        validate_input(inp)
+
+
 def test_validate_input_catches_non_generating_edge_set():
     bi = binary_icosahedral_action()
     inp = bi.input
