@@ -19,7 +19,7 @@ from .graphs import ActionedGraph, OrientedEdge, find_inversion  # noqa: F401
 from .perms import FiniteGroupTable, bfs_tree, tree_words
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
-                    edge_loop_relation, edge_relation, least_rotation,
+                    edge_loop_relation, edge_relation, free_reduce, least_rotation,
                     loop_relation, rewrite_word_to_E1, tautological_relation)
 
 
@@ -200,25 +200,24 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
     word_to_relator = word_speller(ag.group, sc.base_vertices, gen_names, gen_elements,
                                    stab_owners, edge_gens)
 
-    relators: list[tuple[tuple[int, int], ...]] = []
-    relator_words: list[Word] = []
-    families = {"stabilizer": 0, "edge": 0, "edge_loop": 0, "loop": 0, "tree": 0}
+    # free cyclic form -> the first relator with it; a later one is a conjugate
+    # of it or of its inverse, so dropping it leaves the normal closure unchanged
+    emitted: dict[tuple, tuple] = {}
+
+    def emit(relator, word: Word, family: str) -> None:
+        relator = tuple(free_reduce(relator))
+        emitted.setdefault(_free_cyclic_form(relator), (relator, word, family))
 
     def add(word: Word, family: str) -> None:
         reduced = rewrite_word_to_E1(word, ag, sc).free_reduce(ag)
-        relator_words.append(reduced)
-        relators.append(word_to_relator(reduced))
-        families[family] += 1
+        emit(word_to_relator(reduced), reduced, family)
 
     for v in sc.base_vertices:
         data = inp.stabilizers[v]
         for rel in data.presentation.relators:
-            named = tuple((name_index[data.presentation.generators[i]], s) for i, s in rel)
-            relators.append(named)
-            relator_words.append(Word(
-                StabLetter(v, data.gen_elements[data.presentation.generators[i]], s)
-                for i, s in rel))
-            families["stabilizer"] += 1
+            emit(tuple((name_index[data.presentation.generators[i]], s) for i, s in rel),
+                 Word(StabLetter(v, data.gen_elements[data.presentation.generators[i]], s)
+                      for i, s in rel), "stabilizer")
     pair_set = set(sc.pair_reps)
     for e in sc.pair_reps:
         for t in inp.subgroup_gens.get(e, ()):
@@ -232,8 +231,11 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
         if e in pair_set:
             add(tautological_relation(e, sc), "tree")
 
-    presentation = Presentation(tuple(gen_names), tuple(relators)).free_reduced()
-    return DerivedPresentation(presentation, tuple(relator_words), families,
+    families = {"stabilizer": 0, "edge": 0, "edge_loop": 0, "loop": 0, "tree": 0}
+    for _, _, family in emitted.values():
+        families[family] += 1
+    presentation = Presentation(tuple(gen_names), tuple(r for r, _, _ in emitted.values()))
+    return DerivedPresentation(presentation, tuple(w for _, w, _ in emitted.values()), families,
                                edge_gens, stab_owners, gen_elements,
                                dict(inp.suggested_renaming), inp.name)
 
@@ -278,7 +280,7 @@ def presentation_matches(derived: DerivedPresentation, target: Presentation,
     return split(renamed) == split(target)
 
 
-def _free_cyclic_form(letters: list[tuple[str, int]]) -> tuple:
+def _free_cyclic_form(letters: Sequence[tuple]) -> tuple:
     word = cyclic_reduce(letters)
     return least_rotation(tuple(word), tuple((n, -s) for n, s in reversed(word)))
 
@@ -368,28 +370,32 @@ def derived_from_json(data: dict) -> DerivedPresentation:
         dict(data.get("renaming", {})), data.get("name", ""))
 
 
-def table_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerData:
-    """Multiplication-table presentation of the stabilizer of v.
+def greedy_generators(group: FiniteGroupTable, elements: Sequence[int]) -> list[int]:
+    """Each element, in order, that the ones kept before it do not generate."""
+    kept, reached = [], {0}
+    for g in elements:
+        if g not in reached:
+            kept.append(g)
+            reached = set(group.subgroup_closure(kept))
+    return kept
 
-    One generator per non-identity element and one relator per cell of the
-    multiplication table; crude but always valid, used for actions supplied
-    as plain data files.
-    """
-    stab = ag.stabilizer(v)
-    names = {g: f"{prefix}{g}" for g in stab if g != 0}
-    gens = [names[g] for g in stab if g != 0]
-    rels = []
-    for a in stab:
-        for b in stab:
-            if a == 0 or b == 0:
-                continue
-            c = ag.group.product(a, b)
-            rel = [(names[a], 1), (names[b], 1)]
-            if c != 0:
-                rel.append((names[c], -1))
-            rels.append(rel)
-    presentation = Presentation.from_strings(gens, rels)
-    return StabilizerData(presentation, {names[g]: g for g in stab if g != 0})
+
+def schreier_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerData:
+    """Schreier presentation of the stabilizer G_v on greedy generators X:
+    the breadth-first words w(a) span the Cayley graph of G_v, so the
+    relators w(a) x w(ax)^-1 of its edges generate its fundamental group,
+    the kernel of F(X) -> G_v.  Empty and conjugate relators are dropped."""
+    group = ag.group
+    names = {f"{prefix}{g}": g for g in greedy_generators(group, ag.stabilizer(v))}
+    words = group.words(names)
+    rels = {}
+    for a, word in words.items():
+        for name, g in names.items():
+            back = tuple((n, -s) for n, s in reversed(words[group.product(a, g)]))
+            rel = tuple(free_reduce(word + ((name, 1),) + back))
+            if rel:
+                rels.setdefault(_free_cyclic_form(rel), rel)
+    return StabilizerData(Presentation.from_strings(list(names), rels.values()), names)
 
 
 def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | None = None,
@@ -399,8 +405,8 @@ def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | No
     Loops default to the fundamental cycles of a breadth-first spanning tree
     based at the first base vertex (their translates normally generate all
     closed paths, so the completeness check downstream is meaningful);
-    stabilizer presentations default to multiplication-table presentations,
-    and edge-stabilizer generators to all non-identity elements.
+    stabilizer presentations default to Schreier presentations, and
+    edge-stabilizer generators to a greedy generating set.
     """
     sc = build_regular_scaffolding(ag)
     root = sc.base_vertices[0]
@@ -413,11 +419,8 @@ def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | No
             if (u, w) in tree_edges:
                 continue
             loops.append((root,) + paths[u] + paths[w][::-1] + (root,))
-    stabilizers = {v: table_presentation(ag, v, f"t{v}_") for v in sc.base_vertices}
-    subgroup_gens = {}
-    for e in sc.pair_reps:
-        g_e = [g for g in ag.edge_stabilizer(e) if g != 0]
-        if g_e:
-            subgroup_gens[e] = tuple(g_e)
+    stabilizers = {v: schreier_presentation(ag, v, f"t{v}_") for v in sc.base_vertices}
+    subgroup_gens = {e: tuple(greedy_generators(ag.group, ag.edge_stabilizer(e)))
+                     for e in sc.pair_reps}
     return DerivationInput(ag, sc, tuple(tuple(l) for l in loops), stabilizers,
                            subgroup_gens, {}, name)

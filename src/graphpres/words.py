@@ -326,10 +326,6 @@ class Presentation:
         rels = tuple(tuple((index[name], sign) for name, sign in rel) for rel in relators)
         return Presentation(tuple(generators), rels)
 
-    def free_reduced(self) -> Presentation:
-        return Presentation(self.generators,
-                            tuple(tuple(free_reduce(rel)) for rel in self.relators))
-
     def rename(self, mapping: dict[str, str]) -> Presentation:
         gens = tuple(mapping.get(g, g) for g in self.generators)
         if len(set(gens)) != len(gens):

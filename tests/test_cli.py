@@ -204,6 +204,20 @@ def test_unusable_path_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert message in err
 
 
+def test_complete_graph_k6_derives_with_schreier_stabilizers(tmp_path, capsys):
+    # S6 on K6: the vertex stabilizer S5 has 120 elements, so a multiplication
+    # table would give it some 14000 relators
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps({
+        "vertices": 6, "edges": [[a, b] for a in range(6) for b in range(a + 1, 6)],
+        "generators": {"s": [1, 0, 2, 3, 4, 5], "c": [1, 2, 3, 4, 5, 0]}}))
+    code, out, _ = run(capsys, "derive", "--action", str(path), "--verify", "--out", str(tmp_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 720 and report["order_check"]["proof"] == "lagrange"
+    assert report["relator_count"] <= 60
+
+
 def test_order_check_limit_exits_4(tmp_path, capsys):
     code, out, _ = run(capsys, "derive", "--builtin", "simplex:6", "--verify",
                        "--limit", "50", "--out", str(tmp_path))

@@ -4,15 +4,28 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
                                 dodecahedron_action, simplex_action,
                                 standard_symmetric_presentation)
 from graphpres.coset import todd_coxeter
-from graphpres.derive import (DerivationInputError, StabilizerData,
+from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic_form,
                               auto_derivation_input, close_pseudo_loops,
                               coxeter_substitution, derive_presentation,
-                              derived_from_json, derived_to_json,
+                              derived_from_json, derived_to_json, greedy_generators,
                               presentation_matches, PatternMismatchError,
-                              validate_input)
+                              schreier_presentation, validate_input)
 from graphpres.graphs import ActionedGraph, Graph, find_inversion
 from graphpres.perms import Perm
 from graphpres.words import Presentation, evaluate_word_in_G
+
+
+def square_action(loops=None):
+    graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    gens = {"r": Perm([1, 2, 3, 0]), "m": Perm([0, 3, 2, 1])}
+    return auto_derivation_input(ActionedGraph.from_generators(graph, gens), loops)
+
+
+def complete_graph_action(n):
+    """S_n on the complete graph K_n, by a transposition and an n-cycle."""
+    graph = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    gens = {"s": Perm.transposition(n, 0, 1), "c": Perm([*range(1, n), 0])}
+    return ActionedGraph.from_generators(graph, gens)
 
 
 def two_orbit_path_action():
@@ -174,3 +187,52 @@ def test_random_dihedral_instances_sound(rng):
         for word in d.relator_words:
             assert evaluate_word_in_G(word.free_reduce(inp.ag), inp.ag, inp.sc) == 0
         assert todd_coxeter(d.presentation).n == 2 * n
+
+
+def test_greedy_generators_keep_only_what_the_kept_ones_do_not_generate():
+    ag = complete_graph_action(5)
+    stab = ag.stabilizer(0)
+    kept = greedy_generators(ag.group, stab)
+    assert kept[0] == min(g for g in stab if g != 0)
+    assert ag.group.subgroup_closure(kept) == stab
+    for k, g in enumerate(kept):
+        assert g not in ag.group.subgroup_closure(kept[:k])
+    assert greedy_generators(ag.group, (0,)) == []
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_schreier_presentation_presents_the_stabilizer(n):
+    ag = complete_graph_action(n)
+    data = schreier_presentation(ag, 0, "t0_")
+    pres = data.presentation
+    stab = ag.stabilizer(0)
+    assert all(name == f"t0_{g}" for name, g in data.gen_elements.items())
+    assert ag.group.subgroup_closure(data.gen_elements.values()) == stab
+    assert todd_coxeter(pres).n == len(stab)
+    letters = [data.gen_elements[name] for name in pres.generators]
+    keys = set()
+    for rel in pres.relators:
+        assert rel and ag.group.evaluate(letters, rel) == 0
+        keys.add(_free_cyclic_form(rel))
+    assert len(keys) == len(pres.relators)
+
+
+def test_order_two_stabilizer_keeps_the_square_relator():
+    data = square_action().stabilizers[0]
+    (name,) = data.presentation.generators
+    assert data.presentation.relators == (((0, 1), (0, 1)),)
+    assert name == f"t0_{data.gen_elements[name]}"
+
+
+def test_a_repeated_relator_is_emitted_once():
+    # the second loop is the first one walked backwards: its relator is a
+    # conjugate of the inverse of the first one's
+    inp = square_action([[0, 1, 2, 3, 0], [0, 3, 2, 1, 0]])
+    d = derive_presentation(inp)
+    assert len(inp.loops) == 2 and d.families["loop"] == 1
+    assert len(d.presentation.relators) == len(d.relator_words) == sum(d.families.values())
+    keys = [_free_cyclic_form(rel) for rel in d.presentation.relators]
+    assert len(set(keys)) == len(keys)
+    assert d.presentation == derive_presentation(square_action([[0, 1, 2, 3, 0]])).presentation
+    assert todd_coxeter(d.presentation).n == 8
+

@@ -9,7 +9,13 @@ and the edge labels `tau` of the double cover were pinned while the
 universal group's products were still traced along coset words.  The
 prisms and the hexagon, the first pinned actions with reversal-paired edge
 orbits, were pinned before the scaffolding was built in one pass over the
-edge orbits.
+edge orbits.  The cube and the Petersen graph were re-pinned when file
+actions got Schreier presentations of their vertex stabilizers, and greedy
+edge-stabilizer generators, in place of multiplication tables; prism-5x2
+was re-pinned when a relator whose cyclic reduction repeats an emitted one
+up to rotation and inversion was first dropped: three of its six loop
+relators are conjugates of another or of its inverse.  Both the old and the
+new presentation files of each verify against the action.
 """
 
 import hashlib
@@ -86,9 +92,9 @@ PINNED = {
     "dihedral:5": "cb53997829659aa99242fa523e0f3d54a87fe3430b11d0d22ab70fe6c491911d",
     "dihedral:50": "2f2fa904479ef07abba3b5cfe4159ad00acc6c27c88976d453675d3bbffe5335",
     "square": "b63a0146044f038cf240bae4fa958695b89fce7611277f35d9ac943469267d54",
-    "cube": "aeb3b80c54f5099d377e50e90ebf9224375bd9778a49d9edc67aa2576077e897",
-    "petersen": "a416c5bd2e7e6671e13956a3bb67d1b7207c5070365aa01c8380e56650296098",
-    "prism-5x2": "f64aa1eb62766c7d76f2f8685d68d6c5dce899d861690c6a0a8b802beb9c9afa",
+    "cube": "0d337c6282a744a1a9413a15aff5fa7786d41c0aedb699279f63b8ef5a9f8601",
+    "petersen": "7983e7cb380f80112f2c98c805688ad26626524556132c7c5f77aba6fc10f73a",
+    "prism-5x2": "dfa2ab143a95c9037bdaa9343ebfcbd915e71b75a7fea690aa90fc5c927d9d00",
     "prism-4x3-dihedral": "5280913c8af19a43c92237f8a680b56b66b6d35ae0b54c4aad0f61e651ba7155",
     "hexagon-rotation": "86ad475e75602f13ee9ce32445fa1e18aea448f2f62268c10e2afc0fe944f40f",
 }
@@ -116,3 +122,14 @@ def test_coxeter_tau_digest():
     assert ctx.z == 2
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "675bf3dfd0281af200b688a322ef1297b15c9848c11829aa67480dc4278f9114"
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_file_action_derives_and_verifies(tmp_path, capsys, name):
+    action = tmp_path / f"{name}.json"
+    action.write_text(json.dumps(ACTIONS[name]))
+    assert main(["derive", "--action", str(action), "--verify", "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["order_check"]["proof"] == "lagrange" and report["reconstruction"]["ok"]
+    assert main(["verify", str(tmp_path / f"{name}.presentation.json"),
+                 "--action", str(action)]) == 0
