@@ -24,6 +24,7 @@ from .graphs import ActionedGraph, Graph, validate_action
 from .perms import ClosureLimitError, Perm
 from .verify import (abelianization_smith, build_kozsul_model,
                      check_covering_isomorphism, presentation_order_check)
+from .words import json_int
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,12 +40,13 @@ def action_from_json(data: dict, name: str = "action") -> DerivationInput:
     """The derivation input for an action file; every check on the file's
     data happens here, before any group is built."""
     try:
-        graph = Graph(int(data["vertices"]), [(int(u), int(v)) for u, v in data["edges"]])
-        gens = {str(k): Perm(map(int, data["generators"][k]))
+        graph = Graph(json_int(data["vertices"]),
+                      [(json_int(u), json_int(v)) for u, v in data["edges"]])
+        gens = {str(k): Perm(map(json_int, data["generators"][k]))
                 for k in sorted(data["generators"])}
         loops = data.get("loops")
         if loops is not None:
-            loops = [tuple(map(int, loop)) for loop in loops]
+            loops = [tuple(map(json_int, loop)) for loop in loops]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad action data: {exc}") from exc
     problem = validate_action(graph, gens, loops or ())
@@ -264,6 +266,14 @@ def _write_or_stdout(out: str, text: str) -> None:
         Path(out).write_text(text)
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: a bad value exits 2 before any work is done."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _add_source(sub, required=True):
     group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--builtin", help="builtin action name (see list-builtins)")
@@ -280,17 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--verify", action="store_true",
                    help="enumerate and reconstruct the graph afterwards")
-    p.add_argument("--limit", type=int, default=1_000_000)
+    p.add_argument("--limit", type=positive_int, default=1_000_000)
     p.set_defaults(func=cmd_derive)
 
     p = subs.add_parser("verify", help="verify a stored presentation against an action")
     p.add_argument("presentation", help="presentation JSON file")
     _add_source(p)
-    p.add_argument("--limit", type=int, default=1_000_000)
+    p.add_argument("--limit", type=positive_int, default=1_000_000)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("coxeter-check", help="run the double-cover implication checks")
-    p.add_argument("--limit", type=int, default=100_000)
+    p.add_argument("--limit", type=positive_int, default=100_000)
     p.set_defaults(func=cmd_coxeter_check)
 
     p = subs.add_parser("export-cayley", help="write a Cayley diagram as DOT")

@@ -19,8 +19,8 @@ from .graphs import ActionedGraph, OrientedEdge, find_inversion  # noqa: F401
 from .perms import FiniteGroupTable, bfs_tree, tree_words
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
-                    edge_loop_relation, edge_relation, free_reduce, least_rotation,
-                    loop_relation, rewrite_word_to_E1, tautological_relation)
+                    edge_loop_relation, edge_relation, free_reduce, json_int,
+                    least_rotation, loop_relation, rewrite_word_to_E1, tautological_relation)
 
 
 @dataclass(frozen=True)
@@ -362,11 +362,11 @@ def derived_to_json(d: DerivedPresentation) -> dict:
 
 def derived_from_json(data: dict) -> DerivedPresentation:
     presentation = Presentation.from_json_dict(data)
-    edge_gens = {n: OrientedEdge(*map(int, pair)) for n, pair in data["edge_gens"].items()}
+    edge_gens = {n: OrientedEdge(*map(json_int, pair)) for n, pair in data["edge_gens"].items()}
     return DerivedPresentation(
         presentation, (), dict(data["families"]), edge_gens,
-        {n: int(v) for n, v in data["stab_owners"].items()},
-        {n: int(v) for n, v in data["gen_elements"].items()},
+        {n: json_int(v) for n, v in data["stab_owners"].items()},
+        {n: json_int(v) for n, v in data["gen_elements"].items()},
         dict(data.get("renaming", {})), data.get("name", ""))
 
 

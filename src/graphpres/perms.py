@@ -12,6 +12,8 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 CLOSURE_LIMIT = 100_000
+# image entries (elements times degree) a closure may store: about 80 MB
+CLOSURE_ENTRY_LIMIT = 10_000_000
 
 
 class ClosureLimitError(RuntimeError):
@@ -176,8 +178,8 @@ class FiniteGroupTable:
 
     Without `elements`, the order of discovery is the element order:
     identity first, then BFS layers with the generators applied on the
-    right in their given order; past `limit` elements ClosureLimitError is
-    raised.  With `elements` (identity first, no repeats) their order is
+    right in their given order; past `limit` elements, or past
+    CLOSURE_ENTRY_LIMIT stored image entries, ClosureLimitError is raised.  With `elements` (identity first, no repeats) their order is
     kept, and the search must find exactly their set: every product p * g
     is looked up in it, so a set that is not closed raises ValueError
     before more than len(elements) elements are found, and so does a set
@@ -205,8 +207,15 @@ class FiniteGroupTable:
                 raise ValueError("element set is not closed under the generators")
             return steps
 
-        found = bfs_tree(tuple(range(degree)), successors,
-                         limit if elements is None else None)
+        cap = CLOSURE_ENTRY_LIMIT // max(degree, 1)
+        try:
+            found = bfs_tree(tuple(range(degree)), successors,
+                             min(limit, cap) if elements is None else None)
+        except ClosureLimitError:
+            if limit <= cap:
+                raise
+            raise ClosureLimitError(f"closure exceeded {CLOSURE_ENTRY_LIMIT} stored image "
+                                    f"entries ({cap} elements of degree {degree})") from None
         if elements is not None and len(found) != len(elements):
             raise ValueError("the generators do not reach every element")
         self.elements = [Perm(p) for p in found] if elements is None else list(elements)

@@ -305,6 +305,14 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
     return Word(out)
 
 
+def json_int(value) -> int:
+    """A JSON integer as read by `json`; a float or a bool is refused, not
+    truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generator names and relators as signed sequences over them."""
@@ -346,5 +354,5 @@ class Presentation:
     @staticmethod
     def from_json_dict(data: dict) -> Presentation:
         gens = list(data["generators"])
-        rels = [[(name, int(sign)) for name, sign in rel] for rel in data["relators"]]
+        rels = [[(name, json_int(sign)) for name, sign in rel] for rel in data["relators"]]
         return Presentation.from_strings(gens, rels)

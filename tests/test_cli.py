@@ -130,6 +130,7 @@ def test_unknown_builtin(capsys):
 
 
 TRIANGLE_EDGES = [[0, 1], [1, 2], [2, 0]]
+SQUARE_EDGES = [[0, 1], [1, 2], [2, 3], [3, 0]]
 
 
 @pytest.mark.parametrize("data, message", [
@@ -145,8 +146,18 @@ TRIANGLE_EDGES = [[0, 1], [1, 2], [2, 0]]
     ({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
       "generators": {"r": [1, 2, 3, 0]}, "loops": [[0, 2, 0]]},
      "does not walk along edges"),
+    ({"vertices": 4.5, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]}},
+     "4.5 is not an integer"),
+    ({"vertices": True, "edges": [], "generators": {"x": [0]}}, "True is not an integer"),
+    ({"vertices": 4, "edges": [[0.9, 1.2], [1, 2], [2, 3], [3, 0]],
+      "generators": {"r": [1, 2, 3, 0]}}, "0.9 is not an integer"),
+    ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1.0, 2, 3, 0]}},
+     "1.0 is not an integer"),
+    ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]},
+      "loops": [[0, 1, 2, 3, "0"]]}, "'0' is not an integer"),
 ], ids=["non-edge", "disconnected", "no-vertices", "self-loop", "wrong-degree",
-        "loop-off-edges"])
+        "loop-off-edges", "fractional-vertices", "boolean-vertices", "fractional-edge",
+        "fractional-image", "string-loop-vertex"])
 def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -165,8 +176,15 @@ def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     ({"stab_owners": {"h": 7}}, "belongs to 7, not a base vertex"),
     ({"stab_owners": {"x": 0}}, "x is not a generator"),
     ({"stab_owners": {}}, "do not generate its stabilizer"),
+    ({"gen_elements": {"g[0]": 2, "h": 3.7}}, "3.7 is not an integer"),
+    ({"gen_elements": {"g[0]": True, "h": 1}}, "True is not an integer"),
+    ({"edge_gens": {"g[0]": [0.9, 1.2]}}, "0.9 is not an integer"),
+    ({"stab_owners": {"h": 0.0}}, "0.0 is not an integer"),
+    ({"relators": [[["h", 1.0]] * 3]}, "1.0 is not an integer"),
 ], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
-        "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated"])
+        "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated",
+        "element-fractional", "element-boolean", "edge-fractional", "owner-fractional",
+        "sign-fractional"])
 def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, message):
     code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
     assert code == 0
@@ -216,6 +234,21 @@ def test_complete_graph_k6_derives_with_schreier_stabilizers(tmp_path, capsys):
     report = json.loads(out)
     assert report["order"] == 720 and report["order_check"]["proof"] == "lagrange"
     assert report["relator_count"] <= 60
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--builtin", "dihedral:5", "--limit", "0"],
+    ["derive", "--builtin", "dihedral:5", "--verify", "--limit", "-3"],
+    ["verify", "missing.json", "--builtin", "dihedral:5", "--limit", "0"],
+    ["coxeter-check", "--limit", "-3"],
+    ["coxeter-check", "--limit", "2.5"],
+], ids=["derive-zero", "derive-negative", "verify-zero", "coxeter-negative",
+        "coxeter-fraction"])
+def test_limit_must_be_a_positive_integer(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --limit:" in capsys.readouterr().err
 
 
 def test_order_check_limit_exits_4(tmp_path, capsys):

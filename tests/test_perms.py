@@ -75,8 +75,17 @@ def test_closure_is_deterministic():
 
 def test_closure_limit():
     gens = [t(5, 0, 1), Perm.from_cycle(5, [0, 1, 2, 3, 4])]
-    with pytest.raises(ClosureLimitError):
+    with pytest.raises(ClosureLimitError, match="^closure exceeded 30 elements$"):
         generate_closure(gens, limit=30)
+
+
+def test_closure_stops_at_the_entry_limit_on_a_large_cycle():
+    # Z_40000 on 40000 points would store 1.6e9 image entries; the search
+    # stops once 250 elements hold the 1e7 allowed
+    cycle = Perm([*range(1, 40_000), 0])
+    with pytest.raises(ClosureLimitError, match=r"^closure exceeded 10000000 stored image "
+                       r"entries \(250 elements of degree 40000\)$"):
+        generate_closure([cycle])
 
 
 def test_closure_orbit_of_short_words_oracle():
