@@ -204,7 +204,7 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
     # of it or of its inverse, so dropping it leaves the normal closure unchanged
     emitted: dict[tuple, tuple] = {}
 
-    def emit(relator, word: Word, family: str) -> None:
+    def emit(relator: Sequence[tuple[int, int]], word: Word, family: str) -> None:
         relator = tuple(free_reduce(relator))
         emitted.setdefault(_free_cyclic_form(relator), (relator, word, family))
 

@@ -150,7 +150,34 @@ def cyclic_reduce(letters: Iterable, merge=_cancel) -> list:
 
 def least_rotation(*words: tuple) -> tuple:
     """The least rotation of any of the given words; () when all are empty."""
-    return min((w[r:] + w[:r] for w in words for r in range(len(w))), default=())
+    return min((_least_rotation_of(w) for w in words if w), default=())
+
+
+def _least_rotation_of(w: tuple) -> tuple:
+    """The least rotation of a nonempty word, found in linear time.
+
+    Two candidate starts i, j are compared letter by letter; when they first
+    differ at offset k, the larger one and the k starts after it cannot
+    start the least rotation, so it jumps past them.  The search ends when
+    one start runs past the word (the other is least) or the rotations at
+    i and j agree in full (both are least).
+    """
+    n = len(w)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = w[(i + k) % n], w[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return w[start:] + w[:start]
 
 
 def _letter_key(letter: Letter) -> tuple:

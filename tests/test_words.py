@@ -6,7 +6,7 @@ from graphpres.graphs import OrientedEdge
 from graphpres.perms import Perm
 from graphpres.words import (EdgeLetter, Presentation, StabLetter, Word,
                              edge_loop_relation, edge_relation, edge_word,
-                             evaluate_word_in_G, loop_relation,
+                             evaluate_word_in_G, least_rotation, loop_relation,
                              rewrite_word_to_E1, tautological_relation, trace_path)
 
 
@@ -247,3 +247,18 @@ def test_cyclic_normal_form_rotation_and_inversion():
     # conjugation disappears cyclically
     w3 = Word([StabLetter(0, h, 1)]) * w1 * Word([StabLetter(0, h, -1)])
     assert w3.cyclic_normal_form(ag) == w1.cyclic_normal_form(ag)
+
+
+def test_least_rotation_matches_every_rotation(rng):
+    # the reference tries every rotation; words repeat a short stem now and
+    # then so that several rotations tie
+    def every_rotation(*words):
+        return min((w[r:] + w[:r] for w in words for r in range(len(w))), default=())
+
+    for _ in range(3000):
+        stem = tuple(rng.randrange(3) for _ in range(rng.randint(0, 8)))
+        word = stem * rng.choice([1, 1, 2, 3])
+        other = tuple(rng.randrange(3) for _ in range(rng.randint(0, 6)))
+        assert least_rotation(word) == every_rotation(word)
+        assert least_rotation(word, other) == every_rotation(word, other)
+    assert least_rotation() == least_rotation((), ()) == ()
