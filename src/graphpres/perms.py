@@ -179,11 +179,12 @@ class FiniteGroupTable:
     Without `elements`, the order of discovery is the element order:
     identity first, then BFS layers with the generators applied on the
     right in their given order; past `limit` elements, or past
-    CLOSURE_ENTRY_LIMIT stored image entries, ClosureLimitError is raised.  With `elements` (identity first, no repeats) their order is
-    kept, and the search must find exactly their set: every product p * g
-    is looked up in it, so a set that is not closed raises ValueError
-    before more than len(elements) elements are found, and so does a set
-    the generators do not reach.
+    CLOSURE_ENTRY_LIMIT stored image entries, ClosureLimitError is raised.
+    With `elements` (identity first, no repeats) their order is kept, and
+    the search must find exactly their set: every product p * g is looked
+    up in it, so a set that is not closed raises ValueError before more
+    than len(elements) elements are found, and so does a set the
+    generators do not reach.
     """
 
     def __init__(self, gens: Sequence[Perm], elements: Sequence[Perm] | None = None,
