@@ -136,7 +136,7 @@ def cmd_derive(args) -> int:
     (out_dir / f"{stem}.relators.txt").write_text(derived.presentation.pretty() + "\n")
     report = {"name": inp.name, "generators": list(derived.presentation.generators),
               "relator_count": len(derived.presentation.relators),
-              "families": derived.families,
+              "families": derived.families, "loops": inp.loop_source,
               "files": [str(out_dir / f"{stem}.presentation.json"),
                         str(out_dir / f"{stem}.relators.txt")]}
     code = EXIT_OK
@@ -280,9 +280,16 @@ def _add_source(sub, required=True):
     group.add_argument("--action", help="path to an action JSON file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `graphpres <cmd>: error: ...` line and exit 2,
+    like every other input error; subcommand parsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="graphpres",
-                                     description="presentations from graph actions")
+    parser = _Parser(prog="graphpres", description="presentations from graph actions")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("derive", help="derive a presentation from an action")

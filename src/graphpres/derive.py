@@ -10,6 +10,7 @@ orbits) the tree relations g_e = 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -44,6 +45,7 @@ class DerivationInput:
     subgroup_gens: dict[OrientedEdge, tuple[int, ...]] = field(default_factory=dict)
     suggested_renaming: dict[str, str] = field(default_factory=dict)
     name: str = ""
+    loop_source: str = "given"  # "given", "picked" or "fundamental"
 
 
 class DerivationInputError(ValueError):
@@ -398,29 +400,137 @@ def schreier_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerD
     return StabilizerData(Presentation.from_strings(list(names), rels.values()), names)
 
 
+def fundamental_loops(ag: ActionedGraph, root: int) -> list[tuple[int, ...]]:
+    """One loop at root per edge off a breadth-first spanning tree based at
+    root: the tree path to one end, the edge, the tree path back.  Their
+    2-cells make the graph simply connected, with no help from translates."""
+    tree = bfs_tree(root, lambda u: [(w, w) for w in ag.graph.neighbors(u)])
+    paths = tree_words(tree)  # root to u, without the root
+    tree_edges = {(min(u, p), max(u, p)) for u, (p, _) in tree.items() if u != root}
+    loops = []
+    for u, w in sorted(ag.graph.edges):
+        if (u, w) in tree_edges:
+            continue
+        loops.append((root,) + paths[u] + paths[w][::-1] + (root,))
+    return loops
+
+
+def collapses(cells: Sequence[Sequence[int]]) -> bool:
+    """Can the 2-cells attached along these closed walks all be removed, one
+    at a time, each through a free edge: an edge the cell walks exactly once
+    and no other remaining cell walks at all?"""
+    uses = [Counter((min(a, b), max(a, b)) for a, b in zip(cell, cell[1:])) for cell in cells]
+    total: Counter = Counter()
+    users: dict[tuple[int, int], list[int]] = {}
+    for k, counts in enumerate(uses):
+        total.update(counts)
+        for e in counts:
+            users.setdefault(e, []).append(k)
+    live = set(range(len(cells)))
+    free = [e for e, n in total.items() if n == 1]
+    while free:
+        e = free.pop()
+        if total[e] != 1:
+            continue
+        # one remaining cell walks e, and walks it once
+        (k,) = (k for k in users[e] if k in live)
+        live.remove(k)
+        for f, n in uses[k].items():
+            total[f] -= n
+            if total[f] == 1:
+                free.append(f)
+    return not live
+
+
+def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...] | None:
+    """Short loops whose translates make the graph a simply connected
+    2-complex, or None when the collapse check cannot prove that.
+
+    Candidates are the fundamental cycles at every base vertex, shortest
+    first as GF(2) edge masks (then by walk length, base vertex and walk).
+    A candidate is kept when it is outside the span of the translates kept
+    so far; then each of its translates that is independent of the span is
+    kept as a 2-cell, its stem to the base vertex cut off, until the span
+    has the rank r = |E| - |V| + 1 of the cycle space.
+
+    The proof: removing a 2-cell through a free edge (`collapses`) deletes
+    that open edge and open cell and is a deformation retraction.  If all r
+    cells go this way, the graph with the cells is homotopy equivalent to
+    the graph minus r edges, which is connected because the complex is,
+    and has |V| - 1 edges, so it is a tree.  The complex is then simply
+    connected (a cell's stem changes its attaching map only up to free
+    homotopy), and so is the one with every translate of every kept loop:
+    more 2-cells only add relations to the fundamental group.  By the
+    theorem on groups acting on simply connected complexes, the kept loops
+    then give a presentation of G before any verification runs.
+    """
+    edges = sorted(ag.graph.edges)
+    bit = {}  # each edge, in both orientations -> its bit
+    for k, (u, w) in enumerate(edges):
+        bit[u, w] = bit[w, u] = 1 << k
+    rank = len(edges) - ag.graph.vertex_count + 1
+
+    def mask(walk: Sequence[int]) -> int:
+        m = 0
+        for step in zip(walk, walk[1:]):
+            m ^= bit[step]
+        return m
+
+    basis: dict[int, int] = {}  # leading bit -> vector
+
+    def reduce(m: int) -> int:
+        while m and m.bit_length() - 1 in basis:
+            m ^= basis[m.bit_length() - 1]
+        return m
+
+    candidates = []
+    for order, v in enumerate(sc.base_vertices):
+        for loop in fundamental_loops(ag, v):
+            m = mask(loop)
+            candidates.append((m.bit_count(), len(loop), order, loop, m))
+    candidates.sort()
+    picked, cells = [], []
+    for *_, loop, m in candidates:
+        if len(basis) == rank:
+            break
+        if not reduce(m):
+            continue
+        picked.append(loop)
+        cycle = list(loop)
+        while cycle[1] == cycle[-2]:
+            cycle = cycle[1:-1]
+        for p in ag.action:
+            translate = [p(x) for x in cycle]
+            m = reduce(mask(translate))
+            if m:
+                basis[m.bit_length() - 1] = m
+                cells.append(translate)
+                if len(basis) == rank:
+                    break
+    if len(cells) != rank or not collapses(cells):
+        return None
+    return tuple(picked)
+
+
 def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | None = None,
                           name: str = "action") -> DerivationInput:
     """Derivation input with defaults for actions supplied as plain data.
 
-    Loops default to the fundamental cycles of a breadth-first spanning tree
-    based at the first base vertex (their translates normally generate all
-    closed paths, so the completeness check downstream is meaningful);
-    stabilizer presentations default to Schreier presentations, and
-    edge-stabilizer generators to a greedy generating set.
+    Given loops are used as given.  Otherwise they are `pick_loops`, or,
+    when its collapse check fails, the fundamental cycles of a breadth-first
+    spanning tree at the first base vertex; either way their translates
+    make the graph simply connected.  Stabilizer presentations default to
+    Schreier presentations, and edge-stabilizer generators to a greedy
+    generating set.
     """
     sc = build_regular_scaffolding(ag)
-    root = sc.base_vertices[0]
+    source = "given"
     if loops is None:
-        tree = bfs_tree(root, lambda u: [(w, w) for w in ag.graph.neighbors(u)])
-        paths = tree_words(tree)  # root to u, without the root
-        tree_edges = {(min(u, p), max(u, p)) for u, (p, _) in tree.items() if u != root}
-        loops = []
-        for u, w in sorted(ag.graph.edges):
-            if (u, w) in tree_edges:
-                continue
-            loops.append((root,) + paths[u] + paths[w][::-1] + (root,))
+        loops, source = pick_loops(ag, sc), "picked"
+        if loops is None:
+            loops, source = fundamental_loops(ag, sc.base_vertices[0]), "fundamental"
     stabilizers = {v: schreier_presentation(ag, v, f"t{v}_") for v in sc.base_vertices}
     subgroup_gens = {e: tuple(greedy_generators(ag.group, ag.edge_stabilizer(e)))
                      for e in sc.pair_reps}
     return DerivationInput(ag, sc, tuple(tuple(l) for l in loops), stabilizers,
-                           subgroup_gens, {}, name)
+                           subgroup_gens, {}, name, source)

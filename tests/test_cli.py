@@ -251,6 +251,22 @@ def test_limit_must_be_a_positive_integer(capsys, argv):
     assert "error: argument --limit:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, prog, message", [
+    (["derive", "--builtin", "dihedral:5", "--no-such-flag"], "graphpres",
+     "unrecognized arguments: --no-such-flag"),
+    (["derive", "--out", "out"], "graphpres derive",
+     "one of the arguments --builtin --action is required"),
+    (["verify", "x.json", "--builtin", "dihedral:5", "--limit", "abc"], "graphpres verify",
+     "argument --limit: invalid positive_int value: 'abc'"),
+], ids=["unknown-flag", "missing-source", "verify-limit-not-a-number"])
+def test_usage_error_exits_2_with_one_line(capsys, argv, prog, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err == f"{prog}: error: {message}\n"
+
+
 def test_order_check_limit_exits_4(tmp_path, capsys):
     code, out, _ = run(capsys, "derive", "--builtin", "simplex:6", "--verify",
                        "--limit", "50", "--out", str(tmp_path))

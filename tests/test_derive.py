@@ -1,18 +1,24 @@
+import json
+
 import pytest
 
+import graphpres.derive as derive_module
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
                                 dodecahedron_action, simplex_action,
                                 standard_symmetric_presentation)
 from graphpres.coset import todd_coxeter
 from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic_form,
-                              auto_derivation_input, close_pseudo_loops,
+                              auto_derivation_input, close_pseudo_loops, collapses,
                               coxeter_substitution, derive_presentation,
                               derived_from_json, derived_to_json, greedy_generators,
-                              presentation_matches, PatternMismatchError,
-                              schreier_presentation, validate_input)
+                              fundamental_loops, pick_loops, presentation_matches,
+                              PatternMismatchError, schreier_presentation, validate_input)
+from graphpres.cli import action_from_json, main
 from graphpres.graphs import ActionedGraph, Graph, find_inversion
 from graphpres.perms import Perm
 from graphpres.words import Presentation, evaluate_word_in_G
+
+from test_pinned import ACTIONS, prism
 
 
 def square_action(loops=None):
@@ -236,3 +242,92 @@ def test_a_repeated_relator_is_emitted_once():
     assert d.presentation == derive_presentation(square_action([[0, 1, 2, 3, 0]])).presentation
     assert todd_coxeter(d.presentation).n == 8
 
+
+# the pinned file actions and the four prisms of the multi-orbit benchmark
+PICKER_CASES = {**ACTIONS, **{f"prism-{n}x{k}" + ("-dihedral" if flip else ""): prism(n, k, flip)
+                              for n, k, flip in [(60, 4, False), (40, 5, False),
+                                                 (75, 3, False), (30, 4, True)]}}
+
+
+def cycle_space_rank(ag, loops):
+    """GF(2) rank of the edge sets of every translate of the loops."""
+    edges = sorted(ag.graph.edges)
+    bit = {e: 1 << k for k, e in enumerate(edges)}
+    basis = {}
+    for loop in loops:
+        for p in ag.action:
+            m = 0
+            for a, b in zip(loop, loop[1:]):
+                m ^= bit[min(p(a), p(b)), max(p(a), p(b))]
+            while m and m.bit_length() in basis:
+                m ^= basis[m.bit_length()]
+            if m:
+                basis[m.bit_length()] = m
+    return len(basis)
+
+
+@pytest.mark.parametrize("name", list(PICKER_CASES))
+def test_picked_loops_span_the_cycle_space_and_collapse(monkeypatch, name):
+    verdicts = []
+
+    def spy(cells):
+        verdicts.append(collapses(cells))
+        return verdicts[-1]
+
+    monkeypatch.setattr(derive_module, "collapses", spy)
+    inp = action_from_json(PICKER_CASES[name], name)
+    graph = inp.ag.graph
+    assert verdicts == [True] and inp.loop_source == "picked"
+    assert inp.loops == pick_loops(inp.ag, inp.sc)
+    assert all(loop[0] == loop[-1] and loop[0] in inp.sc.base_vertices for loop in inp.loops)
+    assert cycle_space_rank(inp.ag, inp.loops) == len(graph.edges) - graph.vertex_count + 1
+
+
+def test_prism_picks_its_squares_and_one_ring():
+    inp = action_from_json(PICKER_CASES["prism-60x4"], "prism-60x4")
+    assert sorted(len(loop) - 1 for loop in inp.loops) == [4, 4, 4, 60]
+
+
+K4_TRIANGLES = [(0, 1, 2, 0), (0, 1, 3, 0), (0, 2, 3, 0), (1, 2, 3, 1)]
+
+
+def test_the_sphere_of_k4_triangles_does_not_collapse():
+    assert not collapses(K4_TRIANGLES)
+
+
+@pytest.mark.parametrize("left_out", range(4))
+def test_any_three_k4_triangles_collapse(left_out):
+    assert collapses([t for k, t in enumerate(K4_TRIANGLES) if k != left_out])
+
+
+def test_an_edge_walked_twice_is_never_free():
+    assert not collapses([(0, 1, 0)])
+    assert not collapses([(0, 1, 2, 1, 0)])
+    # the triangle goes through (1, 2); the walk 0-1-0 then still uses (0, 1) twice
+    assert not collapses([(0, 1, 2, 0), (0, 1, 0)])
+    # a spur 1-3-1 is walked twice, but the cell still goes through (0, 1)
+    assert collapses([(0, 1, 3, 1, 2, 0)])
+
+
+def test_failed_collapse_falls_back_to_fundamental_loops(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(derive_module, "collapses", lambda cells: False)
+    inp = action_from_json(ACTIONS["cube"], "cube")
+    assert inp.loop_source == "fundamental"
+    assert list(inp.loops) == fundamental_loops(inp.ag, inp.sc.base_vertices[0])
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(ACTIONS["cube"]))
+    assert main(["derive", "--action", str(path), "--verify", "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["loops"] == "fundamental" and report["order"] == 48
+
+
+def test_given_loops_pass_through_unchanged(tmp_path, capsys):
+    given = [[0, 3, 2, 1, 0], [0, 1, 2, 3, 0]]
+    inp = square_action(given)
+    assert inp.loop_source == "given" and inp.loops == tuple(map(tuple, given))
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({**ACTIONS["square"], "loops": given}))
+    assert main(["derive", "--action", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["loops"] == "given"
+    assert main(["derive", "--builtin", "dihedral:5", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["loops"] == "given"

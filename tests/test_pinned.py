@@ -15,7 +15,12 @@ edge-stabilizer generators, in place of multiplication tables; prism-5x2
 was re-pinned when a relator whose cyclic reduction repeats an emitted one
 up to rotation and inversion was first dropped: three of its six loop
 relators are conjugates of another or of its inverse.  Both the old and the
-new presentation files of each verify against the action.
+new presentation files of each verify against the action.  The cube, the
+Petersen graph, prism-5x2 and prism-4x3-dihedral were re-pinned when file
+actions without loops got picked short loops (`derive.pick_loops`) in place
+of the fundamental cycles of one spanning tree; the square and the hexagon
+pick the loop they had.  Every pinned action verifies with either set of
+loops (`test_fundamental_and_picked_loops_both_verify`).
 """
 
 import hashlib
@@ -27,7 +32,7 @@ import pytest
 from graphpres.builtins import load_builtin
 from graphpres.cli import action_from_json, main
 from graphpres.coxeter import build_coxeter_context
-from graphpres.derive import derive_presentation, derived_to_json
+from graphpres.derive import derive_presentation, derived_to_json, fundamental_loops
 
 
 def petersen() -> dict:
@@ -92,10 +97,10 @@ PINNED = {
     "dihedral:5": "cb53997829659aa99242fa523e0f3d54a87fe3430b11d0d22ab70fe6c491911d",
     "dihedral:50": "2f2fa904479ef07abba3b5cfe4159ad00acc6c27c88976d453675d3bbffe5335",
     "square": "b63a0146044f038cf240bae4fa958695b89fce7611277f35d9ac943469267d54",
-    "cube": "0d337c6282a744a1a9413a15aff5fa7786d41c0aedb699279f63b8ef5a9f8601",
-    "petersen": "7983e7cb380f80112f2c98c805688ad26626524556132c7c5f77aba6fc10f73a",
-    "prism-5x2": "dfa2ab143a95c9037bdaa9343ebfcbd915e71b75a7fea690aa90fc5c927d9d00",
-    "prism-4x3-dihedral": "5280913c8af19a43c92237f8a680b56b66b6d35ae0b54c4aad0f61e651ba7155",
+    "cube": "e6afda12221f80c8210471f719218994ec3b7b7657773d710523ae6bf4ddfc6d",
+    "petersen": "f627c682406cfe0411aeae9bbf60a5d79207fda9f8005cb0b8c6922b8e35097c",
+    "prism-5x2": "f3e8c0a23040c5559600c440ac5e814b011e0b01d2c90670e1d1e515d32453a2",
+    "prism-4x3-dihedral": "acd5d0e9dcfcf0ab88d603baf2d02bb21d73a8094c463afd178f93c8828dbecb",
     "hexagon-rotation": "86ad475e75602f13ee9ce32445fa1e18aea448f2f62268c10e2afc0fe944f40f",
 }
 
@@ -133,3 +138,17 @@ def test_file_action_derives_and_verifies(tmp_path, capsys, name):
     assert report["order_check"]["proof"] == "lagrange" and report["reconstruction"]["ok"]
     assert main(["verify", str(tmp_path / f"{name}.presentation.json"),
                  "--action", str(action)]) == 0
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_fundamental_and_picked_loops_both_verify(tmp_path, capsys, name):
+    inp = action_from_json(ACTIONS[name], name)
+    fundamental = fundamental_loops(inp.ag, inp.sc.base_vertices[0])
+    for source, data in [("picked", ACTIONS[name]),
+                         ("given", {**ACTIONS[name], "loops": fundamental})]:
+        action = tmp_path / f"{source}.json"
+        action.write_text(json.dumps(data))
+        assert main(["derive", "--action", str(action), "--verify", "--out", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["loops"] == source and report["reconstruction"]["ok"]
+        assert report["order"] == inp.ag.group.order
