@@ -382,13 +382,36 @@ def greedy_generators(group: FiniteGroupTable, elements: Sequence[int]) -> list[
     return kept
 
 
+def least_conjugate_stabilizer(ag: ActionedGraph, v: int) -> tuple[int, tuple[int, ...]]:
+    """(c, H): H is the least, as a sorted index tuple, of the stabilizers
+    G_w of the vertices w in the orbit of v, and c carries w to v, so
+    G_v = c H c^-1.  The element order comes from the generators alone, so
+    H is the same subgroup however the vertices are numbered."""
+    group, stab = ag.group, ag.stabilizer(v)
+    best, carrier, seen = None, 0, set()
+    for g in range(group.order):
+        w = ag.apply(g, v)
+        if w not in seen:
+            seen.add(w)
+            conj = tuple(sorted(group.conjugate(g, x) for x in stab))  # G_w
+            if best is None or conj < best:
+                best, carrier = conj, g
+    return group.inverse(carrier), best
+
+
 def schreier_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerData:
     """Schreier presentation of the stabilizer G_v on greedy generators X:
     the breadth-first words w(a) span the Cayley graph of G_v, so the
     relators w(a) x w(ax)^-1 of its edges generate its fundamental group,
-    the kernel of F(X) -> G_v.  Empty and conjugate relators are dropped."""
+    the kernel of F(X) -> G_v.  Empty and conjugate relators are dropped.
+
+    X is conjugated from the greedy generators of the least conjugate
+    stabilizer, so the relators, their number and their lengths do not
+    depend on how the vertices are numbered."""
     group = ag.group
-    names = {f"{prefix}{g}": g for g in greedy_generators(group, ag.stabilizer(v))}
+    c, least = least_conjugate_stabilizer(ag, v)
+    names = {f"{prefix}{g}": g
+             for g in (group.conjugate(c, x) for x in greedy_generators(group, least))}
     words = group.words(names)
     rels = {}
     for a, word in words.items():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -221,6 +222,26 @@ def test_schreier_presentation_presents_the_stabilizer(n):
         assert rel and ag.group.evaluate(letters, rel) == 0
         keys.add(_free_cyclic_form(rel))
     assert len(keys) == len(pres.relators)
+
+
+@pytest.mark.parametrize("name", ["petersen", "cube"])
+def test_schreier_relators_do_not_depend_on_the_vertex_numbering(name):
+    data, shapes = ACTIONS[name], set()
+    for seed in range(6):
+        perm = list(range(data["vertices"]))
+        random.Random(seed).shuffle(perm)
+        gens = {}
+        for label, images in data["generators"].items():
+            gens[label] = [0] * len(perm)
+            for v, w in enumerate(images):
+                gens[label][perm[v]] = perm[w]
+        inp = action_from_json({"vertices": data["vertices"], "generators": gens,
+                                "edges": [[perm[u], perm[w]] for u, w in data["edges"]]})
+        (v,) = inp.sc.base_vertices
+        stab = schreier_presentation(inp.ag, v, "t_")
+        assert inp.ag.group.subgroup_closure(stab.gen_elements.values()) == inp.ag.stabilizer(v)
+        shapes.add(tuple(tuple(s for _, s in rel) for rel in stab.presentation.relators))
+    assert len(shapes) == 1
 
 
 def test_order_two_stabilizer_keeps_the_square_relator():
