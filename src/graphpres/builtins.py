@@ -9,10 +9,9 @@ plus whatever exact data the example carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .derive import DerivationInput, StabilizerData
-from .golden import GoldenNum, GoldenQuat, QUAT_C, Vec3
+from .golden import GoldenQuat, ONE, QUAT_C, Vec3
 from .graphs import ActionedGraph, Graph, OrientedEdge
 from .perms import FiniteGroupTable, Perm, bfs_tree, perm_compose, tree_fold
 from .polyhedra import (DodecahedronModel, dodecahedron_model, icosian_group,
@@ -170,7 +169,7 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
     flags = sorted((v, w) for v in range(X.vertex_count) for w in X.neighbors(v))
     flag_index = {fl: i for i, fl in enumerate(flags)}
 
-    quarter = GoldenNum(Fraction(1, 4))
+    quarter = ONE / 4
     coords = []
     for v, w in flags:
         p, q = model.coords[v], model.coords[w]

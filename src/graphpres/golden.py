@@ -1,7 +1,12 @@
 """Exact arithmetic in the field Q(sqrt 5) and in its quaternion algebra.
 
-No floating point: coordinates are `Fraction` pairs a + b*sqrt(5), so the
-polyhedral identities checked downstream hold bit-exactly.
+No floating point: a number is stored as integers (p + q*sqrt(5)) / d in
+lowest terms, and a quaternion as the integer numerators of its four
+coordinates over one common denominator, so the polyhedral identities
+checked downstream hold bit-exactly, and sums, products and inverses cost a
+few integer operations and one `math.gcd`.  The rational parts of a number
+still read as `Fraction`s (`.a`, `.b`), and a rational number hashes like
+its `Fraction`.
 """
 
 from __future__ import annotations
@@ -14,81 +19,112 @@ _Rat = Fraction | int
 
 
 class GoldenNum:
-    """a + b*sqrt(5) with rational a, b."""
+    """a + b*sqrt(5) with rational a, b, stored as (p + q*sqrt(5)) / d with
+    integers d > 0 and gcd(p, q, d) = 1, so equal numbers have equal
+    (p, q, d)."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a: _Rat = 0, b: _Rat = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # in lowest terms, since a and b are and d is their least common
+        # denominator
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)
+        d = math.lcm(ad, bd)
+        _set_p(self, an * (d // ad))
+        _set_q(self, bn * (d // bd))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenNum is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
     def __add__(self, other: GoldenNum | _Rat) -> GoldenNum:
         other = _coerce(other)
-        return GoldenNum(self.a + other.a, self.b + other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _golden(self.p + other.p, self.q + other.q, d)
+        return _golden(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: GoldenNum | _Rat) -> GoldenNum:
         other = _coerce(other)
-        return GoldenNum(self.a - other.a, self.b - other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _golden(self.p - other.p, self.q - other.q, d)
+        return _golden(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other: _Rat) -> GoldenNum:
         return _coerce(other) - self
 
     def __mul__(self, other: GoldenNum | _Rat) -> GoldenNum:
         other = _coerce(other)
-        return GoldenNum(self.a * other.a + 5 * self.b * other.b,
-                         self.a * other.b + self.b * other.a)
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return _golden(p * r + 5 * q * s, p * s + q * r, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> GoldenNum:
-        return GoldenNum(-self.a, -self.b)
+        return _new(-self.p, -self.q, self.d)
 
     def conj(self) -> GoldenNum:
-        return GoldenNum(self.a, -self.b)
+        return _new(self.p, -self.q, self.d)
 
     def field_norm(self) -> Fraction:
-        return self.a * self.a - 5 * self.b * self.b
+        return Fraction(self.p * self.p - 5 * self.q * self.q, self.d * self.d)
 
     def inverse(self) -> GoldenNum:
-        n = self.field_norm()
+        # d / (p + q sqrt5) = d (p - q sqrt5) / (p^2 - 5 q^2); the norm is 0
+        # only at 0, since sqrt5 is irrational
+        p, q, d = self.p, self.q, self.d
+        n = p * p - 5 * q * q
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        return GoldenNum(self.a / n, -self.b / n)
+        if n < 0:
+            n, d = -n, -d
+        return _golden(d * p, -d * q, n)
 
     def __truediv__(self, other: GoldenNum | _Rat) -> GoldenNum:
         return self * _coerce(other).inverse()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = GoldenNum(other)
-        return isinstance(other, GoldenNum) and self.a == other.a and self.b == other.b
+            return self.q == 0 and self.p == other.numerator and self.d == other.denominator
+        return (isinstance(other, GoldenNum) and self.p == other.p and self.q == other.q
+                and self.d == other.d)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        # a rational number hashes like the int or Fraction it equals
+        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*sqrt(5)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
+        """Exact sign of the real value (p + q*sqrt(5)) / d; d > 0."""
+        p, q = self.p, self.q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0:
+            return (q > 0) - (q < 0)
+        if p > 0 and q > 0:
             return 1
-        if a < 0 and b < 0:
+        if p < 0 and q < 0:
             return -1
-        # opposite signs: compare a^2 with 5 b^2
-        if a > 0:  # b < 0
-            return 1 if a * a > 5 * b * b else -1
-        return 1 if a * a < 5 * b * b else -1
+        # opposite signs: compare p^2 with 5 q^2
+        if p > 0:  # q < 0
+            return 1 if p * p > 5 * q * q else -1
+        return 1 if p * p < 5 * q * q else -1
 
     def __lt__(self, other: GoldenNum | _Rat) -> bool:
         return (self - _coerce(other)).sign() < 0
@@ -106,13 +142,48 @@ class GoldenNum:
         return float(self.a) + float(self.b) * math.sqrt(5)
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if self.q == 0:
             return f"GoldenNum({self.a})"
         return f"GoldenNum({self.a}, {self.b})"
 
 
+_set_p = GoldenNum.p.__set__
+_set_q = GoldenNum.q.__set__
+_set_d = GoldenNum.d.__set__
+
+
+def _new(p: int, q: int, d: int) -> GoldenNum:
+    """The GoldenNum (p + q*sqrt(5)) / d of a triple already in lowest terms."""
+    x = object.__new__(GoldenNum)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def _golden(p: int, q: int, d: int) -> GoldenNum:
+    """The GoldenNum (p + q*sqrt(5)) / d for d > 0, put in lowest terms."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _new(p, q, d)
+
+
+def _ratio(x: _Rat) -> tuple[int, int]:
+    """Numerator and (positive) denominator of a rational in lowest terms."""
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 def _coerce(x: GoldenNum | _Rat) -> GoldenNum:
-    return x if isinstance(x, GoldenNum) else GoldenNum(x)
+    if isinstance(x, GoldenNum):
+        return x
+    if isinstance(x, int):
+        return _new(int(x), 0, 1)
+    return GoldenNum(x)
 
 
 ZERO = GoldenNum(0)
@@ -120,14 +191,12 @@ ONE = GoldenNum(1)
 PHI = GoldenNum(Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt 5) / 2
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
+def _square_root(n: int) -> int | None:
+    """The root of a perfect square n >= 0, else None."""
+    if n < 0:
         return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def golden_sqrt(x: GoldenNum) -> GoldenNum | None:
@@ -139,24 +208,26 @@ def golden_sqrt(x: GoldenNum) -> GoldenNum | None:
         return ZERO
     if x.sign() < 0:
         return None
-    if x.b == 0:
-        r = _fraction_sqrt(x.a)
+    # sqrt((p + q sqrt5) / d) = sqrt(P + Q sqrt5) / d with P = p d, Q = q d
+    P, Q, d = x.p * x.d, x.q * x.d, x.d
+    if Q == 0:
+        r = _square_root(P)
         if r is not None:
-            return GoldenNum(r)
-        r = _fraction_sqrt(x.a / 5)
+            return _golden(r, 0, d)
+        r = _square_root(P // 5) if P % 5 == 0 else None
         if r is not None:
-            return GoldenNum(0, r)
+            return _golden(0, r, d)
         return None
-    # (a + b sqrt5)^2 = x: a^2 + 5 b^2 = x.a and 2 a b = x.b
-    disc = _fraction_sqrt(x.a * x.a - 5 * x.b * x.b)
-    if disc is None:
+    # (a + b sqrt5)^2 = P + Q sqrt5: a^2 + 5 b^2 = P and 2 a b = Q, so
+    # a^2 = (P +- m) / 2 with m^2 = P^2 - 5 Q^2; with u = (2a)^2 = 2 (P +- m)
+    # the root is (u + 2 Q sqrt5) / (2 sqrt(u)), before dividing by d
+    m = _square_root(P * P - 5 * Q * Q)
+    if m is None:
         return None
-    for s in (disc, -disc):
-        a2 = (x.a + s) / 2
-        a = _fraction_sqrt(a2)
-        if a is not None and a != 0:
-            b = x.b / (2 * a)
-            cand = GoldenNum(a, b)
+    for s in (m, -m):
+        k = _square_root(2 * (P + s))
+        if k:
+            cand = _golden(k * k, 2 * Q, 2 * k * d)
             if cand * cand == x:
                 return cand if cand.sign() > 0 else -cand
     return None
@@ -180,31 +251,56 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
 
 
 class GoldenQuat:
-    """Quaternion with GoldenNum coordinates (w + x i + y j + z k)."""
+    """Quaternion w + x i + y j + z k with GoldenNum coordinates, stored as
+    the integers (w0, w1, x0, x1, y0, y1, z0, z1, d) of the coordinates
+    (w0 + w1*sqrt(5)) / d, ..., over one common denominator d > 0 in lowest
+    terms, so equal quaternions have equal tuples."""
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("n",)
 
     def __init__(self, w: GoldenNum | _Rat, x: GoldenNum | _Rat = 0,
                  y: GoldenNum | _Rat = 0, z: GoldenNum | _Rat = 0):
-        object.__setattr__(self, "w", _coerce(w))
-        object.__setattr__(self, "x", _coerce(x))
-        object.__setattr__(self, "y", _coerce(y))
-        object.__setattr__(self, "z", _coerce(z))
+        # in lowest terms, since each coordinate is and d is their least
+        # common denominator
+        coords = [_coerce(c) for c in (w, x, y, z)]
+        d = math.lcm(*(c.d for c in coords))
+        n = []
+        for c in coords:
+            n += (c.p * (d // c.d), c.q * (d // c.d))
+        _set_n(self, tuple(n) + (d,))
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenQuat is immutable")
+
+    @property
+    def w(self) -> GoldenNum:
+        return _golden(self.n[0], self.n[1], self.n[8])
+
+    @property
+    def x(self) -> GoldenNum:
+        return _golden(self.n[2], self.n[3], self.n[8])
+
+    @property
+    def y(self) -> GoldenNum:
+        return _golden(self.n[4], self.n[5], self.n[8])
+
+    @property
+    def z(self) -> GoldenNum:
+        return _golden(self.n[6], self.n[7], self.n[8])
 
     def __mul__(self, other: GoldenQuat) -> GoldenQuat:
         return quat_mul(self, other)
 
     def __neg__(self) -> GoldenQuat:
-        return GoldenQuat(-self.w, -self.x, -self.y, -self.z)
+        return _quat_new(tuple(-k for k in self.n[:8]) + self.n[8:])
 
     def conj(self) -> GoldenQuat:
-        return GoldenQuat(self.w, -self.x, -self.y, -self.z)
+        return _quat_new(_conj(self.n))
 
     def norm(self) -> GoldenNum:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        n = self.n
+        return _golden(sum(n[k] * n[k] + 5 * n[k + 1] * n[k + 1] for k in range(0, 8, 2)),
+                       sum(2 * n[k] * n[k + 1] for k in range(0, 8, 2)), n[8] * n[8])
 
     def inverse(self) -> GoldenQuat:
         n = self.norm()
@@ -215,16 +311,16 @@ class GoldenQuat:
         return GoldenQuat(c.w * ni, c.x * ni, c.y * ni, c.z * ni)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GoldenQuat) and self.w == other.w
-                and self.x == other.x and self.y == other.y and self.z == other.z)
+        return isinstance(other, GoldenQuat) and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash((self.w, self.x, self.y, self.z))
+        return hash(self.n)
 
     def rotate(self, p: Vec3) -> Vec3:
         """Image of the point p under the rotation this unit quaternion encodes."""
-        q = quat_mul(quat_mul(self, GoldenQuat(ZERO, *p)), self.conj())
-        return (q.x, q.y, q.z)
+        *_, x0, x1, y0, y1, z0, z1, d = _hamilton(_hamilton(self.n, GoldenQuat(ZERO, *p).n),
+                                                  _conj(self.n))
+        return (_golden(x0, x1, d), _golden(y0, y1, d), _golden(z0, z1, d))
 
     def power(self, n: int) -> GoldenQuat:
         acc = QUAT_ONE
@@ -237,18 +333,52 @@ class GoldenQuat:
         return f"GoldenQuat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
+_set_n = GoldenQuat.n.__set__
+
+
+def _quat_new(n: tuple[int, ...]) -> GoldenQuat:
+    """The GoldenQuat of a numerator-denominator tuple already in lowest terms."""
+    q = object.__new__(GoldenQuat)
+    _set_n(q, n)
+    return q
+
+
+def _conj(n: tuple[int, ...]) -> tuple[int, ...]:
+    return (n[0], n[1], -n[2], -n[3], -n[4], -n[5], -n[6], -n[7], n[8])
+
+
+def _hamilton(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
+    """Hamilton product of two `GoldenQuat.n` tuples, not in lowest terms.
+
+    Coordinates multiply in Z[sqrt 5] as (u0 + u1 sqrt5)(v0 + v1 sqrt5) =
+    (u0 v0 + 5 u1 v1) + (u0 v1 + u1 v0) sqrt5, and the denominators multiply.
+    """
+    a0, a1, b0, b1, c0, c1, e0, e1, d = m
+    A0, A1, B0, B1, C0, C1, E0, E1, D = n
+    return (  # w = aA - bB - cC - eE
+        a0 * A0 - b0 * B0 - c0 * C0 - e0 * E0 + 5 * (a1 * A1 - b1 * B1 - c1 * C1 - e1 * E1),
+        a0 * A1 + a1 * A0 - b0 * B1 - b1 * B0 - c0 * C1 - c1 * C0 - e0 * E1 - e1 * E0,
+        # x = aB + bA + cE - eC
+        a0 * B0 + b0 * A0 + c0 * E0 - e0 * C0 + 5 * (a1 * B1 + b1 * A1 + c1 * E1 - e1 * C1),
+        a0 * B1 + a1 * B0 + b0 * A1 + b1 * A0 + c0 * E1 + c1 * E0 - e0 * C1 - e1 * C0,
+        # y = aC - bE + cA + eB
+        a0 * C0 - b0 * E0 + c0 * A0 + e0 * B0 + 5 * (a1 * C1 - b1 * E1 + c1 * A1 + e1 * B1),
+        a0 * C1 + a1 * C0 - b0 * E1 - b1 * E0 + c0 * A1 + c1 * A0 + e0 * B1 + e1 * B0,
+        # z = aE + bC - cB + eA
+        a0 * E0 + b0 * C0 - c0 * B0 + e0 * A0 + 5 * (a1 * E1 + b1 * C1 - c1 * B1 + e1 * A1),
+        a0 * E1 + a1 * E0 + b0 * C1 + b1 * C0 - c0 * B1 - c1 * B0 + e0 * A1 + e1 * A0,
+        d * D)
+
+
 QUAT_ONE = GoldenQuat(1)
 QUAT_C = GoldenQuat(-1)  # the central rotation by 2*pi
 
 
 def quat_mul(p: GoldenQuat, q: GoldenQuat) -> GoldenQuat:
     """Hamilton product, exact."""
-    return GoldenQuat(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
+    n = _hamilton(p.n, q.n)
+    g = math.gcd(*n)
+    return _quat_new(n if g == 1 else tuple(k // g for k in n))
 
 
 def quat_from_rotation(axis: Vec3, half_cos: GoldenNum, half_sin: GoldenNum) -> GoldenQuat:

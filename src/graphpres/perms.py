@@ -67,11 +67,11 @@ class Perm:
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
-        object.__setattr__(self, "images", images)
+        _set_images(self, images)
 
     @staticmethod
     def identity(degree: int) -> Perm:
-        return Perm(range(degree))
+        return _perm(tuple(range(degree)))
 
     @staticmethod
     def transposition(degree: int, i: int, j: int) -> Perm:
@@ -101,7 +101,7 @@ class Perm:
         images = [0] * len(self.images)
         for i, j in enumerate(self.images):
             images[j] = i
-        return Perm(images)
+        return _perm(tuple(images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -152,9 +152,19 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     """Left-action composition: (p*q)(i) = p(q(i))."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    qi = q.images
     pi = p.images
-    return Perm(pi[j] for j in qi)
+    return _perm(tuple([pi[j] for j in q.images]))
+
+
+_set_images = Perm.images.__set__
+
+
+def _perm(images: tuple[int, ...]) -> Perm:
+    """The Perm of images known to be a bijection, unchecked: an identity,
+    an inverse, or a product of permutations of equal degree."""
+    p = object.__new__(Perm)
+    _set_images(p, images)
+    return p
 
 
 class FiniteGroupTable:
@@ -219,7 +229,8 @@ class FiniteGroupTable:
                                     f"entries ({cap} elements of degree {degree})") from None
         if elements is not None and len(found) != len(elements):
             raise ValueError("the generators do not reach every element")
-        self.elements = [Perm(p) for p in found] if elements is None else list(elements)
+        # the elements found are products of the generators: no bijection check
+        self.elements = [_perm(p) for p in found] if elements is None else list(elements)
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.gen_indices = tuple(self.index[g] for g in gens)
         self._images = images = [p.images for p in self.elements]

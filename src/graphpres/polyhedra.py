@@ -9,15 +9,14 @@ by unit quaternions over the same field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, dot,
+from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, cross, dot,
                      golden_sqrt, quat_from_rotation, quat_mul, vec3)
 from .graphs import Graph
 from .perms import Perm, bfs_tree
 from .words import least_rotation
 
-HALF = GoldenNum(Fraction(1, 2))
+HALF = ONE / 2
 INV_PHI = PHI - ONE  # 1/phi
 
 
@@ -27,7 +26,6 @@ def _coordinates() -> list[Vec3]:
         for sy in (1, -1):
             for sz in (1, -1):
                 pts.append(vec3(sx, sy, sz))
-    base = (GoldenNum(0), INV_PHI, PHI)
     for shift in range(3):
         for s1 in (1, -1):
             for s2 in (1, -1):
@@ -89,9 +87,7 @@ def _find_faces(graph: Graph) -> list[tuple[int, ...]]:
 def orient_clockwise(cycle: tuple[int, ...], coords: list[Vec3]) -> tuple[int, ...]:
     """Reorder a face cycle to run clockwise as seen from outside."""
     pts = [coords[i] for i in cycle]
-    center = tuple(sum((p[k] for p in pts), GoldenNum(0)) * GoldenNum(Fraction(1, len(pts)))
-                   for k in range(3))
-    from .golden import cross
+    center = tuple(sum((p[k] for p in pts), GoldenNum(0)) / len(pts) for k in range(3))
     u = tuple(a - b for a, b in zip(pts[0], center))
     w = tuple(a - b for a, b in zip(pts[1], center))
     sign = dot(cross(u, w), center).sign()  # type: ignore[arg-type]
@@ -168,9 +164,8 @@ def build_dodecahedron() -> DodecahedronModel:
 
     # face axis: clockwise fifth turn about the center of the base face
     face_pts = [v, w1, a_pt, b_pt, w2]
-    center = tuple(sum((p[k] for p in face_pts), GoldenNum(0)) * GoldenNum(Fraction(1, 5))
-                   for k in range(3))
-    sin_sq = (GoldenNum(10, -2) * GoldenNum(Fraction(1, 16)))  # sin^2(pi/5)
+    center = tuple(sum((p[k] for p in face_pts), GoldenNum(0)) / 5 for k in range(3))
+    sin_sq = GoldenNum(10, -2) / 16  # sin^2(pi/5)
     lam = golden_sqrt(sin_sq / dot(center, center))
     assert lam is not None
     f_quat = quat_from_rotation(center, PHI * HALF, -lam)

@@ -24,18 +24,28 @@ loops (`test_fundamental_and_picked_loops_both_verify`).  The Petersen
 graph was re-pinned again when Schreier presentations were taken on the
 least conjugate stabilizer, so that their relators stop depending on the
 vertex numbering: its stabilizer relators went from 15 to 10.
+
+The exact polyhedral models are pinned too: the dodecahedron's coordinates
+(each coordinate as its rational parts `.a`, `.b`), labels and clockwise
+faces, the 120 quaternions of the binary icosahedral group in breadth-first
+order, the truncated dodecahedron's coordinates and faces, and the
+`face_boundary_check()` report.  These digests were taken while Q(sqrt 5)
+numbers were still stored as `Fraction` pairs, before the arithmetic moved
+to integer numerators over a common denominator.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
 
 import pytest
 
-from graphpres.builtins import load_builtin
+from graphpres.builtins import load_builtin, truncated_dodecahedron
 from graphpres.cli import action_from_json, main
-from graphpres.coxeter import build_coxeter_context
+from graphpres.coxeter import build_coxeter_context, face_boundary_check
 from graphpres.derive import derive_presentation, derived_to_json, fundamental_loops
+from graphpres.polyhedra import build_dodecahedron, icosian_group
 
 
 def petersen() -> dict:
@@ -155,3 +165,49 @@ def test_fundamental_and_picked_loops_both_verify(tmp_path, capsys, name):
         report = json.loads(capsys.readouterr().out)
         assert report["loops"] == source and report["reconstruction"]["ok"]
         assert report["order"] == inp.ag.group.order
+
+
+def _golden(x) -> list[str]:
+    return [str(x.a), str(x.b)]
+
+
+def _points(points) -> list:
+    return [[_golden(c) for c in p] for p in points]
+
+
+def dodecahedron_text() -> str:
+    m = build_dodecahedron()
+    return json.dumps({"coords": _points(m.coords), "labels": m.labels, "faces": m.faces},
+                      sort_keys=True)
+
+
+def icosian_text() -> str:
+    tree, _ = icosian_group(build_dodecahedron())
+    return json.dumps(_points((q.w, q.x, q.y, q.z) for q in tree))
+
+
+def truncated_text() -> str:
+    Y = truncated_dodecahedron()
+    return json.dumps({"coords": _points(Y.coords), "faces": Y.faces}, sort_keys=True)
+
+
+def face_boundary_text() -> str:
+    return json.dumps(dataclasses.asdict(face_boundary_check()), sort_keys=True)
+
+
+PINNED_MODELS = {
+    "dodecahedron": (dodecahedron_text,
+                     "0f57b03b25855180b6df74dfcf4ee5b62c2c659f14ed76627508d423235dbf78"),
+    "icosian": (icosian_text,
+                "a5bd97853c1ea13da5022694cff9e78bffd70d3ee3314649a5938c32eee87dcb"),
+    "truncated-dodecahedron": (truncated_text,
+                               "9fb03c755e98a87781f629de3cb6d7e21cd48fe9a1627b1449b3cb29535a1576"),
+    "face-boundary": (face_boundary_text,
+                      "89acdc55e28a30999405ccd6cc93617486f3ca226baf108d1bfec13416908da4"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_MODELS))
+def test_exact_model_digest(name):
+    text, digest = PINNED_MODELS[name]
+    assert hashlib.sha256(text().encode()).hexdigest() == digest
