@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .derive import DerivationInput, StabilizerData
 from .golden import GoldenQuat, ONE, QUAT_C, Vec3
-from .graphs import ActionedGraph, Graph, OrientedEdge
-from .perms import FiniteGroupTable, Perm, bfs_tree, perm_compose, tree_fold
+from .graphs import ActionedGraph, Graph, OrientedEdge, first_carriers
+from .perms import FiniteGroupTable, Perm, perm_compose, tree_fold
 from .polyhedra import (DodecahedronModel, dodecahedron_model, icosian_group,
                         orient_clockwise)
 from .scaffold import build_regular_scaffolding
@@ -209,10 +209,9 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
         faces.append(orient_clockwise(tuple(cyc), coords))
     assert len(faces) == 32
 
-    # free transitive action: element reaching each flag from the base flag
+    # free transitive action: the one element reaching each flag from the base flag
     base = flag_index[(model.labels["v"], model.labels["w1"])]
-    tree = bfs_tree(base, lambda fl: [(g, flag_action[g](fl)) for g in group.gen_indices])
-    reach = tree_fold(tree, 0, lambda r, g: group.product(g, r))
+    reach = first_carriers(range(group.order), lambda g, fl: flag_action[g](fl), base)
     assert len(reach) == 60
 
     t_map: dict[OrientedEdge, int] = {}

@@ -17,7 +17,7 @@ from typing import Sequence
 from .builtins import TruncatedDodecahedron, truncated_dodecahedron
 from .coset import todd_coxeter
 from .golden import GoldenQuat, ONE, quat_mul
-from .graphs import OrientedEdge
+from .graphs import OrientedEdge, first_carriers
 from .perms import FiniteGroupTable, bfs_tree
 from .words import Presentation
 
@@ -148,16 +148,12 @@ def build_coxeter_context() -> CoxeterContext:
     v0 = model.labels["v"]
     w1 = model.labels["w1"]
     base_edge = (v0, w1)
-    g_of_x_edge: dict[tuple[int, int], int] = {}
-    for d in sorted(model.graph.edges):
-        carrier = next(i for i in range(group.order)
-                       if tuple(sorted((group.elements[i](base_edge[0]),
-                                        group.elements[i](base_edge[1])))) == d)
-        g_of_x_edge[d] = cover.conjugate(lift(carrier), g)
-    r_of_x_vertex: dict[int, int] = {}
-    for w in range(model.graph.vertex_count):
-        carrier = next(i for i in range(group.order) if group.elements[i](v0) == w)
-        r_of_x_vertex[w] = cover.conjugate(lift(carrier), r)
+    elements = group.elements
+    edge_carriers = first_carriers(range(group.order),
+                                   lambda i, e: tuple(sorted(map(elements[i], e))), base_edge)
+    vertex_carriers = first_carriers(range(group.order), lambda i, w: elements[i](w), v0)
+    g_of_x_edge = {d: cover.conjugate(lift(c), g) for d, c in edge_carriers.items()}
+    r_of_x_vertex = {w: cover.conjugate(lift(c), r) for w, c in vertex_carriers.items()}
 
     clockwise_triangle_steps = set()
     for face in Y.faces:

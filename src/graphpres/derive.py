@@ -172,11 +172,11 @@ def word_speller(group: FiniteGroupTable, base_vertices: Sequence[int],
     return spell
 
 
-def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedPresentation:
-    """Run the pipeline on a derivation input; deterministic output order."""
+def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
+    """Validate a derivation input and run the pipeline on it; deterministic
+    output order."""
     ag, sc = inp.ag, inp.sc
-    if validate:
-        validate_input(inp)
+    validate_input(inp)
     loops = close_pseudo_loops(inp.loops, ag, sc)
 
     gen_names: list[str] = []
@@ -208,7 +208,8 @@ def derive_presentation(inp: DerivationInput, validate: bool = True) -> DerivedP
 
     def emit(relator: Sequence[tuple[int, int]], word: Word, family: str) -> None:
         relator = tuple(free_reduce(relator))
-        emitted.setdefault(_free_cyclic_form(relator), (relator, word, family))
+        if relator:  # an empty relator adds nothing to the normal closure
+            emitted.setdefault(_free_cyclic_form(relator), (relator, word, family))
 
     def add(word: Word, family: str) -> None:
         reduced = rewrite_word_to_E1(word, ag, sc).free_reduce(ag)
@@ -388,14 +389,11 @@ def least_conjugate_stabilizer(ag: ActionedGraph, v: int) -> tuple[int, tuple[in
     G_v = c H c^-1.  The element order comes from the generators alone, so
     H is the same subgroup however the vertices are numbered."""
     group, stab = ag.group, ag.stabilizer(v)
-    best, carrier, seen = None, 0, set()
-    for g in range(group.order):
-        w = ag.apply(g, v)
-        if w not in seen:
-            seen.add(w)
-            conj = tuple(sorted(group.conjugate(g, x) for x in stab))  # G_w
-            if best is None or conj < best:
-                best, carrier = conj, g
+    best, carrier = None, 0
+    for g in ag.carriers(v).values():
+        conj = tuple(sorted(group.conjugate(g, x) for x in stab))  # G_w, w = g(v)
+        if best is None or conj < best:
+            best, carrier = conj, g
     return group.inverse(carrier), best
 
 

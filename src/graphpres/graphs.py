@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import FiniteGroupTable, Perm, bfs_tree, generate_closure
 
@@ -84,6 +84,7 @@ class ActionedGraph:
                 raise ValueError("vertex permutation degree must equal vertex_count")
         self.generator_labels = dict(generator_labels or {})
         self._stabilizers: dict[int, tuple[int, ...]] = {}
+        self._carriers: dict[int, dict[int, int]] = {}
 
     @staticmethod
     def from_generators(graph: Graph, gens: Mapping[str, Perm]) -> ActionedGraph:
@@ -108,6 +109,16 @@ class ActionedGraph:
             self._stabilizers[v] = tuple(
                 i for i, p in enumerate(self.action) if p(v) == v)
         return self._stabilizers[v]
+
+    def carriers(self, v: int) -> dict[int, int]:
+        """`first_carriers` of the vertex v over all elements: each vertex of
+        its orbit -> the least-index element carrying v there."""
+        if v not in self._carriers:
+            found: dict[int, int] = {}
+            for i, p in enumerate(self.action):
+                found.setdefault(p.images[v], i)
+            self._carriers[v] = found
+        return self._carriers[v]
 
     def edge_stabilizer(self, e: OrientedEdge) -> tuple[int, ...]:
         """Elements fixing both endpoints of e."""
@@ -146,23 +157,30 @@ def validate_action(graph: Graph, gens: Mapping[str, Perm],
     return None
 
 
+def first_carriers(elements: Iterable, act: Callable[[object, Hashable], Hashable],
+                   x: Hashable) -> dict:
+    """Each image of x -> the first of the elements carrying x there, by
+    act(element, x), in order of first occurrence.  Every orbit, carrier and
+    transversal of the package is read off this search."""
+    carriers: dict = {}
+    for g in elements:
+        carriers.setdefault(act(g, x), g)
+    return carriers
+
+
 def vertex_orbits(ag: ActionedGraph) -> list[tuple[int, ...]]:
     """Orbit partition of the vertices, ordered by least representative."""
-    n = ag.graph.vertex_count
-    seen = [False] * n
+    seen: set[int] = set()
     orbits = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orbit = sorted({p(v) for p in ag.action})
-        for w in orbit:
-            seen[w] = True
-        orbits.append(tuple(orbit))
+    for v in range(ag.graph.vertex_count):
+        if v not in seen:
+            orbits.append(orbit_of_vertex(ag, v))
+            seen.update(orbits[-1])
     return orbits
 
 
 def orbit_of_vertex(ag: ActionedGraph, v: int) -> tuple[int, ...]:
-    return tuple(sorted({p(v) for p in ag.action}))
+    return tuple(sorted(ag.carriers(v)))
 
 
 def find_inversion(ag: ActionedGraph, e: OrientedEdge) -> int | None:
@@ -174,14 +192,12 @@ def find_inversion(ag: ActionedGraph, e: OrientedEdge) -> int | None:
 
 
 def edge_orbits_at(ag: ActionedGraph, v: int) -> list[tuple[OrientedEdge, ...]]:
-    """Orbits of the stabilizer of v on the oriented edges with origin v."""
+    """Orbits of the stabilizer of v on the oriented edges with origin v,
+    ordered by least edge."""
     stab = ag.stabilizer(v)
     remaining = set(ag.graph.oriented_edges_at(v))
     orbits = []
     while remaining:
-        e = min(remaining)
-        orbit = sorted({ag.apply_edge(t, e) for t in stab})
-        remaining.difference_update(orbit)
-        orbits.append(tuple(orbit))
-    orbits.sort(key=lambda orb: orb[0])
+        orbits.append(tuple(sorted(first_carriers(stab, ag.apply_edge, min(remaining)))))
+        remaining.difference_update(orbits[-1])
     return orbits

@@ -126,16 +126,12 @@ def build_dodecahedron() -> DodecahedronModel:
 
     s1_quat = _half_turn_quat(tuple(a + b for a, b in zip(v, w1)))
 
-    # the face through the corner edges v-w1 and v-w2: v, w1, a, b, w2
-    faces = _find_faces(tmp_graph)
+    # the face through the corner edges v-w1 and v-w2: v, w1, a, b, w2, the
+    # only such a ~ b, as each 2-path of a cubic planar graph lies on one face
     iv, iw1, iw2 = tmp_index[v], tmp_index[w1], tmp_index[w2]
-    face = next(f for f in faces if {iv, iw1, iw2} <= set(f))
-    k = face.index(iv)
-    cyc = face[k:] + face[:k]
-    if cyc[1] != iw1:
-        cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
-    assert cyc[1] == iw1 and cyc[4] == iw2
-    a_pt, b_pt = raw[cyc[2]], raw[cyc[3]]
+    ((ia, ib),) = [(a, b) for a in tmp_graph.neighbors(iw1) if a != iv
+                   for b in tmp_graph.neighbors(iw2) if b != iv and tmp_graph.has_edge(a, b)]
+    a_pt, b_pt = raw[ia], raw[ib]
 
     def s1(p: Vec3) -> Vec3:
         return s1_quat.rotate(p)

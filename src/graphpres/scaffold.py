@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .graphs import (ActionedGraph, OrientedEdge, edge_orbits_at, find_inversion,
-                     orbit_of_vertex, vertex_orbits)
+                     first_carriers, orbit_of_vertex, vertex_orbits)
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,10 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     orbits; the other orbits are visited by least edge, skipping those
     already represented.  An orbit admitting an inversion gets its least
     edge with the least-index inversion as s; any other orbit is primary in
-    its reversal pair, its least edge choosing s freely (least index) and
-    forcing the partner's representative and s.  All non-representative
-    edges inherit s by transversal conjugation.
+    its reversal pair, its least edge choosing s freely (the least-index
+    carrier, `ActionedGraph.carriers`) and forcing the partner's
+    representative and s.  All non-representative edges inherit s by
+    transversal conjugation; the transversals are `first_carriers` in G_v.
     """
     base_vertices, tree_edges = build_spanning_tree(ag)
     group = ag.group
@@ -112,14 +113,6 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
                 for orbit in edge_orbits_at(ag, v) for e in orbit}
     # the base vertex of each vertex's orbit
     base_of = {w: v for v in base_vertices for w in orbit_of_vertex(ag, v)}
-
-    def least_carrier(e: OrientedEdge) -> int:
-        """Least-index element taking v_of(e) to target(e)."""
-        w = base_of[e.target]
-        for i, p in enumerate(ag.action):
-            if p(w) == e.target:
-                return i
-        raise RuntimeError("no carrier element; orbit data inconsistent")
 
     rep_of: dict[tuple[OrientedEdge, ...], OrientedEdge] = {}
     s: dict[OrientedEdge, int] = {}
@@ -138,7 +131,7 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
             s[rep] = inversion
             iota[rep] = rep
             continue
-        s[rep] = least_carrier(rep)
+        s[rep] = ag.carriers(base_of[rep.target])[rep.target]
         partner = ag.apply_edge(group.inverse(s[rep]), rep.reverse())
         if orbit_of[partner] == orbit:
             raise RuntimeError(f"pairing failed at {rep}")
@@ -160,23 +153,17 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
         stab = ag.stabilizer(v)
         for rep in edge_reps[v]:
             same_orbit = base_of[rep.target] == v
-            trans: list[int] = []
-            covered: set[OrientedEdge] = set()
-            for u in stab:
-                d = ag.apply_edge(u, rep)
-                if d in covered:
-                    continue
-                trans.append(u)
-                covered.add(d)
+            carried = first_carriers(stab, ag.apply_edge, rep)
+            for d, u in carried.items():
                 rep_decomposition[d] = (rep, u)
                 if d != rep:
                     if same_orbit:
                         s[d] = group.word_product((u, s[rep], group.inverse(u)))
                     else:
                         s[d] = group.product(u, s[rep])
-            if len(trans) * len(ag.edge_stabilizer(rep)) != len(stab):
+            if len(carried) * len(ag.edge_stabilizer(rep)) != len(stab):
                 raise RuntimeError("transversal size mismatch")
-            transversals[rep] = tuple(trans)
+            transversals[rep] = tuple(carried.values())
 
     v_of = {e: base_of[e.target] for e in s}
     return Scaffolding(base_vertices, tree_edges, edge_reps, pair_reps,

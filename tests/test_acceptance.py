@@ -160,7 +160,7 @@ def test_criterion_8_property_suites():
     # (a) soundness of every emitted relator
     sound = True
     for inp in builtin_inputs + [dihedral_inputs[n] for n in sizes]:
-        derived = derive_presentation(inp, validate=False)
+        derived = derive_presentation(inp)
         for word in derived.relator_words:
             sound = sound and evaluate_word_in_G(
                 word.free_reduce(inp.ag), inp.ag, inp.sc) == 0
@@ -184,7 +184,7 @@ def test_criterion_8_property_suites():
     # (d) local isomorphism of the rebuilt graph at every vertex
     local = True
     for inp in builtin_inputs:
-        derived = derive_presentation(inp, validate=False)
+        derived = derive_presentation(inp)
         model = build_kozsul_model(derived, inp.ag, inp.sc)
         neighbors = {x: set() for x in model.vertices}
         for a, b in model.edges:
@@ -199,7 +199,7 @@ def test_criterion_8_property_suites():
     # (e) negative control: no loop relations
     inp = dodecahedron_action()
     inp.loops = ()
-    derived = derive_presentation(inp, validate=False)
+    derived = derive_presentation(inp)
     negative = False
     try:
         table = todd_coxeter(derived.presentation, limit=20_000)

@@ -264,6 +264,18 @@ def test_a_repeated_relator_is_emitted_once():
     assert todd_coxeter(d.presentation).n == 8
 
 
+def test_degenerate_given_loops_emit_no_empty_relator(tmp_path, capsys):
+    # a one-vertex loop and an out-and-back walk both reduce to the empty word
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({**ACTIONS["square"],
+                                "loops": [[0, 1, 2, 3, 0], [0], [0, 1, 0]]}))
+    assert main(["derive", "--action", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["relator_count"] == 3 and report["families"]["loop"] == 1
+    relators = (tmp_path / "square.relators.txt").read_text().splitlines()
+    assert len(relators) == 4 and "1" not in relators  # a header line, then the relators
+
+
 # the pinned file actions and the four prisms of the multi-orbit benchmark
 PICKER_CASES = {**ACTIONS, **{f"prism-{n}x{k}" + ("-dihedral" if flip else ""): prism(n, k, flip)
                               for n, k, flip in [(60, 4, False), (40, 5, False),
