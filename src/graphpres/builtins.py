@@ -47,8 +47,7 @@ def simplex_action(n: int) -> DerivationInput:
     # stabilizer of vertex 0: the symmetric group on {1..n-1} on adjacent swaps
     stab_names = [f"s{i}" for i in range(2, n)]
     pres = Presentation.from_strings(stab_names, _standard_sym_relators(stab_names))
-    gen_elements = {f"s{i}": ag.group.index[Perm.transposition(n, i - 1, i)]
-                    for i in range(2, n)}
+    gen_elements = {f"s{i}": ag.generator_labels[f"x{i}"] for i in range(2, n)}
     stabilizers = {0: StabilizerData(pres, gen_elements)}
 
     subgroup_gens = {}
@@ -112,17 +111,15 @@ def binary_icosahedral_action() -> BinaryIcosahedral:
     quats = list(tree)
     index = {q: i for i, q in enumerate(quats)}
     # the carrier of a generator g is the inverse of its right-regular
-    # permutation i -> index(q_i g), a faithful homomorphism; carriers and
-    # vertex action are carried down the breadth-first tree
+    # permutation i -> index(q_i g), a faithful homomorphism; their closure
+    # lists the carriers in the order of the quaternion tree, down which the
+    # vertex action is carried
     carrier_gens = [Perm(index[right[q][k]] for q in quats).inverse() for k in range(2)]
+    table = FiniteGroupTable(carrier_gens)
     vertex_action = [model.h_perm, model.s1_perm]
-    carried = tree_fold(tree, (Perm.identity(len(quats)),
-                               Perm.identity(model.graph.vertex_count)),
-                        lambda pair, k: (perm_compose(pair[0], carrier_gens[k]),
-                                         perm_compose(pair[1], vertex_action[k])))
-    carrier = [carried[q][0] for q in quats]
-    action = [carried[q][1] for q in quats]
-    table = FiniteGroupTable(carrier_gens, carrier)
+    carried = tree_fold(tree, Perm.identity(model.graph.vertex_count),
+                        lambda p, k: perm_compose(p, vertex_action[k]))
+    action = [carried[q] for q in quats]
     named = {"h": index[model.h_quat], "s1": index[model.s1_quat],
              "c": index[QUAT_C], "f": index[model.f_quat]}
     ag = ActionedGraph(model.graph, table, action,

@@ -20,7 +20,7 @@ from .derive import (DerivationInput, DerivationInputError, DerivedPresentation,
                      auto_derivation_input, derive_presentation,
                      derived_from_json, derived_to_json)
 from .dot import export_cayley_dot, export_graph_dot
-from .graphs import ActionedGraph, Graph, validate_action
+from .graphs import ActionedGraph, Graph, degree_problem, validate_action
 from .perms import ClosureLimitError, Perm
 from .verify import (abelianization_smith, build_kozsul_model,
                      check_covering_isomorphism, presentation_order_check)
@@ -40,10 +40,14 @@ def action_from_json(data: dict, name: str = "action") -> DerivationInput:
     """The derivation input for an action file; every check on the file's
     data happens here, before any group is built."""
     try:
-        graph = Graph(json_int(data["vertices"]),
-                      [(json_int(u), json_int(v)) for u, v in data["edges"]])
+        vertex_count = json_int(data["vertices"])
         gens = {str(k): Perm(map(json_int, data["generators"][k]))
                 for k in sorted(data["generators"])}
+        # the Graph allocates per vertex: the generators bound its size first
+        problem = degree_problem(vertex_count, gens)
+        if problem is not None:
+            raise ValueError(problem)
+        graph = Graph(vertex_count, [(json_int(u), json_int(v)) for u, v in data["edges"]])
         loops = data.get("loops")
         if loops is not None:
             loops = [tuple(map(json_int, loop)) for loop in loops]

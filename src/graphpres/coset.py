@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .perms import FiniteGroupTable, Perm, bfs_tree, perm_compose, tree_fold
+from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, Perm, bfs_tree
 from .words import Presentation
 
 COSET_LIMIT = 1_000_000
@@ -159,27 +159,25 @@ class CosetTable:
         return self._tree
 
     def regular_group(self) -> FiniteGroupTable:
-        """The group acting on the cosets, as a permutation group in which
-        element i is the element of coset i.
+        """The group acting on the cosets, as the closure of its generators.
 
         Generator k is carried by the inverse of its column permutation
         c -> c k, which is the column of k^-1, so that words multiply left to
-        right; these carriers are folded down `tree()`, and generator k sits
-        at index step(0, k).  The table's search from 1 under right
-        multiplication by the generators must find exactly the folded set,
-        which proves it is the group they generate; over the trivial
-        subgroup that is the presented group.  Raises ValueError when the
-        action is not regular (then the set has repeats or is not closed).
+        right.  The carrier of an element u maps the coset 0 u to 0, so the
+        coset of element j is `elements[j].images.index(0)`; over the trivial
+        subgroup the group is the presented group.  The action is
+        transitive, so its group has at least n elements, exactly n when it
+        is regular: ValueError is raised as soon as the search finds n + 1.
+        A table of more than CLOSURE_ENTRY_LIMIT entries (n * n of them)
+        raises ClosureLimitError instead.
         """
-        ngens = len(self.gen_names)
-        carriers = {(g, s): Perm(row[2 * g + (1 if s > 0 else 0)] for row in self.rows)
-                    for g in range(ngens) for s in (1, -1)}
-        carried = tree_fold(self.tree(), Perm.identity(self.n),
-                            lambda p, letter: perm_compose(p, carriers[letter]))
+        carriers = [Perm(row[2 * g + 1] for row in self.rows)
+                    for g in range(len(self.gen_names))]
         try:
-            return FiniteGroupTable([carried[self.step(0, g)] for g in range(ngens)],
-                                    [carried[c] for c in range(self.n)])
-        except ValueError as exc:
+            return FiniteGroupTable(carriers, limit=self.n)
+        except ClosureLimitError as exc:
+            if self.n * self.n > CLOSURE_ENTRY_LIMIT:
+                raise
             raise ValueError(f"the action on the cosets is not regular: {exc}") from exc
 
     def relator_closes_everywhere(self, word: SignedWord) -> bool:

@@ -50,8 +50,8 @@ def cayley_underlying_graph(table: FiniteGroupTable, gens: Mapping[str, int]) ->
     return Graph(len(vertices), edges)
 
 
-def export_graph_dot(graph: Graph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def export_graph_dot(graph: Graph) -> str:
+    lines = ["graph g {"]
     for v in range(graph.vertex_count):
         lines.append(f"    {v};")
     for u, w in sorted(graph.edges):

@@ -138,9 +138,6 @@ class GoldenNum:
     def __ge__(self, other: GoldenNum | _Rat) -> bool:
         return (self - _coerce(other)).sign() >= 0
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(5)
-
     def __repr__(self) -> str:
         if self.q == 0:
             return f"GoldenNum({self.a})"

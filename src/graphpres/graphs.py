@@ -128,6 +128,20 @@ class ActionedGraph:
                      if self.action[i](e.target) == e.target)
 
 
+def degree_problem(vertex_count: int, gens: Mapping[str, Perm]) -> str | None:
+    """The first reason the generators cannot permute `vertex_count`
+    vertices, or None; it needs no Graph, so a file's vertex count can be
+    checked before one is allocated."""
+    if vertex_count < 1:
+        return "the graph has no vertices"
+    if not gens:
+        return "no generators"
+    for name, p in gens.items():
+        if p.degree != vertex_count:
+            return f"generator {name} permutes {p.degree} points, the graph has {vertex_count} vertices"
+    return None
+
+
 def validate_action(graph: Graph, gens: Mapping[str, Perm],
                     loops: Iterable[Sequence[int]] = ()) -> str | None:
     """The first reason the data do not describe a graph action, or None.
@@ -137,15 +151,11 @@ def validate_action(graph: Graph, gens: Mapping[str, Perm],
     along edges.  Checking the generators is enough: products and inverses
     of edge-preserving permutations preserve edges.
     """
-    if graph.vertex_count < 1:
-        return "the graph has no vertices"
-    if not gens:
-        return "no generators"
+    problem = degree_problem(graph.vertex_count, gens)
+    if problem is not None:
+        return problem
     edges = sorted(graph.edges)
     for name, p in gens.items():
-        if p.degree != graph.vertex_count:
-            return (f"generator {name} permutes {p.degree} points, "
-                    f"the graph has {graph.vertex_count} vertices")
         for u, v in edges:
             if not graph.has_edge(p(u), p(v)):
                 return f"generator {name} maps the edge ({u},{v}) to a non-edge"

@@ -2,8 +2,9 @@
 images on a base, and the breadth-first search that every traversal in
 graphpres goes through.
 
-Everything here is exact and immutable; group elements are referred to by
-their index in a deterministically ordered element list.
+Everything here is exact and immutable.  A group is always the
+breadth-first closure of its generators, and its elements are referred to
+by their index in the order that search finds them.
 """
 
 from __future__ import annotations
@@ -186,57 +187,39 @@ class FiniteGroupTable:
     in S.  So S is closed under products, and since two elements of S that
     agree on the base are equal, the base lookup returns the true product.
 
-    Without `elements`, the order of discovery is the element order:
-    identity first, then BFS layers with the generators applied on the
-    right in their given order; past `limit` elements, or past
-    CLOSURE_ENTRY_LIMIT stored image entries, ClosureLimitError is raised.
-    With `elements` (identity first, no repeats) their order is kept, and
-    the search must find exactly their set: every product p * g is looked
-    up in it, so a set that is not closed raises ValueError before more
-    than len(elements) elements are found, and so does a set the
-    generators do not reach.
+    The order of discovery is the element order: identity first, then BFS
+    layers with the generators applied on the right in their given order;
+    past `limit` elements, or past CLOSURE_ENTRY_LIMIT stored image entries,
+    ClosureLimitError is raised.  Elements, the generators among them, are
+    looked up by their base images alone: the table has one lookup over G.
     """
 
-    def __init__(self, gens: Sequence[Perm], elements: Sequence[Perm] | None = None,
-                 limit: int = CLOSURE_LIMIT):
-        if elements is not None:
-            if not elements or not elements[0].is_identity():
-                raise ValueError("element 0 must be the identity")
-            given = {p.images for p in elements}
-            if len(given) != len(elements):
-                raise ValueError("duplicate elements")
-        elif not gens:
+    def __init__(self, gens: Sequence[Perm], limit: int = CLOSURE_LIMIT):
+        if not gens:
             raise ValueError("need at least one generator")
-        degree = (elements or gens)[0].degree
+        degree = gens[0].degree
         gen_images = [g.images for g in gens]
         if any(len(g) != degree for g in gen_images):
             raise ValueError("generators must have equal degree")
 
         def successors(p: tuple[int, ...]) -> list[tuple[None, tuple[int, ...]]]:
-            steps = [(None, tuple([p[k] for k in g])) for g in gen_images]
-            if elements is not None and not all(q in given for _, q in steps):
-                raise ValueError("element set is not closed under the generators")
-            return steps
+            return [(None, tuple([p[k] for k in g])) for g in gen_images]
 
         cap = CLOSURE_ENTRY_LIMIT // max(degree, 1)
         try:
-            found = bfs_tree(tuple(range(degree)), successors,
-                             min(limit, cap) if elements is None else None)
+            found = bfs_tree(tuple(range(degree)), successors, min(limit, cap))
         except ClosureLimitError:
             if limit <= cap:
                 raise
             raise ClosureLimitError(f"closure exceeded {CLOSURE_ENTRY_LIMIT} stored image "
                                     f"entries ({cap} elements of degree {degree})") from None
-        if elements is not None and len(found) != len(elements):
-            raise ValueError("the generators do not reach every element")
         # the elements found are products of the generators: no bijection check
-        self.elements = [_perm(p) for p in found] if elements is None else list(elements)
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        self.gen_indices = tuple(self.index[g] for g in gens)
-        self._images = images = [p.images for p in self.elements]
+        self.elements = [_perm(p) for p in found]
+        self._images = images = list(found)
         self.base = base = _separating_base(images)
         self._base_images = [tuple([p[b] for b in base]) for p in images]
         self._by_key = {key: i for i, key in enumerate(self._base_images)}
+        self.gen_indices = tuple(self._by_key[tuple([g[b] for b in base])] for g in gen_images)
         self._inv = [self._by_key[tuple([p.index(b) for b in base])] for p in images]
 
     @property

@@ -348,6 +348,8 @@ class Presentation:
     relators: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
+        if len(set(self.generators)) != len(self.generators):
+            raise ValueError(f"repeated generator names: {list(self.generators)!r}")
         for rel in self.relators:
             for idx, sign in rel:
                 if not 0 <= idx < len(self.generators):
@@ -362,10 +364,7 @@ class Presentation:
         return Presentation(tuple(generators), rels)
 
     def rename(self, mapping: dict[str, str]) -> Presentation:
-        gens = tuple(mapping.get(g, g) for g in self.generators)
-        if len(set(gens)) != len(gens):
-            raise ValueError("renaming collides generator names")
-        return Presentation(gens, self.relators)
+        return Presentation(tuple(mapping.get(g, g) for g in self.generators), self.relators)
 
     def pretty(self) -> str:
         lines = ["generators: " + " ".join(self.generators)]

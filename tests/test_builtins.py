@@ -8,7 +8,8 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
 from graphpres.derive import validate_input
 from graphpres.golden import GoldenNum, PHI, QUAT_C
 from graphpres.graphs import OrientedEdge, validate_action, vertex_orbits
-from graphpres.polyhedra import dodecahedron_model
+from graphpres.perms import Perm, perm_compose, tree_fold
+from graphpres.polyhedra import dodecahedron_model, icosian_group
 
 
 def test_simplex_rejects_small_n():
@@ -72,6 +73,19 @@ def test_double_cover_structure():
     h3 = ag.group.word_product((h, h, h))
     assert h3 == bi.named["c"]
     assert ag.group.element_order(bi.named["c"]) == 2
+
+
+def test_binary_icosahedral_table_lists_the_carriers_in_tree_order():
+    # reference: the carriers folded down the quaternion tree, the element
+    # order the table was once given as a list
+    bi = binary_icosahedral_action()
+    tree, right = icosian_group(dodecahedron_model())
+    quats = list(tree)
+    index = {q: i for i, q in enumerate(quats)}
+    gens = [Perm(index[right[q][k]] for q in quats).inverse() for k in range(2)]
+    carried = tree_fold(tree, Perm.identity(120), lambda p, k: perm_compose(p, gens[k]))
+    assert bi.input.ag.group.elements == [carried[q] for q in quats]
+    assert bi.quats == tuple(quats)
 
 
 def test_double_cover_maps_onto_rotations_two_to_one():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from graphpres.cli import action_from_json, action_to_json, main
+import graphpres.cli
+from graphpres.cli import InputError, action_from_json, action_to_json, main
 
 
 def run(capsys, *argv):
@@ -197,6 +198,36 @@ def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, mes
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: bad presentation file:")
     assert message in err
+
+
+def test_repeated_generator_name_exits_2_with_one_line(tmp_path, capsys):
+    # a name given twice left one generator free, and verify enumerated
+    # towards the coset limit; the limit keeps that failure cheap here
+    action = {"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]}}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(action))
+    code, _, _ = run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))
+    assert code == 0
+    pres_path = tmp_path / "square.presentation.json"
+    data = json.loads(pres_path.read_text())
+    data["generators"].append(data["generators"][0])
+    pres_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(pres_path), "--action", str(path),
+                       "--limit", "5000")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: bad presentation file:")
+    assert "repeated generator names" in err
+
+
+def test_vertex_count_is_checked_before_the_graph_is_built(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("Graph built before the degree check")
+
+    monkeypatch.setattr(graphpres.cli, "Graph", no_graph)
+    data = {"vertices": 10 ** 12, "edges": [], "generators": {"a": [0]}}
+    with pytest.raises(InputError, match="generator a permutes 1 points, "
+                                         "the graph has 1000000000000 vertices"):
+        action_from_json(data)
 
 
 @pytest.mark.parametrize("argv, message", [

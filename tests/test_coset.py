@@ -1,6 +1,10 @@
 import pytest
 
+import graphpres.coset
+import graphpres.perms
+from graphpres.builtins import standard_symmetric_presentation
 from graphpres.coset import EnumerationLimitError, todd_coxeter
+from graphpres.perms import ClosureLimitError
 from graphpres.words import Presentation
 
 
@@ -85,6 +89,10 @@ def test_element_arithmetic_regular_table(rng):
             return group.word_product(gens[g] if s > 0 else group.inverse(gens[g])
                                       for g, s in word)
 
+        def coset_of(j):
+            return group.elements[j].images.index(0)
+
+        assert sorted(map(coset_of, range(group.order))) == list(range(table.n))
         for _ in range(300):
             u = random_word(rng, ngens, rng.randrange(12))
             # w often spells u's element too: a conjugated relator inserted in u
@@ -95,13 +103,32 @@ def test_element_arithmetic_regular_table(rng):
                 w = u[:k] + w + rel + inverse_word(w) + u[k:]
             assert (value(u) == 0) == (table.trace(0, u) == 0)
             assert (value(u) == value(w)) == (table.trace(0, u) == table.trace(0, w))
-            assert value(u) == table.trace(0, u)  # element i is the element of coset i
+            assert coset_of(value(u)) == table.trace(0, u)
 
 
 def test_regular_group_rejects_table_over_nontrivial_subgroup():
     table = todd_coxeter(S4, subgroup_words=[[(0, 1)], [(1, 1)]])
     with pytest.raises(ValueError, match="not regular"):
         table.regular_group()
+
+
+def test_regular_group_stops_before_listing_a_larger_image():
+    # 8 cosets of <s2, ..., s7> in S8: the image on the cosets is all of S8,
+    # and the search must give up at 9 elements, not list 40320
+    s8 = standard_symmetric_presentation(8)
+    table = todd_coxeter(s8, subgroup_words=[[(k, 1)] for k in range(1, 7)])
+    assert table.n == 8
+    with pytest.raises(ValueError, match="not regular: closure exceeded 8 elements"):
+        table.regular_group()
+
+
+def test_regular_group_past_the_entry_limit_is_a_limit_not_a_verdict(monkeypatch):
+    # S4's 24 cosets need 576 image entries: with 575 allowed the search
+    # stops at 23 elements, which says nothing about regularity
+    monkeypatch.setattr(graphpres.perms, "CLOSURE_ENTRY_LIMIT", 575)
+    monkeypatch.setattr(graphpres.coset, "CLOSURE_ENTRY_LIMIT", 575)
+    with pytest.raises(ClosureLimitError, match="575 stored image entries"):
+        todd_coxeter(S4).regular_group()
 
 
 def test_empty_relator_is_tolerated():

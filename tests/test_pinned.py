@@ -135,9 +135,15 @@ def test_coxeter_check_report_digest(capsys):
 
 
 def test_coxeter_tau_digest():
+    # pinned while element i was the element of coset i: read each label
+    # through the coset map, the coset its carrier sends to coset 0
     ctx = build_coxeter_context()
-    text = json.dumps(sorted(ctx.tau.items()))
-    assert ctx.z == 2
+
+    def coset_of(j):
+        return ctx.group.elements[j].images.index(0)
+
+    text = json.dumps(sorted((e, coset_of(j)) for e, j in ctx.tau.items()))
+    assert coset_of(ctx.z) == 2
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "675bf3dfd0281af200b688a322ef1297b15c9848c11829aa67480dc4278f9114"
 
