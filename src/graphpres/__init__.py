@@ -13,10 +13,9 @@ from .coxeter import (build_coxeter_context, coxeter_implication_check,
                       face_boundary_check, greedy_disc_ordering,
                       milnor_product_check, path_product)
 from .derive import (DerivationInput, DerivedPresentation, StabilizerData,
-                     auto_derivation_input, close_pseudo_loops,
-                     coxeter_substitution, derive_presentation,
+                     auto_derivation_input, coxeter_substitution, derive_presentation,
                      presentation_matches, validate_input)
-from .dot import cayley_underlying_graph, export_cayley_dot, export_graph_dot, graph_isomorphic
+from .dot import cayley_underlying_graph, export_cayley_dot, export_graph_dot
 from .golden import GoldenNum, GoldenQuat, golden_sqrt, quat_from_rotation, quat_mul
 from .graphs import (ActionedGraph, Graph, OrientedEdge, find_inversion,
                      validate_action, vertex_orbits)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .derive import DerivationInput, StabilizerData
 from .golden import GoldenQuat, ONE, QUAT_C, Vec3
 from .graphs import ActionedGraph, Graph, OrientedEdge, first_carriers
-from .perms import FiniteGroupTable, Perm, perm_compose, tree_fold
+from .perms import FiniteGroupTable, Perm, perm_compose, require_listable, tree_fold
 from .polyhedra import (DodecahedronModel, dodecahedron_model, icosian_group,
                         orient_clockwise)
 from .scaffold import build_regular_scaffolding
@@ -39,6 +39,7 @@ def simplex_action(n: int) -> DerivationInput:
     """The symmetric group on n points acting on the complete graph."""
     if n < 3:
         raise ValueError("need n >= 3")
+    require_listable(range(2, n + 1), n)  # n! elements, refused before any allocation
     graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     gens = {f"x{i}": Perm.transposition(n, i - 1, i) for i in range(1, n)}
     ag = ActionedGraph.from_generators(graph, gens)
@@ -69,6 +70,7 @@ def dihedral_cycle_action(n: int) -> DerivationInput:
     """The dihedral group of order 2n on the n-cycle."""
     if n < 3:
         raise ValueError("need n >= 3")
+    require_listable((2, n), n)
     graph = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     rot = Perm([(i + 1) % n for i in range(n)])
     mirror = Perm([(n - i) % n for i in range(n)])

@@ -22,6 +22,7 @@ from .derive import (DerivationInput, DerivationInputError, DerivedPresentation,
 from .dot import export_cayley_dot, export_graph_dot
 from .graphs import ActionedGraph, Graph, degree_problem, validate_action
 from .perms import ClosureLimitError, Perm
+from .scaffold import Scaffolding, build_regular_scaffolding
 from .verify import (abelianization_smith, build_kozsul_model,
                      check_covering_isomorphism, presentation_order_check)
 from .words import json_int
@@ -36,9 +37,9 @@ class InputError(ValueError):
     pass
 
 
-def action_from_json(data: dict, name: str = "action") -> DerivationInput:
-    """The derivation input for an action file; every check on the file's
-    data happens here, before any group is built."""
+def action_graph_from_json(data: dict) -> tuple[ActionedGraph, list | None]:
+    """An action file's action and given loops (or None); every check on the
+    file's data happens here, before any group is built."""
     try:
         vertex_count = json_int(data["vertices"])
         gens = {str(k): Perm(map(json_int, data["generators"][k]))
@@ -56,8 +57,12 @@ def action_from_json(data: dict, name: str = "action") -> DerivationInput:
     problem = validate_action(graph, gens, loops or ())
     if problem is not None:
         raise InputError(f"bad action data: {problem}")
-    ag = ActionedGraph.from_generators(graph, gens)
-    return auto_derivation_input(ag, loops, name)
+    return ActionedGraph.from_generators(graph, gens), loops
+
+
+def action_from_json(data: dict, name: str = "action") -> DerivationInput:
+    """The derivation input for an action file."""
+    return auto_derivation_input(*action_graph_from_json(data), name)
 
 
 def action_to_json(inp: DerivationInput) -> dict:
@@ -73,6 +78,16 @@ def action_to_json(inp: DerivationInput) -> dict:
     return data
 
 
+def _read_action_file(path: Path) -> tuple[ActionedGraph, list | None]:
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
+    return action_graph_from_json(data)
+
+
 def _load_input(args) -> DerivationInput:
     if args.builtin:
         try:
@@ -80,16 +95,18 @@ def _load_input(args) -> DerivationInput:
         except (KeyError, ValueError) as exc:
             raise InputError(exc.args[0] if exc.args else str(exc)) from exc
     path = Path(args.action)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
-    return action_from_json(data, path.stem)
+    return auto_derivation_input(*_read_action_file(path), path.stem)
 
 
-def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dict, int]:
+def _load_action(args) -> tuple[ActionedGraph, Scaffolding | None]:
+    """The action, with a builtin's scaffolding; an action file builds no more."""
+    if args.builtin:
+        inp = _load_input(args)
+        return inp.ag, inp.sc
+    return _read_action_file(Path(args.action))[0], None
+
+
+def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
     """The verification report and its exit code.
 
     The reconstruction comes first: its coset tables give the order check
@@ -98,10 +115,10 @@ def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dic
     the stop is raised (exit 4) only after that check has passed.
     """
     try:
-        model, stopped = build_kozsul_model(derived, inp.ag, inp.sc, limit=limit), None
+        model, stopped = build_kozsul_model(derived, ag, sc, limit=limit), None
     except EnumerationLimitError as exc:
         model, stopped = None, exc
-    order = presentation_order_check(derived, inp.ag, limit=limit, model=model)
+    order = presentation_order_check(derived, ag, limit=limit, model=model)
     check = {"ok": order.ok, "enumerated": order.enumerated, "expected": order.expected,
              "detail": order.detail, "proof": order.proof}
     if order.proof == "lagrange":
@@ -120,7 +137,7 @@ def _verification_report(derived, inp: DerivationInput, limit: int) -> tuple[dic
         return report, code
     if model is None:
         raise stopped
-    cover = check_covering_isomorphism(model, inp.ag)
+    cover = check_covering_isomorphism(model, ag)
     report["reconstruction"] = {
         "ok": cover.ok, "vertices": cover.model_vertices, "edges": cover.model_edges,
         "graph_vertices": cover.graph_vertices, "graph_edges": cover.graph_edges,
@@ -145,7 +162,7 @@ def cmd_derive(args) -> int:
                         str(out_dir / f"{stem}.relators.txt")]}
     code = EXIT_OK
     if args.verify:
-        vreport, code = _verification_report(derived, inp, args.limit)
+        vreport, code = _verification_report(derived, inp.ag, inp.sc, args.limit)
         report.update(vreport)
         if code == EXIT_OK:
             report["order"] = vreport["order_check"]["enumerated"]
@@ -153,15 +170,15 @@ def cmd_derive(args) -> int:
     return code
 
 
-def presentation_file_problem(derived: DerivedPresentation,
-                              inp: DerivationInput) -> str | None:
+def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph,
+                              sc: Scaffolding) -> str | None:
     """The first reason a stored presentation does not fit the action, or None.
 
     Every generator must name a group element; edge generators must name
     each pairing representative of the scaffolding once; stabilizer
     generators must belong to base vertices and generate their stabilizers.
     """
-    group, sc = inp.ag.group, inp.sc
+    group = ag.group
     generators = set(derived.presentation.generators)
     for name in derived.presentation.generators:
         if name not in derived.gen_elements:
@@ -184,13 +201,14 @@ def presentation_file_problem(derived: DerivedPresentation,
             return f"stabilizer generator {name} belongs to {v}, not a base vertex"
         owned[v].append(derived.gen_elements[name])
     for v, gens in owned.items():
-        if set(group.subgroup_closure(gens)) != set(inp.ag.stabilizer(v)):
+        if set(group.subgroup_closure(gens)) != set(ag.stabilizer(v)):
             return f"the stabilizer generators at {v} do not generate its stabilizer"
     return None
 
 
 def cmd_verify(args) -> int:
-    inp = _load_input(args)
+    ag, sc = _load_action(args)
+    sc = build_regular_scaffolding(ag) if sc is None else sc  # as `derive` builds it
     try:
         data = json.loads(Path(args.presentation).read_text())
         derived = derived_from_json(data)
@@ -198,10 +216,10 @@ def cmd_verify(args) -> int:
         raise InputError(f"malformed JSON at position {exc.pos}: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad presentation file: {exc}") from exc
-    problem = presentation_file_problem(derived, inp)
+    problem = presentation_file_problem(derived, ag, sc)
     if problem is not None:
         raise InputError(f"bad presentation file: {problem}")
-    report, code = _verification_report(derived, inp, args.limit)
+    report, code = _verification_report(derived, ag, sc, args.limit)
     report["presentation"] = args.presentation
     print(json.dumps(report, indent=2, sort_keys=True))
     return code
@@ -238,13 +256,12 @@ def _resolve_generators(ag: ActionedGraph, names: str) -> dict[str, int]:
 
 
 def cmd_export_cayley(args) -> int:
-    inp = _load_input(args)
-    gens = _resolve_generators(inp.ag, args.gens)
-    if len(inp.ag.group.subgroup_closure(gens.values())) != inp.ag.group.order:
+    ag, _ = _load_action(args)
+    gens = _resolve_generators(ag, args.gens)
+    if len(ag.group.subgroup_closure(gens.values())) != ag.group.order:
         print("warning: the set does not generate; exporting the subgroup diagram",
               file=sys.stderr)
-    text = export_cayley_dot(inp.ag.group, gens)
-    _write_or_stdout(args.out, text)
+    _write_or_stdout(args.out, export_cayley_dot(ag.group, gens))
     return EXIT_OK
 
 
@@ -252,7 +269,7 @@ def cmd_export_graph(args) -> int:
     if args.builtin == "truncated-dodecahedron":
         graph = builtin_actions.truncated_dodecahedron().graph
     else:
-        graph = _load_input(args).ag.graph
+        graph = _load_action(args)[0].graph
     _write_or_stdout(args.out, export_graph_dot(graph))
     return EXIT_OK
 

@@ -255,55 +255,32 @@ def _is_simple_path(edges: set[tuple[int, int]], shared_vertices: set[int]) -> b
     return len(bfs_tree(ends[0], lambda u: [(w, w) for w in adj[u]])) == len(degree)
 
 
-def greedy_disc_ordering(faces: Sequence[Sequence[int]],
-                         node_budget: int = 200_000) -> DiscOrdering:
+def greedy_disc_ordering(faces: Sequence[Sequence[int]]) -> DiscOrdering:
     """Order the faces so each prefix is a disc glued along a boundary
     segment, the last face closing along its whole boundary.
 
-    Greedy by face index with backtracking; verified combinatorially at
-    every step, so a returned ordering is a certificate.
+    One greedy pass from face 0: each step adds the least-index unused face
+    that attaches along one boundary segment.  Every step is checked
+    combinatorially, so a returned ordering is a certificate.
     """
-    n = len(faces)
-    if n == 0:
+    if not faces:
         return DiscOrdering(False, (), "no faces")
-    if n == 1:
-        return DiscOrdering(True, (0,))
     face_edge = [_face_edges(f) for f in faces]
-    face_vert = [frozenset(f) for f in faces]
-    budget = [node_budget]
-
-    def extend(order: list[int], used_edges: set[tuple[int, int]],
-               used_verts: set[int]) -> list[int] | None:
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        if len(order) == n:
-            return order
-        last = len(order) == n - 1
-        for k in range(n):
-            if k in order:
-                continue
-            shared_e = set(face_edge[k]) & used_edges
-            shared_v = set(face_vert[k]) & used_verts
-            if last:
-                if shared_e != set(face_edge[k]):
-                    continue
-            else:
-                if not _is_simple_path(shared_e, shared_v):
-                    continue
-            result = extend(order + [k], used_edges | set(face_edge[k]),
-                            used_verts | set(face_vert[k]))
-            if result is not None:
-                return result
-        return None
-
-    for first in range(n):
-        result = extend([first], set(face_edge[first]), set(face_vert[first]))
-        if result is not None:
-            return DiscOrdering(True, tuple(result))
-        if budget[0] <= 0:
-            return DiscOrdering(False, (), "search budget exhausted")
-    return DiscOrdering(False, (), "no ordering satisfies the segment conditions")
+    order, rest = [0], list(range(1, len(faces)))
+    used_edges, used_verts = set(face_edge[0]), set(faces[0])
+    while len(rest) > 1:
+        k = next((k for k in rest
+                  if _is_simple_path(face_edge[k] & used_edges, used_verts & set(faces[k]))),
+                 None)
+        if k is None:
+            return DiscOrdering(False, (), f"no face attaches to the first {len(order)}")
+        rest.remove(k)
+        order.append(k)
+        used_edges |= face_edge[k]
+        used_verts |= set(faces[k])
+    if rest and not face_edge[rest[0]] <= used_edges:
+        return DiscOrdering(False, (), f"the last face {rest[0]} does not close the disc")
+    return DiscOrdering(True, tuple(order + rest))
 
 
 def milnor_product_check(p: GoldenQuat, q: GoldenQuat, r: GoldenQuat) -> GoldenQuat:

@@ -91,40 +91,8 @@ def validate_input(inp: DerivationInput) -> None:
             raise DerivationInputError(
                 f"edge-stabilizer generators at {e} generate {len(closure)} of {len(g_e)}")
     for loop in inp.loops:
-        if loop[0] not in sc.base_vertices:
-            raise DerivationInputError(f"loop {loop} does not start at a base vertex")
-
-
-def close_pseudo_loops(loops: Sequence[Sequence[int]], ag: ActionedGraph,
-                       sc: Scaffolding) -> tuple[tuple[int, ...], ...]:
-    """Close each path that ends at a different base vertex with a tree path.
-
-    A path from one base vertex to another is prefixed by the tree path from
-    its endpoint back to its start, which only adds tree relators; genuine
-    loops pass through unchanged.
-    """
-    adjacency: dict[int, list[int]] = {v: [] for v in sc.base_vertices}
-    for u, w in sc.tree_edges:
-        adjacency[u].append(w)
-        adjacency[w].append(u)
-
-    def tree_path(a: int, b: int) -> tuple[int, ...]:
-        paths = tree_words(bfs_tree(a, lambda u: [(w, w) for w in sorted(adjacency[u])]))
-        if b not in paths:
-            raise DerivationInputError("tree does not connect the base vertices")
-        return (a,) + paths[b]
-
-    out = []
-    for loop in loops:
-        loop = tuple(loop)
-        if loop[0] not in sc.base_vertices or loop[-1] not in sc.base_vertices:
+        if not loop or loop[0] not in sc.base_vertices or loop[-1] not in sc.base_vertices:
             raise DerivationInputError(f"path {loop} does not begin and end at base vertices")
-        if loop[0] == loop[-1]:
-            out.append(loop)
-        else:
-            prefix = tree_path(loop[-1], loop[0])
-            out.append(prefix + loop[1:])
-    return tuple(out)
 
 
 @dataclass
@@ -177,7 +145,6 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
     output order."""
     ag, sc = inp.ag, inp.sc
     validate_input(inp)
-    loops = close_pseudo_loops(inp.loops, ag, sc)
 
     gen_names: list[str] = []
     gen_elements: dict[str, int] = {}
@@ -228,7 +195,7 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
     for e in sc.pair_reps:
         if sc.iota[e] == e:
             add(edge_loop_relation(e, ag, sc), "edge_loop")
-    for loop in loops:
+    for loop in inp.loops:
         add(loop_relation(loop, ag, sc), "loop")
     for e in sc.oriented_tree_edges():
         if e in pair_set:

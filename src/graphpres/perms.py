@@ -21,6 +21,24 @@ class ClosureLimitError(RuntimeError):
     """Raised when a breadth-first closure exceeds its element limit."""
 
 
+def _limit_error(limit: int, cap: int, degree: int) -> ClosureLimitError:
+    if limit <= cap:
+        return ClosureLimitError(f"closure exceeded {limit} elements")
+    return ClosureLimitError(f"closure exceeded {CLOSURE_ENTRY_LIMIT} stored image "
+                             f"entries ({cap} elements of degree {degree})")
+
+
+def require_listable(order_factors: Iterable[int], degree: int) -> None:
+    """Raise the ClosureLimitError a closure of this degree would raise for a group
+    whose order is the product of the factors, stopping the product past the limits."""
+    cap = CLOSURE_ENTRY_LIMIT // max(degree, 1)
+    order = 1
+    for factor in order_factors:
+        order *= factor
+        if order > min(CLOSURE_LIMIT, cap):
+            raise _limit_error(CLOSURE_LIMIT, cap, degree)
+
+
 def bfs_tree(root: Hashable, neighbors: Callable[[Hashable], Iterable[tuple]],
              limit: int | None = None) -> dict:
     """Breadth-first spanning tree of everything reachable from `root`.
@@ -209,10 +227,7 @@ class FiniteGroupTable:
         try:
             found = bfs_tree(tuple(range(degree)), successors, min(limit, cap))
         except ClosureLimitError:
-            if limit <= cap:
-                raise
-            raise ClosureLimitError(f"closure exceeded {CLOSURE_ENTRY_LIMIT} stored image "
-                                    f"entries ({cap} elements of degree {degree})") from None
+            raise _limit_error(limit, cap, degree) from None
         # the elements found are products of the generators: no bijection check
         self.elements = [_perm(p) for p in found]
         self._images = images = list(found)

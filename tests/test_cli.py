@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import graphpres.builtins
 import graphpres.cli
+import graphpres.derive
 from graphpres.cli import InputError, action_from_json, action_to_json, main
 
 
@@ -228,6 +230,53 @@ def test_vertex_count_is_checked_before_the_graph_is_built(monkeypatch):
     with pytest.raises(InputError, match="generator a permutes 1 points, "
                                          "the graph has 1000000000000 vertices"):
         action_from_json(data)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("simplex:1000", "closure exceeded 10000000 stored image entries"),
+    ("dihedral:100000", "closure exceeded 10000000 stored image entries"),
+    ("simplex:9", "closure exceeded 100000 elements"),
+])
+def test_builtin_size_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch,
+                                                           name, message):
+    def no_graph(*args):
+        raise AssertionError("Graph built before the size check")
+
+    monkeypatch.setattr(graphpres.builtins, "Graph", no_graph)
+    code, _, err = run(capsys, "derive", "--builtin", name, "--out", str(tmp_path))
+    assert code == 4
+    assert err.count("\n") == 1 and message in err
+
+
+def test_verify_and_exports_build_only_the_action(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"vertices": 4, "edges": SQUARE_EDGES,
+                                "generators": {"r": [1, 2, 3, 0], "m": [0, 3, 2, 1]}}))
+    assert run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))[0] == 0
+
+    def no_derivation_input(*args):
+        raise AssertionError("derivation input built")
+
+    monkeypatch.setattr(graphpres.derive, "schreier_presentation", no_derivation_input)
+    monkeypatch.setattr(graphpres.derive, "pick_loops", no_derivation_input)
+    code, out, _ = run(capsys, "verify", str(tmp_path / "square.presentation.json"),
+                       "--action", str(path))
+    assert code == 0 and json.loads(out)["reconstruction"]["ok"]
+    code, out, _ = run(capsys, "export-cayley", "--action", str(path), "--gens", "r,m")
+    assert code == 0 and out.count("->") == 8 + 4  # r directed, the involution m not
+    code, out, _ = run(capsys, "export-graph", "--action", str(path))
+    assert code == 0 and out.count("--") == 4
+
+
+@pytest.mark.parametrize("loop", [[0, 1], [1, 2, 3, 0]], ids=["ends-off", "starts-off"])
+def test_open_loop_exits_2_with_one_line(tmp_path, capsys, loop):
+    # under the rotation alone, 0 is the only base vertex
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"vertices": 4, "edges": SQUARE_EDGES,
+                                "generators": {"r": [1, 2, 3, 0]}, "loops": [loop]}))
+    code, _, err = run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: path {tuple(loop)} does not begin and end at base vertices\n"
 
 
 @pytest.mark.parametrize("argv, message", [

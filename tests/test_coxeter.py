@@ -121,6 +121,9 @@ def test_disc_ordering_valid(ctx):
     assert result.ok
     assert len(result.order) == 32
     assert sorted(result.order) == list(range(32))
+    # one greedy pass, least index first
+    assert result.order == (0, 20, 1, 2, 4, 5, 21, 3, 6, 7, 22, 8, 9, 23, 11, 13, 24, 12,
+                            16, 25, 15, 19, 26, 14, 27, 18, 28, 17, 29, 10, 30, 31)
 
 
 def test_disc_ordering_single_face():
@@ -131,7 +134,13 @@ def test_disc_ordering_single_face():
 def test_disc_ordering_disconnected_fails():
     faces = [(0, 1, 2), (3, 4, 5)]
     result = greedy_disc_ordering(faces)
-    assert not result.ok
+    assert not result.ok and "does not close" in result.detail
+
+
+def test_disc_ordering_stops_when_no_face_attaches():
+    result = greedy_disc_ordering([(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    assert not result.ok and result.order == ()
+    assert "no face attaches to the first 1" in result.detail
 
 
 def test_disc_ordering_rechecks_segments(ctx):

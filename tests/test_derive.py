@@ -9,7 +9,7 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
                                 standard_symmetric_presentation)
 from graphpres.coset import todd_coxeter
 from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic_form,
-                              auto_derivation_input, close_pseudo_loops, collapses,
+                              auto_derivation_input, collapses,
                               coxeter_substitution, derive_presentation,
                               derived_from_json, derived_to_json, greedy_generators,
                               fundamental_loops, pick_loops, presentation_matches,
@@ -70,20 +70,45 @@ def test_validate_input_catches_non_generating_edge_set():
         validate_input(inp)
 
 
-def test_close_pseudo_loops_passthrough():
-    inp = dodecahedron_action()
-    loops = close_pseudo_loops(inp.loops, inp.ag, inp.sc)
-    assert loops == inp.loops
+# a mirror fixing 0 and the opposite vertex: a pseudo-loop from one fixed
+# base vertex to the other, with its mirror image, bounds the polygon
+PSEUDO_LOOP_CASES = {
+    "square": ({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                "generators": {"m": [0, 3, 2, 1]}, "loops": [[0, 3, 2]]}, 10),
+    "hexagon": ({"vertices": 6, "edges": [[i, (i + 1) % 6] for i in range(6)],
+                 "generators": {"m": [0, 5, 4, 3, 2, 1]}, "loops": [[0, 5, 4, 3]]}, 12),
+}
 
 
-def test_close_pseudo_loops_prefixes_tree_path():
-    ag = two_orbit_path_action()
-    inp = auto_derivation_input(ag)
+@pytest.mark.parametrize("name", sorted(PSEUDO_LOOP_CASES))
+def test_pseudo_loop_is_used_as_given(tmp_path, capsys, name):
+    data, letters = PSEUDO_LOOP_CASES[name]
+    (loop,) = data["loops"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert main(["derive", "--action", str(path), "--out", str(tmp_path), "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["order"] == 2 and report["reconstruction"]["ok"]
+    assert report["families"]["loop"] == 1
+    stored = json.loads((tmp_path / f"{name}.presentation.json").read_text())
+    assert sum(map(len, stored["relators"])) == letters
+    # the loop relator walks the path once: one edge letter per step, and
+    # no tree path from its end back to its start
+    families = stored["families"]  # relators are stored family by family
+    relator = stored["relators"][families["stabilizer"] + families["edge"]
+                                 + families["edge_loop"]]
+    edge_letters = [(n, s) for n, s in relator if n in stored["edge_gens"]]
+    assert len(edge_letters) == len(loop) - 1 and all(s == -1 for _, s in edge_letters)
+
+
+def test_pseudo_loop_along_a_tree_edge_is_a_loop_relator():
+    # the path (0, 1) is the tree edge itself: its relator is g_t^-1, which
+    # the loop family emits before the tree family would
+    inp = auto_derivation_input(two_orbit_path_action(), [(0, 1)])
     assert inp.sc.base_vertices == (0, 1)
-    closed = close_pseudo_loops([(0, 1)], ag, inp.sc)
-    assert closed == ((1, 0, 1),)
-    with pytest.raises(DerivationInputError):
-        close_pseudo_loops([(0, 2)], ag, inp.sc)  # 2 is not a base vertex
+    d = derive_presentation(inp)
+    assert d.families["loop"] == 1 and d.families["tree"] == 0
+    assert todd_coxeter(d.presentation).n == 2
 
 
 def test_derived_orders_match_groups():

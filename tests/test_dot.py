@@ -1,6 +1,5 @@
 from graphpres.builtins import dodecahedron_action, truncated_dodecahedron
-from graphpres.dot import (cayley_underlying_graph, export_cayley_dot,
-                           export_graph_dot, graph_isomorphic)
+from graphpres.dot import cayley_underlying_graph, export_cayley_dot, export_graph_dot
 from graphpres.graphs import Graph
 from graphpres.perms import Perm, generate_closure
 
@@ -46,21 +45,11 @@ def test_cayley_diagram_of_rotations_is_the_truncation():
     gens = {"s1": inp.ag.generator_labels["s1"], "h": h, "h^-1": table.inverse(h)}
     cayley = cayley_underlying_graph(table, gens)
     Y = truncated_dodecahedron()
-    assert cayley.vertex_count == 60 and len(cayley.edges) == 90
-    assert graph_isomorphic(cayley, Y.graph)
-    # explicit witness: the element sending the base flag around
+    assert Y.group.elements == table.elements  # flag_action is indexed like table
+    assert cayley.vertex_count == 60 and len(cayley.edges) == len(Y.graph.edges) == 90
+    # the witness, the element sending the base flag around, is a bijection
+    # that maps each of the 90 edges to an edge: an isomorphism
     base = Y.flag_index[(Y.model.labels["v"], Y.model.labels["w1"])]
     witness = {a: Y.flag_action[a](base) for a in range(60)}
-    assert len(set(witness.values())) == 60
+    assert sorted(witness.values()) == list(range(60))
     assert all(Y.graph.has_edge(witness[u], witness[w]) for u, w in cayley.edges)
-
-
-def test_graph_isomorphic_negative_cases():
-    Y = truncated_dodecahedron()
-    prism = Graph(60, [(i, (i + 1) % 30) for i in range(30)]
-                  + [(30 + i, 30 + (i + 1) % 30) for i in range(30)]
-                  + [(i, 30 + i) for i in range(30)])
-    assert not graph_isomorphic(prism, Y.graph)
-    assert not graph_isomorphic(Graph(2, []), Graph(2, [(0, 1)]))
-    assert graph_isomorphic(Graph(4, [(0, 1), (2, 3)]),
-                            Graph(4, [(0, 2), (1, 3)]))
