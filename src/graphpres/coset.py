@@ -3,10 +3,39 @@
 Deterministic throughout: cosets are defined in least-undefined order while
 scanning relators coset by coset, coincidences merge towards the smaller
 index, and the completed table is renumbered by increasing surviving index.
+
+The work is linear in the relator lengths, and every table is the one the
+plain HLT procedure (Holt-Eick-O'Brien, Handbook of Computational Group
+Theory, ch. 5) gives, for these reasons:
+
+- Live rows name live cosets.  Entries are written only into empty slots,
+  in inverse pairs, and `coincidence` clears every entry that points at a
+  dead coset, moving it to the survivor.  So once it returns, every entry of
+  a live row names a live coset, and the scans follow entries without
+  looking up representatives.
+- A scan resumes after each definition.  A definition only adds entries, so
+  a scan restarted from the relator's ends would retrace the same entries to
+  the same two points or beyond.  The resumed forward walk stops where the
+  backward walk stands; a restarted one may walk on past it and then merge
+  another pair.  That pair is reached from the resumed scan's pair by one
+  stretch of the relator, along defined entries on both sides, so the two
+  pairs generate the same congruence.  `coincidence` leaves the quotient of
+  the table by that congruence, each class kept at its least coset, so the
+  tables agree.
+- A power relator u^m (m > 1) is scanned once per cycle of u.  When its scan
+  at alpha ends with alpha live, u^m traces from alpha back to alpha, so it
+  traces from every alpha u^i back to itself, round the same cycle.  These
+  cosets are marked; a merge hands the marks of the dead coset to the
+  survivor, whose class the quotient maps the whole trace into.  A marked
+  coset skips that scan, which would only follow defined entries back to
+  where it started.
+- The completed table is checked against u^m by the cycles of u: u^m closes
+  at every coset exactly when every cycle of u has a length dividing m.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, Perm, bfs_tree
@@ -33,6 +62,24 @@ def _inv_col(c: int) -> int:
     return c ^ 1
 
 
+def _power(word: list[int]) -> tuple[list[int], int]:
+    """(u, m) with word = u^m and m as large as possible."""
+    n = len(word)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and word[:p] * (n // p) == word:
+            return word[:p], n // p
+    return word, 1
+
+
+@dataclass(frozen=True)
+class EnumerationStats:
+    """Counters of one enumeration."""
+
+    defined: int  # cosets defined, coset 0 included
+    coincidences: int  # coincidences that merged cosets, not counting the merges they forced
+    peak_live: int  # the most cosets live at once
+
+
 class _Enumerator:
     def __init__(self, ngens: int, limit: int):
         self.ngens = ngens
@@ -40,7 +87,10 @@ class _Enumerator:
         self.limit = limit
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]
+        self.closed = [0]  # per coset: bit r set when power relator r closes there
         self.live = 1
+        self.peak_live = 1
+        self.coincidences = 0
 
     def rep(self, k: int) -> int:
         while self.parent[k] != k:
@@ -54,7 +104,9 @@ class _Enumerator:
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(beta)
+        self.closed.append(0)
         self.live += 1
+        self.peak_live = max(self.peak_live, self.live)
         self.table[alpha][x] = beta
         self.table[beta][_inv_col(x)] = alpha
         return beta
@@ -65,12 +117,15 @@ class _Enumerator:
             return
         lo, hi = min(a, b), max(a, b)
         self.parent[hi] = lo
+        self.closed[lo] |= self.closed[hi]
         self.live -= 1
         queue.append(hi)
 
     def coincidence(self, a: int, b: int) -> None:
         queue: list[int] = []
         self._merge(a, b, queue)
+        if queue:
+            self.coincidences += 1
         while queue:
             gamma = queue.pop()
             row = self.table[gamma]
@@ -89,44 +144,56 @@ class _Enumerator:
                     self.table[nu][_inv_col(x)] = mu
 
     def scan_and_fill(self, alpha: int, word: list[int]) -> None:
-        if not word:
-            return
+        table = self.table
+        f, i = alpha, 0  # alpha word[:i] = f
+        b, j = alpha, len(word) - 1  # b word[j + 1:] = alpha
         while True:
-            f, i = alpha, 0
-            b, j = alpha, len(word) - 1
-            while i <= j and self.table[f][word[i]] is not None:
-                f = self.rep(self.table[f][word[i]])
-                i += 1
+            while i <= j and (nxt := table[f][word[i]]) is not None:
+                f, i = nxt, i + 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][_inv_col(word[j])] is not None:
-                b = self.rep(self.table[b][_inv_col(word[j])])
-                j -= 1
+            while j >= i and (nxt := table[b][_inv_col(word[j])]) is not None:
+                b, j = nxt, j - 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if i == j:
-                self.table[f][word[i]] = b
-                self.table[b][_inv_col(word[i])] = f
+                table[f][word[i]] = b
+                table[b][_inv_col(word[i])] = f
                 return
             self.define(f, word[i])
-            alpha = self.rep(alpha)
+
+    def close_cycle(self, alpha: int, root: list[int], r: int) -> None:
+        """Mark every alpha root^k as closed for power relator r."""
+        bit, c = 1 << r, alpha
+        while True:
+            self.closed[c] |= bit
+            for x in root:
+                c = self.table[c][x]  # type: ignore[assignment]
+            if c == alpha:
+                return
 
     def run(self, relators: list[list[int]], subgroup: list[list[int]]) -> None:
         for w in subgroup:
-            self.scan_and_fill(self.rep(0), w)
+            self.scan_and_fill(0, w)
+        powers = [_power(rel) for rel in relators]
         alpha = 0
         while alpha < len(self.table):
-            if self.rep(alpha) != alpha:
+            if self.parent[alpha] != alpha:
                 alpha += 1
                 continue
-            for rel in relators:
+            for r, rel in enumerate(relators):
+                if self.closed[alpha] >> r & 1:
+                    continue
                 self.scan_and_fill(alpha, rel)
-                if self.rep(alpha) != alpha:
+                if self.parent[alpha] != alpha:
                     break
-            if self.rep(alpha) == alpha:
+                root, m = powers[r]
+                if m > 1:
+                    self.close_cycle(alpha, root, r)
+            if self.parent[alpha] == alpha:
                 for x in range(self.ncols):
                     if self.table[alpha][x] is None:
                         self.define(alpha, x)
@@ -136,10 +203,12 @@ class _Enumerator:
 class CosetTable:
     """A complete coset table: a transitive action of the generators."""
 
-    def __init__(self, gen_names: Sequence[str], rows: list[list[int]]):
+    def __init__(self, gen_names: Sequence[str], rows: list[list[int]],
+                 stats: EnumerationStats | None = None):
         self.gen_names = tuple(gen_names)
         self.rows = rows
         self.n = len(rows)
+        self.stats = stats  # set on the tables `todd_coxeter` returns
         self._tree: dict | None = None
 
     def step(self, coset: int, gen: int, sign: int = 1) -> int:
@@ -181,7 +250,27 @@ class CosetTable:
             raise ValueError(f"the action on the cosets is not regular: {exc}") from exc
 
     def relator_closes_everywhere(self, word: SignedWord) -> bool:
-        return all(self.trace(c, word) == c for c in range(self.n))
+        """Does `word` = u^m trace from every coset back to it?  That is,
+        does every cycle of u have a length dividing m?  A walk along u
+        stops after m steps, so the check ends on any complete table."""
+        root, m = _power(_cols(word))
+        rows, seen = self.rows, bytearray(self.n)
+        for c in range(self.n):
+            if seen[c]:
+                continue
+            x, d = c, 0
+            while True:
+                for col in root:
+                    x = rows[x][col]
+                d += 1
+                if x == c:
+                    break
+                if d == m:
+                    return False
+                seen[x] = 1
+            if m % d:
+                return False
+        return True
 
 
 def todd_coxeter(presentation: Presentation, subgroup_words: Iterable[SignedWord] = (),
@@ -202,9 +291,12 @@ def todd_coxeter(presentation: Presentation, subgroup_words: Iterable[SignedWord
     rows = []
     for old in live:
         row = enum.table[old]
-        assert all(entry is not None for entry in row), "incomplete row after enumeration"
+        if None in row:
+            raise RuntimeError("incomplete row after enumeration")
         rows.append([renumber[enum.rep(entry)] for entry in row])  # type: ignore[arg-type]
-    table = CosetTable(presentation.generators, rows)
+    stats = EnumerationStats(len(enum.table), enum.coincidences, enum.peak_live)
+    table = CosetTable(presentation.generators, rows, stats)
     for rel in presentation.relators:
-        assert table.relator_closes_everywhere(rel), "relator fails to close"
+        if not table.relator_closes_everywhere(rel):
+            raise RuntimeError("relator fails to close")
     return table

@@ -10,8 +10,8 @@ orbits) the tree relations g_e = 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Mapping, Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
@@ -407,12 +407,17 @@ def collapses(cells: Sequence[Sequence[int]]) -> bool:
     """Can the 2-cells attached along these closed walks all be removed, one
     at a time, each through a free edge: an edge the cell walks exactly once
     and no other remaining cell walks at all?"""
-    uses = [Counter((min(a, b), max(a, b)) for a, b in zip(cell, cell[1:])) for cell in cells]
-    total: Counter = Counter()
+    uses: list[dict[tuple[int, int], int]] = []
+    total: dict[tuple[int, int], int] = {}
     users: dict[tuple[int, int], list[int]] = {}
-    for k, counts in enumerate(uses):
-        total.update(counts)
-        for e in counts:
+    for k, cell in enumerate(cells):
+        counts: dict[tuple[int, int], int] = {}
+        for a, b in zip(cell, cell[1:]):
+            e = (a, b) if a < b else (b, a)
+            counts[e] = counts.get(e, 0) + 1
+        uses.append(counts)
+        for e, n in counts.items():
+            total[e] = total.get(e, 0) + n
             users.setdefault(e, []).append(k)
     live = set(range(len(cells)))
     free = [e for e, n in total.items() if n == 1]
@@ -471,30 +476,62 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
             m ^= basis[m.bit_length() - 1]
         return m
 
-    candidates = []
+    # The fundamental cycle of a non-tree edge (u, w) at v walks the tree
+    # path to u, the edge and the tree path back from w, so its mask is
+    # pathmask[u] ^ bit(u, w) ^ pathmask[w]; walks are built only for the
+    # candidates that survive, and they are the walks of `fundamental_loops`.
+    candidates, trees = [], []
     for order, v in enumerate(sc.base_vertices):
-        for loop in fundamental_loops(ag, v):
-            m = mask(loop)
-            candidates.append((m.bit_count(), len(loop), order, loop, m))
-    candidates.sort()
+        tree = bfs_tree(v, lambda u: [(w, w) for w in ag.graph.neighbors(u)])
+        trees.append(tree)
+        depth, pathmask = {v: 0}, {v: 0}
+        for u, (p, _) in tree.items():  # each parent before its children
+            if u != v:
+                depth[u], pathmask[u] = depth[p] + 1, pathmask[p] ^ bit[p, u]
+        for u, w in edges:
+            if tree[u][0] != w and tree[w][0] != u:
+                m = pathmask[u] ^ bit[u, w] ^ pathmask[w]
+                candidates.append((m.bit_count(), depth[u] + depth[w] + 2, order, m, u, w))
+
+    def walk(order: int, u: int, w: int) -> tuple[int, ...]:
+        def up(x):  # the tree path from x to the base vertex
+            while x is not None:
+                yield x
+                x = trees[order][x][0]
+        return tuple([*up(u)][::-1] + [*up(w)])
+
+    # In the order (mask size, walk length, base vertex, walk), a repeated
+    # mask, or one the span already holds, is never kept: drop these before
+    # building walks, and sort the walks only within one (size, length, base).
+    candidates.sort(key=lambda c: c[:3])
+    seen: set[int] = set()
     picked, cells = [], []
-    for *_, loop, m in candidates:
+    for (_, _, order), group in groupby(candidates, key=lambda c: c[:3]):
         if len(basis) == rank:
             break
-        if not reduce(m):
-            continue
-        picked.append(loop)
-        cycle = list(loop)
-        while cycle[1] == cycle[-2]:
-            cycle = cycle[1:-1]
-        for p in ag.action:
-            translate = [p(x) for x in cycle]
-            m = reduce(mask(translate))
-            if m:
-                basis[m.bit_length() - 1] = m
-                cells.append(translate)
-                if len(basis) == rank:
-                    break
+        survivors = []
+        for *_, m, u, w in group:
+            if m not in seen:
+                seen.add(m)
+                if reduce(m):
+                    survivors.append((walk(order, u, w), m))
+        for loop, m in sorted(survivors):
+            if len(basis) == rank:
+                break
+            if not reduce(m):
+                continue
+            picked.append(loop)
+            cycle = list(loop)
+            while cycle[1] == cycle[-2]:
+                cycle = cycle[1:-1]
+            for p in ag.action:
+                translate = [p(x) for x in cycle]
+                m = reduce(mask(translate))
+                if m:
+                    basis[m.bit_length() - 1] = m
+                    cells.append(translate)
+                    if len(basis) == rank:
+                        break
     if len(cells) != rank or not collapses(cells):
         return None
     return tuple(picked)

@@ -19,6 +19,7 @@ from graphpres.graphs import ActionedGraph, Graph, find_inversion
 from graphpres.perms import Perm
 from graphpres.words import Presentation, evaluate_word_in_G
 
+from test_carriers import relabelled
 from test_pinned import ACTIONS, prism
 
 
@@ -339,6 +340,67 @@ def test_picked_loops_span_the_cycle_space_and_collapse(monkeypatch, name):
     assert inp.loops == pick_loops(inp.ag, inp.sc)
     assert all(loop[0] == loop[-1] and loop[0] in inp.sc.base_vertices for loop in inp.loops)
     assert cycle_space_rank(inp.ag, inp.loops) == len(graph.edges) - graph.vertex_count + 1
+
+
+# `pick_loops` as it was before it built candidate masks from tree-path masks
+# and dropped repeated or dependent masks before building walks: every
+# fundamental cycle at every base vertex is built, masked and sorted.
+
+def reference_pick_loops(ag, sc):
+    edges = sorted(ag.graph.edges)
+    bit = {}
+    for k, (u, w) in enumerate(edges):
+        bit[u, w] = bit[w, u] = 1 << k
+    rank = len(edges) - ag.graph.vertex_count + 1
+
+    def mask(walk):
+        m = 0
+        for step in zip(walk, walk[1:]):
+            m ^= bit[step]
+        return m
+
+    basis = {}
+
+    def reduce(m):
+        while m and m.bit_length() - 1 in basis:
+            m ^= basis[m.bit_length() - 1]
+        return m
+
+    candidates = []
+    for order, v in enumerate(sc.base_vertices):
+        for loop in fundamental_loops(ag, v):
+            m = mask(loop)
+            candidates.append((m.bit_count(), len(loop), order, loop, m))
+    candidates.sort()
+    picked, cells = [], []
+    for *_, loop, m in candidates:
+        if len(basis) == rank:
+            break
+        if not reduce(m):
+            continue
+        picked.append(loop)
+        cycle = list(loop)
+        while cycle[1] == cycle[-2]:
+            cycle = cycle[1:-1]
+        for p in ag.action:
+            translate = [p(x) for x in cycle]
+            m = reduce(mask(translate))
+            if m:
+                basis[m.bit_length() - 1] = m
+                cells.append(translate)
+                if len(basis) == rank:
+                    break
+    if len(cells) != rank or not collapses(cells):
+        return None
+    return tuple(picked)
+
+
+@pytest.mark.parametrize("name", list(PICKER_CASES))
+def test_picks_match_the_reference(rng, name):
+    for k in range(4):
+        data = PICKER_CASES[name] if k == 0 else relabelled(PICKER_CASES[name], rng)
+        inp = action_from_json(data, name)
+        assert pick_loops(inp.ag, inp.sc) == reference_pick_loops(inp.ag, inp.sc)
 
 
 def test_prism_picks_its_squares_and_one_ring():
