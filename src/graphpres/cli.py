@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,8 +22,8 @@ from .dot import export_cayley_dot, export_graph_dot
 from .graphs import ActionedGraph, Graph, degree_problem, validate_action
 from .perms import ClosureLimitError, Perm
 from .scaffold import Scaffolding, build_regular_scaffolding
-from .verify import (abelianization_smith, build_kozsul_model,
-                     check_covering_isomorphism, presentation_order_check)
+from .verify import (build_kozsul_model, check_covering_isomorphism,
+                     presentation_order_check)
 from .words import json_int
 
 EXIT_OK = 0
@@ -110,14 +109,21 @@ def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
     """The verification report and its exit code.
 
     The reconstruction comes first: its coset tables give the order check
-    the index its Lagrange bound needs.  When the reconstruction stops at
-    the limit, the order check enumerates the presented group in full, and
-    the stop is raised (exit 4) only after that check has passed.
+    the index its Lagrange bound needs.  A presentation with fewer relators
+    than generators has an infinite abelianization, so it gets no
+    reconstruction and the order check fails on the abelianization without
+    enumerating anything.  When the reconstruction stops at the limit, the
+    order check asks the abelianization and then enumerates the presented
+    group in full; the stop is raised (exit 4) only after that check has
+    passed.
     """
-    try:
-        model, stopped = build_kozsul_model(derived, ag, sc, limit=limit), None
-    except EnumerationLimitError as exc:
-        model, stopped = None, exc
+    pres = derived.presentation
+    model, stopped = None, None
+    if len(pres.relators) >= len(pres.generators):
+        try:
+            model = build_kozsul_model(derived, ag, sc, limit=limit)
+        except EnumerationLimitError as exc:
+            stopped = exc
     order = presentation_order_check(derived, ag, limit=limit, model=model)
     check = {"ok": order.ok, "enumerated": order.enumerated, "expected": order.expected,
              "detail": order.detail, "proof": order.proof}
@@ -126,22 +132,19 @@ def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
                      stabilizer_order=order.stabilizer_order)
     report = {"order_check": check}
     if not order.ok:
-        code = EXIT_VERIFY
-        if order.enumerated is None and order.onto:
-            # the limit stopped the check, unless the abelianization decides
-            # it: its order divides the presented group's, so when it is
-            # infinite or does not divide |G| the orders differ
-            factors = abelianization_smith(derived.presentation)
-            if 0 not in factors and order.expected % math.prod(factors) == 0:
-                code = EXIT_LIMIT
-        return report, code
+        # only the full enumeration stops without a verdict: the witnesses
+        # and the abelianization decided before it ran
+        limited = order.proof == "enumeration" and order.enumerated is None
+        return report, EXIT_LIMIT if limited else EXIT_VERIFY
     if model is None:
         raise stopped
     cover = check_covering_isomorphism(model, ag)
+    tables = {id(table): table for table in model.tables.values()}.values()
     report["reconstruction"] = {
         "ok": cover.ok, "vertices": cover.model_vertices, "edges": cover.model_edges,
         "graph_vertices": cover.graph_vertices, "graph_edges": cover.graph_edges,
-        "defect": cover.defect,
+        "defect": cover.defect, "cosets": sum(table.n for table in tables),
+        "cosets_defined": sum(table.stats.defined for table in tables),
     }
     return report, EXIT_OK if cover.ok else EXIT_VERIFY
 

@@ -36,6 +36,7 @@ Theory, ch. 5) gives, for these reasons:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, Perm, bfs_tree
@@ -210,6 +211,7 @@ class CosetTable:
         self.n = len(rows)
         self.stats = stats  # set on the tables `todd_coxeter` returns
         self._tree: dict | None = None
+        self._columns: list[list[int]] | None = None
 
     def step(self, coset: int, gen: int, sign: int = 1) -> int:
         return self.rows[coset][2 * gen + (0 if sign > 0 else 1)]
@@ -219,6 +221,12 @@ class CosetTable:
             coset = self.rows[coset][2 * g + (0 if s > 0 else 1)]
         return coset
 
+    def columns(self) -> list[list[int]]:
+        """Column x of the rows, the map c -> c x, for each column x."""
+        if self._columns is None:
+            self._columns = [list(col) for col in zip(*self.rows)]
+        return self._columns
+
     def tree(self) -> dict:
         """Breadth-first spanning tree from coset 0 over the steps (gen, +-1)."""
         if self._tree is None:
@@ -226,6 +234,14 @@ class CosetTable:
             letters = [(g, s) for g in range(len(self.gen_names)) for s in (1, -1)]
             self._tree = bfs_tree(0, lambda c: zip(letters, self.rows[c]))
         return self._tree
+
+    def carry(self, other: CosetTable, start: int) -> list[int]:
+        """Coset c = 0 d of this table goes to start d in `other`, for the
+        word d that spells c down this table's spanning tree."""
+        columns, image = other.columns(), [start] * self.n
+        for c, (parent, (g, s)) in islice(self.tree().items(), 1, None):
+            image[c] = columns[2 * g + (0 if s > 0 else 1)][image[parent]]
+        return image
 
     def regular_group(self) -> FiniteGroupTable:
         """The group acting on the cosets, as the closure of its generators.
@@ -251,26 +267,57 @@ class CosetTable:
 
     def relator_closes_everywhere(self, word: SignedWord) -> bool:
         """Does `word` = u^m trace from every coset back to it?  That is,
-        does every cycle of u have a length dividing m?  A walk along u
-        stops after m steps, so the check ends on any complete table."""
+        does every cycle of u have a length dividing m?  The map c -> c u is
+        composed from the columns of u's letters."""
         root, m = _power(_cols(word))
-        rows, seen = self.rows, bytearray(self.n)
+        columns, identity = self.columns(), list(range(self.n))
+        u = columns[root[0]] if root else identity
+        for col in root[1:]:
+            column = columns[col]
+            u = [column[c] for c in u]
+        if m == 1:
+            return u == identity
+        seen = bytearray(self.n)
         for c in range(self.n):
             if seen[c]:
                 continue
-            x, d = c, 0
-            while True:
-                for col in root:
-                    x = rows[x][col]
-                d += 1
-                if x == c:
-                    break
+            x, d = u[c], 1
+            while x != c:
                 if d == m:
                     return False
                 seen[x] = 1
+                x, d = u[x], d + 1
             if m % d:
                 return False
         return True
+
+
+def widen(table: CosetTable, presentation: Presentation,
+          pins: Sequence[tuple[int, int] | None]) -> CosetTable:
+    """A table of a Tietze-reduced presentation (`words.tietze_reduce`) as a
+    table over every generator of `presentation`.
+
+    Generator g pinned to the identity (`pins[g]` is None) fixes every
+    coset; one pinned to h^s acts as h^s, so its pair of columns is a copy
+    of h's, swapped when s = -1.  Every relator of `presentation` is then
+    checked to close at every coset (RuntimeError otherwise, as in
+    `todd_coxeter`).  The widened table keeps the reduced run's stats; a
+    table already over every generator is returned as it is.
+    """
+    if table.gen_names == presentation.generators:
+        return table
+    columns, identity = table.columns(), list(range(table.n))
+    # the columns of g^s: those of 1, or of h^(s t) for g = h^t
+    widened_columns = [identity if pin is None
+                       else columns[2 * pin[0] + (0 if s * pin[1] > 0 else 1)]
+                       for pin in pins for s in (1, -1)]
+    widened = CosetTable(presentation.generators,
+                         [list(row) for row in zip(*widened_columns)], table.stats)
+    widened._columns = widened_columns
+    for rel in presentation.relators:
+        if not widened.relator_closes_everywhere(rel):
+            raise RuntimeError("relator fails to close on the widened table")
+    return widened
 
 
 def todd_coxeter(presentation: Presentation, subgroup_words: Iterable[SignedWord] = (),

@@ -19,7 +19,7 @@ from .coset import todd_coxeter
 from .golden import GoldenQuat, ONE, quat_mul
 from .graphs import OrientedEdge, first_carriers
 from .perms import FiniteGroupTable, bfs_tree
-from .words import Presentation
+from .words import Presentation, inverse_word
 
 # the universal example: z := g^2 = r^-3 = (rg)^5, with no order imposed on z
 UNIVERSAL_GRZ = Presentation.from_strings(
@@ -52,7 +52,7 @@ def _w(*parts: Sequence[tuple[str, int]] | int) -> list[tuple[str, int]]:
             i += 1
         seq = list(part)  # type: ignore[arg-type]
         if n < 0:
-            seq = [(g, -s) for g, s in reversed(seq)]
+            seq = list(inverse_word(seq))
             n = -n
         out.extend(seq * n)
     return out

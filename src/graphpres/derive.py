@@ -20,7 +20,7 @@ from .graphs import ActionedGraph, OrientedEdge, find_inversion  # noqa: F401
 from .perms import FiniteGroupTable, bfs_tree, tree_words
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
-                    edge_loop_relation, edge_relation, free_reduce, json_int,
+                    edge_loop_relation, edge_relation, free_reduce, inverse_word, json_int,
                     least_rotation, loop_relation, rewrite_word_to_E1, tautological_relation)
 
 
@@ -252,7 +252,7 @@ def presentation_matches(derived: DerivedPresentation, target: Presentation,
 
 def _free_cyclic_form(letters: Sequence[tuple]) -> tuple:
     word = cyclic_reduce(letters)
-    return least_rotation(tuple(word), tuple((n, -s) for n, s in reversed(word)))
+    return least_rotation(tuple(word), inverse_word(word))
 
 
 class PatternMismatchError(ValueError):
@@ -311,7 +311,7 @@ def _maps_to_identity(pres: Presentation, src: CosetTable,
             if sign > 0:
                 word.extend(sub)
             else:
-                word.extend((g, -s) for g, s in reversed(sub))
+                word.extend(inverse_word(sub))
         if src.trace(0, word) != 0:
             return False
     return True
@@ -381,7 +381,7 @@ def schreier_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerD
     rels = {}
     for a, word in words.items():
         for name, g in names.items():
-            back = tuple((n, -s) for n, s in reversed(words[group.product(a, g)]))
+            back = inverse_word(words[group.product(a, g)])
             rel = tuple(free_reduce(word + ((name, 1),) + back))
             if rel:
                 rels.setdefault(_free_cyclic_form(rel), rel)

@@ -29,23 +29,47 @@ the trivial group, so the reconstruction's own table is the whole proof.
 
 When the bound does not decide -- the product exceeds |G|, Q_v does not
 close within `STABILIZER_COSET_LIMIT` cosets, or no reconstruction is given
--- the check enumerates Gamma over the trivial subgroup and compares the
-count with |G|.  So no verdict depends on which proof ran: the bound accepts
-only presentations with |Gamma| = |G|, which the full enumeration accepts
-too, and every other case goes to the full enumeration.
+-- the check asks the abelianization, a quotient of Gamma: when it is
+infinite or its order does not divide |G|, then |Gamma| != |G|.  Otherwise
+it enumerates Gamma over the trivial subgroup and compares the count with
+|G|.  So no verdict depends on which proof ran: the bound accepts only
+presentations with |Gamma| = |G|, which the full enumeration accepts too,
+and the abelianization rejects only presentations with |Gamma| != |G|.
+
+The reconstruction and the full enumeration run on the Tietze-reduced
+presentation (`words.tietze_reduce`): every generator that a relator of
+length one or two pins down (g = 1, or g = h^+-1) is substituted away, to
+a fixpoint.  This is sound for these reasons:
+
+- Each elimination is a Tietze move, so the reduced presentation presents
+  the same group Gamma, and the full enumeration counts |Gamma|.
+- A stabilizer word, rewritten through the eliminations and freely reduced,
+  is the same element of Gamma, so the reduced words generate the same
+  subgroup H_v.  The reduced table is the action of Gamma on the cosets of
+  H_v, with the index [Gamma : H_v] that the unreduced table has.  Free
+  reduction keeps the conjugating letters of a word u w u^-1, which a
+  cyclic reduction would drop, changing the subgroup.
+- `coset.widen` gives each eliminated generator the columns of the element
+  it equals (the identity, or h^+-1), so the widened table is the same
+  action of Gamma written over every generator.  The covering map and the
+  rebuilt edges read it as they read an unreduced table.  The code does
+  not rely on this argument alone: `widen` checks every original relator
+  at every coset of the widened table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .coset import CosetTable, EnumerationLimitError, todd_coxeter
+from .coset import CosetTable, EnumerationLimitError, todd_coxeter, widen
 from .derive import STABILIZER_COSET_LIMIT, DerivedPresentation, word_speller
 from .graphs import ActionedGraph
 from .perms import bfs_tree, tree_fold
 from .scaffold import Scaffolding
-from .words import EdgeLetter, Presentation, Word, rewrite_word_to_E1
+from .words import (EdgeLetter, Presentation, Word, inverse_word, rewrite_word_to_E1,
+                    tietze_reduce)
 
 
 @dataclass(frozen=True)
@@ -55,8 +79,9 @@ class OrderCheck:
     `enumerated` is the proven order, or the count a failed enumeration
     reached; it is None when nothing was counted (a limit, or no onto map).
     `onto` says that the relators are sound and the generators generate G.
-    `proof` is "lagrange" or "enumeration"; a Lagrange proof names its base
-    vertex, the index [Gamma : H_v] and the order of Q_v.
+    `proof` is "lagrange", "abelianization" (a failure that `detail`
+    explains) or "enumeration"; a Lagrange proof names its base vertex, the
+    index [Gamma : H_v] and the order of Q_v.
     """
 
     ok: bool
@@ -99,8 +124,9 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
     Fails, naming the witness, when the generators do not generate G or a
     relator does not evaluate to 1.  With a `model` (the reconstruction of
     the same presentation) it then tries the Lagrange bound at the base
-    vertex with the smallest stabilizer, and otherwise enumerates the whole
-    presented group; the module docstring has the argument.
+    vertex with the smallest stabilizer; otherwise it asks the
+    abelianization and then enumerates the whole presented group, reduced;
+    the module docstring has the argument.
     """
     group = ag.group
     pres = derived.presentation
@@ -130,8 +156,11 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
         if stabilizer_order is not None and index * stabilizer_order == group.order:
             return OrderCheck(True, group.order, group.order, True, proof="lagrange",
                               base_vertex=v, index=index, stabilizer_order=stabilizer_order)
+    ruled_out = _abelianization_rules_out(pres, group.order)
+    if ruled_out:
+        return OrderCheck(False, None, group.order, True, ruled_out, proof="abelianization")
     try:
-        table = todd_coxeter(pres, limit=limit)
+        table = todd_coxeter(tietze_reduce(pres).presentation, limit=limit)
     except EnumerationLimitError as exc:
         return OrderCheck(False, None, group.order, True,
                           f"enumeration exceeded {exc.limit} cosets", proof="enumeration")
@@ -140,13 +169,23 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
     return OrderCheck(ok, table.n, group.order, True, detail, proof="enumeration")
 
 
+def _subgroup_key(words: Iterable[tuple]) -> tuple:
+    """Words that generate the same subgroup as `words`: each one spelled
+    as itself or its inverse, whichever has its first letter positive
+    (positive letters win ties further on), with empty and repeated words
+    dropped."""
+    def spelling(w: tuple) -> tuple:
+        return min(w, inverse_word(w), key=lambda u: [(g, -s) for g, s in u])
+    return tuple(dict.fromkeys(spelling(w) for w in words if w))
+
+
 @dataclass
 class KozsulModel:
     """The graph rebuilt from the presented group, with its map back to X.
 
     Vertices are pairs (base vertex, coset) over the per-base-vertex coset
     tables of the presented group modulo the image of that stabilizer; base
-    vertices whose stabilizer generators are the same words share one table.
+    vertices whose Tietze-reduced stabilizer words agree share one table.
     """
 
     vertices: list[tuple[int, int]]
@@ -160,7 +199,9 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     """Rebuild the graph from the presented group.
 
     For each base vertex v the vertex set contributes the cosets of the
-    subgroup generated by v's stabilizer generators; each oriented edge e at
+    subgroup generated by v's stabilizer generators, enumerated over the
+    Tietze-reduced presentation and widened back (module docstring); each
+    oriented edge e at
     v contributes the orbit of an edge between coset(1) at v and
     coset(g_e^-1) at the base vertex of its far end, transported along the
     common right action of the presented group's generators.
@@ -171,14 +212,16 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     stab_gen_words: dict[int, list] = {v: [] for v in sc.base_vertices}
     for name, v in derived.stab_owners.items():
         stab_gen_words[v].append(((name_index[name], 1),))
-    # base vertices with equal subgroup words (none, for a free action) share
-    # one enumeration
+    # enumerate the Tietze-reduced presentation; base vertices with equal
+    # reduced subgroup words (none, for a free action) share one enumeration
+    reduction = tietze_reduce(pres)
     by_words: dict[tuple, CosetTable] = {}
     tables: dict[int, CosetTable] = {}
     for v in sc.base_vertices:
-        key = tuple(stab_gen_words[v])
+        key = _subgroup_key(map(reduction.word, stab_gen_words[v]))
         if key not in by_words:
-            by_words[key] = todd_coxeter(pres, stab_gen_words[v], limit=limit)
+            by_words[key] = widen(todd_coxeter(reduction.presentation, key, limit=limit),
+                                  pres, reduction.pins)
         tables[v] = by_words[key]
     spell = word_speller(group, sc.base_vertices, pres.generators, derived.gen_elements,
                          derived.stab_owners, derived.edge_gens)
@@ -209,13 +252,11 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
             w = sc.v_of[e]
             table_w = tables[w]
             ge = spell(rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc))
-            ge_inv = [(g, -s) for g, s in reversed(ge)]
-            start = table_w.trace(0, ge_inv)
+            start = table_w.trace(0, inverse_word(ge))
             # equivariant propagation: coset c at v maps to neighbor n(c) at w
-            n_of = tree_fold(table_v.tree(), start, lambda n, step: table_w.step(n, *step))
-            for c in range(table_v.n):
-                a, b = (v, c), (w, n_of[c])
-                edges.add((min(a, b), max(a, b)))
+            for c, n in enumerate(table_v.carry(table_w, start)):
+                a, b = (v, c), (w, n)
+                edges.add((a, b) if a < b else (b, a))
 
     return KozsulModel(vertices, edges, f, tables)
 
@@ -330,6 +371,25 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     while len(diag) < min(rows, cols):
         diag.append(0)
     return diag
+
+
+def _abelianization_rules_out(p: Presentation, order: int) -> str:
+    """Why the presented group cannot have `order` elements, read off its
+    abelianization, or "" when the abelianization allows it.
+
+    The abelianization is a quotient of the presented group, so its order
+    divides the group's: an infinite one (a zero invariant factor, as any
+    presentation with fewer relators than generators has) or one whose
+    order does not divide `order` rules the order out.
+    """
+    factors = [d for d in abelianization_smith(p) if d != 1]
+    name = " x ".join("Z" if d == 0 else f"Z/{d}" for d in factors)
+    if 0 in factors:
+        return f"the abelianization {name} is infinite"
+    if order % math.prod(factors):
+        return (f"the abelianization {name} has order {math.prod(factors)}, "
+                f"which does not divide {order}")
+    return ""
 
 
 def abelianization_smith(p: Presentation) -> list[int]:

@@ -148,6 +148,11 @@ def cyclic_reduce(letters: Iterable, merge=_cancel) -> list:
     return letters
 
 
+def inverse_word(word: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The inverse of a word of (generator, +-1) letters."""
+    return tuple((g, -s) for g, s in reversed(word))
+
+
 def least_rotation(*words: tuple) -> tuple:
     """The least rotation of any of the given words; () when all are empty."""
     return min((_least_rotation_of(w) for w in words if w), default=())
@@ -382,3 +387,112 @@ class Presentation:
         gens = list(data["generators"])
         rels = [[(name, json_int(sign)) for name, sign in rel] for rel in data["relators"]]
         return Presentation.from_strings(gens, rels)
+
+
+@dataclass(frozen=True)
+class TietzeReduction:
+    """A presentation with the generators that short relators pin down removed.
+
+    `pins[g]` says what original generator g became: (k, s) for generator k
+    of the reduced `presentation` raised to s, or None for the identity.
+    """
+
+    presentation: Presentation
+    pins: tuple[tuple[int, int] | None, ...]
+
+    def word(self, word: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        """`word` over the reduced generators, freely (never cyclically)
+        reduced, so that a subgroup word keeps its conjugating letters."""
+        out = []
+        for g, e in word:
+            pin = self.pins[g]
+            if pin is not None:
+                out.append((pin[0], pin[1] * e))
+        return tuple(free_reduce(out))
+
+
+def tietze_reduce(p: Presentation) -> TietzeReduction:
+    """Eliminate every generator that a relator pins down, to a fixpoint.
+
+    A relator that cyclically reduces to one letter g^+-1 says g = 1, and
+    one that reduces to two letters g^a h^b on distinct generators says
+    g = h^(-ab).  Each is a Tietze move: the larger of g and h (every
+    generator when pinned to 1) is substituted away, and the relator that
+    pinned it becomes empty and is dropped.  Substituting one letter for
+    another, or deleting it, never lengthens a relator.  Generators are
+    kept in a union-find forest with the sign of each one against its
+    parent.  Relators are rewritten shortest first, so most eliminations
+    happen before a long relator is first read, and a relator is rewritten
+    again only when a generator it names is eliminated later.  When nothing
+    is eliminated the presentation is returned as it is; otherwise the
+    reduced relators are cyclically reduced, and an empty one, or one that
+    repeats another or its inverse, is dropped.
+    """
+    n = len(p.generators)
+    one = n  # the root of the generators pinned to 1
+    parent, sign = list(range(n + 1)), [1] * (n + 1)
+
+    def find(g: int) -> tuple[int, int]:
+        path = []
+        while parent[g] != g:
+            path.append(g)
+            g = parent[g]
+        s = 1
+        for h in reversed(path):  # compress, carrying each sign to the root
+            s *= sign[h]
+            parent[h], sign[h] = g, s
+        return g, s
+
+    def substitute(rel: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """The relator over the roots, freely then cyclically reduced."""
+        out: list[tuple[int, int]] = []
+        for g, e in rel:
+            if parent[g] != g:
+                g, s = find(g)
+                if g == one:
+                    continue
+                e *= s
+            out.append((g, e))
+        return cyclic_reduce(out)
+
+    rels: list[Sequence[tuple[int, int]]] = list(p.relators)
+    uses: list[list[int]] = [[] for _ in range(n)]  # per root: the relators naming it
+    for k, rel in enumerate(rels):
+        for g in {g for g, _ in rel}:
+            uses[g].append(k)
+    # a relator waits in the queue at most once
+    queue = sorted(range(len(rels)), key=lambda k: len(rels[k]))
+    pending, eliminated = [True] * len(rels), 0
+    for k in queue:  # grows while it is read
+        pending[k] = False
+        rel = rels[k] = substitute(rels[k])
+        if len(rel) == 1:
+            gone = rel[0][0]
+            parent[gone] = one
+        elif len(rel) == 2 and rel[0][0] != rel[1][0]:
+            (a, x), (b, y) = rel
+            keep, gone = min(a, b), max(a, b)
+            parent[gone], sign[gone] = keep, -x * y
+            uses[keep].extend(uses[gone])
+        else:
+            continue
+        eliminated += 1
+        for j in uses[gone]:
+            if not pending[j]:
+                pending[j] = True
+                queue.append(j)
+    if not eliminated:
+        return TietzeReduction(p, tuple((g, 1) for g in range(n)))
+    survivors = [g for g in range(n) if parent[g] == g]
+    index = {g: k for k, g in enumerate(survivors)}
+    relators: dict[tuple, tuple] = {}  # the word or its inverse -> first spelling
+    for rel in rels:
+        if rel:
+            word = tuple((index[g], s) for g, s in rel)
+            relators.setdefault(min(word, inverse_word(word)), word)
+    pins = []
+    for g in range(n):
+        r, s = find(g)
+        pins.append(None if r == one else (index[r], s))
+    return TietzeReduction(Presentation(tuple(p.generators[g] for g in survivors),
+                                        tuple(relators.values())), tuple(pins))

@@ -380,3 +380,69 @@ def test_order_check_names_its_witness(tmp_path, capsys, element, detail):
     assert code == 3
     check = json.loads(out)["order_check"]
     assert not check["ok"] and check["detail"] == detail
+
+
+def recording_enumerations(monkeypatch):
+    """Record every coset enumeration of the verifier: (subgroup words, the
+    limit error it raised or None)."""
+    import graphpres.verify
+    from graphpres.coset import EnumerationLimitError, todd_coxeter
+    calls = []
+
+    def spy(presentation, subgroup_words=(), limit=1_000_000):
+        subgroup_words = [list(w) for w in subgroup_words]
+        try:
+            table = todd_coxeter(presentation, subgroup_words, limit=limit)
+        except EnumerationLimitError as exc:
+            calls.append((subgroup_words, exc))
+            raise
+        calls.append((subgroup_words, None))
+        return table
+
+    for module in (graphpres.verify, graphpres.derive):
+        monkeypatch.setattr(module, "todd_coxeter", spy)
+    return calls
+
+
+def test_fewer_relators_than_generators_exits_3_on_the_abelianization(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the triangle under C3 with the backtracking loop 0-1-0 presents <g[0] | >
+    import time
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                                "generators": {"r": [1, 2, 0]}, "loops": [[0, 1, 0]]}))
+    calls = recording_enumerations(monkeypatch)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "derive", "--action", str(path), "--verify", "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    report = json.loads(out)
+    assert report["relator_count"] == 0 and report["generators"] == ["g[0]"]
+    check = report["order_check"]
+    assert (check["ok"], check["proof"], check["enumerated"]) == (False, "abelianization", None)
+    assert check["detail"] == "the abelianization Z is infinite"
+    assert "reconstruction" not in report
+    assert all(exc is None for _, exc in calls)
+
+
+def test_abelianization_is_asked_before_the_full_enumeration(tmp_path, capsys, monkeypatch):
+    # m^2, g^2 and m^2 again in place of (g^-1 m)^5: sound, generating, and
+    # the free product Z/2 * Z/2, so the reconstruction stops at the limit
+    # and the abelianization (order 4, not dividing 10) decides
+    code, _, _ = run(capsys, "derive", "--builtin", "dihedral:5", "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "dihedral_5.presentation.json"
+    data = json.loads(path.read_text())
+    assert data["relators"][0] == [["m", 1], ["m", 1]] and len(data["relators"]) == 3
+    data["relators"][2] = data["relators"][0]
+    path.write_text(json.dumps(data))
+    calls = recording_enumerations(monkeypatch)
+    code, out, _ = run(capsys, "verify", str(path), "--builtin", "dihedral:5", "--limit", "2000")
+    assert code == 3
+    check = json.loads(out)["order_check"]
+    assert check["proof"] == "abelianization"
+    assert check["detail"] == ("the abelianization Z/2 x Z/2 has order 4, "
+                               "which does not divide 10")
+    # only the reconstruction ran, over the stabilizer's words, and stopped
+    assert calls and all(words for words, _ in calls)
+    assert calls[-1][1] is not None
