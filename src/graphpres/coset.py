@@ -36,7 +36,6 @@ Theory, ch. 5) gives, for these reasons:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, Perm, bfs_tree
@@ -234,14 +233,6 @@ class CosetTable:
             letters = [(g, s) for g in range(len(self.gen_names)) for s in (1, -1)]
             self._tree = bfs_tree(0, lambda c: zip(letters, self.rows[c]))
         return self._tree
-
-    def carry(self, other: CosetTable, start: int) -> list[int]:
-        """Coset c = 0 d of this table goes to start d in `other`, for the
-        word d that spells c down this table's spanning tree."""
-        columns, image = other.columns(), [start] * self.n
-        for c, (parent, (g, s)) in islice(self.tree().items(), 1, None):
-            image[c] = columns[2 * g + (0 if s > 0 else 1)][image[parent]]
-        return image
 
     def regular_group(self) -> FiniteGroupTable:
         """The group acting on the cosets, as the closure of its generators.

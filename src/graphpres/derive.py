@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
@@ -110,36 +110,6 @@ class DerivedPresentation:
         return self.presentation.rename(self.suggested_renaming)
 
 
-def word_speller(group: FiniteGroupTable, base_vertices: Sequence[int],
-                 generators: Sequence[str], gen_elements: Mapping[str, int],
-                 stab_owners: Mapping[str, int], edge_gens: Mapping[str, OrientedEdge]
-                 ) -> Callable[[Word], tuple[tuple[int, int], ...]]:
-    """Spell free-product words over the named generators, as (generator
-    index, +-1) letters.
-
-    An edge letter becomes its edge generator; a stabilizer letter becomes a
-    geodesic word over the generators its base vertex owns.
-    """
-    name_index = {name: i for i, name in enumerate(generators)}
-    edge_index = {e: name_index[name] for name, e in edge_gens.items()}
-    owned: dict[int, dict[str, int]] = {v: {} for v in base_vertices}
-    for name, v in stab_owners.items():
-        owned[v][name] = gen_elements[name]
-    stab_words = {v: group.words(gens) for v, gens in owned.items()}
-
-    def spell(word: Word) -> tuple[tuple[int, int], ...]:
-        out: list[tuple[int, int]] = []
-        for letter in word.letters:
-            if isinstance(letter, EdgeLetter):
-                out.append((edge_index[letter.edge], letter.sign))
-            else:
-                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
-                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][elem])
-        return tuple(out)
-
-    return spell
-
-
 def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
     """Validate a derivation input and run the pipeline on it; deterministic
     output order."""
@@ -165,9 +135,25 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
         edge_gens[name] = e
         gen_elements[name] = sc.s[e]
 
+    # free-product words spelled as (generator index, +-1) letters: an edge
+    # letter becomes its edge generator, a stabilizer letter a geodesic word
+    # over the generators its base vertex owns
+    group = ag.group
     name_index = {name: i for i, name in enumerate(gen_names)}
-    word_to_relator = word_speller(ag.group, sc.base_vertices, gen_names, gen_elements,
-                                   stab_owners, edge_gens)
+    edge_index = {e: name_index[name] for name, e in edge_gens.items()}
+    stab_words = {v: group.words({name: gen_elements[name]
+                                  for name in inp.stabilizers[v].presentation.generators})
+                  for v in sc.base_vertices}
+
+    def spell(word: Word) -> tuple[tuple[int, int], ...]:
+        out: list[tuple[int, int]] = []
+        for letter in word.letters:
+            if isinstance(letter, EdgeLetter):
+                out.append((edge_index[letter.edge], letter.sign))
+            else:
+                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
+                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][elem])
+        return tuple(out)
 
     # free cyclic form -> the first relator with it; a later one is a conjugate
     # of it or of its inverse, so dropping it leaves the normal closure unchanged
@@ -180,7 +166,7 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
 
     def add(word: Word, family: str) -> None:
         reduced = rewrite_word_to_E1(word, ag, sc).free_reduce(ag)
-        emit(word_to_relator(reduced), reduced, family)
+        emit(spell(reduced), reduced, family)
 
     for v in sc.base_vertices:
         data = inp.stabilizers[v]
@@ -188,7 +174,6 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
             emit(tuple((name_index[data.presentation.generators[i]], s) for i, s in rel),
                  Word(StabLetter(v, data.gen_elements[data.presentation.generators[i]], s)
                       for i, s in rel), "stabilizer")
-    pair_set = set(sc.pair_reps)
     for e in sc.pair_reps:
         for t in inp.subgroup_gens.get(e, ()):
             add(edge_relation(e, t, ag, sc), "edge")
@@ -198,7 +183,7 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
     for loop in inp.loops:
         add(loop_relation(loop, ag, sc), "loop")
     for e in sc.oriented_tree_edges():
-        if e in pair_set:
+        if e <= sc.iota[e]:  # the rule `pair_reps` is built by
             add(tautological_relation(e, sc), "tree")
 
     families = {"stabilizer": 0, "edge": 0, "edge_loop": 0, "loop": 0, "tree": 0}
@@ -458,10 +443,12 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
     then give a presentation of G before any verification runs.
     """
     edges = sorted(ag.graph.edges)
+    rank = len(edges) - ag.graph.vertex_count + 1
+    if rank == 0:  # a tree: no cycle to fill
+        return ()
     bit = {}  # each edge, in both orientations -> its bit
     for k, (u, w) in enumerate(edges):
         bit[u, w] = bit[w, u] = 1 << k
-    rank = len(edges) - ag.graph.vertex_count + 1
 
     def mask(walk: Sequence[int]) -> int:
         m = 0

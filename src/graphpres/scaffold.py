@@ -10,6 +10,7 @@ conditions (i)-(iv) checked by `validate_regularity`.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from .graphs import (ActionedGraph, OrientedEdge, edge_orbits_at, find_inversion,
                      first_carriers, orbit_of_vertex, vertex_orbits)
@@ -32,19 +33,12 @@ class Scaffolding:
     def all_reps(self) -> tuple[OrientedEdge, ...]:
         return tuple(e for v in self.base_vertices for e in self.edge_reps[v])
 
-    @property
-    def edges(self) -> tuple[OrientedEdge, ...]:
-        return tuple(sorted(self.s))
-
     def oriented_tree_edges(self) -> tuple[OrientedEdge, ...]:
         out = []
         for u, w in self.tree_edges:
             out.append(OrientedEdge(u, w))
             out.append(OrientedEdge(w, u))
         return tuple(sorted(out))
-
-    def is_tree_edge(self, e: OrientedEdge) -> bool:
-        return (min(e), max(e)) in {(min(t), max(t)) for t in self.tree_edges}
 
 
 def scaffolding_to_json(sc: Scaffolding) -> dict:
@@ -73,7 +67,9 @@ def build_spanning_tree(ag: ActionedGraph) -> tuple[tuple[int, ...], tuple[tuple
 
     Deterministic: starts at vertex 0 and always adds the least available
     (tree vertex, new neighbor) edge whose far end lies in an orbit not yet
-    represented.  For a transitive action this is the single vertex 0.
+    represented.  For a transitive action this is the single vertex 0.  The
+    candidates wait in one heap, each vertex's listed when it joins; one
+    whose far orbit got covered since is dropped when it comes up.
     """
     if not ag.graph.is_connected():
         raise DisconnectedGraphError("graph must be connected")
@@ -83,15 +79,19 @@ def build_spanning_tree(ag: ActionedGraph) -> tuple[tuple[int, ...], tuple[tuple
     tree_vertices = [0]
     covered = {orbits[0]}
     tree_edges: list[tuple[int, int]] = []
+    frontier = [(0, w) for w in ag.graph.neighbors(0)]
+    heapq.heapify(frontier)
     while len(covered) < n_orbits:
-        candidates = [(u, w) for u in tree_vertices
-                      for w in ag.graph.neighbors(u) if orbits[w] not in covered]
-        if not candidates:
+        if not frontier:
             raise RuntimeError("no extension found; action data is inconsistent")
-        u, w = min(candidates)
+        u, w = heapq.heappop(frontier)
+        if orbits[w] in covered:
+            continue
         tree_vertices.append(w)
         tree_edges.append((u, w))
         covered.add(orbits[w])
+        for x in ag.graph.neighbors(w):
+            heapq.heappush(frontier, (w, x))
     return tuple(sorted(tree_vertices)), tuple(sorted(tree_edges))
 
 
@@ -141,8 +141,11 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
         iota[partner] = rep
 
     pair_reps = tuple(sorted(e for e in iota if e <= iota[e]))
-    edge_reps = {v: tuple(sorted(e for e in rep_of.values() if e.origin == v))
-                 for v in base_vertices}
+    # every representative starts at a base vertex
+    by_origin: dict[int, list[OrientedEdge]] = {v: [] for v in base_vertices}
+    for e in rep_of.values():
+        by_origin[e.origin].append(e)
+    edge_reps = {v: tuple(sorted(reps)) for v, reps in by_origin.items()}
 
     # transversals and propagation of s over each orbit: conjugation when the
     # far endpoint shares the origin's orbit (then u fixes the base vertex),

@@ -1,8 +1,8 @@
 """Independent checks of a derived presentation against its source action.
 
-Order comparison, reconstruction of the graph from the presented group (with
-the covering map onto the original graph), and integer abelianization via
-the Smith normal form.
+Order comparison, reconstruction of the graph from the presented group (one
+orbit of edges per edge generator, with the covering map onto the original
+graph), and integer abelianization via the Smith normal form.
 
 The order check proves |Gamma| = |G| for the presented group Gamma and the
 acting group G, by Lagrange's theorem where it can (the coset-table index
@@ -51,10 +51,10 @@ a fixpoint.  This is sound for these reasons:
   cyclic reduction would drop, changing the subgroup.
 - `coset.widen` gives each eliminated generator the columns of the element
   it equals (the identity, or h^+-1), so the widened table is the same
-  action of Gamma written over every generator.  The covering map and the
-  rebuilt edges read it as they read an unreduced table.  The code does
-  not rely on this argument alone: `widen` checks every original relator
-  at every coset of the widened table.
+  action of Gamma written over every generator.  The covering map reads it
+  as it reads an unreduced table; the edges walk the reduced columns
+  (`build_kozsul_model`).  The code does not rely on this argument alone:
+  `widen` checks every original relator at every coset of the widened table.
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter, widen
-from .derive import STABILIZER_COSET_LIMIT, DerivedPresentation, word_speller
+from .derive import STABILIZER_COSET_LIMIT, DerivedPresentation
 from .graphs import ActionedGraph
 from .perms import bfs_tree, tree_fold
 from .scaffold import Scaffolding
-from .words import (EdgeLetter, Presentation, Word, inverse_word, rewrite_word_to_E1,
-                    tietze_reduce)
+from .words import Presentation, inverse_word, tietze_reduce
 
 
 @dataclass(frozen=True)
@@ -196,15 +195,33 @@ class KozsulModel:
 
 def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaffolding,
                        limit: int = 1_000_000) -> KozsulModel:
-    """Rebuild the graph from the presented group.
+    """Rebuild the graph from the presented group Gamma.
 
-    For each base vertex v the vertex set contributes the cosets of the
-    subgroup generated by v's stabilizer generators, enumerated over the
-    Tietze-reduced presentation and widened back (module docstring); each
-    oriented edge e at
-    v contributes the orbit of an edge between coset(1) at v and
-    coset(g_e^-1) at the base vertex of its far end, transported along the
-    common right action of the presented group's generators.
+    Each base vertex v contributes the cosets of H_v, the subgroup its
+    stabilizer generators generate, enumerated over the Tietze-reduced
+    presentation and widened back (module docstring).  Each edge generator
+    g_e, for the pairing representative e from v to the base vertex w of its
+    far end, contributes the Gamma-orbit of the edge between coset 0 at v
+    and coset g_e^-1 at w.  These are all the edges:
+
+    - An oriented edge u(e0) at v, with e0 a representative and u in G_v,
+      has g_{u(e0)} = u g_{e0} k^-1 with u in H_v and k in H_w.  Its edge
+      (0, 0 k g_{e0}^-1 u^-1) is the image of e0's edge under u^-1, which
+      fixes coset 0 at v, so it lies in e0's orbit.
+    - A representative outside the pairing set has g_{e0} = g_{e1}^-1 for
+      its partner e1, which runs from w back to v, so it gives e1's orbit
+      reversed.
+    - The forward columns of the reduced tables generate Gamma's action on
+      the cosets: both tables enumerate the same reduced presentation, the
+      widened columns only repeat them, and an inverse column is a power of
+      its forward one, the cosets being finitely many.  So the walk does not
+      grow with the number of eliminated generators.
+    - Conversely, an element of H_v that fixes e0 in X conjugates by
+      g_{e0} into H_w once Gamma = G, so it fixes e0's edge, and the orbit
+      holds just the edges of e0's orbit in X.  The covering check runs
+      only after the order check has proved Gamma = G, so every relation
+      of G holds in Gamma, and a stored presentation gets the same edge set
+      as a derived one.
     """
     pres = derived.presentation
     group = ag.group
@@ -215,16 +232,15 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     # enumerate the Tietze-reduced presentation; base vertices with equal
     # reduced subgroup words (none, for a free action) share one enumeration
     reduction = tietze_reduce(pres)
-    by_words: dict[tuple, CosetTable] = {}
+    by_words: dict[tuple, tuple[CosetTable, CosetTable]] = {}
+    reduced: dict[int, CosetTable] = {}
     tables: dict[int, CosetTable] = {}
     for v in sc.base_vertices:
         key = _subgroup_key(map(reduction.word, stab_gen_words[v]))
         if key not in by_words:
-            by_words[key] = widen(todd_coxeter(reduction.presentation, key, limit=limit),
-                                  pres, reduction.pins)
-        tables[v] = by_words[key]
-    spell = word_speller(group, sc.base_vertices, pres.generators, derived.gen_elements,
-                         derived.stab_owners, derived.edge_gens)
+            table = todd_coxeter(reduction.presentation, key, limit=limit)
+            by_words[key] = table, widen(table, pres, reduction.pins)
+        reduced[v], tables[v] = by_words[key]
     # the element each letter (generator index, +-1) evaluates to
     letter_element = {(i, s): elem if s > 0 else group.inverse(elem)
                       for i, elem in enumerate(derived.gen_elements[n] for n in pres.generators)
@@ -242,21 +258,16 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
         for c in range(tables[v].n):
             f[(v, c)] = ag.apply(group.inverse(carried[c]), v)
 
-    # edges: gG_v adjacent to g g_e G_w translates, on right cosets, to
-    # (v, G_v d) ~ (w, G_w g_e^-1 d); propagate the base edge along words
-    for v in sc.base_vertices:
-        table_v = tables[v]
-        for e in sorted(sc.s):
-            if e.origin != v:
-                continue
-            w = sc.v_of[e]
-            table_w = tables[w]
-            ge = spell(rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc))
-            start = table_w.trace(0, inverse_word(ge))
-            # equivariant propagation: coset c at v maps to neighbor n(c) at w
-            for c, n in enumerate(table_v.carry(table_w, start)):
-                a, b = (v, c), (w, n)
-                edges.add((a, b) if a < b else (b, a))
+    # edges: the orbit of (coset 0 at v, coset g_e^-1 at w) per edge generator
+    for name, e in derived.edge_gens.items():
+        v, w = e.origin, sc.v_of[e]
+        columns = list(zip(reduced[v].columns()[::2], reduced[w].columns()[::2]))
+        start = (0, tables[w].step(0, name_index[name], -1))
+        orbit = bfs_tree(start, lambda pair: ((None, (cv[pair[0]], cw[pair[1]]))
+                                              for cv, cw in columns))
+        for c, d in orbit:
+            a, b = (v, c), (w, d)
+            edges.add((a, b) if a < b else (b, a))
 
     return KozsulModel(vertices, edges, f, tables)
 

@@ -296,8 +296,6 @@ def edge_loop_relation(e: OrientedEdge, ag: ActionedGraph, sc: Scaffolding) -> W
 
 def tautological_relation(e: OrientedEdge, sc: Scaffolding) -> Word:
     """Relator g_e for an oriented tree edge (whose s is the identity)."""
-    if not sc.is_tree_edge(e):
-        raise ValueError(f"{e} is not a tree edge")
     return Word([EdgeLetter(e, 1)])
 
 
@@ -312,20 +310,19 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
     unchanged.
     """
     group = ag.group
-    keep = set(sc.pair_reps)
     out: list[Letter] = []
     for letter in word.letters:
         if isinstance(letter, StabLetter):
             out.append(letter)
             continue
         e0, u = sc.rep_decomposition[letter.edge]
-        if e0 in keep:
+        e1 = sc.iota[e0]
+        if e0 <= e1:  # the rule `pair_reps` is built by
             core = EdgeLetter(e0, 1)
-        else:
-            e1 = sc.iota[e0]
-            if e1 not in keep:
-                raise ValueError("pairing representatives are inconsistent")
+        elif sc.iota[e1] == e0:
             core = EdgeLetter(e1, -1)
+        else:
+            raise ValueError("pairing representatives are inconsistent")
         if u == 0:
             expansion = [core]
         else:

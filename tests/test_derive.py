@@ -21,6 +21,7 @@ from graphpres.words import Presentation, evaluate_word_in_G
 
 from test_carriers import relabelled
 from test_pinned import ACTIONS, prism
+from test_verify import trivial_grid
 
 
 def square_action(loops=None):
@@ -451,3 +452,28 @@ def test_given_loops_pass_through_unchanged(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["loops"] == "given"
     assert main(["derive", "--builtin", "dihedral:5", "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["loops"] == "given"
+
+
+def neighbor_calls(monkeypatch, data: dict) -> int:
+    """`Graph.neighbors` calls made while deriving a presentation of `data`."""
+    calls = 0
+    neighbors = Graph.neighbors
+
+    def counted(graph, v):
+        nonlocal calls
+        calls += 1
+        return neighbors(graph, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(Graph, "neighbors", counted)
+        derive_presentation(action_from_json(data))
+    return calls
+
+
+def test_many_vertex_orbits_cost_linear_neighbor_calls(monkeypatch):
+    # the trivial group on a path: every vertex is a base vertex and the
+    # cycle space is 0, so the scaffolding lists each vertex's neighbors once
+    # and `pick_loops` none
+    small = neighbor_calls(monkeypatch, trivial_grid(1, 500))
+    large = neighbor_calls(monkeypatch, trivial_grid(1, 2000))
+    assert 0 < small and large <= 5 * small

@@ -2,14 +2,17 @@ import math
 
 import pytest
 
+import graphpres.cli
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
-                                simplex_action)
-from graphpres.cli import action_from_json
+                                load_builtin, simplex_action)
+from graphpres.cli import _verification_report, action_from_json
 from graphpres.derive import derive_presentation
-from graphpres.verify import (abelianization_smith, build_kozsul_model,
+from graphpres.verify import (KozsulModel, abelianization_smith, build_kozsul_model,
                               check_covering_isomorphism,
                               presentation_order_check, smith_normal_form)
-from graphpres.words import Presentation
+from graphpres.words import EdgeLetter, Presentation, Word, inverse_word, rewrite_word_to_E1
+from test_pinned import ACTIONS, prism
+from test_tietze import relabelled
 
 
 def test_order_check_simplex_factorials():
@@ -113,6 +116,104 @@ def test_covering_reports_local_defect():
     report = check_covering_isomorphism(broken, inp.ag)
     assert not report.ok
     assert report.defect == "neighborhood does not map bijectively"
+
+
+# the edges as they were built before one orbit per edge generator: every
+# oriented edge at every base vertex, spelled over the generators and carried
+# down the coset table's spanning tree
+
+def reference_edges(derived, ag, sc, tables):
+    group, pres = ag.group, derived.presentation
+    name_index = {n: i for i, n in enumerate(pres.generators)}
+    edge_index = {e: name_index[name] for name, e in derived.edge_gens.items()}
+    owned = {v: {} for v in sc.base_vertices}
+    for name, v in derived.stab_owners.items():
+        owned[v][name] = derived.gen_elements[name]
+    stab_words = {v: group.words(gens) for v, gens in owned.items()}
+
+    def spell(word):
+        out = []
+        for letter in word.letters:
+            if isinstance(letter, EdgeLetter):
+                out.append((edge_index[letter.edge], letter.sign))
+            else:
+                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
+                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][elem])
+        return tuple(out)
+
+    def carry(table, other, start):
+        image = {}
+        for c, (parent, step) in table.tree().items():
+            image[c] = start if parent is None else other.step(image[parent], *step)
+        return image
+
+    edges = set()
+    for v in sc.base_vertices:
+        for e in sorted(sc.s):
+            if e.origin != v:
+                continue
+            w = sc.v_of[e]
+            ge = spell(rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc))
+            start = tables[w].trace(0, inverse_word(ge))
+            for c, n in carry(tables[v], tables[w], start).items():
+                a, b = (v, c), (w, n)
+                edges.add((a, b) if a < b else (b, a))
+    return edges
+
+
+def reference_kozsul_model(derived, ag, sc, limit=1_000_000):
+    model = build_kozsul_model(derived, ag, sc, limit)
+    return KozsulModel(model.vertices, reference_edges(derived, ag, sc, model.tables),
+                       model.f, model.tables)
+
+
+def trivial_grid(rows: int, cols: int) -> dict:
+    """The trivial group on a rows x cols grid (a path when rows is 1)."""
+    def vid(i, j):
+        return i * cols + j
+
+    edges = [[vid(i, j), vid(i, j + 1)] for i in range(rows) for j in range(cols - 1)]
+    edges += [[vid(i, j), vid(i + 1, j)] for i in range(rows - 1) for j in range(cols)]
+    return {"vertices": rows * cols, "edges": edges,
+            "generators": {"e": list(range(rows * cols))}}
+
+
+def antiprism(n: int) -> dict:
+    """The n-gonal antiprism under rotation: two vertex orbits, joined by the
+    tree's orbit of rungs and by a second orbit, of diagonals, whose edge
+    generator is not pinned to 1."""
+    ring = [[i, (i + 1) % n] for i in range(n)]
+    edges = ring + [[n + a, n + b] for a, b in ring]
+    edges += [[i, n + i] for i in range(n)] + [[i, n + (i + 1) % n] for i in range(n)]
+    rotate = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
+    return {"vertices": 2 * n, "edges": edges, "generators": {"r": rotate}}
+
+
+CROSS_CHECK_BUILTINS = ["simplex:3", "simplex:4", "simplex:5", "simplex:6", "simplex:7",
+                        "dihedral:3", "dihedral:5", "dihedral:50", "dodecahedron",
+                        "binary-icosahedral"]
+CROSS_CHECK_FILES = {
+    **ACTIONS,
+    **{f"prism-{n}x{k}-dihedral-{seed}": relabelled(prism(n, k, True), seed)
+       for n, k in [(30, 4), (7, 3)] for seed in (1, 2, 3)},
+    "trivial-grid-5x5": trivial_grid(5, 5),
+    "antiprism-5": antiprism(5),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_BUILTINS + list(CROSS_CHECK_FILES))
+def test_edge_orbits_match_the_per_edge_reference(monkeypatch, name):
+    if name in CROSS_CHECK_FILES:
+        inp = action_from_json(CROSS_CHECK_FILES[name], name)
+    else:
+        inp = load_builtin(name)
+    derived = derive_presentation(inp)
+    model = build_kozsul_model(derived, inp.ag, inp.sc)
+    assert model.edges == reference_edges(derived, inp.ag, inp.sc, model.tables)
+    report = _verification_report(derived, inp.ag, inp.sc, 1_000_000)
+    assert report[0]["reconstruction"]["ok"]
+    monkeypatch.setattr(graphpres.cli, "build_kozsul_model", reference_kozsul_model)
+    assert _verification_report(derived, inp.ag, inp.sc, 1_000_000) == report
 
 
 def test_smith_normal_form_golden_cases():
