@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import builtins as builtin_actions
-from .coset import EnumerationLimitError
+from .coset import COSET_LIMIT, EnumerationLimitError
 from .coxeter import coxeter_implication_check
 from .derive import (DerivationInput, DerivationInputError, DerivedPresentation,
                      auto_derivation_input, derive_presentation,
@@ -321,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--verify", action="store_true",
                    help="enumerate and reconstruct the graph afterwards")
-    p.add_argument("--limit", type=positive_int, default=1_000_000)
+    p.add_argument("--limit", type=positive_int, default=COSET_LIMIT)
     p.set_defaults(func=cmd_derive)
 
     p = subs.add_parser("verify", help="verify a stored presentation against an action")
     p.add_argument("presentation", help="presentation JSON file")
     _add_source(p)
-    p.add_argument("--limit", type=positive_int, default=1_000_000)
+    p.add_argument("--limit", type=positive_int, default=COSET_LIMIT)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("coxeter-check", help="run the double-cover implication checks")

@@ -42,6 +42,9 @@ from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, Per
 from .words import Presentation
 
 COSET_LIMIT = 1_000_000
+# cosets a vertex-stabilizer presentation may define before it counts as not
+# closing
+STABILIZER_COSET_LIMIT = 100_000
 
 SignedWord = Sequence[tuple[int, int]]  # (generator index, +-1)
 
@@ -281,34 +284,6 @@ class CosetTable:
             if m % d:
                 return False
         return True
-
-
-def widen(table: CosetTable, presentation: Presentation,
-          pins: Sequence[tuple[int, int] | None]) -> CosetTable:
-    """A table of a Tietze-reduced presentation (`words.tietze_reduce`) as a
-    table over every generator of `presentation`.
-
-    Generator g pinned to the identity (`pins[g]` is None) fixes every
-    coset; one pinned to h^s acts as h^s, so its pair of columns is a copy
-    of h's, swapped when s = -1.  Every relator of `presentation` is then
-    checked to close at every coset (RuntimeError otherwise, as in
-    `todd_coxeter`).  The widened table keeps the reduced run's stats; a
-    table already over every generator is returned as it is.
-    """
-    if table.gen_names == presentation.generators:
-        return table
-    columns, identity = table.columns(), list(range(table.n))
-    # the columns of g^s: those of 1, or of h^(s t) for g = h^t
-    widened_columns = [identity if pin is None
-                       else columns[2 * pin[0] + (0 if s * pin[1] > 0 else 1)]
-                       for pin in pins for s in (1, -1)]
-    widened = CosetTable(presentation.generators,
-                         [list(row) for row in zip(*widened_columns)], table.stats)
-    widened._columns = widened_columns
-    for rel in presentation.relators:
-        if not widened.relator_closes_everywhere(rel):
-            raise RuntimeError("relator fails to close on the widened table")
-    return widened
 
 
 def todd_coxeter(presentation: Presentation, subgroup_words: Iterable[SignedWord] = (),

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Mapping, Sequence
 
-from .coset import CosetTable, EnumerationLimitError, todd_coxeter
+from .coset import STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
 from .graphs import ActionedGraph, OrientedEdge, find_inversion  # noqa: F401
-from .perms import FiniteGroupTable, bfs_tree, tree_words
+from .perms import FiniteGroupTable, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
                     edge_loop_relation, edge_relation, free_reduce, inverse_word, json_int,
@@ -50,11 +50,6 @@ class DerivationInput:
 
 class DerivationInputError(ValueError):
     pass
-
-
-# cosets a vertex-stabilizer presentation may define before it counts as not
-# closing
-STABILIZER_COSET_LIMIT = 100_000
 
 
 def validate_input(inp: DerivationInput) -> None:
@@ -317,6 +312,9 @@ def derived_to_json(d: DerivedPresentation) -> dict:
 
 def derived_from_json(data: dict) -> DerivedPresentation:
     presentation = Presentation.from_json_dict(data)
+    for key in ("edge_gens", "stab_owners", "gen_elements", "families", "renaming"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValueError(f"{key} is not a JSON object")
     edge_gens = {n: OrientedEdge(*map(json_int, pair)) for n, pair in data["edge_gens"].items()}
     return DerivedPresentation(
         presentation, (), dict(data["families"]), edge_gens,
@@ -373,19 +371,24 @@ def schreier_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerD
     return StabilizerData(Presentation.from_strings(list(names), rels.values()), names)
 
 
+def _fundamental_cycle(tree: dict, u: int, w: int) -> tuple[int, ...]:
+    """The closed walk at the root of a breadth-first spanning `tree` of the
+    graph through the edge (u, w): the tree path to u, the edge, and the
+    tree path back from w."""
+    def up(x):  # the tree path from x to the root
+        while x is not None:
+            yield x
+            x = tree[x][0]
+    return tuple([*up(u)][::-1] + [*up(w)])
+
+
 def fundamental_loops(ag: ActionedGraph, root: int) -> list[tuple[int, ...]]:
     """One loop at root per edge off a breadth-first spanning tree based at
-    root: the tree path to one end, the edge, the tree path back.  Their
-    2-cells make the graph simply connected, with no help from translates."""
+    root (`_fundamental_cycle`).  Their 2-cells make the graph simply
+    connected, with no help from translates."""
     tree = bfs_tree(root, lambda u: [(w, w) for w in ag.graph.neighbors(u)])
-    paths = tree_words(tree)  # root to u, without the root
-    tree_edges = {(min(u, p), max(u, p)) for u, (p, _) in tree.items() if u != root}
-    loops = []
-    for u, w in sorted(ag.graph.edges):
-        if (u, w) in tree_edges:
-            continue
-        loops.append((root,) + paths[u] + paths[w][::-1] + (root,))
-    return loops
+    return [_fundamental_cycle(tree, u, w) for u, w in sorted(ag.graph.edges)
+            if tree[u][0] != w and tree[w][0] != u]
 
 
 def collapses(cells: Sequence[Sequence[int]]) -> bool:
@@ -466,7 +469,7 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
     # The fundamental cycle of a non-tree edge (u, w) at v walks the tree
     # path to u, the edge and the tree path back from w, so its mask is
     # pathmask[u] ^ bit(u, w) ^ pathmask[w]; walks are built only for the
-    # candidates that survive, and they are the walks of `fundamental_loops`.
+    # candidates that survive (`_fundamental_cycle`).
     candidates, trees = [], []
     for order, v in enumerate(sc.base_vertices):
         tree = bfs_tree(v, lambda u: [(w, w) for w in ag.graph.neighbors(u)])
@@ -479,13 +482,6 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
             if tree[u][0] != w and tree[w][0] != u:
                 m = pathmask[u] ^ bit[u, w] ^ pathmask[w]
                 candidates.append((m.bit_count(), depth[u] + depth[w] + 2, order, m, u, w))
-
-    def walk(order: int, u: int, w: int) -> tuple[int, ...]:
-        def up(x):  # the tree path from x to the base vertex
-            while x is not None:
-                yield x
-                x = trees[order][x][0]
-        return tuple([*up(u)][::-1] + [*up(w)])
 
     # In the order (mask size, walk length, base vertex, walk), a repeated
     # mask, or one the span already holds, is never kept: drop these before
@@ -501,7 +497,7 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
             if m not in seen:
                 seen.add(m)
                 if reduce(m):
-                    survivors.append((walk(order, u, w), m))
+                    survivors.append((_fundamental_cycle(trees[order], u, w), m))
         for loop, m in sorted(survivors):
             if len(basis) == rank:
                 break

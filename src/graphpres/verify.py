@@ -49,12 +49,19 @@ a fixpoint.  This is sound for these reasons:
   H_v, with the index [Gamma : H_v] that the unreduced table has.  Free
   reduction keeps the conjugating letters of a word u w u^-1, which a
   cyclic reduction would drop, changing the subgroup.
-- `coset.widen` gives each eliminated generator the columns of the element
-  it equals (the identity, or h^+-1), so the widened table is the same
-  action of Gamma written over every generator.  The covering map reads it
-  as it reads an unreduced table; the edges walk the reduced columns
-  (`build_kozsul_model`).  The code does not rely on this argument alone:
-  `widen` checks every original relator at every coset of the widened table.
+- Each eliminated generator acts on the reduced table as the element it
+  equals (the identity, or h^+-1), so a word over the original generators
+  acts as its respelling through `TietzeReduction.word`.  The covering map
+  is carried down the reduced table's breadth-first tree with the elements
+  of the surviving generators, and an edge generator's far coset is traced
+  along its respelled inverse (`build_kozsul_model`).  A table spread over
+  every original generator would give the same values: `tietze_reduce`
+  pins a generator only to a smaller one, so each surviving generator's
+  columns come before those of the generators pinned to it, which reach no
+  coset that the survivor's did not, and that table's breadth-first tree has
+  the same parents, reached by the same elements.  The code does not rely
+  on this argument alone: every original relator, respelled, is checked to
+  close at every coset of every reduced table.
 """
 
 from __future__ import annotations
@@ -63,8 +70,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coset import CosetTable, EnumerationLimitError, todd_coxeter, widen
-from .derive import STABILIZER_COSET_LIMIT, DerivedPresentation
+from .coset import (COSET_LIMIT, STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError,
+                    todd_coxeter)
+from .derive import DerivedPresentation
 from .graphs import ActionedGraph
 from .perms import bfs_tree, tree_fold
 from .scaffold import Scaffolding
@@ -116,7 +124,7 @@ def _subpresentation(pres: Presentation, letters: Sequence[int]) -> Presentation
 
 
 def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
-                             limit: int = 1_000_000,
+                             limit: int = COSET_LIMIT,
                              model: KozsulModel | None = None) -> OrderCheck:
     """Prove that the presented group has the acting group's order.
 
@@ -194,15 +202,15 @@ class KozsulModel:
 
 
 def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaffolding,
-                       limit: int = 1_000_000) -> KozsulModel:
+                       limit: int = COSET_LIMIT) -> KozsulModel:
     """Rebuild the graph from the presented group Gamma.
 
     Each base vertex v contributes the cosets of H_v, the subgroup its
     stabilizer generators generate, enumerated over the Tietze-reduced
-    presentation and widened back (module docstring).  Each edge generator
-    g_e, for the pairing representative e from v to the base vertex w of its
-    far end, contributes the Gamma-orbit of the edge between coset 0 at v
-    and coset g_e^-1 at w.  These are all the edges:
+    presentation (module docstring).  Each edge generator g_e, for the
+    pairing representative e from v to the base vertex w of its far end,
+    contributes the Gamma-orbit of the edge between coset 0 at v and coset
+    g_e^-1 at w.  These are all the edges:
 
     - An oriented edge u(e0) at v, with e0 a representative and u in G_v,
       has g_{u(e0)} = u g_{e0} k^-1 with u in H_v and k in H_w.  Its edge
@@ -212,10 +220,11 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
       its partner e1, which runs from w back to v, so it gives e1's orbit
       reversed.
     - The forward columns of the reduced tables generate Gamma's action on
-      the cosets: both tables enumerate the same reduced presentation, the
-      widened columns only repeat them, and an inverse column is a power of
-      its forward one, the cosets being finitely many.  So the walk does not
-      grow with the number of eliminated generators.
+      the cosets: both tables enumerate the same reduced presentation, every
+      eliminated generator acts as a surviving one or as the identity, and
+      an inverse column is a power of its forward one, the cosets being
+      finitely many.  So the walk does not grow with the number of
+      eliminated generators.
     - Conversely, an element of H_v that fixes e0 in X conjugates by
       g_{e0} into H_w once Gamma = G, so it fixes e0's edge, and the orbit
       holds just the edges of e0's orbit in X.  The covering check runs
@@ -232,18 +241,24 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     # enumerate the Tietze-reduced presentation; base vertices with equal
     # reduced subgroup words (none, for a free action) share one enumeration
     reduction = tietze_reduce(pres)
-    by_words: dict[tuple, tuple[CosetTable, CosetTable]] = {}
-    reduced: dict[int, CosetTable] = {}
+    reduced_pres = reduction.presentation
+    # every original relator, respelled over the reduced generators, must
+    # close at every coset: the tables do not rest on the reduction alone
+    original_relators = [reduction.word(rel) for rel in pres.relators]
+    by_words: dict[tuple, CosetTable] = {}
     tables: dict[int, CosetTable] = {}
     for v in sc.base_vertices:
         key = _subgroup_key(map(reduction.word, stab_gen_words[v]))
         if key not in by_words:
-            table = todd_coxeter(reduction.presentation, key, limit=limit)
-            by_words[key] = table, widen(table, pres, reduction.pins)
-        reduced[v], tables[v] = by_words[key]
-    # the element each letter (generator index, +-1) evaluates to
+            table = by_words[key] = todd_coxeter(reduced_pres, key, limit=limit)
+            for rel in original_relators:
+                if not table.relator_closes_everywhere(rel):
+                    raise RuntimeError("an original relator fails to close on the reduced table")
+        tables[v] = by_words[key]
+    # the element each reduced letter (generator index, +-1) evaluates to
     letter_element = {(i, s): elem if s > 0 else group.inverse(elem)
-                      for i, elem in enumerate(derived.gen_elements[n] for n in pres.generators)
+                      for i, elem in enumerate(derived.gen_elements[n]
+                                               for n in reduced_pres.generators)
                       for s in (1, -1)}
 
     vertices = [(v, c) for v in sc.base_vertices for c in range(tables[v].n)]
@@ -261,8 +276,8 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     # edges: the orbit of (coset 0 at v, coset g_e^-1 at w) per edge generator
     for name, e in derived.edge_gens.items():
         v, w = e.origin, sc.v_of[e]
-        columns = list(zip(reduced[v].columns()[::2], reduced[w].columns()[::2]))
-        start = (0, tables[w].step(0, name_index[name], -1))
+        columns = list(zip(tables[v].columns()[::2], tables[w].columns()[::2]))
+        start = (0, tables[w].trace(0, reduction.word(((name_index[name], -1),))))
         orbit = bfs_tree(start, lambda pair: ((None, (cv[pair[0]], cw[pair[1]]))
                                               for cv, cw in columns))
         for c, d in orbit:

@@ -184,10 +184,13 @@ def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     ({"edge_gens": {"g[0]": [0.9, 1.2]}}, "0.9 is not an integer"),
     ({"stab_owners": {"h": 0.0}}, "0.0 is not an integer"),
     ({"relators": [[["h", 1.0]] * 3]}, "1.0 is not an integer"),
+    ({"stab_owners": []}, "stab_owners is not a JSON object"),
+    ({"edge_gens": 5}, "edge_gens is not a JSON object"),
+    ({"gen_elements": None}, "gen_elements is not a JSON object"),
 ], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
         "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated",
         "element-fractional", "element-boolean", "edge-fractional", "owner-fractional",
-        "sign-fractional"])
+        "sign-fractional", "owners-list", "edges-number", "elements-null"])
 def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, message):
     code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
     assert code == 0

@@ -1,11 +1,12 @@
-"""The verifier enumerates Tietze-reduced presentations and widens the tables.
+"""The verifier enumerates Tietze-reduced presentations and reads the tables
+over every original generator.
 
 `words.tietze_reduce` removes every generator that a relator of length one
-or two pins down, and `coset.widen` turns a table of the reduced
-presentation back into a table over every generator.  The widened table
-must be a complete coset table of the original presentation over the
-original subgroup words, with the index that enumerating the unreduced
-presentation gives.
+or two pins down, and `TietzeReduction.word` respells a word over the
+original generators as a word over the reduced ones.  The table of the
+reduced presentation must then act as a complete coset table of the
+original presentation over the original subgroup words, with the index
+that enumerating the unreduced presentation gives.
 """
 
 import json
@@ -13,11 +14,12 @@ import random
 
 import pytest
 
+import graphpres.verify
 from graphpres.cli import action_from_json, main
-from graphpres.coset import todd_coxeter, widen
+from graphpres.coset import todd_coxeter
 from graphpres.derive import derive_presentation
 from graphpres.verify import build_kozsul_model, check_covering_isomorphism
-from graphpres.words import Presentation, tietze_reduce
+from graphpres.words import Presentation, TietzeReduction, tietze_reduce
 from test_coset import inverse_word, random_word, rotated
 from test_pinned import ACTIONS, prism
 
@@ -25,21 +27,17 @@ PRISM_SHAPES = [(60, 4, False), (40, 5, False), (75, 3, False), (30, 4, True)]
 RELABELLINGS = [1, 2, 3]
 
 
-def widened_table(presentation, subgroup_words, limit=100_000):
+def check_reduced(presentation, subgroup_words, limit=100_000):
+    """Property (a): the reduced table is complete, every original relator
+    closes at every coset and the original subgroup words fix coset 0, each
+    spelled through `reduction.word`, and the index is the one of the
+    unreduced enumeration over the same words.  Words are traced letter by
+    letter, independently of the table's own check."""
     reduction = tietze_reduce(presentation)
-    words = [reduction.word(w) for w in subgroup_words]
-    return reduction, widen(todd_coxeter(reduction.presentation, words, limit=limit),
-                            presentation, reduction.pins)
-
-
-def check_widened(presentation, subgroup_words, limit=100_000):
-    """Property (a): complete, every original relator closes at every coset,
-    the original subgroup words fix coset 0, and the index is the one of
-    the unreduced enumeration over the same words.  Relators are traced
-    letter by letter, independently of the table's own check."""
-    reduction, table = widened_table(presentation, subgroup_words, limit)
-    ngens = len(presentation.generators)
-    assert table.gen_names == presentation.generators
+    table = todd_coxeter(reduction.presentation,
+                         [reduction.word(w) for w in subgroup_words], limit=limit)
+    ngens = len(reduction.presentation.generators)
+    assert table.gen_names == reduction.presentation.generators
     assert all(len(row) == 2 * ngens for row in table.rows)
     cosets = list(range(table.n))
     for g in range(ngens):
@@ -48,9 +46,10 @@ def check_widened(presentation, subgroup_words, limit=100_000):
         assert sorted(forward) == cosets
         assert all(backward[forward[c]] == c for c in cosets)
     for rel in presentation.relators:
-        assert all(table.trace(c, rel) == c for c in cosets), rel
+        word = reduction.word(rel)
+        assert all(table.trace(c, word) == c for c in cosets), rel
     for w in subgroup_words:
-        assert table.trace(0, w) == 0
+        assert table.trace(0, reduction.word(w)) == 0
     assert table.n == todd_coxeter(presentation, subgroup_words, limit=limit).n
     return reduction, table
 
@@ -68,7 +67,7 @@ def check_action(inp):
     derived = derive_presentation(inp)
     words = stabilizer_words(derived)
     for v in inp.sc.base_vertices:
-        check_widened(derived.presentation, words.get(v, []))
+        check_reduced(derived.presentation, words.get(v, []))
     model = build_kozsul_model(derived, inp.ag, inp.sc)
     assert check_covering_isomorphism(model, inp.ag).ok
     return derived, model
@@ -99,7 +98,7 @@ def distinct_tables(model):
     return list({id(t): t for t in model.tables.values()}.values())
 
 
-# -- (a) the widened table ---------------------------------------------------
+# -- (a) the reduced table over the original generators ------------------------
 
 @pytest.mark.parametrize("name", list(ACTIONS))
 def test_widened_tables_of_pinned_actions(name):
@@ -118,7 +117,7 @@ def test_chain_of_pins_g_equals_h_equals_k_inverse():
     p = Presentation.from_strings(
         ["a", "g", "h", "k"],
         [[("a", 1)] * 5, [("g", 1), ("h", -1)], [("h", 1), ("k", 1)], [("a", -1), ("k", 1)]])
-    reduction, table = check_widened(p, [])
+    reduction, table = check_reduced(p, [])
     assert reduction.presentation.generators == ("a",)
     assert reduction.pins == ((0, 1), (0, -1), (0, -1), (0, 1))
     assert table.n == 5
@@ -129,7 +128,7 @@ def test_elimination_that_makes_another_relator_short():
     p = Presentation.from_strings(
         ["a", "b", "z"],
         [[("a", 1), ("z", 1), ("b", -1), ("z", -1)], [("a", 1)] * 3, [("z", 1)]])
-    reduction, table = check_widened(p, [])
+    reduction, table = check_reduced(p, [])
     assert reduction.presentation.generators == ("a",)
     assert reduction.presentation.relators == (((0, 1),) * 3,)
     assert reduction.pins == ((0, 1), (0, 1), None)
@@ -141,8 +140,7 @@ def test_presentation_without_short_relators_is_kept_as_it_is():
                                                [("a", 1), ("b", 1)] * 3])
     reduction = tietze_reduce(p)
     assert reduction.presentation is p
-    table = todd_coxeter(p)
-    assert widen(table, p, reduction.pins) is table
+    assert reduction.pins == ((0, 1), (1, 1))
 
 
 BASES = [
@@ -223,9 +221,27 @@ def presentation_with_short_relators(rng):
 def test_widened_tables_of_random_presentations_with_short_relators(rng):
     for _ in range(100):
         presentation, subgroup, base_ngens = presentation_with_short_relators(rng)
-        reduction, _ = check_widened(presentation, subgroup)
+        reduction, _ = check_reduced(presentation, subgroup)
         # every added generator is pinned, so at most the base ones survive
         assert len(reduction.presentation.generators) <= base_ngens
+
+
+def test_reduction_that_contradicts_an_original_relator_is_refused(monkeypatch):
+    # C3 on a triangle, presented with a second name a for the rotation g;
+    # a reduction that pins a to 1, not to g, breaks the relator a g^-1
+    inp = action_from_json({"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                            "generators": {"r": [1, 2, 0]}}, "triangle")
+    derived = derive_presentation(inp)
+    (g,) = derived.presentation.generators
+    derived.presentation = Presentation.from_strings(
+        [g, "a"], [[(g, 1)] * 3, [("a", 1), (g, -1)]])
+    derived.gen_elements["a"] = derived.gen_elements[g]
+    assert tietze_reduce(derived.presentation).pins == ((0, 1), (0, 1))
+    assert check_covering_isomorphism(build_kozsul_model(derived, inp.ag, inp.sc), inp.ag).ok
+    wrong = TietzeReduction(Presentation.from_strings([g], [[(g, 1)] * 3]), ((0, 1), None))
+    monkeypatch.setattr(graphpres.verify, "tietze_reduce", lambda p: wrong)
+    with pytest.raises(RuntimeError, match="original relator"):
+        build_kozsul_model(derived, inp.ag, inp.sc)
 
 
 # -- (b) subgroup words are reduced freely, never cyclically -------------------
@@ -236,7 +252,7 @@ def test_conjugated_subgroup_word_keeps_its_conjugating_letters():
         ["a", "b", "c"],
         [[("a", 1)] * 3, [("b", 1)] * 2, [("a", 1), ("b", 1)] * 3, [("c", 1), ("b", -1)]])
     word = [(0, 1), (2, 1), (0, -1)]
-    reduction, table = check_widened(p, [word])
+    reduction, table = check_reduced(p, [word])
     assert reduction.word(word) == ((0, 1), (1, 1), (0, -1))
     assert table.n == 6
     assert table.trace(0, [(1, 1)]) != 0  # b itself does not fix coset 0
@@ -256,7 +272,7 @@ def test_path_under_the_trivial_group_rebuilds_from_one_coset():
     model = build_kozsul_model(derived, inp.ag, inp.sc)
     (table,) = distinct_tables(model)
     assert table.n == 1
-    assert table.rows == [[0] * (2 * len(derived.presentation.generators))]
+    assert table.gen_names == () and table.rows == [[]]
     assert check_covering_isomorphism(model, inp.ag).ok
 
 

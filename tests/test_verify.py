@@ -6,11 +6,14 @@ import graphpres.cli
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
                                 load_builtin, simplex_action)
 from graphpres.cli import _verification_report, action_from_json
+from graphpres.coset import COSET_LIMIT, CosetTable, todd_coxeter
 from graphpres.derive import derive_presentation
-from graphpres.verify import (KozsulModel, abelianization_smith, build_kozsul_model,
-                              check_covering_isomorphism,
+from graphpres.perms import tree_fold
+from graphpres.verify import (KozsulModel, _subgroup_key, abelianization_smith,
+                              build_kozsul_model, check_covering_isomorphism,
                               presentation_order_check, smith_normal_form)
-from graphpres.words import EdgeLetter, Presentation, Word, inverse_word, rewrite_word_to_E1
+from graphpres.words import (EdgeLetter, Presentation, Word, inverse_word, rewrite_word_to_E1,
+                             tietze_reduce)
 from test_pinned import ACTIONS, prism
 from test_tietze import relabelled
 
@@ -118,9 +121,44 @@ def test_covering_reports_local_defect():
     assert report.defect == "neighborhood does not map bijectively"
 
 
+# the model as it was built before the reconstruction read the reduced
+# tables alone: each reduced table widened back over every original
+# generator, the covering map carried down the widened table's tree, and
 # the edges as they were built before one orbit per edge generator: every
-# oriented edge at every base vertex, spelled over the generators and carried
-# down the coset table's spanning tree
+# oriented edge at every base vertex, spelled over the generators and
+# carried down the coset table's spanning tree
+
+def widen(table, presentation, pins):
+    """A table of the Tietze-reduced presentation as a table over every
+    generator of `presentation`: a generator pinned to the identity fixes
+    every coset, and one pinned to h^s gets h's pair of columns, swapped
+    when s = -1.  Every original relator must close at every coset."""
+    columns, identity = table.columns(), list(range(table.n))
+    widened_columns = [identity if pin is None
+                       else columns[2 * pin[0] + (0 if s * pin[1] > 0 else 1)]
+                       for pin in pins for s in (1, -1)]
+    widened = CosetTable(presentation.generators,
+                         [list(row) for row in zip(*widened_columns)], table.stats)
+    for rel in presentation.relators:
+        if not widened.relator_closes_everywhere(rel):
+            raise RuntimeError("relator fails to close on the widened table")
+    return widened
+
+
+def widened_tables(derived, sc, limit):
+    pres = derived.presentation
+    name_index = {n: i for i, n in enumerate(pres.generators)}
+    reduction = tietze_reduce(pres)
+    by_words, tables = {}, {}
+    for v in sc.base_vertices:
+        key = _subgroup_key(reduction.word(((name_index[name], 1),))
+                            for name, u in derived.stab_owners.items() if u == v)
+        if key not in by_words:
+            table = todd_coxeter(reduction.presentation, key, limit=limit)
+            by_words[key] = widen(table, pres, reduction.pins)
+        tables[v] = by_words[key]
+    return tables
+
 
 def reference_edges(derived, ag, sc, tables):
     group, pres = ag.group, derived.presentation
@@ -161,10 +199,22 @@ def reference_edges(derived, ag, sc, tables):
     return edges
 
 
-def reference_kozsul_model(derived, ag, sc, limit=1_000_000):
-    model = build_kozsul_model(derived, ag, sc, limit)
-    return KozsulModel(model.vertices, reference_edges(derived, ag, sc, model.tables),
-                       model.f, model.tables)
+def reference_kozsul_model(derived, ag, sc, limit=COSET_LIMIT):
+    group = ag.group
+    tables = widened_tables(derived, sc, limit)
+    elements = [derived.gen_elements[name] for name in derived.presentation.generators]
+
+    def extend(g, step):
+        k, s = step
+        return group.product(g, elements[k] if s > 0 else group.inverse(elements[k]))
+
+    f = {}
+    for v in sc.base_vertices:
+        carried = tree_fold(tables[v].tree(), 0, extend)
+        for c in range(tables[v].n):
+            f[(v, c)] = ag.apply(group.inverse(carried[c]), v)
+    vertices = [(v, c) for v in sc.base_vertices for c in range(tables[v].n)]
+    return KozsulModel(vertices, reference_edges(derived, ag, sc, tables), f, tables)
 
 
 def trivial_grid(rows: int, cols: int) -> dict:
@@ -209,11 +259,14 @@ def test_edge_orbits_match_the_per_edge_reference(monkeypatch, name):
         inp = load_builtin(name)
     derived = derive_presentation(inp)
     model = build_kozsul_model(derived, inp.ag, inp.sc)
-    assert model.edges == reference_edges(derived, inp.ag, inp.sc, model.tables)
-    report = _verification_report(derived, inp.ag, inp.sc, 1_000_000)
+    reference = reference_kozsul_model(derived, inp.ag, inp.sc)
+    assert model.vertices == reference.vertices
+    assert model.f == reference.f
+    assert model.edges == reference.edges
+    report = _verification_report(derived, inp.ag, inp.sc, COSET_LIMIT)
     assert report[0]["reconstruction"]["ok"]
     monkeypatch.setattr(graphpres.cli, "build_kozsul_model", reference_kozsul_model)
-    assert _verification_report(derived, inp.ag, inp.sc, 1_000_000) == report
+    assert _verification_report(derived, inp.ag, inp.sc, COSET_LIMIT) == report
 
 
 def test_smith_normal_form_golden_cases():
