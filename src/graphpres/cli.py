@@ -24,7 +24,7 @@ from .perms import ClosureLimitError, Perm
 from .scaffold import Scaffolding, build_regular_scaffolding
 from .verify import (build_kozsul_model, check_covering_isomorphism,
                      presentation_order_check)
-from .words import json_int
+from .words import json_int, json_key, json_pair
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,14 +40,15 @@ def action_graph_from_json(data: dict) -> tuple[ActionedGraph, list | None]:
     """An action file's action and given loops (or None); every check on the
     file's data happens here, before any group is built."""
     try:
-        vertex_count = json_int(data["vertices"])
-        gens = {str(k): Perm(map(json_int, data["generators"][k]))
-                for k in sorted(data["generators"])}
+        vertex_count = json_int(json_key(data, "vertices"))
+        generators = json_key(data, "generators", dict)
+        gens = {str(k): Perm(map(json_int, generators[k])) for k in sorted(generators)}
         # the Graph allocates per vertex: the generators bound its size first
         problem = degree_problem(vertex_count, gens)
         if problem is not None:
             raise ValueError(problem)
-        graph = Graph(vertex_count, [(json_int(u), json_int(v)) for u, v in data["edges"]])
+        graph = Graph(vertex_count, [json_pair(e, f"edges[{k}]")
+                                     for k, e in enumerate(json_key(data, "edges", list))])
         loops = data.get("loops")
         if loops is not None:
             loops = [tuple(map(json_int, loop)) for loop in loops]

@@ -21,7 +21,8 @@ from .perms import FiniteGroupTable, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
                     edge_loop_relation, edge_relation, free_reduce, inverse_word, json_int,
-                    least_rotation, loop_relation, rewrite_word_to_E1, tautological_relation)
+                    json_key, json_pair, least_rotation, loop_relation, rewrite_word_to_E1,
+                    tautological_relation)
 
 
 @dataclass(frozen=True)
@@ -311,16 +312,16 @@ def derived_to_json(d: DerivedPresentation) -> dict:
 
 
 def derived_from_json(data: dict) -> DerivedPresentation:
+    """A stored presentation file; an error names the key."""
     presentation = Presentation.from_json_dict(data)
-    for key in ("edge_gens", "stab_owners", "gen_elements", "families", "renaming"):
-        if not isinstance(data.get(key, {}), dict):
-            raise ValueError(f"{key} is not a JSON object")
-    edge_gens = {n: OrientedEdge(*map(json_int, pair)) for n, pair in data["edge_gens"].items()}
+    edge_gens, stab_owners, gen_elements, families = (json_key(data, key, dict) for key in (
+        "edge_gens", "stab_owners", "gen_elements", "families"))
     return DerivedPresentation(
-        presentation, (), dict(data["families"]), edge_gens,
-        {n: json_int(v) for n, v in data["stab_owners"].items()},
-        {n: json_int(v) for n, v in data["gen_elements"].items()},
-        dict(data.get("renaming", {})), data.get("name", ""))
+        presentation, (), dict(families),
+        {n: OrientedEdge(*json_pair(pair, f"edge_gens[{n!r}]")) for n, pair in edge_gens.items()},
+        {n: json_int(v) for n, v in stab_owners.items()},
+        {n: json_int(v) for n, v in gen_elements.items()},
+        dict(json_key(data, "renaming", dict) if "renaming" in data else {}), data.get("name", ""))
 
 
 def greedy_generators(group: FiniteGroupTable, elements: Sequence[int]) -> list[int]:

@@ -36,13 +36,15 @@ it enumerates Gamma over the trivial subgroup and compares the count with
 presentations with |Gamma| = |G|, which the full enumeration accepts too,
 and the abelianization rejects only presentations with |Gamma| != |G|.
 
-The reconstruction and the full enumeration run on the Tietze-reduced
-presentation (`words.tietze_reduce`): every generator that a relator of
-length one or two pins down (g = 1, or g = h^+-1) is substituted away, to
-a fixpoint.  This is sound for these reasons:
+The reconstruction, the abelianization and the full enumeration run on the
+Tietze-reduced presentation (`words.tietze_reduce`): every generator that a
+relator of length one or two pins down (g = 1, or g = h^+-1) is substituted
+away, to a fixpoint.  This is sound for these reasons:
 
 - Each elimination is a Tietze move, so the reduced presentation presents
-  the same group Gamma, and the full enumeration counts |Gamma|.
+  the same group Gamma: the full enumeration counts |Gamma|, and the
+  abelianization has Gamma's invariant factors (they are unique), up to how
+  many of them are 1, which no verdict reads.
 - A stabilizer word, rewritten through the eliminations and freely reduced,
   is the same element of Gamma, so the reduced words generate the same
   subgroup H_v.  The reduced table is the action of Gamma on the cosets of
@@ -85,7 +87,6 @@ class OrderCheck:
 
     `enumerated` is the proven order, or the count a failed enumeration
     reached; it is None when nothing was counted (a limit, or no onto map).
-    `onto` says that the relators are sound and the generators generate G.
     `proof` is "lagrange", "abelianization" (a failure that `detail`
     explains) or "enumeration"; a Lagrange proof names its base vertex, the
     index [Gamma : H_v] and the order of Q_v.
@@ -94,7 +95,6 @@ class OrderCheck:
     ok: bool
     enumerated: int | None
     expected: int
-    onto: bool
     detail: str = ""
     proof: str | None = None
     base_vertex: int | None = None
@@ -131,9 +131,9 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
     Fails, naming the witness, when the generators do not generate G or a
     relator does not evaluate to 1.  With a `model` (the reconstruction of
     the same presentation) it then tries the Lagrange bound at the base
-    vertex with the smallest stabilizer; otherwise it asks the
-    abelianization and then enumerates the whole presented group, reduced;
-    the module docstring has the argument.
+    vertex with the smallest stabilizer; otherwise it Tietze-reduces the
+    presentation once, asks the reduction's abelianization and then
+    enumerates the reduction; the module docstring has the argument.
     """
     group = ag.group
     pres = derived.presentation
@@ -146,12 +146,11 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
 
     generated = _generated_order(ag, gens, v, [gens[i] for i in stab_letters])
     if generated != group.order:
-        return OrderCheck(False, None, group.order, False,
+        return OrderCheck(False, None, group.order,
                           f"generators generate {generated} of {group.order} elements")
     for k, rel in enumerate(pres.relators):
         if group.evaluate(gens, rel) != 0:
-            return OrderCheck(False, None, group.order, False,
-                              f"relator {k} does not evaluate to 1")
+            return OrderCheck(False, None, group.order, f"relator {k} does not evaluate to 1")
 
     if model is not None:
         index = model.tables[v].n
@@ -161,19 +160,20 @@ def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
         except EnumerationLimitError:
             stabilizer_order = None
         if stabilizer_order is not None and index * stabilizer_order == group.order:
-            return OrderCheck(True, group.order, group.order, True, proof="lagrange",
+            return OrderCheck(True, group.order, group.order, proof="lagrange",
                               base_vertex=v, index=index, stabilizer_order=stabilizer_order)
-    ruled_out = _abelianization_rules_out(pres, group.order)
+    reduced = tietze_reduce(pres).presentation
+    ruled_out = _abelianization_rules_out(reduced, group.order)
     if ruled_out:
-        return OrderCheck(False, None, group.order, True, ruled_out, proof="abelianization")
+        return OrderCheck(False, None, group.order, ruled_out, proof="abelianization")
     try:
-        table = todd_coxeter(tietze_reduce(pres).presentation, limit=limit)
+        table = todd_coxeter(reduced, limit=limit)
     except EnumerationLimitError as exc:
-        return OrderCheck(False, None, group.order, True,
+        return OrderCheck(False, None, group.order,
                           f"enumeration exceeded {exc.limit} cosets", proof="enumeration")
     ok = table.n == group.order
     detail = "" if ok else f"enumerated {table.n}, group has {group.order}"
-    return OrderCheck(ok, table.n, group.order, True, detail, proof="enumeration")
+    return OrderCheck(ok, table.n, group.order, detail, proof="enumeration")
 
 
 def _subgroup_key(words: Iterable[tuple]) -> tuple:
@@ -341,62 +341,34 @@ def check_covering_isomorphism(model: KozsulModel, ag: ActionedGraph) -> Coverin
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Returns nonnegative d_1 | d_2 | ... of length min(rows, cols).
+    Returns nonnegative d_1 | d_2 | ... of length min(rows, cols).  Each
+    round moves the least nonzero entry of the block from (t, t) on to
+    (t, t) and clears its column and row by division with remainder.  A
+    remainder left, or a block entry the pivot does not divide (its row is
+    added to row t), gives a smaller pivot within two rounds: the loop ends.
     """
     a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            changed = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(cols):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:  # nonzero remainder becomes the smaller pivot
-                        a[t], a[i] = a[i], a[t]
-                        changed = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        changed = True
-            if not changed:
-                break
-        d = abs(a[t][t])
-        bad_row = None
-        for i in range(t + 1, rows):
-            if any(a[i][j] % d for j in range(t + 1, cols)):
-                bad_row = i
-                break
-        if bad_row is not None:
-            # fold the offending row in and redo; restores the divisibility chain
-            for j in range(cols):
-                a[t][j] += a[bad_row][j]
-            continue
-        diag.append(d)
-        t += 1
-    while len(diag) < min(rows, cols):
-        diag.append(0)
-    return diag
+    n = min(len(a), len(a[0]) if a else 0)
+    for t in range(n):
+        while block := [(abs(x), i, j) for i, row in enumerate(a[t:], t)
+                        for j, x in enumerate(row[t:], t) if x]:
+            _, pi, pj = min(block)  # (t, t) wins ties
+            a[t], a[pi] = a[pi], a[t]
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            for i in range(t + 1, len(a)):
+                q = a[i][t] // a[t][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, len(a[t])):
+                q = a[t][j] // a[t][t]
+                for row in a[t:]:
+                    row[j] -= q * row[t]
+            if not any(a[t][t + 1:]) and not any(row[t] for row in a[t + 1:]):
+                bad = next((row for row in a[t + 1:] if any(x % a[t][t] for x in row)), None)
+                if bad is None:
+                    break
+                a[t] = [x + y for x, y in zip(a[t], bad)]
+    return [abs(a[t][t]) for t in range(n)]
 
 
 def _abelianization_rules_out(p: Presentation, order: int) -> str:
@@ -431,8 +403,5 @@ def abelianization_smith(p: Presentation) -> list[int]:
         for i, s in rel:
             row[i] += s
         matrix.append(row)
-    if not matrix:
-        return [0] * ngens
-    diag = smith_normal_form(matrix)
-    rank = len([d for d in diag if d != 0])
-    return [d for d in diag if d != 0] + [0] * (ngens - rank)
+    nonzero = [d for d in smith_normal_form(matrix) if d != 0]
+    return nonzero + [0] * (ngens - len(nonzero))

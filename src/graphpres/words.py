@@ -342,6 +342,24 @@ def json_int(value) -> int:
     return value
 
 
+def json_key(data, key: str, kind: type = object):
+    """`data[key]` of a file's JSON object; an error names the key."""
+    if not isinstance(data, dict):
+        raise ValueError("the file is not a JSON object")
+    if key not in data:
+        raise ValueError(f"{key} is missing")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"{key} is not a JSON {'object' if kind is dict else 'array'}")
+    return data[key]
+
+
+def json_pair(value, where: str) -> tuple[int, int]:
+    """Two integers, such as an edge [u, v]; an error names `where`."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{where} is not a pair [u, v]")
+    return json_int(value[0]), json_int(value[1])
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generator names and relators as signed sequences over them."""
@@ -381,9 +399,19 @@ class Presentation:
 
     @staticmethod
     def from_json_dict(data: dict) -> Presentation:
-        gens = list(data["generators"])
-        rels = [[(name, json_int(sign)) for name, sign in rel] for rel in data["relators"]]
-        return Presentation.from_strings(gens, rels)
+        """A stored presentation; an error names the key, and the relator."""
+        gens = json_key(data, "generators", list)
+        if not all(isinstance(name, str) for name in gens):
+            raise ValueError("generators is not a list of names")
+        index = {name: i for i, name in enumerate(gens)}
+        rels = json_key(data, "relators", list)
+        for k, rel in enumerate(rels):
+            for letter in rel:
+                if not (isinstance(letter, list) and len(letter) == 2):
+                    raise ValueError(f"relators[{k}] has {letter!r}, not a [generator, sign] pair")
+                if not (isinstance(letter[0], str) and letter[0] in index):
+                    raise ValueError(f"relators[{k}] uses the unknown generator {letter[0]!r}")
+        return Presentation.from_strings(gens, [[(n, json_int(s)) for n, s in rel] for rel in rels])
 
 
 @dataclass(frozen=True)

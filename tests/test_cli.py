@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,9 +162,16 @@ SQUARE_EDGES = [[0, 1], [1, 2], [2, 3], [3, 0]]
      "1.0 is not an integer"),
     ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]},
       "loops": [[0, 1, 2, 3, "0"]]}, "'0' is not an integer"),
+    ({"vertices": 4, "edges": SQUARE_EDGES, "generators": [[1, 2, 3, 0]]},
+     "generators is not a JSON object"),
+    ({"vertices": 4, "edges": [[0, 1, 2], [1, 2], [2, 3], [3, 0]],
+      "generators": {"r": [1, 2, 3, 0]}}, "edges[0] is not a pair [u, v]"),
+    (None, "the file is not a JSON object"),
+    ({"vertices": 4, "generators": {"r": [1, 2, 3, 0]}}, "edges is missing"),
 ], ids=["non-edge", "disconnected", "no-vertices", "self-loop", "wrong-degree",
         "loop-off-edges", "fractional-vertices", "boolean-vertices", "fractional-edge",
-        "fractional-image", "string-loop-vertex"])
+        "fractional-image", "string-loop-vertex", "generators-list", "edge-triple",
+        "null-file", "edges-missing"])
 def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -187,10 +198,20 @@ def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     ({"stab_owners": []}, "stab_owners is not a JSON object"),
     ({"edge_gens": 5}, "edge_gens is not a JSON object"),
     ({"gen_elements": None}, "gen_elements is not a JSON object"),
+    ({"generators": None}, "generators is not a JSON array"),
+    ({"relators": None}, "relators is not a JSON array"),
+    ({"generators": "hg"}, "generators is not a JSON array"),
+    ({"families": ...}, "families is missing"),
+    ({"edge_gens": {"g[0]": [0, 1, 2]}}, "edge_gens['g[0]'] is not a pair [u, v]"),
+    ({"relators": [[["h", 1]] * 3, [["h", 1, 2]]]},
+     "relators[1] has ['h', 1, 2], not a [generator, sign] pair"),
+    ({"relators": [[["h", 1]] * 3, [["x", 1]]]}, "relators[1] uses the unknown generator 'x'"),
 ], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
         "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated",
         "element-fractional", "element-boolean", "edge-fractional", "owner-fractional",
-        "sign-fractional", "owners-list", "edges-number", "elements-null"])
+        "sign-fractional", "owners-list", "edges-number", "elements-null", "generators-null",
+        "relators-null", "generators-string", "families-missing", "edge-triple",
+        "letter-triple", "letter-unknown"])
 def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, message):
     code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
     assert code == 0
@@ -198,6 +219,7 @@ def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, mes
     data = json.loads(path.read_text())
     assert data["gen_elements"] == {"g[0]": 2, "h": 1} and data["stab_owners"] == {"h": 0}
     data.update(edit)
+    data = {key: value for key, value in data.items() if value is not ...}  # ... drops the key
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", str(path), "--builtin", "dodecahedron")
     assert code == 2
@@ -449,3 +471,66 @@ def test_abelianization_is_asked_before_the_full_enumeration(tmp_path, capsys, m
     # only the reconstruction ran, over the stabilizer's words, and stopped
     assert calls and all(words for words, _ in calls)
     assert calls[-1][1] is not None
+
+
+# exponent rows of nine relators over the seven edge generators of the
+# 8-vertex path; the abelianization they present is Z/3
+PATH8_EXPONENTS = [[-1, 4, -1, -3, 3, 0, 1], [4, 3, 4, 0, 1, 4, 4], [-2, 1, 1, 1, 0, 3, -2],
+                   [0, -1, 3, -1, 3, 4, 0], [3, -3, 4, -2, -3, 1, -2], [0, 3, -3, 0, 0, -3, 3],
+                   [1, 2, 3, 0, -1, -3, 0], [0, -2, -3, -3, 1, 1, 2], [2, 4, 4, 4, 4, 4, 1]]
+
+
+def stored_path_presentation(tmp_path, capsys, n):
+    """The action file of the trivial group on an n-vertex path, and the
+    data of the presentation `derive` stores for it."""
+    action = tmp_path / f"path{n}.json"
+    action.write_text(json.dumps({"vertices": n, "edges": [[i, i + 1] for i in range(n - 1)],
+                                  "generators": {"e": list(range(n))}}))
+    code, _, _ = run(capsys, "derive", "--action", str(action), "--out", str(tmp_path))
+    assert code == 0
+    return action, json.loads((tmp_path / f"path{n}.presentation.json").read_text())
+
+
+def test_abelianization_with_large_intermediate_entries_exits_3(tmp_path, capsys):
+    # the previous Smith normal form ran for minutes on these relators; the
+    # reconstruction stops at the limit and the abelianization decides
+    action, data = stored_path_presentation(tmp_path, capsys, 8)
+    gens = data["generators"]
+    data["relators"] = [[[gens[i], 1 if e > 0 else -1] for i, e in enumerate(row)
+                         for _ in range(abs(e))] for row in PATH8_EXPONENTS]
+    path = tmp_path / "path8.presentation.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(graphpres.cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "graphpres.cli", "verify", str(path), "--action", str(action),
+         "--limit", "1000"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 3
+    check = json.loads(result.stdout)["order_check"]
+    assert check["proof"] == "abelianization"
+    assert check["detail"] == "the abelianization Z/3 has order 3, which does not divide 1"
+
+
+def test_abelianization_is_taken_of_the_reduced_presentation(tmp_path, capsys, monkeypatch):
+    # with a tree relator dropped, the reduction substitutes away all but one
+    # of the 299 edge generators, so the Smith normal form sees one
+    # generator instead of a 298 x 299 matrix
+    import graphpres.verify
+    action, data = stored_path_presentation(tmp_path, capsys, 300)
+    data["relators"].pop()
+    path = tmp_path / "path300.presentation.json"
+    path.write_text(json.dumps(data))
+    seen = []
+    abelianization_smith = graphpres.verify.abelianization_smith
+
+    def spy(presentation):
+        seen.append(presentation)
+        return abelianization_smith(presentation)
+
+    monkeypatch.setattr(graphpres.verify, "abelianization_smith", spy)
+    code, out, _ = run(capsys, "verify", str(path), "--action", str(action))
+    assert code == 3
+    check = json.loads(out)["order_check"]
+    assert (check["proof"], check["detail"]) == ("abelianization",
+                                                 "the abelianization Z is infinite")
+    assert [len(presentation.generators) for presentation in seen] == [1]

@@ -14,6 +14,7 @@ from graphpres.verify import (KozsulModel, _subgroup_key, abelianization_smith,
                               presentation_order_check, smith_normal_form)
 from graphpres.words import (EdgeLetter, Presentation, Word, inverse_word, rewrite_word_to_E1,
                              tietze_reduce)
+from test_cli import PATH8_EXPONENTS
 from test_pinned import ACTIONS, prism
 from test_tietze import relabelled
 
@@ -275,6 +276,11 @@ def test_smith_normal_form_golden_cases():
     assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
     assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    # the previous fix-up loops grew these to 70-digit entries and did not return
+    assert smith_normal_form([[3, 1, -2, 2, 4, 6], [-5, -1, -5, 1, 0, 0], [4, -5, 2, 0, 4, 1],
+                              [-1, -1, -1, 4, 2, 0], [3, 6, 0, 0, 6, 4], [6, -2, 0, 0, -1, -2],
+                              [1, 6, 0, 3, -5, -2]]) == [1] * 6
+    assert smith_normal_form(PATH8_EXPONENTS) == [1] * 6 + [3]
 
 
 def test_smith_normal_form_against_minor_gcd_oracle(rng):
