@@ -24,7 +24,7 @@ from .perms import ClosureLimitError, Perm
 from .scaffold import Scaffolding, build_regular_scaffolding
 from .verify import (build_kozsul_model, check_covering_isomorphism,
                      presentation_order_check)
-from .words import json_int, json_key, json_pair
+from .words import json_array, json_int, json_key, json_pair
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,7 +42,8 @@ def action_graph_from_json(data: dict) -> tuple[ActionedGraph, list | None]:
     try:
         vertex_count = json_int(json_key(data, "vertices"))
         generators = json_key(data, "generators", dict)
-        gens = {str(k): Perm(map(json_int, generators[k])) for k in sorted(generators)}
+        gens = {str(k): Perm(map(json_int, json_array(generators[k], f"generators[{k!r}]")))
+                for k in sorted(generators)}
         # the Graph allocates per vertex: the generators bound its size first
         problem = degree_problem(vertex_count, gens)
         if problem is not None:
@@ -51,7 +52,8 @@ def action_graph_from_json(data: dict) -> tuple[ActionedGraph, list | None]:
                                      for k, e in enumerate(json_key(data, "edges", list))])
         loops = data.get("loops")
         if loops is not None:
-            loops = [tuple(map(json_int, loop)) for loop in loops]
+            loops = [tuple(map(json_int, json_array(loop, f"loops[{k}]")))
+                     for k, loop in enumerate(json_array(loops, "loops"))]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad action data: {exc}") from exc
     problem = validate_action(graph, gens, loops or ())
@@ -109,23 +111,25 @@ def _load_action(args) -> tuple[ActionedGraph, Scaffolding | None]:
 def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
     """The verification report and its exit code.
 
-    The reconstruction comes first: its coset tables give the order check
-    the index its Lagrange bound needs.  A presentation with fewer relators
-    than generators has an infinite abelianization, so it gets no
-    reconstruction and the order check fails on the abelianization without
-    enumerating anything.  When the reconstruction stops at the limit, the
-    order check asks the abelianization and then enumerates the presented
-    group in full; the stop is raised (exit 4) only after that check has
-    passed.
+    The order check refutes what it can before anything is enumerated:
+    generation, relator soundness, and the abelianization of the
+    Tietze-reduced presentation.  Only then does it ask for the
+    reconstruction, over that same reduction, whose coset tables give its
+    Lagrange bound the index it needs.  When the reconstruction stops at
+    the limit, the order check enumerates the presented group in full; the
+    stop is raised (exit 4) only after that check has passed.
     """
-    pres = derived.presentation
     model, stopped = None, None
-    if len(pres.relators) >= len(pres.generators):
+
+    def reconstruct(reduction):
+        nonlocal model, stopped
         try:
-            model = build_kozsul_model(derived, ag, sc, limit=limit)
+            model = build_kozsul_model(derived, ag, sc, limit=limit, reduction=reduction)
         except EnumerationLimitError as exc:
             stopped = exc
-    order = presentation_order_check(derived, ag, limit=limit, model=model)
+        return model
+
+    order = presentation_order_check(derived, ag, limit=limit, reconstruct=reconstruct)
     check = {"ok": order.ok, "enumerated": order.enumerated, "expected": order.expected,
              "detail": order.detail, "proof": order.proof}
     if order.proof == "lagrange":

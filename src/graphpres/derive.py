@@ -16,13 +16,13 @@ from typing import Mapping, Sequence
 
 from .coset import STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
-from .graphs import ActionedGraph, OrientedEdge, find_inversion  # noqa: F401
-from .perms import FiniteGroupTable, bfs_tree
+from .graphs import ActionedGraph, Graph, OrientedEdge, find_inversion, first_carriers  # noqa: F401
+from .perms import FiniteGroupTable, Perm, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
                     edge_loop_relation, edge_relation, free_reduce, inverse_word, json_int,
                     json_key, json_pair, least_rotation, loop_relation, rewrite_word_to_E1,
-                    tautological_relation)
+                    tautological_relation, tietze_reduce)
 
 
 @dataclass(frozen=True)
@@ -348,28 +348,39 @@ def least_conjugate_stabilizer(ag: ActionedGraph, v: int) -> tuple[int, tuple[in
     return group.inverse(carrier), best
 
 
-def schreier_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerData:
-    """Schreier presentation of the stabilizer G_v on greedy generators X:
-    the breadth-first words w(a) span the Cayley graph of G_v, so the
-    relators w(a) x w(ax)^-1 of its edges generate its fundamental group,
-    the kernel of F(X) -> G_v.  Empty and conjugate relators are dropped.
+def stabilizer_presentation(ag: ActionedGraph, v: int, prefix: str) -> StabilizerData:
+    """A presentation of the stabilizer G_v, derived by this module itself.
 
-    X is conjugated from the greedy generators of the least conjugate
-    stabilizer, so the relators, their number and their lengths do not
+    H is the least conjugate stabilizer, G_v = c H c^-1, with its greedy
+    generators X.  H acts through its carriers, the permutations that the
+    group table holds, on the orbit of a moved point w whose stabilizer in
+    H is least; the orbit is numbered by least carrier and joined by the
+    orbital graph {h w, h x w} over x in X, connected because X generates
+    H.  Deriving a presentation of that action presents H from the smaller
+    stabilizers H_w, recursively down to the trivial group; the result is
+    Tietze-reduced and its elements conjugated back to G_v.  The numbered
+    orbit and its edges depend on H and H_w alone, so the relators do not
     depend on how the vertices are numbered."""
-    group = ag.group
+    group, elements = ag.group, ag.group.elements
     c, least = least_conjugate_stabilizer(ag, v)
-    names = {f"{prefix}{g}": g
-             for g in (group.conjugate(c, x) for x in greedy_generators(group, least))}
-    words = group.words(names)
-    rels = {}
-    for a, word in words.items():
-        for name, g in names.items():
-            back = inverse_word(words[group.product(a, g)])
-            rel = tuple(free_reduce(word + ((name, 1),) + back))
-            if rel:
-                rels.setdefault(_free_cyclic_form(rel), rel)
-    return StabilizerData(Presentation.from_strings(list(names), rels.values()), names)
+    gens = greedy_generators(group, least)
+    if not gens:
+        return StabilizerData(Presentation((), ()), {})
+    images = [elements[h].images for h in least]
+    moved = [x for x in range(len(images[0])) if any(p[x] != x for p in images)]
+    w = min(moved, key=lambda x: tuple(h for h, p in zip(least, images) if p[x] == x))
+    orbit = first_carriers(least, lambda h, x: elements[h](x), w)
+    number = {x: k for k, x in enumerate(sorted(orbit, key=orbit.get))}
+    sub = FiniteGroupTable([elements[g] for g in gens])
+    steps = [elements[g](w) for g in gens if elements[g](w) != w]
+    edges = {(number[q(w)], number[q(x)]) for q in sub.elements for x in steps}
+    sub_ag = ActionedGraph(Graph(len(number), edges), sub,
+                           [Perm([number[q(x)] for x in number]) for q in sub.elements])
+    derived = derive_presentation(auto_derivation_input(sub_ag))
+    reduced = tietze_reduce(derived.presentation).presentation
+    names = {prefix + n: group.conjugate(c, group.index(sub.elements[derived.gen_elements[n]]))
+             for n in reduced.generators}
+    return StabilizerData(Presentation(tuple(names), reduced.relators), names)
 
 
 def _fundamental_cycle(tree: dict, u: int, w: int) -> tuple[int, ...]:
@@ -528,9 +539,9 @@ def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | No
     Given loops are used as given.  Otherwise they are `pick_loops`, or,
     when its collapse check fails, the fundamental cycles of a breadth-first
     spanning tree at the first base vertex; either way their translates
-    make the graph simply connected.  Stabilizer presentations default to
-    Schreier presentations, and edge-stabilizer generators to a greedy
-    generating set.
+    make the graph simply connected.  Stabilizer presentations are derived
+    recursively (`stabilizer_presentation`), and edge-stabilizer generators
+    are a greedy generating set.
     """
     sc = build_regular_scaffolding(ag)
     source = "given"
@@ -538,7 +549,7 @@ def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | No
         loops, source = pick_loops(ag, sc), "picked"
         if loops is None:
             loops, source = fundamental_loops(ag, sc.base_vertices[0]), "fundamental"
-    stabilizers = {v: schreier_presentation(ag, v, f"t{v}_") for v in sc.base_vertices}
+    stabilizers = {v: stabilizer_presentation(ag, v, f"t{v}_") for v in sc.base_vertices}
     subgroup_gens = {e: tuple(greedy_generators(ag.group, ag.edge_stabilizer(e)))
                      for e in sc.pair_reps}
     return DerivationInput(ag, sc, tuple(tuple(l) for l in loops), stabilizers,

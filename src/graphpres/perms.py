@@ -234,12 +234,16 @@ class FiniteGroupTable:
         self.base = base = _separating_base(images)
         self._base_images = [tuple([p[b] for b in base]) for p in images]
         self._by_key = {key: i for i, key in enumerate(self._base_images)}
-        self.gen_indices = tuple(self._by_key[tuple([g[b] for b in base])] for g in gen_images)
+        self.gen_indices = tuple(self.index(g) for g in gens)
         self._inv = [self._by_key[tuple([p.index(b) for b in base])] for p in images]
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def index(self, p: Perm) -> int:
+        """The index of the element p, looked up by its base images."""
+        return self._by_key[tuple([p.images[b] for b in self.base])]
 
     def product(self, i: int, j: int) -> int:
         p = self._images[i]

@@ -11,35 +11,39 @@ bound; Neubueser 1982, Holt-Eick-O'Brien 2005, ch. 5):
 1. Sending each generator to its group element defines an onto map
    Gamma -> G: every relator evaluates to 1, and the elements generate G.
    Hence |Gamma| >= |G|.  Generation is checked by orbit-stabilizer at a
-   base vertex v: K = <elements> has |K| = |K v| |K_v| >= |K v| |<S_v>|,
-   where S_v are v's stabilizer generators (elements fixing v), so
-   |K v| |<S_v>| = |G| proves K = G; otherwise K is listed and counted.
-2. The reconstruction (`build_kozsul_model`) enumerates the cosets of
+   vertex v the presentation names: K = <elements> has
+   |K| = |K v| |K_v| >= |K v| |<S_v>|, where S_v are v's stabilizer
+   generators (elements fixing v), so |K v| |<S_v>| = |G| proves K = G;
+   otherwise K is listed and counted.
+2. The abelianization is a quotient of Gamma: when it is infinite or its
+   order does not divide |G|, then |Gamma| != |G|, and the check fails
+   before anything is enumerated.
+3. The reconstruction (`build_kozsul_model`) enumerates the cosets of
    H_v = <S_v> in Gamma, so its table at v has [Gamma : H_v] rows.
-3. Q_v is the group presented by S_v and those relators of Gamma that use
+4. Q_v is the group presented by S_v and those relators of Gamma that use
    only letters of S_v.  Each of them holds in Gamma, so H_v is a quotient
    of Q_v and |H_v| <= |Q_v|; Q_v is enumerated over the trivial subgroup.
-4. |Gamma| = [Gamma : H_v] |H_v| <= [Gamma : H_v] |Q_v|.  When this product
+5. |Gamma| = [Gamma : H_v] |H_v| <= [Gamma : H_v] |Q_v|.  When this product
    equals |G|, then |G| <= |Gamma| <= |G|, and the onto map is an
    isomorphism.
 
-The base vertex is one with the smallest stabilizer (the least such vertex),
-which makes Q_v the smallest enumeration on offer.  For a free action Q_v is
-the trivial group, so the reconstruction's own table is the whole proof.
+The vertex v of steps 3-5 is the base vertex with the smallest stabilizer
+(the least such vertex), which makes Q_v the smallest enumeration on offer.
+For a free action Q_v is the trivial group, so the reconstruction's own
+table is the whole proof.
 
 When the bound does not decide -- the product exceeds |G|, Q_v does not
-close within `STABILIZER_COSET_LIMIT` cosets, or no reconstruction is given
--- the check asks the abelianization, a quotient of Gamma: when it is
-infinite or its order does not divide |G|, then |Gamma| != |G|.  Otherwise
-it enumerates Gamma over the trivial subgroup and compares the count with
-|G|.  So no verdict depends on which proof ran: the bound accepts only
-presentations with |Gamma| = |G|, which the full enumeration accepts too,
-and the abelianization rejects only presentations with |Gamma| != |G|.
+close within `STABILIZER_COSET_LIMIT` cosets, or there is no
+reconstruction -- the check enumerates Gamma over the trivial subgroup and
+compares the count with |G|.  So no verdict depends on which proof ran: the
+bound accepts only presentations with |Gamma| = |G|, which the full
+enumeration accepts too, and the abelianization rejects only presentations
+with |Gamma| != |G|.
 
-The reconstruction, the abelianization and the full enumeration run on the
-Tietze-reduced presentation (`words.tietze_reduce`): every generator that a
-relator of length one or two pins down (g = 1, or g = h^+-1) is substituted
-away, to a fixpoint.  This is sound for these reasons:
+The abelianization, the reconstruction and the full enumeration run on one
+Tietze reduction of the presentation (`words.tietze_reduce`): every
+generator that a relator of length one or two pins down (g = 1, or
+g = h^+-1) is substituted away, to a fixpoint.  This is sound for these reasons:
 
 - Each elimination is a Tietze move, so the reduced presentation presents
   the same group Gamma: the full enumeration counts |Gamma|, and the
@@ -70,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coset import (COSET_LIMIT, STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError,
                     todd_coxeter)
@@ -78,7 +82,7 @@ from .derive import DerivedPresentation
 from .graphs import ActionedGraph
 from .perms import bfs_tree, tree_fold
 from .scaffold import Scaffolding
-from .words import Presentation, inverse_word, tietze_reduce
+from .words import Presentation, TietzeReduction, inverse_word, tietze_reduce
 
 
 @dataclass(frozen=True)
@@ -123,51 +127,58 @@ def _subpresentation(pres: Presentation, letters: Sequence[int]) -> Presentation
     return Presentation(tuple(pres.generators[g] for g in letters), relators)
 
 
-def presentation_order_check(derived: DerivedPresentation, ag: ActionedGraph,
-                             limit: int = COSET_LIMIT,
-                             model: KozsulModel | None = None) -> OrderCheck:
+def presentation_order_check(
+        derived: DerivedPresentation, ag: ActionedGraph, limit: int = COSET_LIMIT,
+        reconstruct: Callable[[TietzeReduction], KozsulModel | None] | None = None,
+) -> OrderCheck:
     """Prove that the presented group has the acting group's order.
 
-    Fails, naming the witness, when the generators do not generate G or a
-    relator does not evaluate to 1.  With a `model` (the reconstruction of
-    the same presentation) it then tries the Lagrange bound at the base
-    vertex with the smallest stabilizer; otherwise it Tietze-reduces the
-    presentation once, asks the reduction's abelianization and then
+    Fails, naming the witness, when the generators do not generate G, a
+    relator does not evaluate to 1, or the abelianization of the
+    Tietze-reduced presentation rules |G| out.  Only then does it call
+    `reconstruct` on that reduction, which returns the reconstruction of
+    the same presentation or None, and try the Lagrange bound at the base
+    vertex with the smallest stabilizer; when that does not decide, it
     enumerates the reduction; the module docstring has the argument.
     """
     group = ag.group
     pres = derived.presentation
     gens = [derived.gen_elements[name] for name in pres.generators]
-    v, stab_letters = None, []
-    if model is not None:
-        v = min(model.tables, key=lambda u: (len(ag.stabilizer(u)), u))
-        stab_letters = [i for i, name in enumerate(pres.generators)
-                        if derived.stab_owners.get(name) == v]
 
-    generated = _generated_order(ag, gens, v, [gens[i] for i in stab_letters])
+    def smallest(vertices: Iterable[int]) -> int | None:
+        return min(vertices, key=lambda u: (len(ag.stabilizer(u)), u), default=None)
+
+    def stab_letters(v: int | None) -> list[int]:
+        return [i for i, name in enumerate(pres.generators) if derived.stab_owners.get(name) == v]
+
+    named = smallest({*derived.stab_owners.values(),
+                      *(e.origin for e in derived.edge_gens.values())})
+    generated = _generated_order(ag, gens, named, [gens[i] for i in stab_letters(named)])
     if generated != group.order:
         return OrderCheck(False, None, group.order,
                           f"generators generate {generated} of {group.order} elements")
     for k, rel in enumerate(pres.relators):
         if group.evaluate(gens, rel) != 0:
             return OrderCheck(False, None, group.order, f"relator {k} does not evaluate to 1")
+    reduction = tietze_reduce(pres)
+    ruled_out = _abelianization_rules_out(reduction.presentation, group.order)
+    if ruled_out:
+        return OrderCheck(False, None, group.order, ruled_out, proof="abelianization")
 
+    model = None if reconstruct is None else reconstruct(reduction)
     if model is not None:
+        v = smallest(model.tables)
         index = model.tables[v].n
         try:
-            stabilizer_order = todd_coxeter(_subpresentation(pres, stab_letters),
+            stabilizer_order = todd_coxeter(_subpresentation(pres, stab_letters(v)),
                                             limit=min(limit, STABILIZER_COSET_LIMIT)).n
         except EnumerationLimitError:
             stabilizer_order = None
         if stabilizer_order is not None and index * stabilizer_order == group.order:
             return OrderCheck(True, group.order, group.order, proof="lagrange",
                               base_vertex=v, index=index, stabilizer_order=stabilizer_order)
-    reduced = tietze_reduce(pres).presentation
-    ruled_out = _abelianization_rules_out(reduced, group.order)
-    if ruled_out:
-        return OrderCheck(False, None, group.order, ruled_out, proof="abelianization")
     try:
-        table = todd_coxeter(reduced, limit=limit)
+        table = todd_coxeter(reduction.presentation, limit=limit)
     except EnumerationLimitError as exc:
         return OrderCheck(False, None, group.order,
                           f"enumeration exceeded {exc.limit} cosets", proof="enumeration")
@@ -202,15 +213,17 @@ class KozsulModel:
 
 
 def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaffolding,
-                       limit: int = COSET_LIMIT) -> KozsulModel:
+                       limit: int = COSET_LIMIT,
+                       reduction: TietzeReduction | None = None) -> KozsulModel:
     """Rebuild the graph from the presented group Gamma.
 
     Each base vertex v contributes the cosets of H_v, the subgroup its
     stabilizer generators generate, enumerated over the Tietze-reduced
-    presentation (module docstring).  Each edge generator g_e, for the
-    pairing representative e from v to the base vertex w of its far end,
-    contributes the Gamma-orbit of the edge between coset 0 at v and coset
-    g_e^-1 at w.  These are all the edges:
+    presentation (module docstring), which `reduction` holds when the
+    caller has computed it.  Each edge generator g_e, for the pairing
+    representative e from v to the base vertex w of its far end, contributes
+    the Gamma-orbit of the edge between coset 0 at v and coset g_e^-1 at w.
+    These are all the edges:
 
     - An oriented edge u(e0) at v, with e0 a representative and u in G_v,
       has g_{u(e0)} = u g_{e0} k^-1 with u in H_v and k in H_w.  Its edge
@@ -240,7 +253,8 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
         stab_gen_words[v].append(((name_index[name], 1),))
     # enumerate the Tietze-reduced presentation; base vertices with equal
     # reduced subgroup words (none, for a free action) share one enumeration
-    reduction = tietze_reduce(pres)
+    if reduction is None:
+        reduction = tietze_reduce(pres)
     reduced_pres = reduction.presentation
     # every original relator, respelled over the reduced generators, must
     # close at every coset: the tables do not rest on the reduction alone

@@ -353,6 +353,13 @@ def json_key(data, key: str, kind: type = object):
     return data[key]
 
 
+def json_array(value, where: str) -> list:
+    """A JSON array, such as a relator or a loop; an error names `where`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} is not a JSON array")
+    return value
+
+
 def json_pair(value, where: str) -> tuple[int, int]:
     """Two integers, such as an edge [u, v]; an error names `where`."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -406,7 +413,7 @@ class Presentation:
         index = {name: i for i, name in enumerate(gens)}
         rels = json_key(data, "relators", list)
         for k, rel in enumerate(rels):
-            for letter in rel:
+            for letter in json_array(rel, f"relators[{k}]"):
                 if not (isinstance(letter, list) and len(letter) == 2):
                     raise ValueError(f"relators[{k}] has {letter!r}, not a [generator, sign] pair")
                 if not (isinstance(letter[0], str) and letter[0] in index):

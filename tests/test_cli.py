@@ -168,10 +168,16 @@ SQUARE_EDGES = [[0, 1], [1, 2], [2, 3], [3, 0]]
       "generators": {"r": [1, 2, 3, 0]}}, "edges[0] is not a pair [u, v]"),
     (None, "the file is not a JSON object"),
     ({"vertices": 4, "generators": {"r": [1, 2, 3, 0]}}, "edges is missing"),
+    ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]}, "loops": 5},
+     "loops is not a JSON array"),
+    ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]}, "loops": [5]},
+     "loops[0] is not a JSON array"),
+    ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": 5}},
+     "generators['r'] is not a JSON array"),
 ], ids=["non-edge", "disconnected", "no-vertices", "self-loop", "wrong-degree",
         "loop-off-edges", "fractional-vertices", "boolean-vertices", "fractional-edge",
         "fractional-image", "string-loop-vertex", "generators-list", "edge-triple",
-        "null-file", "edges-missing"])
+        "null-file", "edges-missing", "loops-number", "loop-number", "generator-number"])
 def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -206,12 +212,13 @@ def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     ({"relators": [[["h", 1]] * 3, [["h", 1, 2]]]},
      "relators[1] has ['h', 1, 2], not a [generator, sign] pair"),
     ({"relators": [[["h", 1]] * 3, [["x", 1]]]}, "relators[1] uses the unknown generator 'x'"),
+    ({"relators": [5]}, "relators[0] is not a JSON array"),
 ], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
         "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated",
         "element-fractional", "element-boolean", "edge-fractional", "owner-fractional",
         "sign-fractional", "owners-list", "edges-number", "elements-null", "generators-null",
         "relators-null", "generators-string", "families-missing", "edge-triple",
-        "letter-triple", "letter-unknown"])
+        "letter-triple", "letter-unknown", "relator-number"])
 def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, message):
     code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
     assert code == 0
@@ -282,7 +289,7 @@ def test_verify_and_exports_build_only_the_action(tmp_path, capsys, monkeypatch)
     def no_derivation_input(*args):
         raise AssertionError("derivation input built")
 
-    monkeypatch.setattr(graphpres.derive, "schreier_presentation", no_derivation_input)
+    monkeypatch.setattr(graphpres.derive, "stabilizer_presentation", no_derivation_input)
     monkeypatch.setattr(graphpres.derive, "pick_loops", no_derivation_input)
     code, out, _ = run(capsys, "verify", str(tmp_path / "square.presentation.json"),
                        "--action", str(path))
@@ -452,8 +459,9 @@ def test_fewer_relators_than_generators_exits_3_on_the_abelianization(tmp_path, 
 
 def test_abelianization_is_asked_before_the_full_enumeration(tmp_path, capsys, monkeypatch):
     # m^2, g^2 and m^2 again in place of (g^-1 m)^5: sound, generating, and
-    # the free product Z/2 * Z/2, so the reconstruction stops at the limit
-    # and the abelianization (order 4, not dividing 10) decides
+    # the free product Z/2 * Z/2, so a reconstruction would run to the limit;
+    # the abelianization (order 4, not dividing 10) decides before any
+    # enumeration, at the default limit
     code, _, _ = run(capsys, "derive", "--builtin", "dihedral:5", "--out", str(tmp_path))
     assert code == 0
     path = tmp_path / "dihedral_5.presentation.json"
@@ -462,15 +470,33 @@ def test_abelianization_is_asked_before_the_full_enumeration(tmp_path, capsys, m
     data["relators"][2] = data["relators"][0]
     path.write_text(json.dumps(data))
     calls = recording_enumerations(monkeypatch)
-    code, out, _ = run(capsys, "verify", str(path), "--builtin", "dihedral:5", "--limit", "2000")
+    code, out, _ = run(capsys, "verify", str(path), "--builtin", "dihedral:5")
     assert code == 3
     check = json.loads(out)["order_check"]
     assert check["proof"] == "abelianization"
     assert check["detail"] == ("the abelianization Z/2 x Z/2 has order 4, "
                                "which does not divide 10")
-    # only the reconstruction ran, over the stabilizer's words, and stopped
-    assert calls and all(words for words, _ in calls)
-    assert calls[-1][1] is not None
+    assert calls == []
+
+
+def test_unsound_relator_is_refused_before_the_reconstruction(tmp_path, capsys, monkeypatch):
+    # (h g[0])^7 in place of the loop relator presents the infinite (2,3,7)
+    # triangle group, so a reconstruction would run to the limit; the
+    # relator is not 1 in A5, and that is found before any enumeration
+    code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "dodecahedron.presentation.json"
+    data = json.loads(path.read_text())
+    assert data["families"]["loop"] == 1 and len(data["relators"]) == 3
+    data["relators"][2] = [["h", 1], ["g[0]", 1]] * 7
+    path.write_text(json.dumps(data))
+    calls = recording_enumerations(monkeypatch)
+    code, out, _ = run(capsys, "verify", str(path), "--builtin", "dodecahedron")
+    assert code == 3
+    check = json.loads(out)["order_check"]
+    assert (check["ok"], check["proof"]) == (False, None)
+    assert check["detail"] == "relator 2 does not evaluate to 1"
+    assert calls == []
 
 
 # exponent rows of nine relators over the seven edge generators of the

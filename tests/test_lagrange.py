@@ -34,7 +34,7 @@ def both_checks(inp, derived, limit=1_000_000):
         model = build_kozsul_model(derived, inp.ag, inp.sc, limit=limit)
     except EnumerationLimitError:
         model = None
-    return (presentation_order_check(derived, inp.ag, limit=limit, model=model),
+    return (presentation_order_check(derived, inp.ag, limit=limit, reconstruct=lambda _: model),
             presentation_order_check(derived, inp.ag, limit=limit))
 
 

@@ -23,7 +23,16 @@ pick the loop they had.  Every pinned action verifies with either set of
 loops (`test_fundamental_and_picked_loops_both_verify`).  The Petersen
 graph was re-pinned again when Schreier presentations were taken on the
 least conjugate stabilizer, so that their relators stop depending on the
-vertex numbering: its stabilizer relators went from 15 to 10.
+vertex numbering: its stabilizer relators went from 15 to 10.  The square,
+the cube, the Petersen graph and prism-4x3-dihedral were re-pinned when
+the vertex stabilizers of file actions were presented by the derivation
+itself, recursively (`derive.stabilizer_presentation`), in place of
+Schreier presentations: the order-2 stabilizers of the square and the
+prism keep their one relator, now the square of the inverse of a
+generator named `t<v>_g[0]` in place of `t<v>_<element>`; the cube's
+stabilizer relators went from 4 to 3 and the Petersen graph's from 10 to 3.
+Both the old and the new presentation files of each verify against the
+action with byte-identical reports.
 
 The exact polyhedral models are pinned too: the dodecahedron's coordinates
 (each coordinate as its rational parts `.a`, `.b`), labels and clockwise
@@ -109,11 +118,11 @@ PINNED = {
     "binary-icosahedral": "b6ead8e54c96a5c2b3924a41fa13b88ccf515adbe1f87392f669222ddcd27277",
     "dihedral:5": "cb53997829659aa99242fa523e0f3d54a87fe3430b11d0d22ab70fe6c491911d",
     "dihedral:50": "2f2fa904479ef07abba3b5cfe4159ad00acc6c27c88976d453675d3bbffe5335",
-    "square": "b63a0146044f038cf240bae4fa958695b89fce7611277f35d9ac943469267d54",
-    "cube": "e6afda12221f80c8210471f719218994ec3b7b7657773d710523ae6bf4ddfc6d",
-    "petersen": "b59a3429df4f079ed338b6bc5639d913e5889e7f1d088fcb26ab4628af0a3d66",
+    "square": "c8f0d7bb40396a714eac568f5b8b39f0fb2c8c9090e0e8c9938219513f552070",
+    "cube": "a33f1c08bad5713d8207575fb5ca790a018af6666a8ddfb93378540b14e3ea3a",
+    "petersen": "a593324d77b9bb7c21942061ca9fb5eee35cf4799bc7a6b5090940a7d8919edc",
     "prism-5x2": "f3e8c0a23040c5559600c440ac5e814b011e0b01d2c90670e1d1e515d32453a2",
-    "prism-4x3-dihedral": "acd5d0e9dcfcf0ab88d603baf2d02bb21d73a8094c463afd178f93c8828dbecb",
+    "prism-4x3-dihedral": "43028c09acf65eb7204b932166ae74735c29c3ae47d4ecdf1fb220d2660275da",
     "hexagon-rotation": "86ad475e75602f13ee9ce32445fa1e18aea448f2f62268c10e2afc0fe944f40f",
 }
 

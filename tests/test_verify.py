@@ -200,7 +200,9 @@ def reference_edges(derived, ag, sc, tables):
     return edges
 
 
-def reference_kozsul_model(derived, ag, sc, limit=COSET_LIMIT):
+def reference_kozsul_model(derived, ag, sc, limit=COSET_LIMIT, reduction=None):
+    # the reference reduces the presentation itself; `reduction` is the
+    # order check's, handed over by the CLI
     group = ag.group
     tables = widened_tables(derived, sc, limit)
     elements = [derived.gen_elements[name] for name in derived.presentation.generators]
