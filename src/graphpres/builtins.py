@@ -229,11 +229,13 @@ BUILTIN_NAMES = ("simplex:<n>", "dodecahedron", "binary-icosahedral",
 
 
 def load_builtin(name: str) -> DerivationInput:
-    """Derivation input for a builtin name such as `simplex:4`."""
-    if name.startswith("simplex:"):
-        return simplex_action(int(name.split(":", 1)[1]))
-    if name.startswith("dihedral:"):
-        return dihedral_cycle_action(int(name.split(":", 1)[1]))
+    """Derivation input for a builtin name such as `simplex:4`; a name that
+    is not a builtin raises KeyError."""
+    family, colon, size = name.partition(":")
+    if colon and family in ("simplex", "dihedral"):
+        if not (size.isascii() and size.isdecimal() and len(size) <= 9 and int(size) >= 3):
+            raise KeyError(f"builtin {name!r}: n must be an integer from 3 to 999999999")
+        return (simplex_action if family == "simplex" else dihedral_cycle_action)(int(size))
     if name == "dodecahedron":
         return dodecahedron_action()
     if name == "binary-icosahedral":

@@ -24,7 +24,7 @@ from .perms import ClosureLimitError, Perm
 from .scaffold import Scaffolding, build_regular_scaffolding
 from .verify import (build_kozsul_model, check_covering_isomorphism,
                      presentation_order_check)
-from .words import json_array, json_int, json_key, json_pair
+from .words import read_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -36,29 +36,35 @@ class InputError(ValueError):
     pass
 
 
+ACTION_FILE = {"vertices": int, "edges": [(int, int)], "generators": {str: [int]},
+               "loops?": [[int]]}
+
+
+def _named(path: str, build, *args):
+    """build(*args); its ValueError names the JSON path the arguments were read at."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def action_graph_from_json(data: dict) -> tuple[ActionedGraph, list | None]:
     """An action file's action and given loops (or None); every check on the
     file's data happens here, before any group is built."""
     try:
-        vertex_count = json_int(json_key(data, "vertices"))
-        generators = json_key(data, "generators", dict)
-        gens = {str(k): Perm(map(json_int, json_array(generators[k], f"generators[{k!r}]")))
-                for k in sorted(generators)}
+        read_json(data, ACTION_FILE)
+        gens = {name: _named(f"generators[{name!r}]", Perm, images)
+                for name, images in sorted(data["generators"].items())}
         # the Graph allocates per vertex: the generators bound its size first
-        problem = degree_problem(vertex_count, gens)
+        problem = degree_problem(data["vertices"], gens)
+        if problem is None:
+            graph = _named("edges", Graph, data["vertices"], data["edges"])
+            loops = [tuple(loop) for loop in data["loops"]] if "loops" in data else None
+            problem = validate_action(graph, gens, loops or ())
         if problem is not None:
             raise ValueError(problem)
-        graph = Graph(vertex_count, [json_pair(e, f"edges[{k}]")
-                                     for k, e in enumerate(json_key(data, "edges", list))])
-        loops = data.get("loops")
-        if loops is not None:
-            loops = [tuple(map(json_int, json_array(loop, f"loops[{k}]")))
-                     for k, loop in enumerate(json_array(loops, "loops"))]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad action data: {exc}") from exc
-    problem = validate_action(graph, gens, loops or ())
-    if problem is not None:
-        raise InputError(f"bad action data: {problem}")
+    except ValueError as exc:
+        raise InputError(f"bad action data: {exc}") from None
     return ActionedGraph.from_generators(graph, gens), loops
 
 
@@ -69,7 +75,7 @@ def action_from_json(data: dict, name: str = "action") -> DerivationInput:
 
 def action_to_json(inp: DerivationInput) -> dict:
     ag = inp.ag
-    data = {
+    return {
         "vertices": ag.graph.vertex_count,
         "edges": [list(e) for e in sorted(ag.graph.edges)],
         "generators": {name: list(ag.action[idx].images)
@@ -77,27 +83,26 @@ def action_to_json(inp: DerivationInput) -> dict:
         "orbit_reps": list(inp.sc.base_vertices),
         "loops": [list(loop) for loop in inp.loops],
     }
-    return data
 
 
-def _read_action_file(path: Path) -> tuple[ActionedGraph, list | None]:
+def _read_json_file(path: Path):
+    """A file's JSON data; text that is not JSON, or not UTF-8, is an input
+    error that names the file."""
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
+        raise InputError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
-    return action_graph_from_json(data)
+        raise InputError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_input(args) -> DerivationInput:
     if args.builtin:
         try:
             return builtin_actions.load_builtin(args.builtin)
-        except (KeyError, ValueError) as exc:
-            raise InputError(exc.args[0] if exc.args else str(exc)) from exc
-    path = Path(args.action)
-    return auto_derivation_input(*_read_action_file(path), path.stem)
+        except KeyError as exc:
+            raise InputError(exc.args[0]) from None
+    return action_from_json(_read_json_file(Path(args.action)), Path(args.action).stem)
 
 
 def _load_action(args) -> tuple[ActionedGraph, Scaffolding | None]:
@@ -105,7 +110,7 @@ def _load_action(args) -> tuple[ActionedGraph, Scaffolding | None]:
     if args.builtin:
         inp = _load_input(args)
         return inp.ag, inp.sc
-    return _read_action_file(Path(args.action))[0], None
+    return action_graph_from_json(_read_json_file(Path(args.action)))[0], None
 
 
 def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
@@ -139,8 +144,10 @@ def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
     if not order.ok:
         # only the full enumeration stops without a verdict: the witnesses
         # and the abelianization decided before it ran
-        limited = order.proof == "enumeration" and order.enumerated is None
-        return report, EXIT_LIMIT if limited else EXIT_VERIFY
+        if order.proof == "enumeration" and order.enumerated is None:
+            print(f"error: {order.detail}", file=sys.stderr)
+            return report, EXIT_LIMIT
+        return report, EXIT_VERIFY
     if model is None:
         raise stopped
     cover = check_covering_isomorphism(model, ag)
@@ -215,15 +222,13 @@ def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph,
 
 
 def cmd_verify(args) -> int:
+    data = _read_json_file(Path(args.presentation))
+    try:
+        derived = derived_from_json(data)
+    except ValueError as exc:
+        raise InputError(f"bad presentation file: {exc}") from None
     ag, sc = _load_action(args)
     sc = build_regular_scaffolding(ag) if sc is None else sc  # as `derive` builds it
-    try:
-        data = json.loads(Path(args.presentation).read_text())
-        derived = derived_from_json(data)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON at position {exc.pos}: {exc.msg}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad presentation file: {exc}") from exc
     problem = presentation_file_problem(derived, ag, sc)
     if problem is not None:
         raise InputError(f"bad presentation file: {problem}")

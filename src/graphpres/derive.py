@@ -20,9 +20,9 @@ from .graphs import ActionedGraph, Graph, OrientedEdge, find_inversion, first_ca
 from .perms import FiniteGroupTable, Perm, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
-                    edge_loop_relation, edge_relation, free_reduce, inverse_word, json_int,
-                    json_key, json_pair, least_rotation, loop_relation, rewrite_word_to_E1,
-                    tautological_relation, tietze_reduce)
+                    edge_loop_relation, edge_relation, free_reduce, inverse_word, least_rotation,
+                    loop_relation, read_json, rewrite_word_to_E1, tautological_relation,
+                    tietze_reduce)
 
 
 @dataclass(frozen=True)
@@ -299,29 +299,28 @@ def _maps_to_identity(pres: Presentation, src: CosetTable,
 
 
 def derived_to_json(d: DerivedPresentation) -> dict:
-    data = d.presentation.to_json_dict()
-    data.update({
-        "name": d.name,
-        "families": dict(d.families),
-        "edge_gens": {n: [e.origin, e.target] for n, e in d.edge_gens.items()},
-        "stab_owners": dict(d.stab_owners),
-        "gen_elements": dict(d.gen_elements),
-        "renaming": dict(d.suggested_renaming),
-    })
-    return data
+    return {**d.presentation.to_json_dict(), "name": d.name, "families": dict(d.families),
+            "edge_gens": {n: [e.origin, e.target] for n, e in d.edge_gens.items()},
+            "stab_owners": dict(d.stab_owners), "gen_elements": dict(d.gen_elements),
+            "renaming": dict(d.suggested_renaming)}
+
+
+# the file `derived_to_json` writes; verify reads no families, renaming or name
+PRESENTATION_FILE = {"generators": [str], "relators": [[(str, int)]],
+                     "edge_gens": {str: (int, int)}, "stab_owners": {str: int},
+                     "gen_elements": {str: int}, "families?": {str: int},
+                     "renaming?": {str: str}, "name?": str}
 
 
 def derived_from_json(data: dict) -> DerivedPresentation:
-    """A stored presentation file; an error names the key."""
-    presentation = Presentation.from_json_dict(data)
-    edge_gens, stab_owners, gen_elements, families = (json_key(data, key, dict) for key in (
-        "edge_gens", "stab_owners", "gen_elements", "families"))
+    """A stored presentation file; an error names the JSON path."""
+    read_json(data, PRESENTATION_FILE)
     return DerivedPresentation(
-        presentation, (), dict(families),
-        {n: OrientedEdge(*json_pair(pair, f"edge_gens[{n!r}]")) for n, pair in edge_gens.items()},
-        {n: json_int(v) for n, v in stab_owners.items()},
-        {n: json_int(v) for n, v in gen_elements.items()},
-        dict(json_key(data, "renaming", dict) if "renaming" in data else {}), data.get("name", ""))
+        Presentation.from_strings(data["generators"], data["relators"]), (),
+        dict(data.get("families", {})),
+        {n: OrientedEdge(*pair) for n, pair in data["edge_gens"].items()},
+        dict(data["stab_owners"]), dict(data["gen_elements"]),
+        dict(data.get("renaming", {})), data.get("name", ""))
 
 
 def greedy_generators(group: FiniteGroupTable, elements: Sequence[int]) -> list[int]:

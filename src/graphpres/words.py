@@ -10,8 +10,9 @@ forms in the free product.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .graphs import ActionedGraph, OrientedEdge
 from .scaffold import Scaffolding
@@ -334,37 +335,45 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
     return Word(out)
 
 
-def json_int(value) -> int:
-    """A JSON integer as read by `json`; a float or a bool is refused, not
-    truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
+_MISSING = object()  # a named key that is absent
 
 
-def json_key(data, key: str, kind: type = object):
-    """`data[key]` of a file's JSON object; an error names the key."""
-    if not isinstance(data, dict):
-        raise ValueError("the file is not a JSON object")
-    if key not in data:
-        raise ValueError(f"{key} is missing")
-    if not isinstance(data[key], kind):
-        raise ValueError(f"{key} is not a JSON {'object' if kind is dict else 'array'}")
-    return data[key]
+def read_json(value, shape, path: str = "") -> None:
+    """Check JSON data against a shape; a ValueError names the JSON path and
+    what was expected.  A shape is `int` (not a float or a bool), `str`,
+    `[s]` (an array of s), a tuple of shapes (an array of exactly those),
+    `{str: s}` (names mapped to s) or a dict of named keys (a key ending in
+    "?" may be absent, other keys are ignored).  Lists and tuples are arrays."""
+    if shape is int or shape is str:
+        if type(value) is not shape:
+            _expected(path, "an integer" if shape is int else "a string", value)
+    elif isinstance(shape, dict):
+        if not isinstance(value, dict):
+            _expected(path, "an object", value)
+        for key, item_shape in shape.items():
+            if key is str:
+                for name, item in value.items():
+                    read_json(name, str, f"{path} key")
+                    read_json(item, item_shape, f"{path}[{name!r}]")
+            elif (name := key.rstrip("?")) in value or name == key:
+                read_json(value.get(name, _MISSING), item_shape, f"{path}.{name}" if path else name)
+    else:
+        if not isinstance(value, (list, tuple)):
+            _expected(path, "an array", value)
+        if isinstance(shape, tuple) and len(value) != len(shape):
+            _expected(path, f"{len(shape)} entries", len(value))
+        if shape.count(int) == len(shape) and set(map(type, value)) <= {int}:
+            return  # integers only, the common case, in one pass
+        shapes = shape if isinstance(shape, tuple) else shape * len(value)
+        for k, (item, item_shape) in enumerate(zip(value, shapes)):
+            read_json(item, item_shape, f"{path}[{k}]")
 
 
-def json_array(value, where: str) -> list:
-    """A JSON array, such as a relator or a loop; an error names `where`."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where} is not a JSON array")
-    return value
-
-
-def json_pair(value, where: str) -> tuple[int, int]:
-    """Two integers, such as an edge [u, v]; an error names `where`."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{where} is not a pair [u, v]")
-    return json_int(value[0]), json_int(value[1])
+def _expected(path: str, expected: str, value) -> NoReturn:
+    got = ("nothing" if value is _MISSING else "an object" if isinstance(value, dict)
+           else "an array" if isinstance(value, (list, tuple))
+           else json.dumps(value, default=repr)[:40])
+    raise ValueError(f"{path or 'the file'}: expected {expected}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -375,19 +384,19 @@ class Presentation:
     relators: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError(f"repeated generator names: {list(self.generators)!r}")
-        for rel in self.relators:
-            for idx, sign in rel:
-                if not 0 <= idx < len(self.generators):
-                    raise ValueError(f"relator references unknown generator {idx}")
-                if sign not in (1, -1):
-                    raise ValueError(f"bad exponent sign {sign}")
+        first: dict[str, int] = {}
+        for j, name in enumerate(self.generators):
+            if first.setdefault(name, j) != j:
+                raise ValueError(f"generators[{j}]: repeated generator name {name!r}")
+        for k, rel in enumerate(self.relators):
+            for j, (idx, sign) in enumerate(rel):
+                if not 0 <= idx < len(self.generators) or sign not in (1, -1):
+                    raise ValueError(f"relators[{k}][{j}]: expected a generator and 1 or -1")
 
     @staticmethod
     def from_strings(generators: Sequence[str], relators: Iterable[Sequence[tuple[str, int]]]) -> Presentation:
         index = {name: i for i, name in enumerate(generators)}
-        rels = tuple(tuple((index[name], sign) for name, sign in rel) for rel in relators)
+        rels = tuple(tuple((index.get(name, -1), sign) for name, sign in rel) for rel in relators)
         return Presentation(tuple(generators), rels)
 
     def rename(self, mapping: dict[str, str]) -> Presentation:
@@ -403,22 +412,6 @@ class Presentation:
     def to_json_dict(self) -> dict:
         return {"generators": list(self.generators),
                 "relators": [[[self.generators[i], s] for i, s in rel] for rel in self.relators]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> Presentation:
-        """A stored presentation; an error names the key, and the relator."""
-        gens = json_key(data, "generators", list)
-        if not all(isinstance(name, str) for name in gens):
-            raise ValueError("generators is not a list of names")
-        index = {name: i for i, name in enumerate(gens)}
-        rels = json_key(data, "relators", list)
-        for k, rel in enumerate(rels):
-            for letter in json_array(rel, f"relators[{k}]"):
-                if not (isinstance(letter, list) and len(letter) == 2):
-                    raise ValueError(f"relators[{k}] has {letter!r}, not a [generator, sign] pair")
-                if not (isinstance(letter[0], str) and letter[0] in index):
-                    raise ValueError(f"relators[{k}] uses the unknown generator {letter[0]!r}")
-        return Presentation.from_strings(gens, [[(n, json_int(s)) for n, s in rel] for rel in rels])
 
 
 @dataclass(frozen=True)

@@ -131,9 +131,16 @@ def test_action_round_trip_byte_identical(tmp_path, capsys):
     assert action_to_json(inp2) == exported
 
 
-def test_unknown_builtin(capsys):
-    code, _, err = run(capsys, "derive", "--builtin", "icosahedron")
+@pytest.mark.parametrize("name, message", [
+    ("icosahedron", "unknown builtin 'icosahedron'"),
+    ("simplex:abc", "builtin 'simplex:abc': n must be an integer from 3 to 999999999"),
+    ("dihedral:1e3", "builtin 'dihedral:1e3': n must be an integer from 3 to 999999999"),
+    ("simplex:2", "builtin 'simplex:2': n must be an integer from 3 to 999999999"),
+], ids=["icosahedron", "simplex-abc", "dihedral-1e3", "simplex-2"])
+def test_unknown_builtin(tmp_path, capsys, name, message):
+    code, _, err = run(capsys, "derive", "--builtin", name, "--out", str(tmp_path))
     assert code == 2
+    assert err == f"error: {message}\n"
 
 
 TRIANGLE_EDGES = [[0, 1], [1, 2], [2, 0]]
@@ -154,26 +161,26 @@ SQUARE_EDGES = [[0, 1], [1, 2], [2, 3], [3, 0]]
       "generators": {"r": [1, 2, 3, 0]}, "loops": [[0, 2, 0]]},
      "does not walk along edges"),
     ({"vertices": 4.5, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]}},
-     "4.5 is not an integer"),
-    ({"vertices": True, "edges": [], "generators": {"x": [0]}}, "True is not an integer"),
+     "vertices: expected an integer, got 4.5"),
+    ({"vertices": True, "edges": [], "generators": {"x": [0]}}, "vertices: expected an integer, got true"),
     ({"vertices": 4, "edges": [[0.9, 1.2], [1, 2], [2, 3], [3, 0]],
-      "generators": {"r": [1, 2, 3, 0]}}, "0.9 is not an integer"),
+      "generators": {"r": [1, 2, 3, 0]}}, "edges[0][0]: expected an integer, got 0.9"),
     ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1.0, 2, 3, 0]}},
-     "1.0 is not an integer"),
+     "generators['r'][0]: expected an integer, got 1.0"),
     ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]},
-      "loops": [[0, 1, 2, 3, "0"]]}, "'0' is not an integer"),
+      "loops": [[0, 1, 2, 3, "0"]]}, 'loops[0][4]: expected an integer, got "0"'),
     ({"vertices": 4, "edges": SQUARE_EDGES, "generators": [[1, 2, 3, 0]]},
-     "generators is not a JSON object"),
+     "generators: expected an object, got an array"),
     ({"vertices": 4, "edges": [[0, 1, 2], [1, 2], [2, 3], [3, 0]],
-      "generators": {"r": [1, 2, 3, 0]}}, "edges[0] is not a pair [u, v]"),
-    (None, "the file is not a JSON object"),
-    ({"vertices": 4, "generators": {"r": [1, 2, 3, 0]}}, "edges is missing"),
+      "generators": {"r": [1, 2, 3, 0]}}, "edges[0]: expected 2 entries, got 3"),
+    (None, "the file: expected an object, got null"),
+    ({"vertices": 4, "generators": {"r": [1, 2, 3, 0]}}, "edges: expected an array, got nothing"),
     ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]}, "loops": 5},
-     "loops is not a JSON array"),
+     "loops: expected an array, got 5"),
     ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": [1, 2, 3, 0]}, "loops": [5]},
-     "loops[0] is not a JSON array"),
+     "loops[0]: expected an array, got 5"),
     ({"vertices": 4, "edges": SQUARE_EDGES, "generators": {"r": 5}},
-     "generators['r'] is not a JSON array"),
+     "generators['r']: expected an array, got 5"),
 ], ids=["non-edge", "disconnected", "no-vertices", "self-loop", "wrong-degree",
         "loop-off-edges", "fractional-vertices", "boolean-vertices", "fractional-edge",
         "fractional-image", "string-loop-vertex", "generators-list", "edge-triple",
@@ -196,28 +203,27 @@ def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     ({"stab_owners": {"h": 7}}, "belongs to 7, not a base vertex"),
     ({"stab_owners": {"x": 0}}, "x is not a generator"),
     ({"stab_owners": {}}, "do not generate its stabilizer"),
-    ({"gen_elements": {"g[0]": 2, "h": 3.7}}, "3.7 is not an integer"),
-    ({"gen_elements": {"g[0]": True, "h": 1}}, "True is not an integer"),
-    ({"edge_gens": {"g[0]": [0.9, 1.2]}}, "0.9 is not an integer"),
-    ({"stab_owners": {"h": 0.0}}, "0.0 is not an integer"),
-    ({"relators": [[["h", 1.0]] * 3]}, "1.0 is not an integer"),
-    ({"stab_owners": []}, "stab_owners is not a JSON object"),
-    ({"edge_gens": 5}, "edge_gens is not a JSON object"),
-    ({"gen_elements": None}, "gen_elements is not a JSON object"),
-    ({"generators": None}, "generators is not a JSON array"),
-    ({"relators": None}, "relators is not a JSON array"),
-    ({"generators": "hg"}, "generators is not a JSON array"),
-    ({"families": ...}, "families is missing"),
-    ({"edge_gens": {"g[0]": [0, 1, 2]}}, "edge_gens['g[0]'] is not a pair [u, v]"),
+    ({"gen_elements": {"g[0]": 2, "h": 3.7}}, "gen_elements['h']: expected an integer, got 3.7"),
+    ({"gen_elements": {"g[0]": True, "h": 1}}, "gen_elements['g[0]']: expected an integer, got true"),
+    ({"edge_gens": {"g[0]": [0.9, 1.2]}}, "edge_gens['g[0]'][0]: expected an integer, got 0.9"),
+    ({"stab_owners": {"h": 0.0}}, "stab_owners['h']: expected an integer, got 0.0"),
+    ({"relators": [[["h", 1.0]] * 3]}, "relators[0][0][1]: expected an integer, got 1.0"),
+    ({"stab_owners": []}, "stab_owners: expected an object, got an array"),
+    ({"edge_gens": 5}, "edge_gens: expected an object, got 5"),
+    ({"gen_elements": None}, "gen_elements: expected an object, got null"),
+    ({"generators": None}, "generators: expected an array, got null"),
+    ({"relators": None}, "relators: expected an array, got null"),
+    ({"generators": "hg"}, 'generators: expected an array, got "hg"'),
+    ({"edge_gens": {"g[0]": [0, 1, 2]}}, "edge_gens['g[0]']: expected 2 entries, got 3"),
     ({"relators": [[["h", 1]] * 3, [["h", 1, 2]]]},
-     "relators[1] has ['h', 1, 2], not a [generator, sign] pair"),
-    ({"relators": [[["h", 1]] * 3, [["x", 1]]]}, "relators[1] uses the unknown generator 'x'"),
-    ({"relators": [5]}, "relators[0] is not a JSON array"),
+     "relators[1][0]: expected 2 entries, got 3"),
+    ({"relators": [[["h", 1]] * 3, [["x", 1]]]}, "relators[1][0]: expected a generator and 1 or -1"),
+    ({"relators": [5]}, "relators[0]: expected an array, got 5"),
 ], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
         "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated",
         "element-fractional", "element-boolean", "edge-fractional", "owner-fractional",
         "sign-fractional", "owners-list", "edges-number", "elements-null", "generators-null",
-        "relators-null", "generators-string", "families-missing", "edge-triple",
+        "relators-null", "generators-string", "edge-triple",
         "letter-triple", "letter-unknown", "relator-number"])
 def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, message):
     code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
@@ -232,6 +238,35 @@ def test_bad_presentation_file_exits_2_with_one_line(tmp_path, capsys, edit, mes
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: bad presentation file:")
     assert message in err
+
+
+@pytest.mark.parametrize("keys", [("families",), ("renaming",), ("name",),
+                                  ("families", "renaming", "name")],
+                         ids=["families-missing", "renaming-missing", "name-missing",
+                              "all-missing"])
+def test_unread_keys_may_be_absent_for_verify(tmp_path, capsys, keys):
+    # verify reads no relator families, renaming or name
+    code, _, _ = run(capsys, "derive", "--builtin", "dodecahedron", "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "dodecahedron.presentation.json"
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps({key: value for key, value in data.items() if key not in keys}))
+    code, out, err = run(capsys, "verify", str(path), "--builtin", "dodecahedron")
+    assert code == 0 and err == ""
+    assert json.loads(out)["reconstruction"]["ok"]
+
+
+def test_verify_reads_the_presentation_file_before_the_action(tmp_path, capsys, monkeypatch):
+    # S8 costs some 0.7 s to build; a bad presentation file is refused first
+    def no_action(*args):
+        raise AssertionError("action built before the presentation file was read")
+
+    monkeypatch.setattr(graphpres.cli, "_load_action", no_action)
+    path = tmp_path / "bad.presentation.json"
+    path.write_text(json.dumps({"generators": 5}))
+    code, _, err = run(capsys, "verify", str(path), "--builtin", "simplex:8")
+    assert code == 2
+    assert err == "error: bad presentation file: generators: expected an array, got 5\n"
 
 
 def test_repeated_generator_name_exits_2_with_one_line(tmp_path, capsys):
@@ -250,7 +285,7 @@ def test_repeated_generator_name_exits_2_with_one_line(tmp_path, capsys):
                        "--limit", "5000")
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: bad presentation file:")
-    assert "repeated generator names" in err
+    assert "generators[1]: repeated generator name 'g[0]'" in err
 
 
 def test_vertex_count_is_checked_before_the_graph_is_built(monkeypatch):
@@ -380,10 +415,19 @@ def test_usage_error_exits_2_with_one_line(capsys, argv, prog, message):
 
 
 def test_order_check_limit_exits_4(tmp_path, capsys):
-    code, out, _ = run(capsys, "derive", "--builtin", "simplex:6", "--verify",
-                       "--limit", "50", "--out", str(tmp_path))
-    assert code == 4
-    assert json.loads(out)["order_check"]["enumerated"] is None
+    # the report goes to stdout and its detail, as one line, to stderr; the
+    # square under D4 with no loops presents an infinite group
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"vertices": 4, "edges": SQUARE_EDGES, "loops": [],
+                                "generators": {"r": [1, 2, 3, 0], "m": [0, 3, 2, 1]}}))
+    for source, limit in ((["--builtin", "simplex:6"], 50), (["--action", str(path)], 2000)):
+        code, out, err = run(capsys, "derive", *source, "--verify", "--limit", str(limit),
+                             "--out", str(tmp_path))
+        assert code == 4
+        check = json.loads(out)["order_check"]
+        assert check["enumerated"] is None
+        assert err == f"error: {check['detail']}\n"
+        assert check["detail"] == f"enumeration exceeded {limit} cosets"
 
 
 def test_lagrange_proof_verifies_under_a_small_limit(tmp_path, capsys):

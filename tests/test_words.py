@@ -6,7 +6,7 @@ from graphpres.graphs import OrientedEdge
 from graphpres.perms import Perm
 from graphpres.words import (EdgeLetter, Presentation, StabLetter, Word,
                              edge_loop_relation, edge_relation, edge_word,
-                             evaluate_word_in_G, least_rotation, loop_relation,
+                             evaluate_word_in_G, least_rotation, loop_relation, read_json,
                              rewrite_word_to_E1, tautological_relation, trace_path)
 
 
@@ -225,12 +225,48 @@ def test_word_pretty_grammar():
 
 def test_presentation_round_trip_and_rename():
     p = Presentation.from_strings(["a", "b"], [[("a", 1), ("b", -1)]])
-    q = Presentation.from_json_dict(p.to_json_dict())
+    q = Presentation.from_strings(**p.to_json_dict())
     assert q == p
     r = p.rename({"a": "x"})
     assert r.generators == ("x", "b")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generators\[1\]: repeated generator name 'b'$"):
         p.rename({"a": "b"})
+    with pytest.raises(ValueError, match=r"^relators\[0\]\[1\]: expected a generator and 1 or -1$"):
+        Presentation.from_strings(["a"], [[("a", 1), ("c", 1)]])
+    with pytest.raises(ValueError, match=r"^relators\[1\]\[0\]: expected a generator and 1 or -1$"):
+        Presentation.from_strings(["a"], [[("a", 1)], [("a", 0)]])
+
+
+SHAPE = {"n": int, "pairs": [(int, int)], "names": {str: [str]}, "extra?": str}
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 3, "pairs": [[0, 1], [1, 2]], "names": {"a": ["x"]}},
+    {"n": 3, "pairs": ((0, 1),), "names": {}, "extra": "y", "unread": None},
+], ids=["lists", "tuples-and-extra-keys"])
+def test_read_json_accepts_the_shape(data):
+    read_json(data, SHAPE)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "the file: expected an object, got an array"),
+    ({"pairs": [], "names": {}}, "n: expected an integer, got nothing"),
+    ({"n": 3.0, "pairs": [], "names": {}}, "n: expected an integer, got 3.0"),
+    ({"n": False, "pairs": [], "names": {}}, "n: expected an integer, got false"),
+    ({"n": 3, "pairs": [[0, 1], [1, 2, 3]], "names": {}}, "pairs[1]: expected 2 entries, got 3"),
+    ({"n": 3, "pairs": [[0, 1], [1, None]], "names": {}},
+     "pairs[1][1]: expected an integer, got null"),
+    ({"n": 3, "pairs": {}, "names": {}}, "pairs: expected an array, got an object"),
+    ({"n": 3, "pairs": [], "names": {"a": ["x", 5]}},
+     "names['a'][1]: expected a string, got 5"),
+    ({"n": 3, "pairs": [], "names": {1: []}}, "names key: expected a string, got 1"),
+    ({"n": 3, "pairs": [], "names": {}, "extra": 1.5}, "extra: expected a string, got 1.5"),
+], ids=["not-an-object", "missing", "float", "bool", "long-entry", "null-entry",
+        "object-for-array", "name-map-entry", "name-map-key", "optional-present"])
+def test_read_json_names_the_path_and_the_expectation(data, message):
+    with pytest.raises(ValueError) as exc:
+        read_json(data, SHAPE)
+    assert str(exc.value) == message
 
 
 def test_cyclic_normal_form_rotation_and_inversion():
