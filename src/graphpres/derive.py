@@ -10,13 +10,15 @@ orbits) the tree relations g_e = 1.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Mapping, Sequence
 
 from .coset import STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
-from .graphs import ActionedGraph, Graph, OrientedEdge, find_inversion, first_carriers  # noqa: F401
+from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, collapses,  # noqa: F401
+                     find_inversion, first_carriers)
 from .perms import FiniteGroupTable, Perm, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
@@ -402,131 +404,122 @@ def fundamental_loops(ag: ActionedGraph, root: int) -> list[tuple[int, ...]]:
             if tree[u][0] != w and tree[w][0] != u]
 
 
-def collapses(cells: Sequence[Sequence[int]]) -> bool:
-    """Can the 2-cells attached along these closed walks all be removed, one
-    at a time, each through a free edge: an edge the cell walks exactly once
-    and no other remaining cell walks at all?"""
-    uses: list[dict[tuple[int, int], int]] = []
-    total: dict[tuple[int, int], int] = {}
-    users: dict[tuple[int, int], list[int]] = {}
-    for k, cell in enumerate(cells):
-        counts: dict[tuple[int, int], int] = {}
-        for a, b in zip(cell, cell[1:]):
-            e = (a, b) if a < b else (b, a)
-            counts[e] = counts.get(e, 0) + 1
-        uses.append(counts)
-        for e, n in counts.items():
-            total[e] = total.get(e, 0) + n
-            users.setdefault(e, []).append(k)
-    live = set(range(len(cells)))
-    free = [e for e, n in total.items() if n == 1]
-    while free:
-        e = free.pop()
-        if total[e] != 1:
-            continue
-        # one remaining cell walks e, and walks it once
-        (k,) = (k for k in users[e] if k in live)
-        live.remove(k)
-        for f, n in uses[k].items():
-            total[f] -= n
-            if total[f] == 1:
-                free.append(f)
-    return not live
+# A ball's path masks, |E| bits each, are kept from one of its candidate
+# groups to the next only while those of every vertex in every ball would fit
+# in this many bits; past it they are dropped after each group.
+KEPT_PATH_BITS = 1 << 27
+
+
+class _Ball:
+    """A breadth-first search from `root`, grown one radius at a time:
+    `tree` maps each vertex found to (parent, depth, the vertex after the
+    root on its tree path)."""
+
+    def __init__(self, root: int, graph: Graph, space: CycleSpace):
+        self.root, self.tree = root, {root: (None, 0, None)}
+        self.queue = deque([root])  # found, neighbours not yet read
+        self.paths = {root: 0}  # vertex -> mask of its tree path, when asked
+        self.graph, self.ids = graph, space.ids
+
+    def grow(self, radius: int) -> list[tuple[int, int, int]]:
+        """Read the neighbours of every vertex within `radius`.  Returns
+        (size, u, w), u < w, for each non-tree edge found whose tree paths
+        leave the root by different edges: its fundamental cycle is then a
+        simple cycle of `size` edges.  An edge is found when its later end,
+        by (depth, vertex), is read, so once, at the radius both its ends
+        are within."""
+        tree, queue, neighbors, found = self.tree, self.queue, self.graph.neighbors, []
+        while queue and tree[queue[0]][1] <= radius:
+            x = queue.popleft()
+            parent, depth, branch = tree[x]
+            for y in neighbors(x):
+                if y not in tree:
+                    tree[y] = (x, depth + 1, branch if depth else y)
+                    queue.append(y)
+                    continue
+                _, d, b = tree[y]
+                if (d < depth or d == depth and y < x) and b != branch and y != parent:
+                    found.append((depth + d + 1, min(x, y), max(x, y)))
+        return found
+
+    def mask(self, u: int, w: int) -> int:
+        """The mask of the fundamental cycle through the non-tree edge (u, w)."""
+        return self._path(u) ^ self._path(w) ^ 1 << self.ids[u, w]
+
+    def _path(self, x: int) -> int:
+        paths, chain = self.paths, []
+        while (m := paths.get(x)) is None:
+            chain.append(x)
+            x = self.tree[x][0]
+        for y in reversed(chain):
+            m ^= 1 << self.ids[self.tree[y][0], y]
+            paths[y] = m
+        return m
 
 
 def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...] | None:
     """Short loops whose translates make the graph a simply connected
     2-complex, or None when the collapse check cannot prove that.
 
-    Candidates are the fundamental cycles at every base vertex, shortest
-    first as GF(2) edge masks (then by walk length, base vertex and walk).
-    A candidate is kept when it is outside the span of the translates kept
-    so far; then each of its translates that is independent of the span is
-    kept as a 2-cell, its stem to the base vertex cut off, until the span
-    has the rank r = |E| - |V| + 1 of the cycle space.
+    Candidates are the fundamental cycles of a breadth-first tree at each
+    base vertex, shortest first as GF(2) edge masks (then by walk length,
+    base vertex and walk).  A candidate is kept when it is outside the span
+    of the translates kept so far; then each of its translates that is
+    independent of the span is kept as a 2-cell, until the span has the rank
+    r = |E| - |V| + 1 of the cycle space (`CycleSpace`).
+
+    Only stemless candidates, whose tree paths leave the base vertex by
+    different edges, are listed: one with a stem is never kept.  Say its
+    paths part at x = g b', b' a base vertex, its mask C is a simple s-cycle
+    and its walk has length l >= s + 3.  g^-1 C passes through b' and is the
+    sum of the fundamental cycles of b''s tree at its non-tree edges; tree
+    depths are at most distances along the cycle, so each of these has mask
+    size <= s and walk length <= s + 1, comes first, and lies in the span
+    when the candidate is reached.  The span is G-invariant, so it holds C.
+    A stemless candidate has s = l - 1 and both ends at depth <= s // 2, and
+    a search cut off at radius r has the full search's parents up to depth
+    r.  So the balls of radius r = 1, 2, 4, ... around the base vertices
+    (`_Ball`) list, at each radius, exactly the stemless candidates with
+    2r' + 1 < s <= 2r + 1 (r' the radius before), walks unchanged, and are
+    grown until the span is full or every ball is the whole graph.
 
     The proof: removing a 2-cell through a free edge (`collapses`) deletes
     that open edge and open cell and is a deformation retraction.  If all r
     cells go this way, the graph with the cells is homotopy equivalent to
     the graph minus r edges, which is connected because the complex is,
     and has |V| - 1 edges, so it is a tree.  The complex is then simply
-    connected (a cell's stem changes its attaching map only up to free
-    homotopy), and so is the one with every translate of every kept loop:
+    connected, and so is the one with every translate of every kept loop:
     more 2-cells only add relations to the fundamental group.  By the
     theorem on groups acting on simply connected complexes, the kept loops
     then give a presentation of G before any verification runs.
     """
-    edges = sorted(ag.graph.edges)
-    rank = len(edges) - ag.graph.vertex_count + 1
-    if rank == 0:  # a tree: no cycle to fill
+    space = CycleSpace(ag.graph)
+    if space.rank == 0:  # a tree: no cycle to fill
         return ()
-    bit = {}  # each edge, in both orientations -> its bit
-    for k, (u, w) in enumerate(edges):
-        bit[u, w] = bit[w, u] = 1 << k
-
-    def mask(walk: Sequence[int]) -> int:
-        m = 0
-        for step in zip(walk, walk[1:]):
-            m ^= bit[step]
-        return m
-
-    basis: dict[int, int] = {}  # leading bit -> vector
-
-    def reduce(m: int) -> int:
-        while m and m.bit_length() - 1 in basis:
-            m ^= basis[m.bit_length() - 1]
-        return m
-
-    # The fundamental cycle of a non-tree edge (u, w) at v walks the tree
-    # path to u, the edge and the tree path back from w, so its mask is
-    # pathmask[u] ^ bit(u, w) ^ pathmask[w]; walks are built only for the
-    # candidates that survive (`_fundamental_cycle`).
-    candidates, trees = [], []
-    for order, v in enumerate(sc.base_vertices):
-        tree = bfs_tree(v, lambda u: [(w, w) for w in ag.graph.neighbors(u)])
-        trees.append(tree)
-        depth, pathmask = {v: 0}, {v: 0}
-        for u, (p, _) in tree.items():  # each parent before its children
-            if u != v:
-                depth[u], pathmask[u] = depth[p] + 1, pathmask[p] ^ bit[p, u]
-        for u, w in edges:
-            if tree[u][0] != w and tree[w][0] != u:
-                m = pathmask[u] ^ bit[u, w] ^ pathmask[w]
-                candidates.append((m.bit_count(), depth[u] + depth[w] + 2, order, m, u, w))
-
-    # In the order (mask size, walk length, base vertex, walk), a repeated
-    # mask, or one the span already holds, is never kept: drop these before
-    # building walks, and sort the walks only within one (size, length, base).
-    candidates.sort(key=lambda c: c[:3])
-    seen: set[int] = set()
-    picked, cells = [], []
-    for (_, _, order), group in groupby(candidates, key=lambda c: c[:3]):
-        if len(basis) == rank:
-            break
-        survivors = []
-        for *_, m, u, w in group:
-            if m not in seen:
-                seen.add(m)
-                if reduce(m):
-                    survivors.append((_fundamental_cycle(trees[order], u, w), m))
-        for loop, m in sorted(survivors):
-            if len(basis) == rank:
+    balls = [_Ball(v, ag.graph, space) for v in sc.base_vertices]
+    keep_paths = len(balls) * ag.graph.vertex_count * len(ag.graph.edges) <= KEPT_PATH_BITS
+    picked, radius = [], 1
+    while not space.full() and any(ball.queue for ball in balls):
+        found = sorted((size, order, u, w) for order, ball in enumerate(balls)
+                       for size, u, w in ball.grow(radius))
+        # by mask size, base vertex and walk (the walk length is size + 1);
+        # walks are built for the masks outside the span only
+        for (_, order), group in groupby(found, key=lambda c: c[:2]):
+            if space.full():
                 break
-            if not reduce(m):
-                continue
-            picked.append(loop)
-            cycle = list(loop)
-            while cycle[1] == cycle[-2]:
-                cycle = cycle[1:-1]
-            for p in ag.action:
-                translate = [p(x) for x in cycle]
-                m = reduce(mask(translate))
-                if m:
-                    basis[m.bit_length() - 1] = m
-                    cells.append(translate)
-                    if len(basis) == rank:
-                        break
-    if len(cells) != rank or not collapses(cells):
+            ball = balls[order]
+            masks = ((u, w, ball.mask(u, w)) for *_, u, w in group)
+            for loop, m in sorted((_fundamental_cycle(ball.tree, u, w), m)
+                                  for u, w, m in masks if space.reduce(m)):
+                if space.full():
+                    break
+                if space.reduce(m):
+                    picked.append(loop)
+                    space.insert_translates(loop, ag.action)
+            if not keep_paths:
+                ball.paths = {ball.root: 0}
+        radius *= 2
+    if not space.full() or not collapses(space.cells):
         return None
     return tuple(picked)
 

@@ -211,3 +211,85 @@ def edge_orbits_at(ag: ActionedGraph, v: int) -> list[tuple[OrientedEdge, ...]]:
         orbits.append(tuple(sorted(first_carriers(stab, ag.apply_edge, min(remaining)))))
         remaining.difference_update(orbits[-1])
     return orbits
+
+
+class CycleSpace:
+    """A growing GF(2) span of closed walks in a graph, kept as an echelon
+    basis.  Edges get integer ids in sorted order, and a walk's mask has bit
+    k set when it walks edge k an odd number of times.  The span is full at
+    the rank |E| - |V| + 1 of the cycle space of a connected graph; `cells`
+    are the walks inserted, one per basis vector."""
+
+    def __init__(self, graph: Graph):
+        self.ids: dict[tuple[int, int], int] = {}
+        for k, (u, w) in enumerate(sorted(graph.edges)):
+            self.ids[u, w] = self.ids[w, u] = k
+        self.rank = len(graph.edges) - graph.vertex_count + 1
+        self.basis: dict[int, int] = {}  # leading bit -> vector
+        self.cells: list[list[int]] = []
+
+    def mask(self, walk: Sequence[int]) -> int:
+        m = 0
+        for step in zip(walk, walk[1:]):
+            m ^= 1 << self.ids[step]
+        return m
+
+    def reduce(self, m: int) -> int:
+        """The mask less basis vectors: 0 exactly when the span holds it."""
+        basis = self.basis
+        while m:
+            v = basis.get(m.bit_length() - 1)
+            if v is None:
+                break
+            m ^= v
+        return m
+
+    def full(self) -> bool:
+        return len(self.basis) == self.rank
+
+    def insert_translates(self, walk: Sequence[int], action: Iterable[Perm]) -> None:
+        """Insert each translate of the walk, in the order of `action`, that
+        is outside the span, as a cell, until the span is full."""
+        for p in action:
+            if self.full():
+                return
+            images = p.images
+            translate = [images[x] for x in walk]
+            m = self.reduce(self.mask(translate))
+            if m:
+                self.basis[m.bit_length() - 1] = m
+                self.cells.append(translate)
+
+
+def collapses(cells: Sequence[Sequence[int]]) -> bool:
+    """Can the 2-cells attached along these closed walks all be removed, one
+    at a time, each through a free edge: an edge the cell walks exactly once
+    and no other remaining cell walks at all?"""
+    ids: dict[tuple[int, int], int] = {}
+    uses: list[dict[int, int]] = []  # per cell: edge id -> times walked
+    for cell in cells:
+        counts: dict[int, int] = {}
+        for a, b in zip(cell, cell[1:]):
+            e = ids.setdefault((a, b) if a < b else (b, a), len(ids))
+            counts[e] = counts.get(e, 0) + 1
+        uses.append(counts)
+    total = [0] * len(ids)
+    users: list[list[int]] = [[] for _ in ids]
+    for k, counts in enumerate(uses):
+        for e, n in counts.items():
+            total[e] += n
+            users[e].append(k)
+    live = set(range(len(cells)))
+    free = [e for e, n in enumerate(total) if n == 1]
+    while free:
+        e = free.pop()
+        if total[e] != 1:
+            continue
+        # one remaining cell walks e, and walks it once
+        (k,) = (k for k in users[e] if k in live)
+        live.remove(k)
+        for f, n in uses[k].items():
+            total[f] -= n
+            if total[f] == 1:
+                free.append(f)
+    return not live

@@ -77,6 +77,17 @@ def tree_words(tree: dict) -> dict:
     return tree_fold(tree, (), lambda word, step: word + (step,))
 
 
+def _first_flaw(images: tuple[int, ...]) -> str:
+    """Why the images are no bijection: the first repeated image, or else
+    the least point missing from them."""
+    seen: set[int] = set()
+    for x in images:
+        if x in seen:
+            return f"image {x} repeated"
+        seen.add(x)
+    return f"image {min(set(range(len(images))) - seen)} missing"
+
+
 class Perm:
     """A bijection of {0..n-1}, stored as the tuple of images."""
 
@@ -85,7 +96,7 @@ class Perm:
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
+            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {_first_flaw(images)}")
         _set_images(self, images)
 
     @staticmethod

@@ -194,6 +194,20 @@ def test_bad_action_file_exits_2_with_one_line(tmp_path, capsys, data, message):
     assert message in err
 
 
+@pytest.mark.parametrize("images, flaw", [
+    ([0, 0, *range(1, 4999)], "image 0 repeated"),
+    ([*range(1, 5000), 5000], "image 0 missing"),
+], ids=["repeated", "out-of-range"])
+def test_bad_generator_of_a_large_action_names_one_image(tmp_path, capsys, images, flaw):
+    path = tmp_path / "path5000.json"
+    path.write_text(json.dumps({"vertices": 5000, "edges": [[i, i + 1] for i in range(4999)],
+                                "generators": {"e": images}}))
+    code, _, err = run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert err.count("\n") == 1 and len(err) < 200
+    assert f"generators['e']: not a bijection of 0..4999: {flaw}" in err
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"gen_elements": {"g[0]": 2, "h": 999}}, "h names element 999, the group has 60"),
     ({"gen_elements": {"g[0]": 2, "h": -1}}, "h names element -1"),

@@ -19,6 +19,7 @@ from graphpres.graphs import ActionedGraph, Graph, find_inversion
 from graphpres.perms import Perm
 from graphpres.words import Presentation, evaluate_word_in_G
 
+from reference_picks import reference_pick_loops
 from test_carriers import relabelled
 from test_pinned import ACTIONS, prism
 from test_verify import trivial_grid
@@ -309,10 +310,14 @@ def test_degenerate_given_loops_emit_no_empty_relator(tmp_path, capsys):
     assert len(relators) == 4 and "1" not in relators  # a header line, then the relators
 
 
-# the pinned file actions and the four prisms of the multi-orbit benchmark
+# the pinned file actions, the four prisms of the multi-orbit benchmark, a
+# grid with a base vertex per vertex, and a relabelled prism whose ring is
+# picked at the fourth radius
 PICKER_CASES = {**ACTIONS, **{f"prism-{n}x{k}" + ("-dihedral" if flip else ""): prism(n, k, flip)
                               for n, k, flip in [(60, 4, False), (40, 5, False),
-                                                 (75, 3, False), (30, 4, True)]}}
+                                                 (75, 3, False), (30, 4, True)]},
+                "trivial-grid-6x6": trivial_grid(6, 6),
+                "prism-12x6-relabelled": relabelled(prism(12, 6, False), random.Random(12))}
 
 
 def cycle_space_rank(ag, loops):
@@ -347,60 +352,8 @@ def test_picked_loops_span_the_cycle_space_and_collapse(monkeypatch, name):
     assert verdicts and all(verdicts) and inp.loop_source == "picked"
     assert inp.loops == pick_loops(inp.ag, inp.sc)
     assert all(loop[0] == loop[-1] and loop[0] in inp.sc.base_vertices for loop in inp.loops)
+    assert all(loop[1] != loop[-2] for loop in inp.loops)  # no stem
     assert cycle_space_rank(inp.ag, inp.loops) == len(graph.edges) - graph.vertex_count + 1
-
-
-# `pick_loops` as it was before it built candidate masks from tree-path masks
-# and dropped repeated or dependent masks before building walks: every
-# fundamental cycle at every base vertex is built, masked and sorted.
-
-def reference_pick_loops(ag, sc):
-    edges = sorted(ag.graph.edges)
-    bit = {}
-    for k, (u, w) in enumerate(edges):
-        bit[u, w] = bit[w, u] = 1 << k
-    rank = len(edges) - ag.graph.vertex_count + 1
-
-    def mask(walk):
-        m = 0
-        for step in zip(walk, walk[1:]):
-            m ^= bit[step]
-        return m
-
-    basis = {}
-
-    def reduce(m):
-        while m and m.bit_length() - 1 in basis:
-            m ^= basis[m.bit_length() - 1]
-        return m
-
-    candidates = []
-    for order, v in enumerate(sc.base_vertices):
-        for loop in fundamental_loops(ag, v):
-            m = mask(loop)
-            candidates.append((m.bit_count(), len(loop), order, loop, m))
-    candidates.sort()
-    picked, cells = [], []
-    for *_, loop, m in candidates:
-        if len(basis) == rank:
-            break
-        if not reduce(m):
-            continue
-        picked.append(loop)
-        cycle = list(loop)
-        while cycle[1] == cycle[-2]:
-            cycle = cycle[1:-1]
-        for p in ag.action:
-            translate = [p(x) for x in cycle]
-            m = reduce(mask(translate))
-            if m:
-                basis[m.bit_length() - 1] = m
-                cells.append(translate)
-                if len(basis) == rank:
-                    break
-    if len(cells) != rank or not collapses(cells):
-        return None
-    return tuple(picked)
 
 
 @pytest.mark.parametrize("name", list(PICKER_CASES))
@@ -409,6 +362,14 @@ def test_picks_match_the_reference(rng, name):
         data = PICKER_CASES[name] if k == 0 else relabelled(PICKER_CASES[name], rng)
         inp = action_from_json(data, name)
         assert pick_loops(inp.ag, inp.sc) == reference_pick_loops(inp.ag, inp.sc)
+
+
+@pytest.mark.parametrize("name", list(PICKER_CASES))
+def test_picks_without_kept_path_masks_match_the_reference(monkeypatch, name):
+    # on large inputs the balls drop their path masks after each group
+    monkeypatch.setattr(derive_module, "KEPT_PATH_BITS", 0)
+    inp = action_from_json(PICKER_CASES[name], name)
+    assert pick_loops(inp.ag, inp.sc) == reference_pick_loops(inp.ag, inp.sc)
 
 
 def test_prism_picks_its_squares_and_one_ring():
@@ -483,4 +444,9 @@ def test_many_vertex_orbits_cost_linear_neighbor_calls(monkeypatch):
     # and `pick_loops` none
     small = neighbor_calls(monkeypatch, trivial_grid(1, 500))
     large = neighbor_calls(monkeypatch, trivial_grid(1, 2000))
+    assert 0 < small and large <= 5 * small
+    # on a grid `pick_loops` grows a ball of radius 2 around every vertex,
+    # where its squares are
+    small = neighbor_calls(monkeypatch, trivial_grid(20, 20))
+    large = neighbor_calls(monkeypatch, trivial_grid(40, 40))
     assert 0 < small and large <= 5 * small

@@ -7,17 +7,20 @@ which keep the group) and sometimes a dropped generator (a subgroup), on
 randomly relabelled points.  Its graph is a random union of orbitals, the
 G-orbits of pairs of points, added until the graph is connected, so
 intransitive actions, several vertex orbits and edges across orbits occur.
-Every action must derive and verify, and a relabelled copy must give the
-same vertex-stabilizer relators.  `pytest --seed N` draws other actions.
+Every action must derive and verify, its picked loops must be the full
+candidate search's (`reference_picks`) and have no stem, and a relabelled
+copy must give the same vertex-stabilizer relators.  `pytest --seed N`
+draws other actions.
 """
 
 import random
 
 from graphpres.cli import _verification_report, action_from_json
 from graphpres.coset import COSET_LIMIT
-from graphpres.derive import derive_presentation
+from graphpres.derive import derive_presentation, pick_loops
 from graphpres.perms import ClosureLimitError, FiniteGroupTable, Perm
 
+from reference_picks import reference_pick_loops
 from test_carriers import relabelled
 
 CASES = 40
@@ -112,6 +115,9 @@ def test_random_orbital_graph_actions_derive_and_verify(rng):
     orbits = []
     for k, data in enumerate(random_actions(rng, CASES)):
         inp = action_from_json(data, f"orbital-{k}")
+        picked = pick_loops(inp.ag, inp.sc)
+        assert picked == reference_pick_loops(inp.ag, inp.sc), data
+        assert all(loop[1] != loop[-2] for loop in picked or ()), data
         derived = derive_presentation(inp)
         report, code = _verification_report(derived, inp.ag, inp.sc, COSET_LIMIT)
         assert code == 0, (data, report)
