@@ -404,12 +404,6 @@ def fundamental_loops(ag: ActionedGraph, root: int) -> list[tuple[int, ...]]:
             if tree[u][0] != w and tree[w][0] != u]
 
 
-# A ball's path masks, |E| bits each, are kept from one of its candidate
-# groups to the next only while those of every vertex in every ball would fit
-# in this many bits; past it they are dropped after each group.
-KEPT_PATH_BITS = 1 << 27
-
-
 class _Ball:
     """A breadth-first search from `root`, grown one radius at a time:
     `tree` maps each vertex found to (parent, depth, the vertex after the
@@ -497,7 +491,6 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
     if space.rank == 0:  # a tree: no cycle to fill
         return ()
     balls = [_Ball(v, ag.graph, space) for v in sc.base_vertices]
-    keep_paths = len(balls) * ag.graph.vertex_count * len(ag.graph.edges) <= KEPT_PATH_BITS
     picked, radius = [], 1
     while not space.full() and any(ball.queue for ball in balls):
         found = sorted((size, order, u, w) for order, ball in enumerate(balls)
@@ -516,8 +509,6 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
                 if space.reduce(m):
                     picked.append(loop)
                     space.insert_translates(loop, ag.action)
-            if not keep_paths:
-                ball.paths = {ball.root: 0}
         radius *= 2
     if not space.full() or not collapses(space.cells):
         return None

@@ -265,22 +265,20 @@ def collapses(cells: Sequence[Sequence[int]]) -> bool:
     """Can the 2-cells attached along these closed walks all be removed, one
     at a time, each through a free edge: an edge the cell walks exactly once
     and no other remaining cell walks at all?"""
-    ids: dict[tuple[int, int], int] = {}
-    uses: list[dict[int, int]] = []  # per cell: edge id -> times walked
-    for cell in cells:
-        counts: dict[int, int] = {}
+    uses: list[dict[tuple[int, int], int]] = []
+    total: dict[tuple[int, int], int] = {}
+    users: dict[tuple[int, int], list[int]] = {}
+    for k, cell in enumerate(cells):
+        counts: dict[tuple[int, int], int] = {}
         for a, b in zip(cell, cell[1:]):
-            e = ids.setdefault((a, b) if a < b else (b, a), len(ids))
+            e = (a, b) if a < b else (b, a)
             counts[e] = counts.get(e, 0) + 1
         uses.append(counts)
-    total = [0] * len(ids)
-    users: list[list[int]] = [[] for _ in ids]
-    for k, counts in enumerate(uses):
         for e, n in counts.items():
-            total[e] += n
-            users[e].append(k)
+            total[e] = total.get(e, 0) + n
+            users.setdefault(e, []).append(k)
     live = set(range(len(cells)))
-    free = [e for e, n in enumerate(total) if n == 1]
+    free = [e for e, n in total.items() if n == 1]
     while free:
         e = free.pop()
         if total[e] != 1:

@@ -364,14 +364,6 @@ def test_picks_match_the_reference(rng, name):
         assert pick_loops(inp.ag, inp.sc) == reference_pick_loops(inp.ag, inp.sc)
 
 
-@pytest.mark.parametrize("name", list(PICKER_CASES))
-def test_picks_without_kept_path_masks_match_the_reference(monkeypatch, name):
-    # on large inputs the balls drop their path masks after each group
-    monkeypatch.setattr(derive_module, "KEPT_PATH_BITS", 0)
-    inp = action_from_json(PICKER_CASES[name], name)
-    assert pick_loops(inp.ag, inp.sc) == reference_pick_loops(inp.ag, inp.sc)
-
-
 def test_prism_picks_its_squares_and_one_ring():
     inp = action_from_json(PICKER_CASES["prism-60x4"], "prism-60x4")
     assert sorted(len(loop) - 1 for loop in inp.loops) == [4, 4, 4, 60]
