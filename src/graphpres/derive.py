@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 from .coset import STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
-from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, collapses,  # noqa: F401
-                     find_inversion, first_carriers)
+from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion,  # noqa: F401
+                     first_carriers)
 from .perms import FiniteGroupTable, Perm, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
@@ -477,15 +477,16 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
     2r' + 1 < s <= 2r + 1 (r' the radius before), walks unchanged, and are
     grown until the span is full or every ball is the whole graph.
 
-    The proof: removing a 2-cell through a free edge (`collapses`) deletes
-    that open edge and open cell and is a deformation retraction.  If all r
-    cells go this way, the graph with the cells is homotopy equivalent to
-    the graph minus r edges, which is connected because the complex is,
-    and has |V| - 1 edges, so it is a tree.  The complex is then simply
-    connected, and so is the one with every translate of every kept loop:
-    more 2-cells only add relations to the fundamental group.  By the
-    theorem on groups acting on simply connected complexes, the kept loops
-    then give a presentation of G before any verification runs.
+    The proof: removing a 2-cell through a free edge
+    (`CycleSpace.collapses`) deletes that open edge and open cell and is a
+    deformation retraction.  If all r cells go this way, the graph with the
+    cells is homotopy equivalent to the graph minus r edges, which is
+    connected because the complex is, and has |V| - 1 edges, so it is a
+    tree.  The complex is then simply connected, and so is the one with
+    every translate of every kept loop: more 2-cells only add relations to
+    the fundamental group.  By the theorem on groups acting on simply
+    connected complexes, the kept loops then give a presentation of G
+    before any verification runs.
     """
     space = CycleSpace(ag.graph)
     if space.rank == 0:  # a tree: no cycle to fill
@@ -510,7 +511,7 @@ def pick_loops(ag: ActionedGraph, sc: Scaffolding) -> tuple[tuple[int, ...], ...
                     picked.append(loop)
                     space.insert_translates(loop, ag.action)
         radius *= 2
-    if not space.full() or not collapses(space.cells):
+    if not space.full() or not space.collapses():
         return None
     return tuple(picked)
 

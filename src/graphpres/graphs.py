@@ -260,34 +260,33 @@ class CycleSpace:
                 self.basis[m.bit_length() - 1] = m
                 self.cells.append(translate)
 
-
-def collapses(cells: Sequence[Sequence[int]]) -> bool:
-    """Can the 2-cells attached along these closed walks all be removed, one
-    at a time, each through a free edge: an edge the cell walks exactly once
-    and no other remaining cell walks at all?"""
-    uses: list[dict[tuple[int, int], int]] = []
-    total: dict[tuple[int, int], int] = {}
-    users: dict[tuple[int, int], list[int]] = {}
-    for k, cell in enumerate(cells):
-        counts: dict[tuple[int, int], int] = {}
-        for a, b in zip(cell, cell[1:]):
-            e = (a, b) if a < b else (b, a)
-            counts[e] = counts.get(e, 0) + 1
-        uses.append(counts)
-        for e, n in counts.items():
-            total[e] = total.get(e, 0) + n
-            users.setdefault(e, []).append(k)
-    live = set(range(len(cells)))
-    free = [e for e, n in total.items() if n == 1]
-    while free:
-        e = free.pop()
-        if total[e] != 1:
-            continue
-        # one remaining cell walks e, and walks it once
-        (k,) = (k for k in users[e] if k in live)
-        live.remove(k)
-        for f, n in uses[k].items():
-            total[f] -= n
-            if total[f] == 1:
-                free.append(f)
-    return not live
+    def collapses(self) -> bool:
+        """Can the 2-cells attached along the cells all be removed, one at a
+        time, each through a free edge: an edge the cell walks exactly once
+        and no other remaining cell walks at all?"""
+        ids, uses = self.ids, []  # per cell: edge id -> times walked
+        total = [0] * (len(ids) // 2)  # ids holds both orientations of an edge
+        users: list[list[int]] = [[] for _ in total]
+        for k, cell in enumerate(self.cells):
+            counts: dict[int, int] = {}
+            for step in zip(cell, cell[1:]):
+                e = ids[step]
+                counts[e] = counts.get(e, 0) + 1
+            uses.append(counts)
+            for e, n in counts.items():
+                total[e] += n
+                users[e].append(k)
+        live = set(range(len(self.cells)))
+        free = [e for e, n in enumerate(total) if n == 1]
+        while free:
+            e = free.pop()
+            if total[e] != 1:
+                continue
+            # one remaining cell walks e, and walks it once
+            (k,) = (k for k in users[e] if k in live)
+            live.remove(k)
+            for f, n in uses[k].items():
+                total[f] -= n
+                if total[f] == 1:
+                    free.append(f)
+        return not live

@@ -9,17 +9,17 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
                                 standard_symmetric_presentation)
 from graphpres.coset import todd_coxeter
 from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic_form,
-                              auto_derivation_input, collapses,
+                              auto_derivation_input,
                               coxeter_substitution, derive_presentation,
                               derived_from_json, derived_to_json, greedy_generators,
                               fundamental_loops, pick_loops, presentation_matches,
                               PatternMismatchError, stabilizer_presentation, validate_input)
 from graphpres.cli import action_from_json, main
-from graphpres.graphs import ActionedGraph, Graph, find_inversion
+from graphpres.graphs import ActionedGraph, CycleSpace, Graph, find_inversion
 from graphpres.perms import Perm
 from graphpres.words import Presentation, evaluate_word_in_G
 
-from reference_picks import reference_pick_loops
+from reference_picks import reference_collapses, reference_pick_loops
 from test_carriers import relabelled
 from test_pinned import ACTIONS, prism
 from test_verify import trivial_grid
@@ -340,12 +340,14 @@ def cycle_space_rank(ag, loops):
 @pytest.mark.parametrize("name", list(PICKER_CASES))
 def test_picked_loops_span_the_cycle_space_and_collapse(monkeypatch, name):
     verdicts = []
+    collapses = CycleSpace.collapses
 
-    def spy(cells):
-        verdicts.append(collapses(cells))
+    def spy(space):
+        verdicts.append(collapses(space))
+        assert verdicts[-1] == reference_collapses(space.cells)
         return verdicts[-1]
 
-    monkeypatch.setattr(derive_module, "collapses", spy)
+    monkeypatch.setattr(CycleSpace, "collapses", spy)
     inp = action_from_json(PICKER_CASES[name], name)
     graph = inp.ag.graph
     # the action's own pick runs first; the stabilizers' derivations pick too
@@ -367,6 +369,16 @@ def test_picks_match_the_reference(rng, name):
 def test_prism_picks_its_squares_and_one_ring():
     inp = action_from_json(PICKER_CASES["prism-60x4"], "prism-60x4")
     assert sorted(len(loop) - 1 for loop in inp.loops) == [4, 4, 4, 60]
+
+
+def collapses(cells):
+    """`CycleSpace.collapses` with these walks as its cells, checked against
+    the reference."""
+    edges = {step for cell in cells for step in zip(cell, cell[1:])}
+    space = CycleSpace(Graph(1 + max(map(max, cells)), edges))
+    space.cells = [list(cell) for cell in cells]
+    assert space.collapses() == reference_collapses(cells)
+    return space.collapses()
 
 
 K4_TRIANGLES = [(0, 1, 2, 0), (0, 1, 3, 0), (0, 2, 3, 0), (1, 2, 3, 1)]
@@ -391,7 +403,7 @@ def test_an_edge_walked_twice_is_never_free():
 
 
 def test_failed_collapse_falls_back_to_fundamental_loops(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(derive_module, "collapses", lambda cells: False)
+    monkeypatch.setattr(CycleSpace, "collapses", lambda space: False)
     inp = action_from_json(ACTIONS["cube"], "cube")
     assert inp.loop_source == "fundamental"
     assert list(inp.loops) == fundamental_loops(inp.ag, inp.sc.base_vertices[0])
