@@ -206,7 +206,7 @@ def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph,
             return f"generator {name} names element {elem}, the group has {group.order}"
     named = sorted(derived.edge_gens.values())
     if named != sorted(sc.pair_reps):
-        stray = [e for e in named if e not in sc.pair_reps]
+        stray = sorted(set(named) - set(sc.pair_reps))
         if stray:
             return f"edge ({stray[0].origin}, {stray[0].target}) is not a pairing representative"
         return "edge generators do not name each pairing representative once"

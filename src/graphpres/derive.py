@@ -89,7 +89,7 @@ def validate_input(inp: DerivationInput) -> None:
             raise DerivationInputError(
                 f"edge-stabilizer generators at {e} generate {len(closure)} of {len(g_e)}")
     for loop in inp.loops:
-        if not loop or loop[0] not in sc.base_vertices or loop[-1] not in sc.base_vertices:
+        if not loop or sc.base_of.get(loop[0]) != loop[0] or sc.base_of.get(loop[-1]) != loop[-1]:
             raise DerivationInputError(f"path {loop} does not begin and end at base vertices")
 
 

@@ -19,12 +19,12 @@ from .graphs import (ActionedGraph, OrientedEdge, edge_orbits_at, find_inversion
 @dataclass(frozen=True)
 class Scaffolding:
     base_vertices: tuple[int, ...]                      # V, one per vertex orbit
+    base_of: dict[int, int]                             # x -> v(x), the base vertex of its orbit
     tree_edges: tuple[tuple[int, int], ...]             # undirected edges of the subtree A on V
     edge_reps: dict[int, tuple[OrientedEdge, ...]]      # per base vertex: orbit representatives (E0)
     pair_reps: tuple[OrientedEdge, ...]                 # one per reversal-pairing orbit (E1)
     transversals: dict[OrientedEdge, tuple[int, ...]]   # per representative: coset reps in G_v / G_e
-    s: dict[OrientedEdge, int]                          # e -> element with s_e(v_of(e)) = target(e)
-    v_of: dict[OrientedEdge, int]                       # e -> base vertex of the orbit of target(e)
+    s: dict[OrientedEdge, int]                          # e -> s_e, carrying base_of[target(e)] to target(e)
     iota: dict[OrientedEdge, OrientedEdge]              # pairing on E0
     rep_decomposition: dict[OrientedEdge, tuple[OrientedEdge, int]] = field(default_factory=dict)
     # e -> (representative e0, transversal element u) with u(e0) = e
@@ -111,7 +111,6 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     group = ag.group
     orbit_of = {e: orbit for v in base_vertices
                 for orbit in edge_orbits_at(ag, v) for e in orbit}
-    # the base vertex of each vertex's orbit
     base_of = {w: v for v in base_vertices for w in orbit_of_vertex(ag, v)}
 
     rep_of: dict[tuple[OrientedEdge, ...], OrientedEdge] = {}
@@ -168,9 +167,8 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
                 raise RuntimeError("transversal size mismatch")
             transversals[rep] = tuple(carried.values())
 
-    v_of = {e: base_of[e.target] for e in s}
-    return Scaffolding(base_vertices, tree_edges, edge_reps, pair_reps,
-                       transversals, s, v_of, iota, rep_decomposition)
+    return Scaffolding(base_vertices, base_of, tree_edges, edge_reps, pair_reps,
+                       transversals, s, iota, rep_decomposition)
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ class RegularityViolation:
 def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolation | None:
     """Exhaustively check the regularity conditions; None when all hold.
 
-    (0) every s_e carries v_of(e) to target(e);
+    (0) every s_e carries base_of[target(e)] to target(e);
     (i) a representative admitting an inversion has an inversion as s_e;
     (ii) otherwise s_e^{-1}(reversed e) is a representative with s = s_e^{-1};
     (iii) s_{u(e)} = u s_e u^{-1} over each transversal when the far endpoint
@@ -194,7 +192,7 @@ def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolati
     """
     group = ag.group
     for e, se in sorted(sc.s.items()):
-        if ag.apply(se, sc.v_of[e]) != e.target:
+        if ag.apply(se, sc.base_of[e.target]) != e.target:
             return RegularityViolation("0", e, se, "s_e does not carry the base vertex to the target")
     rep_set = set(sc.all_reps)
     for e in sorted(rep_set):
@@ -210,7 +208,7 @@ def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolati
             if sc.s[partner] != group.inverse(se):
                 return RegularityViolation("ii", e, se, "paired edge has s != s_e^{-1}")
     for e in sorted(rep_set):
-        same_orbit = sc.v_of[e] == e.origin
+        same_orbit = sc.base_of[e.target] == e.origin
         for u in sc.transversals[e]:
             d = ag.apply_edge(u, e)
             if same_orbit:

@@ -289,7 +289,7 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
 
     # edges: the orbit of (coset 0 at v, coset g_e^-1 at w) per edge generator
     for name, e in derived.edge_gens.items():
-        v, w = e.origin, sc.v_of[e]
+        v, w = e.origin, sc.base_of[e.target]
         columns = list(zip(tables[v].columns()[::2], tables[w].columns()[::2]))
         start = (0, tables[w].trace(0, reduction.word(((name_index[name], -1),))))
         orbit = bfs_tree(start, lambda pair: ((None, (cv[pair[0]], cw[pair[1]]))

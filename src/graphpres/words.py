@@ -227,7 +227,7 @@ def edge_relation(e: OrientedEdge, t: int, ag: ActionedGraph, sc: Scaffolding) -
     d = ag.apply_edge(t, e)
     group = ag.group
     k = group.word_product((group.inverse(sc.s[d]), t, sc.s[e]))
-    w = sc.v_of[e]
+    w = sc.base_of[e.target]
     if ag.apply(k, w) != w:
         raise ValueError("k(e,t) does not fix the base vertex; scaffolding data broken")
     # (g_d^-1 t g_e)^-1 * k
@@ -239,12 +239,12 @@ def trace_path(path: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> list[
     """The unique edge sequence in E shadowing a path that starts in V.
 
     Returns edges e_1..e_n with s_1...s_{i-1}(e_i) equal to the i-th step of
-    the path; the defining property s_1...s_i(v_of(e_i)) = path[i] is
+    the path; the defining property s_1...s_i(base_of[target(e_i)]) = path[i] is
     asserted at every step.
     """
     if not path:
         raise ValueError("empty path")
-    if path[0] not in sc.base_vertices:
+    if sc.base_of.get(path[0]) != path[0]:
         raise ValueError(f"path must start at a base vertex, got {path[0]}")
     group = ag.group
     edges: list[OrientedEdge] = []
@@ -258,7 +258,7 @@ def trace_path(path: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> list[
             raise ValueError(f"translated edge {e} has no origin in V; bad scaffolding")
         edges.append(e)
         prefix = group.product(prefix, sc.s[e])
-        assert ag.apply(prefix, sc.v_of[e]) == b, "trace lost the path"
+        assert ag.apply(prefix, sc.base_of[e.target]) == b, "trace lost the path"
     return edges
 
 
@@ -268,7 +268,7 @@ def loop_relation(loop: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> Wo
     The path must begin and end at base vertices; the product of the traced
     elements then lies in the stabilizer of the endpoint.
     """
-    if loop[-1] not in sc.base_vertices:
+    if sc.base_of.get(loop[-1]) != loop[-1]:
         raise ValueError(f"path must end at a base vertex, got {loop[-1]}")
     edges = trace_path(loop, ag, sc)
     group = ag.group
@@ -328,7 +328,7 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
             expansion = [core]
         else:
             v = letter.edge.origin
-            w = sc.v_of[e0]
+            w = sc.base_of[e0.target]
             k = group.word_product((group.inverse(sc.s[letter.edge]), u, sc.s[e0]))
             expansion = [StabLetter(v, u, 1), core, StabLetter(w, k, -1)]
         out.extend(expansion if letter.sign > 0 else Word(expansion).inverse().letters)

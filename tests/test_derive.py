@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -454,3 +455,21 @@ def test_many_vertex_orbits_cost_linear_neighbor_calls(monkeypatch):
     small = neighbor_calls(monkeypatch, trivial_grid(20, 20))
     large = neighbor_calls(monkeypatch, trivial_grid(40, 40))
     assert 0 < small and large <= 5 * small
+
+
+
+def test_base_vertex_tests_do_not_scan_the_base_vertices():
+    # the trivial group on a 20x20 grid: 400 base vertices and 361 picked
+    # squares, each traced from and back to a base vertex
+    scanned = []
+
+    class Counted(tuple):
+        def __contains__(self, item):
+            scanned.append(item)
+            return super().__contains__(item)
+
+    inp = action_from_json(trivial_grid(20, 20))
+    inp.sc = dataclasses.replace(inp.sc, base_vertices=Counted(inp.sc.base_vertices))
+    derived = derive_presentation(inp)
+    assert derived.families["loop"] == 19 * 19
+    assert scanned == []

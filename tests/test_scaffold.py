@@ -1,12 +1,13 @@
+import dataclasses
+
 import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
                                 dodecahedron_action, simplex_action)
 from graphpres.graphs import ActionedGraph, Graph, OrientedEdge
 from graphpres.perms import Perm
-from graphpres.scaffold import (DisconnectedGraphError, Scaffolding,
-                                build_regular_scaffolding, build_spanning_tree,
-                                validate_regularity)
+from graphpres.scaffold import (DisconnectedGraphError, build_regular_scaffolding,
+                                build_spanning_tree, validate_regularity)
 
 
 def triangle_with_midpoints():
@@ -120,8 +121,7 @@ def test_regularity_violation_iii_detected():
     d = inp.ag.apply_edge(h, e)
     broken = dict(sc.s)
     broken[d] = inp.ag.group.product(sc.s[d], sc.s[d])  # not u s_e u^-1 any more
-    mutated = Scaffolding(sc.base_vertices, sc.tree_edges, sc.edge_reps, sc.pair_reps,
-                          sc.transversals, broken, sc.v_of, sc.iota, sc.rep_decomposition)
+    mutated = dataclasses.replace(sc, s=broken)
     violation = validate_regularity(mutated, inp.ag)
     assert violation is not None
 
@@ -136,8 +136,7 @@ def test_regularity_violation_i_detected():
                  if inp.ag.apply(i, 0) == 1 and inp.ag.apply(i, 1) != 0)
     broken = dict(sc.s)
     broken[e] = other
-    mutated = Scaffolding(sc.base_vertices, sc.tree_edges, sc.edge_reps, sc.pair_reps,
-                          sc.transversals, broken, sc.v_of, sc.iota, sc.rep_decomposition)
+    mutated = dataclasses.replace(sc, s=broken)
     violation = validate_regularity(mutated, inp.ag)
     assert violation is not None and violation.condition in ("i", "iii")
 

@@ -191,7 +191,7 @@ def reference_edges(derived, ag, sc, tables):
         for e in sorted(sc.s):
             if e.origin != v:
                 continue
-            w = sc.v_of[e]
+            w = sc.base_of[e.target]
             ge = spell(rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc))
             start = tables[w].trace(0, inverse_word(ge))
             for c, n in carry(tables[v], tables[w], start).items():
