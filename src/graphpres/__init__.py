@@ -25,8 +25,8 @@ from .scaffold import (Scaffolding, build_regular_scaffolding, build_spanning_tr
 from .verify import (abelianization_smith, build_kozsul_model,
                      check_covering_isomorphism, presentation_order_check,
                      smith_normal_form)
-from .words import (Presentation, Word, edge_loop_relation, edge_relation,
-                    evaluate_word_in_G, loop_relation, rewrite_word_to_E1,
-                    tautological_relation, trace_path)
+from .words import (Presentation, Word, cyclic_normal_form, edge_relation, edge_word,
+                    evaluate_word_in_G, inverse_letters, loop_relation, normal_form,
+                    rewrite_word_to_E1, trace_path)
 
 __version__ = "0.1.0"

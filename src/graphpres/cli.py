@@ -122,7 +122,8 @@ def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
     reconstruction, over that same reduction, whose coset tables give its
     Lagrange bound the index it needs.  When the reconstruction stops at
     the limit, the order check enumerates the presented group in full; the
-    stop is raised (exit 4) only after that check has passed.
+    stop is reported (exit 4) only after that check has passed, with the
+    order check and no reconstruction.
     """
     model, stopped = None, None
 
@@ -149,7 +150,8 @@ def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
             return report, EXIT_LIMIT
         return report, EXIT_VERIFY
     if model is None:
-        raise stopped
+        print(f"error: {stopped}", file=sys.stderr)
+        return report, EXIT_LIMIT
     cover = check_covering_isomorphism(model, ag)
     tables = {id(table): table for table in model.tables.values()}.values()
     report["reconstruction"] = {
@@ -170,7 +172,7 @@ def cmd_derive(args) -> int:
     (out_dir / f"{stem}.presentation.json").write_text(
         json.dumps(derived_to_json(derived), indent=2, sort_keys=True) + "\n")
     (out_dir / f"{stem}.relators.txt").write_text(derived.presentation.pretty() + "\n")
-    report = {"name": inp.name, "generators": list(derived.presentation.generators),
+    report = {"name": inp.name, "generator_count": len(derived.presentation.generators),
               "relator_count": len(derived.presentation.relators),
               "families": derived.families, "loops": inp.loop_source,
               "files": [str(out_dir / f"{stem}.presentation.json"),

@@ -174,23 +174,16 @@ def build_coxeter_context() -> CoxeterContext:
     return CoxeterContext(Y, cover, z, tau)
 
 
-def path_product(path: Sequence[int], mode: str, Y: TruncatedDodecahedron,
-                 ctx: CoxeterContext | None = None) -> int:
-    """Product of the edge labels along a path of the truncated dodecahedron,
-    last step leftmost; mode selects the rotation group or its double cover."""
+def path_product(path: Sequence[int], Y: TruncatedDodecahedron) -> int:
+    """Product in the rotation group of the edge labels along a path of the
+    truncated dodecahedron, last step leftmost (`CoxeterContext.product_along`
+    multiplies in the double cover)."""
+    acc = 0
     for a, b in zip(path, path[1:]):
         if not Y.graph.has_edge(a, b):
             raise ValueError(f"vertices {a},{b} of the path are not adjacent")
-    if mode == "D":
-        acc = 0
-        for a, b in zip(path, path[1:]):
-            acc = Y.group.product(Y.t_map[OrientedEdge(a, b)], acc)
-        return acc
-    if mode == "G":
-        if ctx is None:
-            raise ValueError("the double-cover mode needs a context")
-        return ctx.product_along(path)
-    raise ValueError(f"unknown mode {mode!r}")
+        acc = Y.group.product(Y.t_map[OrientedEdge(a, b)], acc)
+    return acc
 
 
 @dataclass(frozen=True)

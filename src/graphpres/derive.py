@@ -2,10 +2,15 @@
 
 The output presentation has the supplied stabilizer generators plus one
 generator per pairing representative, and carries the stabilizer relators
-plus four added families: edge relations against the edge-stabilizer
-generators, out-and-back relations for invertible representatives, the loop
-relations rewritten over the representatives, and (with several vertex
-orbits) the tree relations g_e = 1.
+plus four added families, each built as a word of `words` and rewritten over
+the representatives:
+
+- edge relations against the edge-stabilizer generators, by `edge_relation`;
+- out-and-back relations g_e^2 = s_e^2 for each inverted representative
+  e = (v, w), by `loop_relation` on the walk (v, w, v);
+- loop relations of the loops, by `loop_relation`;
+- with several vertex orbits, tree relations g_e = 1 for the tree edges, by
+  `edge_word`.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_invers
                      first_carriers)
 from .perms import FiniteGroupTable, Perm, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
-from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_reduce,
-                    edge_loop_relation, edge_relation, free_reduce, inverse_word, least_rotation,
-                    loop_relation, read_json, rewrite_word_to_E1, tautological_relation,
+from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_normal_form,
+                    cyclic_reduce, edge_relation, edge_word, free_reduce, inverse_word,
+                    least_rotation, loop_relation, normal_form, read_json, rewrite_word_to_E1,
                     tietze_reduce)
 
 
@@ -145,7 +150,7 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
 
     def spell(word: Word) -> tuple[tuple[int, int], ...]:
         out: list[tuple[int, int]] = []
-        for letter in word.letters:
+        for letter in word:
             if isinstance(letter, EdgeLetter):
                 out.append((edge_index[letter.edge], letter.sign))
             else:
@@ -163,26 +168,26 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
             emitted.setdefault(_free_cyclic_form(relator), (relator, word, family))
 
     def add(word: Word, family: str) -> None:
-        reduced = rewrite_word_to_E1(word, ag, sc).free_reduce(ag)
+        reduced = normal_form(rewrite_word_to_E1(word, ag, sc), ag)
         emit(spell(reduced), reduced, family)
 
     for v in sc.base_vertices:
         data = inp.stabilizers[v]
         for rel in data.presentation.relators:
             emit(tuple((name_index[data.presentation.generators[i]], s) for i, s in rel),
-                 Word(StabLetter(v, data.gen_elements[data.presentation.generators[i]], s)
-                      for i, s in rel), "stabilizer")
+                 tuple(StabLetter(v, data.gen_elements[data.presentation.generators[i]], s)
+                       for i, s in rel), "stabilizer")
     for e in sc.pair_reps:
         for t in inp.subgroup_gens.get(e, ()):
             add(edge_relation(e, t, ag, sc), "edge")
     for e in sc.pair_reps:
         if sc.iota[e] == e:
-            add(edge_loop_relation(e, ag, sc), "edge_loop")
+            add(loop_relation((e.origin, e.target, e.origin), ag, sc), "edge_loop")
     for loop in inp.loops:
         add(loop_relation(loop, ag, sc), "loop")
     for e in sc.oriented_tree_edges():
         if e <= sc.iota[e]:  # the rule `pair_reps` is built by
-            add(tautological_relation(e, sc), "tree")
+            add(edge_word(e), "tree")
 
     families = {"stabilizer": 0, "edge": 0, "edge_loop": 0, "loop": 0, "tree": 0}
     for _, _, family in emitted.values():
@@ -225,7 +230,7 @@ def presentation_matches(derived: DerivedPresentation, target: Presentation,
                         letters.append(EdgeLetter(base.edge, s))
                     else:
                         letters.append(StabLetter(base.vertex, base.element, s))
-                mixed.append(Word(letters).cyclic_normal_form(ag))
+                mixed.append(cyclic_normal_form(letters, ag))
             else:
                 pure.append(_free_cyclic_form(names))
         return sorted(pure), sorted(mixed)

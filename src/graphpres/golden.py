@@ -285,12 +285,6 @@ class GoldenQuat:
     def z(self) -> GoldenNum:
         return _golden(self.n[6], self.n[7], self.n[8])
 
-    def __mul__(self, other: GoldenQuat) -> GoldenQuat:
-        return quat_mul(self, other)
-
-    def __neg__(self) -> GoldenQuat:
-        return _quat_new(tuple(-k for k in self.n[:8]) + self.n[8:])
-
     def conj(self) -> GoldenQuat:
         return _quat_new(_conj(self.n))
 

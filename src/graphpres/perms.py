@@ -124,9 +124,6 @@ class Perm:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
-    def __mul__(self, other: Perm) -> Perm:
-        return perm_compose(self, other)
-
     def inverse(self) -> Perm:
         images = [0] * len(self.images)
         for i, j in enumerate(self.images):

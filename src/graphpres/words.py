@@ -1,11 +1,11 @@
 """Words over edge generators and stabilizer elements, and the relation families.
 
-A word is a sequence of letters in the free product of the free group on the
+A word is a tuple of letters in the free product of the free group on the
 edge generators with the vertex stabilizers: edge letters are formal symbols
 g_e carrying a sign, stabilizer letters carry an actual group-element index
-tagged with the base vertex that owns it.  Reduction multiplies adjacent
-stabilizer letters inside their finite group, so reduced words are normal
-forms in the free product.
+tagged with the base vertex that owns it.  Reduction (`normal_form`)
+multiplies adjacent stabilizer letters inside their finite group, so reduced
+words are normal forms in the free product.
 """
 
 from __future__ import annotations
@@ -30,74 +30,7 @@ class StabLetter(NamedTuple):
 
 
 Letter = EdgeLetter | StabLetter
-
-
-class Word:
-    """An unreduced sequence of letters; equality is literal."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: Iterable[Letter] = ()):
-        object.__setattr__(self, "letters", tuple(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __mul__(self, other: Word) -> Word:
-        return Word(self.letters + other.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def inverse(self) -> Word:
-        out = []
-        for letter in reversed(self.letters):
-            if isinstance(letter, EdgeLetter):
-                out.append(EdgeLetter(letter.edge, -letter.sign))
-            else:
-                out.append(StabLetter(letter.vertex, letter.element, -letter.sign))
-        return Word(out)
-
-    def free_reduce(self, ag: ActionedGraph) -> Word:
-        """Normal form in the free product: cancel g_e g_e^-1, fold stabilizer
-        letters into single group elements, drop identities."""
-        return Word(free_reduce(self._positive_letters(ag), _fold_stabilizers(ag)))
-
-    def cyclic_normal_form(self, ag: ActionedGraph) -> tuple:
-        """Canonical form under free-product reduction, rotation and inversion."""
-        letters = cyclic_reduce(self._positive_letters(ag), _fold_stabilizers(ag))
-        inverse = Word(letters).inverse().free_reduce(ag).letters
-        return least_rotation(tuple(map(_letter_key, letters)),
-                              tuple(map(_letter_key, inverse)))
-
-    def _positive_letters(self, ag: ActionedGraph) -> Iterable[Letter]:
-        """The letters with stabilizer letters as positive non-identity elements."""
-        for letter in self.letters:
-            if isinstance(letter, StabLetter):
-                elem = letter.element if letter.sign > 0 else ag.group.inverse(letter.element)
-                if elem == 0:
-                    continue
-                letter = StabLetter(letter.vertex, elem, 1)
-            yield letter
-
-    def pretty(self) -> str:
-        parts = []
-        for letter in self.letters:
-            if isinstance(letter, EdgeLetter):
-                base = f"g[{letter.edge.origin},{letter.edge.target}]"
-            else:
-                base = f"G[{letter.vertex}:{letter.element}]"
-            parts.append(base if letter.sign > 0 else base + "^-1")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Word({self.pretty()})"
+Word = tuple[Letter, ...]  # a free-product word, not reduced
 
 
 def _cancel(a: Sequence, b: Sequence) -> tuple | None:
@@ -149,6 +82,36 @@ def cyclic_reduce(letters: Iterable, merge=_cancel) -> list:
     return letters
 
 
+def inverse_letters(word: Sequence[Letter]) -> Word:
+    """The inverse of a word of edge and stabilizer letters."""
+    return tuple(EdgeLetter(x.edge, -x.sign) if isinstance(x, EdgeLetter)
+                 else StabLetter(x.vertex, x.element, -x.sign) for x in reversed(word))
+
+
+def normal_form(word: Iterable[Letter], ag: ActionedGraph) -> Word:
+    """Normal form in the free product: cancel g_e g_e^-1, fold stabilizer
+    letters into single group elements, drop identities."""
+    return tuple(free_reduce(_positive_letters(word, ag), _fold_stabilizers(ag)))
+
+
+def cyclic_normal_form(word: Iterable[Letter], ag: ActionedGraph) -> tuple:
+    """Canonical form under free-product reduction, rotation and inversion."""
+    letters = cyclic_reduce(_positive_letters(word, ag), _fold_stabilizers(ag))
+    inverse = normal_form(inverse_letters(letters), ag)
+    return least_rotation(tuple(map(_letter_key, letters)), tuple(map(_letter_key, inverse)))
+
+
+def _positive_letters(word: Iterable[Letter], ag: ActionedGraph) -> Iterable[Letter]:
+    """The letters with stabilizer letters as positive non-identity elements."""
+    for letter in word:
+        if isinstance(letter, StabLetter):
+            elem = letter.element if letter.sign > 0 else ag.group.inverse(letter.element)
+            if elem == 0:
+                continue
+            letter = StabLetter(letter.vertex, elem, 1)
+        yield letter
+
+
 def inverse_word(word: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The inverse of a word of (generator, +-1) letters."""
     return tuple((g, -s) for g, s in reversed(word))
@@ -193,14 +156,16 @@ def _letter_key(letter: Letter) -> tuple:
 
 
 def edge_word(e: OrientedEdge, sign: int = 1) -> Word:
-    return Word([EdgeLetter(e, sign)])
+    """The one-letter word g_e^sign; with sign 1, the relator of a tree edge
+    (whose s is the identity)."""
+    return (EdgeLetter(e, sign),)
 
 
 def evaluate_word_in_G(word: Word, ag: ActionedGraph, sc: Scaffolding) -> int:
     """Image of a word under the map sending g_e to s_e and fixing stabilizers."""
     group = ag.group
     acc = 0
-    for letter in word.letters:
+    for letter in word:
         if isinstance(letter, EdgeLetter):
             if letter.edge not in sc.s:
                 raise ValueError(f"word references unknown edge {letter.edge}")
@@ -231,8 +196,7 @@ def edge_relation(e: OrientedEdge, t: int, ag: ActionedGraph, sc: Scaffolding) -
     if ag.apply(k, w) != w:
         raise ValueError("k(e,t) does not fix the base vertex; scaffolding data broken")
     # (g_d^-1 t g_e)^-1 * k
-    return Word([EdgeLetter(e, -1), StabLetter(v, t, -1), EdgeLetter(d, 1),
-                 StabLetter(w, k, 1)])
+    return (EdgeLetter(e, -1), StabLetter(v, t, -1), EdgeLetter(d, 1), StabLetter(w, k, 1))
 
 
 def trace_path(path: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> list[OrientedEdge]:
@@ -266,7 +230,9 @@ def loop_relation(loop: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> Wo
     """Relator (g_1 ... g_n)^-1 (s_1 ... s_n) of a loop or pseudo-loop.
 
     The path must begin and end at base vertices; the product of the traced
-    elements then lies in the stabilizer of the endpoint.
+    elements then lies in the stabilizer of the endpoint.  The out-and-back
+    walk (v, w, v) along an inverted edge e = (v, w) traces e twice, giving
+    the relator g_e^-1 g_e^-1 s_e^2.
     """
     if sc.base_of.get(loop[-1]) != loop[-1]:
         raise ValueError(f"path must end at a base vertex, got {loop[-1]}")
@@ -276,28 +242,7 @@ def loop_relation(loop: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> Wo
     end = loop[-1]
     if ag.apply(product, end) != end:
         raise ValueError("traced product does not stabilize the endpoint")
-    letters: list[Letter] = [EdgeLetter(e, -1) for e in reversed(edges)]
-    letters.append(StabLetter(end, product, 1))
-    return Word(letters)
-
-
-def edge_loop_relation(e: OrientedEdge, ag: ActionedGraph, sc: Scaffolding) -> Word:
-    """Relator g_e^2 = s_e^2 of the out-and-back loop along an invertible edge."""
-    if e not in sc.s:
-        raise ValueError(f"{e} has no origin in V")
-    se = sc.s[e]
-    p = ag.action[se]
-    if not (p(e.origin) == e.target and p(e.target) == e.origin):
-        raise ValueError(f"s of {e} is not an inversion; the out-and-back relation "
-                         "is a definition, not a relator, for such edges")
-    group = ag.group
-    square = group.product(se, se)
-    return Word([EdgeLetter(e, -1), EdgeLetter(e, -1), StabLetter(e.origin, square, 1)])
-
-
-def tautological_relation(e: OrientedEdge, sc: Scaffolding) -> Word:
-    """Relator g_e for an oriented tree edge (whose s is the identity)."""
-    return Word([EdgeLetter(e, 1)])
+    return (*(EdgeLetter(e, -1) for e in reversed(edges)), StabLetter(end, product, 1))
 
 
 def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
@@ -312,7 +257,7 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
     """
     group = ag.group
     out: list[Letter] = []
-    for letter in word.letters:
+    for letter in word:
         if isinstance(letter, StabLetter):
             out.append(letter)
             continue
@@ -331,8 +276,8 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
             w = sc.base_of[e0.target]
             k = group.word_product((group.inverse(sc.s[letter.edge]), u, sc.s[e0]))
             expansion = [StabLetter(v, u, 1), core, StabLetter(w, k, -1)]
-        out.extend(expansion if letter.sign > 0 else Word(expansion).inverse().letters)
-    return Word(out)
+        out.extend(expansion if letter.sign > 0 else inverse_letters(expansion))
+    return tuple(out)
 
 
 _MISSING = object()  # a named key that is absent

@@ -35,6 +35,7 @@ def test_derive_dodecahedron_with_verification(tmp_path, capsys):
     assert report["reconstruction"]["vertices"] == 20
     data = json.loads((tmp_path / "dodecahedron.presentation.json").read_text())
     assert sorted(data["generators"]) == ["g[0]", "h"]
+    assert report["generator_count"] == 2 and "generators" not in report
     assert (tmp_path / "dodecahedron.relators.txt").exists()
 
 
@@ -444,6 +445,30 @@ def test_order_check_limit_exits_4(tmp_path, capsys):
         assert check["detail"] == f"enumeration exceeded {limit} cosets"
 
 
+def test_reconstruction_limit_keeps_the_report(tmp_path, capsys, monkeypatch):
+    # a reconstruction stopped at the limit leaves the order check to the
+    # full enumeration; the report still goes to stdout, without a
+    # reconstruction, and the stop to stderr as one line
+    from graphpres.coset import EnumerationLimitError
+
+    def stopped(*args, **kwargs):
+        raise EnumerationLimitError(7, 8, 8)
+
+    code, _, _ = run(capsys, "derive", "--builtin", "dihedral:5", "--out", str(tmp_path))
+    assert code == 0
+    monkeypatch.setattr(graphpres.cli, "build_kozsul_model", stopped)
+    stored = str(tmp_path / "dihedral_5.presentation.json")
+    for argv in (["derive", "--builtin", "dihedral:5", "--verify", "--out", str(tmp_path)],
+                 ["verify", stored, "--builtin", "dihedral:5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert err == "error: coset limit 7 exceeded (8 defined, 8 live)\n"
+        report = json.loads(out)
+        check = report["order_check"]
+        assert (check["ok"], check["proof"], check["enumerated"]) == (True, "enumeration", 10)
+        assert "reconstruction" not in report and "order" not in report
+
+
 def test_lagrange_proof_verifies_under_a_small_limit(tmp_path, capsys):
     # the proof needs the reconstruction's 5 cosets and Q_v's 24, not 120
     code, out, _ = run(capsys, "derive", "--builtin", "simplex:5", "--verify",
@@ -507,7 +532,7 @@ def test_fewer_relators_than_generators_exits_3_on_the_abelianization(tmp_path, 
     assert time.perf_counter() - start < 1.0
     assert code == 3
     report = json.loads(out)
-    assert report["relator_count"] == 0 and report["generators"] == ["g[0]"]
+    assert report["relator_count"] == 0 and report["generator_count"] == 1
     check = report["order_check"]
     assert (check["ok"], check["proof"], check["enumerated"]) == (False, "abelianization", None)
     assert check["detail"] == "the abelianization Z is infinite"

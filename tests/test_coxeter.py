@@ -48,7 +48,7 @@ def test_lift_projects_onto_edge_labels(ctx):
 def test_path_product_identity_for_loops_in_base_group(ctx):
     Y = ctx.Y
     for face in Y.faces[:6]:
-        assert path_product(face + (face[0],), "D", Y) == 0
+        assert path_product(face + (face[0],), Y) == 0
 
 
 def test_path_product_takes_origin_to_end(ctx):
@@ -56,18 +56,14 @@ def test_path_product_takes_origin_to_end(ctx):
     path = [0]
     for _ in range(7):
         path.append(min(Y.graph.neighbors(path[-1])))
-    g = path_product(path, "D", Y)
+    g = path_product(path, Y)
     assert Y.flag_action[g](path[0]) == path[-1]
 
 
 def test_path_product_rejects_bad_input(ctx):
     Y = ctx.Y
-    with pytest.raises(ValueError):
-        path_product([0, 59], "D", Y)
-    with pytest.raises(ValueError):
-        path_product([0, Y.graph.neighbors(0)[0]], "nope", Y)
-    with pytest.raises(ValueError):
-        path_product([0, Y.graph.neighbors(0)[0]], "G", Y)
+    with pytest.raises(ValueError, match="^vertices 0,59 of the path are not adjacent$"):
+        path_product([0, 59], Y)
 
 
 def test_pentagon_and_triangle_out_and_back(ctx):

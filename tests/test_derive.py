@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -16,9 +17,9 @@ from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic
                               fundamental_loops, pick_loops, presentation_matches,
                               PatternMismatchError, stabilizer_presentation, validate_input)
 from graphpres.cli import action_from_json, main
-from graphpres.graphs import ActionedGraph, CycleSpace, Graph, find_inversion
+from graphpres.graphs import ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion
 from graphpres.perms import Perm
-from graphpres.words import Presentation, evaluate_word_in_G
+from graphpres.words import Presentation, evaluate_word_in_G, normal_form
 
 from reference_picks import reference_collapses, reference_pick_loops
 from test_carriers import relabelled
@@ -72,6 +73,62 @@ def test_validate_input_catches_non_generating_edge_set():
     inp.subgroup_gens[inp.sc.pair_reps[0]] = ()
     with pytest.raises(DerivationInputError):
         validate_input(inp)
+
+
+def simplex6_with(change):
+    """simplex:6 with its S5 presentation at vertex 0 changed by `change`."""
+    inp = simplex_action(6)
+    return dataclasses.replace(inp, stabilizers={0: change(inp.stabilizers[0])})
+
+
+def without_relator(k):
+    def change(data):
+        relators = data.presentation.relators
+        return dataclasses.replace(data, presentation=dataclasses.replace(
+            data.presentation, relators=relators[:k] + relators[k + 1:]))
+    return change
+
+
+def irregular_dodecahedron():
+    # the flip of the base edge swapped for a carrier that is no inversion
+    inp = dodecahedron_action()
+    other = next(i for i in range(inp.ag.group.order)
+                 if inp.ag.apply(i, 0) == 1 and inp.ag.apply(i, 1) != 0)
+    s = {**inp.sc.s, OrientedEdge(0, 1): other}
+    return dataclasses.replace(inp, sc=dataclasses.replace(inp.sc, s=s))
+
+
+def prism_with_a_shared_name():
+    # the mirror at base vertex 4 named like the one at base vertex 0
+    inp = action_from_json(ACTIONS["prism-4x3-dihedral"])
+    data = inp.stabilizers[4]
+    shared = StabilizerData(data.presentation.rename({"t4_g[0]": "t0_g[0]"}),
+                            {"t0_g[0]": data.gen_elements["t4_g[0]"]})
+    return dataclasses.replace(inp, stabilizers={**inp.stabilizers, 4: shared})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (irregular_dodecahedron, DerivationInputError, "scaffolding is not regular"),
+    (lambda: dataclasses.replace(simplex_action(6), stabilizers={}), DerivationInputError,
+     "missing stabilizer presentation for vertex 0"),
+    (lambda: simplex6_with(lambda d: dataclasses.replace(
+        d, gen_elements=dict.fromkeys(d.gen_elements, 0))),
+     DerivationInputError, "stabilizer generators at 0 generate 1 of 120 elements"),
+    (lambda: simplex6_with(without_relator(1)), DerivationInputError,
+     "stabilizer presentation at 0 did not close"),
+    (lambda: simplex6_with(without_relator(0)), DerivationInputError,
+     "stabilizer presentation at 0 has order 360, action says 120"),
+    (prism_with_a_shared_name, DerivationInputError,
+     "generator name t0_g[0] used at two vertices"),
+    (lambda: simplex6_with(lambda d: dataclasses.replace(d, gen_elements={})), ValueError,
+     "presentation generators and evaluation map disagree"),
+], ids=["irregular-scaffolding", "missing-stabilizer", "non-generating-stabilizer",
+        "open-stabilizer-presentation", "wrong-stabilizer-order", "shared-generator-name",
+        "evaluation-map-names"])
+def test_derivation_refuses_bad_library_inputs(build, error, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        derive_presentation(build())
+    assert type(exc.value) is error
 
 
 # a mirror fixing 0 and the opposite vertex: a pseudo-loop from one fixed
@@ -221,7 +278,7 @@ def test_random_dihedral_instances_sound(rng):
         inp = dihedral_cycle_action(n)
         d = derive_presentation(inp)
         for word in d.relator_words:
-            assert evaluate_word_in_G(word.free_reduce(inp.ag), inp.ag, inp.sc) == 0
+            assert evaluate_word_in_G(normal_form(word, inp.ag), inp.ag, inp.sc) == 0
         assert todd_coxeter(d.presentation).n == 2 * n
 
 

@@ -12,8 +12,8 @@ from graphpres.perms import tree_fold
 from graphpres.verify import (KozsulModel, _subgroup_key, abelianization_smith,
                               build_kozsul_model, check_covering_isomorphism,
                               presentation_order_check, smith_normal_form)
-from graphpres.words import (EdgeLetter, Presentation, Word, inverse_word, rewrite_word_to_E1,
-                             tietze_reduce)
+from graphpres.words import (EdgeLetter, Presentation, edge_word, inverse_word,
+                             rewrite_word_to_E1, tietze_reduce)
 from test_cli import PATH8_EXPONENTS
 from test_pinned import ACTIONS, prism
 from test_tietze import relabelled
@@ -172,7 +172,7 @@ def reference_edges(derived, ag, sc, tables):
 
     def spell(word):
         out = []
-        for letter in word.letters:
+        for letter in word:
             if isinstance(letter, EdgeLetter):
                 out.append((edge_index[letter.edge], letter.sign))
             else:
@@ -192,7 +192,7 @@ def reference_edges(derived, ag, sc, tables):
             if e.origin != v:
                 continue
             w = sc.base_of[e.target]
-            ge = spell(rewrite_word_to_E1(Word([EdgeLetter(e, 1)]), ag, sc))
+            ge = spell(rewrite_word_to_E1(edge_word(e), ag, sc))
             start = tables[w].trace(0, inverse_word(ge))
             for c, n in carry(tables[v], tables[w], start).items():
                 a, b = (v, c), (w, n)

@@ -4,15 +4,15 @@ from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
                                 simplex_action)
 from graphpres.graphs import OrientedEdge
 from graphpres.perms import Perm
-from graphpres.words import (EdgeLetter, Presentation, StabLetter, Word,
-                             edge_loop_relation, edge_relation, edge_word,
-                             evaluate_word_in_G, least_rotation, loop_relation, read_json,
-                             rewrite_word_to_E1, tautological_relation, trace_path)
+from graphpres.words import (EdgeLetter, Presentation, StabLetter, cyclic_normal_form,
+                             edge_relation, edge_word, evaluate_word_in_G, inverse_letters,
+                             least_rotation, loop_relation, normal_form, read_json,
+                             rewrite_word_to_E1, trace_path)
 
 
 def test_evaluate_empty_word():
     inp = simplex_action(4)
-    assert evaluate_word_in_G(Word(), inp.ag, inp.sc) == 0
+    assert evaluate_word_in_G((), inp.ag, inp.sc) == 0
 
 
 def test_evaluate_base_edge_generator():
@@ -33,13 +33,13 @@ def test_free_reduce_cancels_and_folds():
     ag = inp.ag
     h = ag.generator_labels["h"]
     e = OrientedEdge(0, 1)
-    w = Word([StabLetter(0, h, 1), StabLetter(0, h, 1), StabLetter(0, h, 1),
-              EdgeLetter(e, 1), EdgeLetter(e, -1)])
-    assert w.free_reduce(ag) == Word()
-    w2 = Word([StabLetter(0, h, 1), StabLetter(0, h, -1)])
-    assert w2.free_reduce(ag) == Word()
-    w3 = Word([StabLetter(0, h, 1), StabLetter(0, h, 1)])
-    (letter,) = w3.free_reduce(ag).letters
+    w = (StabLetter(0, h, 1), StabLetter(0, h, 1), StabLetter(0, h, 1),
+         EdgeLetter(e, 1), EdgeLetter(e, -1))
+    assert normal_form(w, ag) == ()
+    w2 = (StabLetter(0, h, 1), StabLetter(0, h, -1))
+    assert normal_form(w2, ag) == ()
+    w3 = (StabLetter(0, h, 1), StabLetter(0, h, 1))
+    (letter,) = normal_form(w3, ag)
     assert letter.element == ag.group.product(h, h)
 
 
@@ -47,7 +47,7 @@ def test_edge_relation_with_identity_is_freely_trivial():
     inp = binary_icosahedral_action().input
     e = OrientedEdge(0, 1)
     rel = edge_relation(e, 0, inp.ag, inp.sc)
-    assert rel.free_reduce(inp.ag) == Word()
+    assert normal_form(rel, inp.ag) == ()
 
 
 def test_edge_relation_simplex_commutation():
@@ -57,7 +57,7 @@ def test_edge_relation_simplex_commutation():
     rel = edge_relation(e, t, inp.ag, inp.sc)
     assert evaluate_word_in_G(rel, inp.ag, inp.sc) == 0
     # shape: g^-1 t^-1 g k with k = t (the conjugated element is t itself)
-    letters = rel.free_reduce(inp.ag).letters
+    letters = normal_form(rel, inp.ag)
     assert [type(x) for x in letters] == [EdgeLetter, StabLetter, EdgeLetter, StabLetter]
     assert letters[1].element == inp.ag.group.inverse(t) == t
     assert letters[3].element == t
@@ -68,7 +68,7 @@ def test_edge_relation_double_cover_central():
     inp = bi.input
     rel = edge_relation(OrientedEdge(0, 1), bi.named["c"], inp.ag, inp.sc)
     assert evaluate_word_in_G(rel, inp.ag, inp.sc) == 0
-    letters = rel.free_reduce(inp.ag).letters
+    letters = normal_form(rel, inp.ag)
     stab_elems = [x.element for x in letters if isinstance(x, StabLetter)]
     assert stab_elems == [bi.named["c"], bi.named["c"]]
 
@@ -134,38 +134,31 @@ def test_loop_relation_rejects_open_path():
 
 
 def test_edge_loop_relation_squares():
+    # the out-and-back walk along an inverted edge traces it twice
     inp = dodecahedron_action()
     e = OrientedEdge(0, 1)
-    rel = edge_loop_relation(e, inp.ag, inp.sc)
+    rel = loop_relation((0, 1, 0), inp.ag, inp.sc)
+    square = inp.ag.group.product(inp.sc.s[e], inp.sc.s[e])
+    assert rel == (EdgeLetter(e, -1), EdgeLetter(e, -1), StabLetter(0, square, 1))
     assert evaluate_word_in_G(rel, inp.ag, inp.sc) == 0
     # the flip squares to the identity here, so the relator is plain g^-2
-    assert rel.free_reduce(inp.ag) == Word([EdgeLetter(e, -1), EdgeLetter(e, -1)])
+    assert normal_form(rel, inp.ag) == (EdgeLetter(e, -1), EdgeLetter(e, -1))
 
     bi = binary_icosahedral_action()
-    rel2 = edge_loop_relation(e, bi.input.ag, bi.input.sc)
-    letters = rel2.free_reduce(bi.input.ag).letters
+    rel2 = loop_relation((0, 1, 0), bi.input.ag, bi.input.sc)
+    letters = normal_form(rel2, bi.input.ag)
     assert letters[-1] == StabLetter(0, bi.named["c"], 1)
 
 
-def test_edge_loop_needs_inversion():
-    # rotation-only cycle: the base edge has no inversion
-    from graphpres.graphs import ActionedGraph, Graph
-    from graphpres.scaffold import build_regular_scaffolding
-    graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    ag = ActionedGraph.from_generators(graph, {"r": Perm.from_cycle(4, [0, 1, 2, 3])})
-    sc = build_regular_scaffolding(ag)
-    with pytest.raises(ValueError):
-        edge_loop_relation(OrientedEdge(0, 1), ag, sc)
-
-
 def test_tautological_relation():
-    from graphpres.derive import auto_derivation_input
+    # a tree edge's relator is its one-letter edge word
+    from graphpres.derive import auto_derivation_input, derive_presentation
     from graphpres.graphs import ActionedGraph, Graph
     graph = Graph(3, [(0, 1), (1, 2)])
     ag = ActionedGraph.from_generators(graph, {"e": Perm.identity(3)})
-    inp = auto_derivation_input(ag)
-    rel = tautological_relation(OrientedEdge(0, 1), inp.sc)
-    assert rel == Word([EdgeLetter(OrientedEdge(0, 1), 1)])
+    derived = derive_presentation(auto_derivation_input(ag))
+    assert derived.families["tree"] == 2
+    assert derived.relator_words == (edge_word(OrientedEdge(0, 1)), edge_word(OrientedEdge(1, 2)))
 
 
 def test_rewrite_identity_on_representatives():
@@ -181,8 +174,8 @@ def test_rewrite_dodecahedron_conjugation():
     h = ag.generator_labels["h"]
     e3 = ag.apply_edge(h, OrientedEdge(0, 1))
     out = rewrite_word_to_E1(edge_word(e3), ag, sc)
-    assert out == Word([StabLetter(0, h, 1), EdgeLetter(OrientedEdge(0, 1), 1),
-                        StabLetter(0, h, -1)])
+    assert out == (StabLetter(0, h, 1), EdgeLetter(OrientedEdge(0, 1), 1),
+                   StabLetter(0, h, -1))
 
 
 def test_rewrite_simplex_conjugation():
@@ -192,8 +185,8 @@ def test_rewrite_simplex_conjugation():
     e3 = ag.apply_edge(s2, OrientedEdge(0, 1))
     assert e3 == OrientedEdge(0, 2)
     out = rewrite_word_to_E1(edge_word(e3), ag, sc)
-    assert out == Word([StabLetter(0, s2, 1), EdgeLetter(OrientedEdge(0, 1), 1),
-                        StabLetter(0, s2, -1)])
+    assert out == (StabLetter(0, s2, 1), EdgeLetter(OrientedEdge(0, 1), 1),
+                   StabLetter(0, s2, -1))
 
 
 def test_rewrite_preserves_evaluation(rng):
@@ -209,18 +202,13 @@ def test_rewrite_preserves_evaluation(rng):
                     letters.append(EdgeLetter(rng.choice(edges), rng.choice((1, -1))))
                 else:
                     letters.append(StabLetter(0, rng.choice(stab), rng.choice((1, -1))))
-            w = Word(letters)
+            w = tuple(letters)
             out = rewrite_word_to_E1(w, ag, sc)
-            for letter in out.letters:
+            for letter in out:
                 if isinstance(letter, EdgeLetter):
                     assert letter.edge in sc.pair_reps
             assert (evaluate_word_in_G(out, ag, sc)
                     == evaluate_word_in_G(w, ag, sc))
-
-
-def test_word_pretty_grammar():
-    w = Word([EdgeLetter(OrientedEdge(0, 1), 1), StabLetter(0, 3, -1)])
-    assert w.pretty() == "g[0,1] G[0:3]^-1"
 
 
 def test_presentation_round_trip_and_rename():
@@ -274,13 +262,14 @@ def test_cyclic_normal_form_rotation_and_inversion():
     ag = inp.ag
     h = ag.generator_labels["h"]
     e = OrientedEdge(0, 1)
-    w1 = Word([EdgeLetter(e, 1), StabLetter(0, h, 1)] * 3)
+    w1 = (EdgeLetter(e, 1), StabLetter(0, h, 1)) * 3
     # a rotated and inverted variant
-    w2 = Word([StabLetter(0, h, -1), EdgeLetter(e, -1)] * 3)
-    assert w1.cyclic_normal_form(ag) == w2.cyclic_normal_form(ag)
+    w2 = (StabLetter(0, h, -1), EdgeLetter(e, -1)) * 3
+    assert w2 == inverse_letters(w1)
+    assert cyclic_normal_form(w1, ag) == cyclic_normal_form(w2, ag)
     # conjugation disappears cyclically
-    w3 = Word([StabLetter(0, h, 1)]) * w1 * Word([StabLetter(0, h, -1)])
-    assert w3.cyclic_normal_form(ag) == w1.cyclic_normal_form(ag)
+    w3 = (StabLetter(0, h, 1),) + w1 + (StabLetter(0, h, -1),)
+    assert cyclic_normal_form(w3, ag) == cyclic_normal_form(w1, ag)
 
 
 def test_least_rotation_matches_every_rotation(rng):
