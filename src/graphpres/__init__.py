@@ -19,7 +19,8 @@ from .dot import cayley_underlying_graph, export_cayley_dot, export_graph_dot
 from .golden import GoldenNum, GoldenQuat, golden_sqrt, quat_from_rotation, quat_mul
 from .graphs import (ActionedGraph, Graph, OrientedEdge, find_inversion,
                      validate_action, vertex_orbits)
-from .perms import FiniteGroupTable, Perm, bfs_tree, generate_closure, perm_compose
+from .perms import (FiniteGroupTable, Perm, bfs_tree, generate_closure, perm, perm_compose,
+                    perm_inverse)
 from .scaffold import (Scaffolding, build_regular_scaffolding, build_spanning_tree,
                        scaffolding_to_json, validate_regularity)
 from .verify import (abelianization_smith, build_kozsul_model,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .derive import DerivationInput, StabilizerData
 from .golden import GoldenQuat, ONE, QUAT_C, Vec3
 from .graphs import ActionedGraph, Graph, OrientedEdge, first_carriers
-from .perms import FiniteGroupTable, Perm, perm_compose, require_listable, tree_fold
+from .perms import (FiniteGroupTable, Perm, identity, perm, perm_compose, perm_inverse,
+                    require_listable, transposition, tree_fold)
 from .polyhedra import (DodecahedronModel, dodecahedron_model, icosian_group,
                         orient_clockwise)
 from .scaffold import build_regular_scaffolding
@@ -41,7 +42,7 @@ def simplex_action(n: int) -> DerivationInput:
         raise ValueError("need n >= 3")
     require_listable(range(2, n + 1), n)  # n! elements, refused before any allocation
     graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    gens = {f"x{i}": Perm.transposition(n, i - 1, i) for i in range(1, n)}
+    gens = {f"x{i}": transposition(n, i - 1, i) for i in range(1, n)}
     ag = ActionedGraph.from_generators(graph, gens)
     sc = build_regular_scaffolding(ag)
 
@@ -72,8 +73,8 @@ def dihedral_cycle_action(n: int) -> DerivationInput:
         raise ValueError("need n >= 3")
     require_listable((2, n), n)
     graph = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    rot = Perm([(i + 1) % n for i in range(n)])
-    mirror = Perm([(n - i) % n for i in range(n)])
+    rot = perm([(i + 1) % n for i in range(n)])
+    mirror = perm([(n - i) % n for i in range(n)])
     ag = ActionedGraph.from_generators(graph, {"r": rot, "m": mirror})
     sc = build_regular_scaffolding(ag)
     m_idx = ag.generator_labels["m"]
@@ -116,10 +117,10 @@ def binary_icosahedral_action() -> BinaryIcosahedral:
     # permutation i -> index(q_i g), a faithful homomorphism; their closure
     # lists the carriers in the order of the quaternion tree, down which the
     # vertex action is carried
-    carrier_gens = [Perm(index[right[q][k]] for q in quats).inverse() for k in range(2)]
+    carrier_gens = [perm_inverse(perm(index[right[q][k]] for q in quats)) for k in range(2)]
     table = FiniteGroupTable(carrier_gens)
     vertex_action = [model.h_perm, model.s1_perm]
-    carried = tree_fold(tree, Perm.identity(model.graph.vertex_count),
+    carried = tree_fold(tree, identity(model.graph.vertex_count),
                         lambda p, k: perm_compose(p, vertex_action[k]))
     action = [carried[q] for q in quats]
     named = {"h": index[model.h_quat], "s1": index[model.s1_quat],
@@ -193,7 +194,7 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
 
     group = ActionedGraph.from_generators(model.graph,
                                           {"h": model.h_perm, "s1": model.s1_perm}).group
-    flag_action = tuple(Perm(flag_index[(p(v), p(w))] for v, w in flags)
+    flag_action = tuple(perm(flag_index[(p[v], p[w])] for v, w in flags)
                         for p in group.elements)
 
     faces: list[tuple[int, ...]] = []
@@ -210,7 +211,7 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
 
     # free transitive action: the one element reaching each flag from the base flag
     base = flag_index[(model.labels["v"], model.labels["w1"])]
-    reach = first_carriers(range(group.order), lambda g, fl: flag_action[g](fl), base)
+    reach = first_carriers(range(group.order), lambda g, fl: flag_action[g][fl], base)
     assert len(reach) == 60
 
     t_map: dict[OrientedEdge, int] = {}

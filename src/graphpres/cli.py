@@ -20,7 +20,7 @@ from .derive import (DerivationInput, DerivationInputError, DerivedPresentation,
                      derived_from_json, derived_to_json)
 from .dot import export_cayley_dot, export_graph_dot
 from .graphs import ActionedGraph, Graph, degree_problem, validate_action
-from .perms import ClosureLimitError, Perm
+from .perms import ClosureLimitError, perm
 from .scaffold import Scaffolding, build_regular_scaffolding
 from .verify import (build_kozsul_model, check_covering_isomorphism,
                      presentation_order_check)
@@ -53,7 +53,7 @@ def action_graph_from_json(data: dict) -> tuple[ActionedGraph, list | None]:
     file's data happens here, before any group is built."""
     try:
         read_json(data, ACTION_FILE)
-        gens = {name: _named(f"generators[{name!r}]", Perm, images)
+        gens = {name: _named(f"generators[{name!r}]", perm, images)
                 for name, images in sorted(data["generators"].items())}
         # the Graph allocates per vertex: the generators bound its size first
         problem = degree_problem(data["vertices"], gens)
@@ -78,7 +78,7 @@ def action_to_json(inp: DerivationInput) -> dict:
     return {
         "vertices": ag.graph.vertex_count,
         "edges": [list(e) for e in sorted(ag.graph.edges)],
-        "generators": {name: list(ag.action[idx].images)
+        "generators": {name: list(ag.action[idx])
                        for name, idx in sorted(ag.generator_labels.items())},
         "orbit_reps": list(inp.sc.base_vertices),
         "loops": [list(loop) for loop in inp.loops],

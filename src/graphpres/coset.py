@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, Perm, bfs_tree
+from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, bfs_tree
 from .words import Presentation
 
 COSET_LIMIT = 1_000_000
@@ -243,14 +243,14 @@ class CosetTable:
         Generator k is carried by the inverse of its column permutation
         c -> c k, which is the column of k^-1, so that words multiply left to
         right.  The carrier of an element u maps the coset 0 u to 0, so the
-        coset of element j is `elements[j].images.index(0)`; over the trivial
+        coset of element j is `elements[j].index(0)`; over the trivial
         subgroup the group is the presented group.  The action is
         transitive, so its group has at least n elements, exactly n when it
         is regular: ValueError is raised as soon as the search finds n + 1.
         A table of more than CLOSURE_ENTRY_LIMIT entries (n * n of them)
         raises ClosureLimitError instead.
         """
-        carriers = [Perm(row[2 * g + 1] for row in self.rows)
+        carriers = [tuple(row[2 * g + 1] for row in self.rows)
                     for g in range(len(self.gen_names))]
         try:
             return FiniteGroupTable(carriers, limit=self.n)

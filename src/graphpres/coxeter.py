@@ -150,8 +150,8 @@ def build_coxeter_context() -> CoxeterContext:
     base_edge = (v0, w1)
     elements = group.elements
     edge_carriers = first_carriers(range(group.order),
-                                   lambda i, e: tuple(sorted(map(elements[i], e))), base_edge)
-    vertex_carriers = first_carriers(range(group.order), lambda i, w: elements[i](w), v0)
+                                   lambda i, e: tuple(sorted(elements[i][x] for x in e)), base_edge)
+    vertex_carriers = first_carriers(range(group.order), lambda i, w: elements[i][w], v0)
     g_of_x_edge = {d: cover.conjugate(lift(c), g) for d, c in edge_carriers.items()}
     r_of_x_vertex = {w: cover.conjugate(lift(c), r) for w, c in vertex_carriers.items()}
 

@@ -24,7 +24,7 @@ from .coset import STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError, to
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
 from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion,  # noqa: F401
                      first_carriers)
-from .perms import FiniteGroupTable, Perm, bfs_tree
+from .perms import FiniteGroupTable, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_normal_form,
                     cyclic_reduce, edge_relation, edge_word, free_reduce, inverse_word,
@@ -65,10 +65,19 @@ def validate_input(inp: DerivationInput) -> None:
     ag, sc = inp.ag, inp.sc
     if validate_regularity(sc, ag) is not None:
         raise DerivationInputError("scaffolding is not regular")
+    # the names derive_presentation gives the edge generators
+    edge_names = {f"g[{k}]" for k in range(len(sc.pair_reps))}
+    owners: dict[str, int] = {}
     for v in sc.base_vertices:
         if v not in inp.stabilizers:
             raise DerivationInputError(f"missing stabilizer presentation for vertex {v}")
         data = inp.stabilizers[v]
+        for name in data.presentation.generators:
+            if name in edge_names:
+                raise DerivationInputError(
+                    f"stabilizer generator name {name} at {v} is an edge generator's name")
+            if owners.setdefault(name, v) != v:
+                raise DerivationInputError(f"generator name {name} used at two vertices")
         stab = set(ag.stabilizer(v))
         gens = list(data.gen_elements.values())
         closure = set(ag.group.subgroup_closure(gens))
@@ -125,8 +134,6 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
     for v in sc.base_vertices:
         data = inp.stabilizers[v]
         for name in data.presentation.generators:
-            if name in gen_elements:
-                raise DerivationInputError(f"generator name {name} used at two vertices")
             gen_names.append(name)
             gen_elements[name] = data.gen_elements[name]
             stab_owners[name] = v
@@ -372,16 +379,16 @@ def stabilizer_presentation(ag: ActionedGraph, v: int, prefix: str) -> Stabilize
     gens = greedy_generators(group, least)
     if not gens:
         return StabilizerData(Presentation((), ()), {})
-    images = [elements[h].images for h in least]
+    images = [elements[h] for h in least]
     moved = [x for x in range(len(images[0])) if any(p[x] != x for p in images)]
     w = min(moved, key=lambda x: tuple(h for h, p in zip(least, images) if p[x] == x))
-    orbit = first_carriers(least, lambda h, x: elements[h](x), w)
+    orbit = first_carriers(least, lambda h, x: elements[h][x], w)
     number = {x: k for k, x in enumerate(sorted(orbit, key=orbit.get))}
     sub = FiniteGroupTable([elements[g] for g in gens])
-    steps = [elements[g](w) for g in gens if elements[g](w) != w]
-    edges = {(number[q(w)], number[q(x)]) for q in sub.elements for x in steps}
+    steps = [elements[g][w] for g in gens if elements[g][w] != w]
+    edges = {(number[q[w]], number[q[x]]) for q in sub.elements for x in steps}
     sub_ag = ActionedGraph(Graph(len(number), edges), sub,
-                           [Perm([number[q(x)] for x in number]) for q in sub.elements])
+                           [[number[q[x]] for x in number] for q in sub.elements])
     derived = derive_presentation(auto_derivation_input(sub_ag))
     reduced = tietze_reduce(derived.presentation).presentation
     names = {prefix + n: group.conjugate(c, group.index(sub.elements[derived.gen_elements[n]]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .perms import FiniteGroupTable, Perm, bfs_tree, generate_closure
+from .perms import FiniteGroupTable, Perm, bfs_tree, generate_closure, identity, perm
 
 
 class OrientedEdge(NamedTuple):
@@ -70,17 +70,15 @@ class ActionedGraph:
     """
 
     def __init__(self, graph: Graph, group: FiniteGroupTable,
-                 action: Sequence[Perm] | None = None,
+                 action: Sequence[Sequence[int]] | None = None,
                  generator_labels: Mapping[str, int] | None = None):
         self.graph = graph
         self.group = group
-        if action is None:
-            action = group.elements
-        self.action = list(action)
+        self.action = group.elements if action is None else [perm(p) for p in action]
         if len(self.action) != group.order:
             raise ValueError("need one action permutation per group element")
         for p in self.action:
-            if p.degree != graph.vertex_count:
+            if len(p) != graph.vertex_count:
                 raise ValueError("vertex permutation degree must equal vertex_count")
         self.generator_labels = dict(generator_labels or {})
         self._stabilizers: dict[int, tuple[int, ...]] = {}
@@ -94,20 +92,21 @@ class ActionedGraph:
         return ActionedGraph(graph, table, None, labels)
 
     def apply(self, g: int, vertex: int) -> int:
-        return self.action[g](vertex)
+        return self.action[g][vertex]
 
     def apply_edge(self, g: int, e: OrientedEdge) -> OrientedEdge:
         p = self.action[g]
-        return OrientedEdge(p(e.origin), p(e.target))
+        return OrientedEdge(p[e.origin], p[e.target])
 
     def kernel(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.action) if p.is_identity())
+        one = identity(self.graph.vertex_count)
+        return tuple(i for i, p in enumerate(self.action) if p == one)
 
     def stabilizer(self, v: int) -> tuple[int, ...]:
         """Indices of the elements fixing the vertex v, in increasing order."""
         if v not in self._stabilizers:
             self._stabilizers[v] = tuple(
-                i for i, p in enumerate(self.action) if p(v) == v)
+                i for i, p in enumerate(self.action) if p[v] == v)
         return self._stabilizers[v]
 
     def carriers(self, v: int) -> dict[int, int]:
@@ -116,7 +115,7 @@ class ActionedGraph:
         if v not in self._carriers:
             found: dict[int, int] = {}
             for i, p in enumerate(self.action):
-                found.setdefault(p.images[v], i)
+                found.setdefault(p[v], i)
             self._carriers[v] = found
         return self._carriers[v]
 
@@ -125,7 +124,7 @@ class ActionedGraph:
         if not self.graph.has_edge(e.origin, e.target):
             raise ValueError(f"{e} is not an edge")
         return tuple(i for i in self.stabilizer(e.origin)
-                     if self.action[i](e.target) == e.target)
+                     if self.action[i][e.target] == e.target)
 
 
 def degree_problem(vertex_count: int, gens: Mapping[str, Perm]) -> str | None:
@@ -137,8 +136,8 @@ def degree_problem(vertex_count: int, gens: Mapping[str, Perm]) -> str | None:
     if not gens:
         return "no generators"
     for name, p in gens.items():
-        if p.degree != vertex_count:
-            return f"generator {name} permutes {p.degree} points, the graph has {vertex_count} vertices"
+        if len(p) != vertex_count:
+            return f"generator {name} permutes {len(p)} points, the graph has {vertex_count} vertices"
     return None
 
 
@@ -157,7 +156,7 @@ def validate_action(graph: Graph, gens: Mapping[str, Perm],
     edges = sorted(graph.edges)
     for name, p in gens.items():
         for u, v in edges:
-            if not graph.has_edge(p(u), p(v)):
+            if not graph.has_edge(p[u], p[v]):
                 return f"generator {name} maps the edge ({u},{v}) to a non-edge"
     if not graph.is_connected():
         return "the graph is not connected"
@@ -196,7 +195,7 @@ def orbit_of_vertex(ag: ActionedGraph, v: int) -> tuple[int, ...]:
 def find_inversion(ag: ActionedGraph, e: OrientedEdge) -> int | None:
     """Least-index element swapping the endpoints of e, or None."""
     for i, p in enumerate(ag.action):
-        if p(e.origin) == e.target and p(e.target) == e.origin:
+        if p[e.origin] == e.target and p[e.target] == e.origin:
             return i
     return None
 
@@ -253,8 +252,7 @@ class CycleSpace:
         for p in action:
             if self.full():
                 return
-            images = p.images
-            translate = [images[x] for x in walk]
+            translate = [p[x] for x in walk]
             m = self.reduce(self.mask(translate))
             if m:
                 self.basis[m.bit_length() - 1] = m

@@ -88,110 +88,39 @@ def _first_flaw(images: tuple[int, ...]) -> str:
     return f"image {min(set(range(len(images))) - seen)} missing"
 
 
-class Perm:
-    """A bijection of {0..n-1}, stored as the tuple of images."""
+Perm = tuple[int, ...]  # a bijection of {0..n-1}, as the tuple of its images
 
-    __slots__ = ("images",)
 
-    def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {_first_flaw(images)}")
-        _set_images(self, images)
+def perm(images: Iterable[int]) -> Perm:
+    """The images as a permutation, checked to be a bijection of 0..n-1."""
+    images = tuple(images)
+    if sorted(images) != list(range(len(images))):
+        raise ValueError(f"not a bijection of 0..{len(images) - 1}: {_first_flaw(images)}")
+    return images
 
-    @staticmethod
-    def identity(degree: int) -> Perm:
-        return _perm(tuple(range(degree)))
 
-    @staticmethod
-    def transposition(degree: int, i: int, j: int) -> Perm:
-        images = list(range(degree))
-        images[i], images[j] = j, i
-        return Perm(images)
+def identity(degree: int) -> Perm:
+    return tuple(range(degree))
 
-    @staticmethod
-    def from_cycle(degree: int, points: Sequence[int]) -> Perm:
-        images = list(range(degree))
-        pts = list(points)
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            images[a] = b
-        return Perm(images)
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+def transposition(degree: int, i: int, j: int) -> Perm:
+    images = list(range(degree))
+    images[i], images[j] = j, i
+    return perm(images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
 
-    def inverse(self) -> Perm:
-        images = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return _perm(tuple(images))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = perm_compose(p, self)
-            n += 1
-        return n
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each rotated to start at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            k = self.images[start]
-            while k != start:
-                cyc.append(k)
-                seen[k] = True
-                k = self.images[k]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def __repr__(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "Perm(id/%d)" % self.degree
-        return "Perm(%s)" % "".join("(%s)" % " ".join(map(str, c)) for c in cyc)
+def perm_inverse(p: Perm) -> Perm:
+    images = [0] * len(p)
+    for i, j in enumerate(p):
+        images[j] = i
+    return tuple(images)
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """Left-action composition: (p*q)(i) = p(q(i))."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    pi = p.images
-    return _perm(tuple([pi[j] for j in q.images]))
-
-
-_set_images = Perm.images.__set__
-
-
-def _perm(images: tuple[int, ...]) -> Perm:
-    """The Perm of images known to be a bijection, unchecked: an identity,
-    an inverse, or a product of permutations of equal degree."""
-    p = object.__new__(Perm)
-    _set_images(p, images)
-    return p
+    if len(p) != len(q):
+        raise ValueError(f"degree mismatch: {len(p)} != {len(q)}")
+    return tuple([p[j] for j in q])
 
 
 class FiniteGroupTable:
@@ -223,27 +152,25 @@ class FiniteGroupTable:
     def __init__(self, gens: Sequence[Perm], limit: int = CLOSURE_LIMIT):
         if not gens:
             raise ValueError("need at least one generator")
-        degree = gens[0].degree
-        gen_images = [g.images for g in gens]
-        if any(len(g) != degree for g in gen_images):
+        gens = [perm(g) for g in gens]
+        degree = len(gens[0])
+        if any(len(g) != degree for g in gens):
             raise ValueError("generators must have equal degree")
 
-        def successors(p: tuple[int, ...]) -> list[tuple[None, tuple[int, ...]]]:
-            return [(None, tuple([p[k] for k in g])) for g in gen_images]
+        def successors(p: Perm) -> list[tuple[None, Perm]]:
+            return [(None, tuple([p[k] for k in g])) for g in gens]
 
         cap = CLOSURE_ENTRY_LIMIT // max(degree, 1)
         try:
-            found = bfs_tree(tuple(range(degree)), successors, min(limit, cap))
+            found = bfs_tree(identity(degree), successors, min(limit, cap))
         except ClosureLimitError:
             raise _limit_error(limit, cap, degree) from None
-        # the elements found are products of the generators: no bijection check
-        self.elements = [_perm(p) for p in found]
-        self._images = images = list(found)
-        self.base = base = _separating_base(images)
-        self._base_images = [tuple([p[b] for b in base]) for p in images]
+        self.elements = elements = list(found)
+        self.base = base = _separating_base(elements)
+        self._base_images = [tuple([p[b] for b in base]) for p in elements]
         self._by_key = {key: i for i, key in enumerate(self._base_images)}
         self.gen_indices = tuple(self.index(g) for g in gens)
-        self._inv = [self._by_key[tuple([p.index(b) for b in base])] for p in images]
+        self._inv = [self._by_key[tuple([p.index(b) for b in base])] for p in elements]
 
     @property
     def order(self) -> int:
@@ -251,10 +178,10 @@ class FiniteGroupTable:
 
     def index(self, p: Perm) -> int:
         """The index of the element p, looked up by its base images."""
-        return self._by_key[tuple([p.images[b] for b in self.base])]
+        return self._by_key[tuple([p[b] for b in self.base])]
 
     def product(self, i: int, j: int) -> int:
-        p = self._images[i]
+        p = self.elements[i]
         return self._by_key[tuple([p[k] for k in self._base_images[j]])]
 
     def inverse(self, i: int) -> int:

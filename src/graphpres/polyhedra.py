@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, cross, dot,
                      golden_sqrt, quat_from_rotation, quat_mul, vec3)
 from .graphs import Graph
-from .perms import Perm, bfs_tree
+from .perms import Perm, bfs_tree, perm
 from .words import least_rotation
 
 HALF = ONE / 2
@@ -45,7 +45,7 @@ def _sq_dist(p: Vec3, q: Vec3) -> GoldenNum:
 
 
 def _rotation_perm(coords: list[Vec3], index: dict[Vec3, int], q: GoldenQuat) -> Perm:
-    return Perm(index[q.rotate(p)] for p in coords)
+    return perm(index[q.rotate(p)] for p in coords)
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolati
         se = sc.s[e]
         if find_inversion(ag, e) is not None:
             p = ag.action[se]
-            if not (p(e.origin) == e.target and p(e.target) == e.origin):
+            if not (p[e.origin] == e.target and p[e.target] == e.origin):
                 return RegularityViolation("i", e, se, "s_e is not an inversion")
         else:
             partner = ag.apply_edge(group.inverse(se), e.reverse())

@@ -155,10 +155,10 @@ def _letter_key(letter: Letter) -> tuple:
     return (1, letter.vertex, letter.element, letter.sign)
 
 
-def edge_word(e: OrientedEdge, sign: int = 1) -> Word:
-    """The one-letter word g_e^sign; with sign 1, the relator of a tree edge
-    (whose s is the identity)."""
-    return (EdgeLetter(e, sign),)
+def edge_word(e: OrientedEdge) -> Word:
+    """The one-letter word g_e, the relator of a tree edge (whose s is the
+    identity)."""
+    return (EdgeLetter(e, 1),)
 
 
 def evaluate_word_in_G(word: Word, ag: ActionedGraph, sc: Scaffolding) -> int:

@@ -46,7 +46,7 @@ def reference_pick_loops(ag, sc):
         while cycle[1] == cycle[-2]:
             cycle = cycle[1:-1]
         for p in ag.action:
-            translate = [p(x) for x in cycle]
+            translate = [p[x] for x in cycle]
             m = reduce(mask(translate))
             if m:
                 basis[m.bit_length() - 1] = m

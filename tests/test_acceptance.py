@@ -227,7 +227,7 @@ def test_criterion_9_cayley_diagram_is_truncation():
     # the witness a -> a(base flag) is a bijection onto the 60 flags that
     # maps the 90 Cayley edges to edges of Y, which has 90: an isomorphism
     base = Y.flag_index[(Y.model.labels["v"], Y.model.labels["w1"])]
-    witness = [Y.flag_action[a](base) for a in range(cayley.vertex_count)]
+    witness = [Y.flag_action[a][base] for a in range(cayley.vertex_count)]
     iso = (Y.group.elements == table.elements
            and cayley.vertex_count == 60 and sorted(witness) == list(range(60))
            and len(cayley.edges) == len(Y.graph.edges) == 90

@@ -8,7 +8,7 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
 from graphpres.derive import validate_input
 from graphpres.golden import GoldenNum, PHI, QUAT_C
 from graphpres.graphs import OrientedEdge, validate_action, vertex_orbits
-from graphpres.perms import Perm, perm_compose, tree_fold
+from graphpres.perms import identity, perm, perm_compose, perm_inverse, tree_fold
 from graphpres.polyhedra import dodecahedron_model, icosian_group
 
 
@@ -82,8 +82,8 @@ def test_binary_icosahedral_table_lists_the_carriers_in_tree_order():
     tree, right = icosian_group(dodecahedron_model())
     quats = list(tree)
     index = {q: i for i, q in enumerate(quats)}
-    gens = [Perm(index[right[q][k]] for q in quats).inverse() for k in range(2)]
-    carried = tree_fold(tree, Perm.identity(120), lambda p, k: perm_compose(p, gens[k]))
+    gens = [perm_inverse(perm(index[right[q][k]] for q in quats)) for k in range(2)]
+    carried = tree_fold(tree, identity(120), lambda p, k: perm_compose(p, gens[k]))
     assert bi.input.ag.group.elements == [carried[q] for q in quats]
     assert bi.quats == tuple(quats)
 
@@ -150,14 +150,14 @@ def test_truncated_action_is_free():
     Y = truncated_dodecahedron()
     for i, p in enumerate(Y.flag_action):
         if i != 0:
-            assert all(p(x) != x for x in range(60))
+            assert all(p[x] != x for x in range(60))
 
 
 def test_truncation_edge_labels():
     Y = truncated_dodecahedron()
     group = Y.group
     for e, t in Y.t_map.items():
-        assert Y.flag_action[t](e.origin) == e.target
+        assert Y.flag_action[t][e.origin] == e.target
     # pentagon edges carry the same flip in both orientations
     for i, j in sorted(Y.pentagon_edges):
         assert Y.t_map[OrientedEdge(i, j)] == Y.t_map[OrientedEdge(j, i)]

@@ -39,7 +39,7 @@ def relabelled(data: dict, rng: random.Random) -> dict:
 def scan_carriers(ag, v):
     out = {}
     for i in range(ag.group.order):
-        w = ag.action[i](v)
+        w = ag.action[i][v]
         if w not in out:
             out[w] = i
     return out
@@ -49,14 +49,14 @@ def scan_vertex_orbits(ag):
     seen, orbits = set(), []
     for v in range(ag.graph.vertex_count):
         if v not in seen:
-            orbit = tuple(sorted({p(v) for p in ag.action}))
+            orbit = tuple(sorted({p[v] for p in ag.action}))
             seen.update(orbit)
             orbits.append(orbit)
     return orbits
 
 
 def scan_edge_orbits_at(ag, v):
-    stab = [i for i in range(ag.group.order) if ag.action[i](v) == v]
+    stab = [i for i in range(ag.group.order) if ag.action[i][v] == v]
     remaining = set(ag.graph.oriented_edges_at(v))
     orbits = []
     while remaining:
@@ -70,7 +70,7 @@ def scan_edge_orbits_at(ag, v):
 def scan_transversal(ag, v, rep):
     trans, covered = [], {}
     for u in range(ag.group.order):
-        if ag.action[u](v) != v:
+        if ag.action[u][v] != v:
             continue
         d = ag.apply_edge(u, rep)
         if d not in covered:
@@ -81,10 +81,10 @@ def scan_transversal(ag, v, rep):
 
 def scan_least_conjugate_stabilizer(ag, v):
     group = ag.group
-    stab = [i for i in range(group.order) if ag.action[i](v) == v]
+    stab = [i for i in range(group.order) if ag.action[i][v] == v]
     best, carrier, seen = None, 0, set()
     for g in range(group.order):
-        w = ag.action[g](v)
+        w = ag.action[g][v]
         if w not in seen:
             seen.add(w)
             conj = tuple(sorted(group.conjugate(g, x) for x in stab))

@@ -98,7 +98,7 @@ def test_element_arithmetic_regular_table(rng):
                                       for g, s in word)
 
         def coset_of(j):
-            return group.elements[j].images.index(0)
+            return group.elements[j].index(0)
 
         assert sorted(map(coset_of, range(group.order))) == list(range(table.n))
         for _ in range(300):

@@ -57,7 +57,7 @@ def test_path_product_takes_origin_to_end(ctx):
     for _ in range(7):
         path.append(min(Y.graph.neighbors(path[-1])))
     g = path_product(path, Y)
-    assert Y.flag_action[g](path[0]) == path[-1]
+    assert Y.flag_action[g][path[0]] == path[-1]
 
 
 def test_path_product_rejects_bad_input(ctx):

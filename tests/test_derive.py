@@ -18,7 +18,7 @@ from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic
                               PatternMismatchError, stabilizer_presentation, validate_input)
 from graphpres.cli import action_from_json, main
 from graphpres.graphs import ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion
-from graphpres.perms import Perm
+from graphpres.perms import perm, transposition
 from graphpres.words import Presentation, evaluate_word_in_G, normal_form
 
 from reference_picks import reference_collapses, reference_pick_loops
@@ -29,28 +29,30 @@ from test_verify import trivial_grid
 
 def square_action(loops=None):
     graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    gens = {"r": Perm([1, 2, 3, 0]), "m": Perm([0, 3, 2, 1])}
+    gens = {"r": perm([1, 2, 3, 0]), "m": perm([0, 3, 2, 1])}
     return auto_derivation_input(ActionedGraph.from_generators(graph, gens), loops)
 
 
 def complete_graph_action(n):
     """S_n on the complete graph K_n, by a transposition and an n-cycle."""
     graph = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-    gens = {"s": Perm.transposition(n, 0, 1), "c": Perm([*range(1, n), 0])}
+    gens = {"s": transposition(n, 0, 1), "c": perm([*range(1, n), 0])}
     return ActionedGraph.from_generators(graph, gens)
 
 
 def two_orbit_path_action():
     graph = Graph(3, [(0, 1), (1, 2)])
-    swap = Perm([2, 1, 0])
+    swap = perm([2, 1, 0])
     return ActionedGraph.from_generators(graph, {"m": swap})
 
 
 def test_validate_input_catches_bad_stabilizer_presentation():
     inp = dodecahedron_action()
-    wrong = Presentation.from_strings(["h"], [[("h", 1)] * 4])  # order 4, not 3
+    # h^4 = h in the stabilizer <h> of order 3, so the relator fails in G
+    wrong = Presentation.from_strings(["h"], [[("h", 1)] * 4])
     inp.stabilizers[0] = StabilizerData(wrong, inp.stabilizers[0].gen_elements)
-    with pytest.raises(DerivationInputError):
+    with pytest.raises(DerivationInputError,
+                       match="^stabilizer relator 0 at 0 does not evaluate to 1$"):
         validate_input(inp)
 
 
@@ -107,6 +109,15 @@ def prism_with_a_shared_name():
     return dataclasses.replace(inp, stabilizers={**inp.stabilizers, 4: shared})
 
 
+def dihedral_with_an_edge_name():
+    # the mirror at base vertex 0 named like the edge generator g[0]
+    inp = dihedral_cycle_action(5)
+    data = inp.stabilizers[0]
+    clash = StabilizerData(data.presentation.rename({"m": "g[0]"}),
+                           {"g[0]": data.gen_elements["m"]})
+    return dataclasses.replace(inp, stabilizers={0: clash})
+
+
 @pytest.mark.parametrize("build, error, message", [
     (irregular_dodecahedron, DerivationInputError, "scaffolding is not regular"),
     (lambda: dataclasses.replace(simplex_action(6), stabilizers={}), DerivationInputError,
@@ -120,15 +131,19 @@ def prism_with_a_shared_name():
      "stabilizer presentation at 0 has order 360, action says 120"),
     (prism_with_a_shared_name, DerivationInputError,
      "generator name t0_g[0] used at two vertices"),
+    (dihedral_with_an_edge_name, DerivationInputError,
+     "stabilizer generator name g[0] at 0 is an edge generator's name"),
     (lambda: simplex6_with(lambda d: dataclasses.replace(d, gen_elements={})), ValueError,
      "presentation generators and evaluation map disagree"),
 ], ids=["irregular-scaffolding", "missing-stabilizer", "non-generating-stabilizer",
         "open-stabilizer-presentation", "wrong-stabilizer-order", "shared-generator-name",
-        "evaluation-map-names"])
+        "edge-generator-name", "evaluation-map-names"])
 def test_derivation_refuses_bad_library_inputs(build, error, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
-        derive_presentation(build())
-    assert type(exc.value) is error
+    # validate_input alone refuses every input that derive_presentation refuses
+    for check in (validate_input, derive_presentation):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+            check(build())
+        assert type(exc.value) is error
 
 
 # a mirror fixing 0 and the opposite vertex: a pseudo-loop from one fixed
@@ -387,7 +402,7 @@ def cycle_space_rank(ag, loops):
         for p in ag.action:
             m = 0
             for a, b in zip(loop, loop[1:]):
-                m ^= bit[min(p(a), p(b)), max(p(a), p(b))]
+                m ^= bit[min(p[a], p[b]), max(p[a], p[b])]
             while m and m.bit_length() in basis:
                 m ^= basis[m.bit_length()]
             if m:

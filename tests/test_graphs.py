@@ -3,7 +3,7 @@ import pytest
 from graphpres.builtins import binary_icosahedral_action, dodecahedron_action
 from graphpres.graphs import (ActionedGraph, Graph, OrientedEdge, find_inversion,
                               validate_action, vertex_orbits)
-from graphpres.perms import Perm
+from graphpres.perms import FiniteGroupTable, generate_closure, identity, transposition
 from graphpres.scaffold import build_regular_scaffolding
 
 
@@ -16,8 +16,8 @@ def assert_pairing_is_involution(ag, iota):
 
 def k4_s4():
     graph = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    gens = {"a": Perm.transposition(4, 0, 1), "b": Perm.transposition(4, 1, 2),
-            "c": Perm.transposition(4, 2, 3)}
+    gens = {"a": transposition(4, 0, 1), "b": transposition(4, 1, 2),
+            "c": transposition(4, 2, 3)}
     return ActionedGraph.from_generators(graph, gens)
 
 
@@ -36,7 +36,7 @@ def test_validate_action_full_symmetric():
 
 def test_validate_action_catches_broken_edge_map():
     graph = Graph(4, [(0, 1), (1, 2), (2, 3)])  # path
-    bad = Perm.transposition(4, 0, 3)  # sends the edge (0,1) to the non-edge (3,1)
+    bad = transposition(4, 0, 3)  # sends the edge (0,1) to the non-edge (3,1)
     problem = validate_action(graph, {"x": bad})
     assert problem is not None
     assert "edge (0,1)" in problem or "edge (2,3)" in problem
@@ -48,9 +48,20 @@ def test_vertex_orbits_transitive_dodecahedron():
     assert len(orbits) == 1 and len(orbits[0]) == 20
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: FiniteGroupTable([bad]),
+    lambda bad: generate_closure([bad]),
+    lambda bad: ActionedGraph.from_generators(Graph(3, [(0, 1), (1, 2)]), {"a": bad}),
+    lambda bad: ActionedGraph(Graph(3, [(0, 1), (1, 2)]), generate_closure([identity(3)]), [bad]),
+], ids=["table", "closure", "from-generators", "explicit-action"])
+def test_constructors_refuse_a_non_bijection(build):
+    with pytest.raises(ValueError, match=r"^not a bijection of 0\.\.2: image 0 repeated$"):
+        build((0, 0, 1))
+
+
 def test_vertex_orbits_trivial_group():
     graph = Graph(3, [(0, 1), (1, 2)])
-    ag = ActionedGraph.from_generators(graph, {"e": Perm.identity(3)})
+    ag = ActionedGraph.from_generators(graph, {"e": identity(3)})
     assert vertex_orbits(ag) == [(0,), (1,), (2,)]
 
 
@@ -77,7 +88,7 @@ def test_stabilizer_k4():
 
 def test_stabilizer_free_action():
     graph = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    rot = Perm.from_cycle(3, [0, 1, 2])
+    rot = (1, 2, 0)
     ag = ActionedGraph.from_generators(graph, {"r": rot})
     assert ag.stabilizer(0) == (0,)
 
@@ -116,7 +127,7 @@ def test_find_inversion_dodecahedron():
 
 def test_find_inversion_trivial_group():
     graph = Graph(2, [(0, 1)])
-    ag = ActionedGraph.from_generators(graph, {"e": Perm.identity(2)})
+    ag = ActionedGraph.from_generators(graph, {"e": identity(2)})
     assert find_inversion(ag, OrientedEdge(0, 1)) is None
 
 
@@ -139,7 +150,7 @@ def test_conjugated_inversion_property():
         conj = ag.group.conjugate(h, g)
         image = ag.apply_edge(h, e)
         p = ag.action[conj]
-        assert p(image.origin) == image.target and p(image.target) == image.origin
+        assert p[image.origin] == image.target and p[image.target] == image.origin
 
 
 def test_involution_fixes_invertible_representatives():
@@ -163,7 +174,7 @@ def test_involution_swaps_free_rotation_orbits():
     # rotation-only action on the 4-cycle: the two edge orientations
     # at the base vertex lie in different orbits that the pairing swaps
     graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    rot = Perm.from_cycle(4, [0, 1, 2, 3])
+    rot = (1, 2, 3, 0)
     ag = ActionedGraph.from_generators(graph, {"r": rot})
     e1, e2 = OrientedEdge(0, 1), OrientedEdge(0, 3)
     iota = build_regular_scaffolding(ag).iota

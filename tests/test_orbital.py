@@ -18,7 +18,7 @@ import random
 from graphpres.cli import _verification_report, action_from_json
 from graphpres.coset import COSET_LIMIT
 from graphpres.derive import derive_presentation, pick_loops
-from graphpres.perms import ClosureLimitError, FiniteGroupTable, Perm
+from graphpres.perms import ClosureLimitError, FiniteGroupTable, perm
 
 from reference_picks import reference_pick_loops
 from test_carriers import relabelled
@@ -88,7 +88,7 @@ def orbital_action(rng: random.Random, gens: list[list[int]],
         if (x, y) in edges:
             continue
         for p in group.elements:
-            a, b = p(x), p(y)
+            a, b = p[x], p[y]
             edges.add((min(a, b), max(a, b)))
             parent[root(a)] = root(b)
     return {"vertices": degree, "edges": sorted(map(list, edges)),
@@ -100,7 +100,7 @@ def random_actions(rng: random.Random, count: int) -> list[dict]:
     while len(actions) < count:
         gens = random_group(rng)
         try:
-            group = FiniteGroupTable([Perm(g) for g in gens], limit=MAX_ORDER)
+            group = FiniteGroupTable([perm(g) for g in gens], limit=MAX_ORDER)
         except ClosureLimitError:
             continue
         actions.append(orbital_action(rng, gens, group))

@@ -149,7 +149,7 @@ def test_coxeter_tau_digest():
     ctx = build_coxeter_context()
 
     def coset_of(j):
-        return ctx.group.elements[j].images.index(0)
+        return ctx.group.elements[j].index(0)
 
     text = json.dumps(sorted((e, coset_of(j)) for e, j in ctx.tau.items()))
     assert coset_of(ctx.z) == 2

@@ -5,7 +5,7 @@ import pytest
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
                                 dodecahedron_action, simplex_action)
 from graphpres.graphs import ActionedGraph, Graph, OrientedEdge
-from graphpres.perms import Perm
+from graphpres.perms import identity, perm, transposition
 from graphpres.scaffold import (DisconnectedGraphError, build_regular_scaffolding,
                                 build_spanning_tree, validate_regularity)
 
@@ -17,13 +17,13 @@ def triangle_with_midpoints():
     # midpoint 3 lies on {0,1}, 4 on {1,2}, 5 on {2,0}
     def lift(corner_perm):
         mids = {frozenset({0, 1}): 3, frozenset({1, 2}): 4, frozenset({2, 0}): 5}
-        images = list(corner_perm.images)
+        images = list(corner_perm)
         for pair, m in mids.items():
-            target = frozenset(corner_perm(x) for x in pair)
+            target = frozenset(corner_perm[x] for x in pair)
             images.append(mids[target])
-        return Perm(images[:3] + images[3:])
-    a = lift(Perm.transposition(3, 0, 1))
-    b = lift(Perm.transposition(3, 1, 2))
+        return perm(images[:3] + images[3:])
+    a = lift(transposition(3, 0, 1))
+    b = lift(transposition(3, 1, 2))
     return ActionedGraph.from_generators(graph, {"a": a, "b": b})
 
 
@@ -35,7 +35,7 @@ def test_spanning_tree_transitive():
 
 def test_spanning_tree_trivial_group_path():
     graph = Graph(3, [(0, 1), (1, 2)])
-    ag = ActionedGraph.from_generators(graph, {"e": Perm.identity(3)})
+    ag = ActionedGraph.from_generators(graph, {"e": identity(3)})
     v, tree = build_spanning_tree(ag)
     assert v == (0, 1, 2)
     assert tree == ((0, 1), (1, 2))
@@ -50,7 +50,7 @@ def test_spanning_tree_two_orbits():
 
 def test_spanning_tree_needs_connected():
     graph = Graph(4, [(0, 1), (2, 3)])
-    ag = ActionedGraph.from_generators(graph, {"e": Perm.identity(4)})
+    ag = ActionedGraph.from_generators(graph, {"e": identity(4)})
     with pytest.raises(DisconnectedGraphError):
         build_spanning_tree(ag)
 
@@ -63,12 +63,12 @@ def test_simplex_scaffolding_matches_hand_data():
     e = OrientedEdge(0, 1)
     # the flip of the base edge
     p = inp.ag.action[sc.s[e]]
-    assert p(0) == 1 and p(1) == 0 and p(2) == 2 and p(3) == 3
+    assert p[0] == 1 and p[1] == 0 and p[2] == 2 and p[3] == 3
     # conjugated labels: s of (0,i) is the transposition (0 i)
     for i in (2, 3):
         q = inp.ag.action[sc.s[OrientedEdge(0, i)]]
-        assert q(0) == i and q(i) == 0
-        assert all(q(x) == x for x in range(4) if x not in (0, i))
+        assert q[0] == i and q[i] == 0
+        assert all(q[x] == x for x in range(4) if x not in (0, i))
     assert len(sc.transversals[e]) == 3
 
 

@@ -3,7 +3,7 @@ import pytest
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
                                 simplex_action)
 from graphpres.graphs import OrientedEdge
-from graphpres.perms import Perm
+from graphpres.perms import identity, transposition
 from graphpres.words import (EdgeLetter, Presentation, StabLetter, cyclic_normal_form,
                              edge_relation, edge_word, evaluate_word_in_G, inverse_letters,
                              least_rotation, loop_relation, normal_form, read_json,
@@ -19,7 +19,7 @@ def test_evaluate_base_edge_generator():
     inp = simplex_action(4)
     e = OrientedEdge(0, 1)
     idx = evaluate_word_in_G(edge_word(e), inp.ag, inp.sc)
-    assert inp.ag.group.elements[idx] == Perm.transposition(4, 0, 1)
+    assert inp.ag.group.elements[idx] == transposition(4, 0, 1)
 
 
 def test_evaluate_rejects_unknown_edge():
@@ -90,11 +90,11 @@ def test_trace_simplex_triangle():
     inp = simplex_action(4)
     edges = trace_path([0, 1, 2, 0], inp.ag, inp.sc)
     elems = [inp.ag.group.elements[inp.sc.s[e]] for e in edges]
-    assert elems == [Perm.transposition(4, 0, 1),
-                     Perm.transposition(4, 0, 2),
-                     Perm.transposition(4, 0, 1)]
+    assert elems == [transposition(4, 0, 1),
+                     transposition(4, 0, 2),
+                     transposition(4, 0, 1)]
     product = inp.ag.group.word_product(inp.sc.s[e] for e in edges)
-    assert inp.ag.group.elements[product] == Perm.transposition(4, 1, 2)
+    assert inp.ag.group.elements[product] == transposition(4, 1, 2)
 
 
 def test_trace_dodecahedron_pentagon():
@@ -155,7 +155,7 @@ def test_tautological_relation():
     from graphpres.derive import auto_derivation_input, derive_presentation
     from graphpres.graphs import ActionedGraph, Graph
     graph = Graph(3, [(0, 1), (1, 2)])
-    ag = ActionedGraph.from_generators(graph, {"e": Perm.identity(3)})
+    ag = ActionedGraph.from_generators(graph, {"e": identity(3)})
     derived = derive_presentation(auto_derivation_input(ag))
     assert derived.families["tree"] == 2
     assert derived.relator_words == (edge_word(OrientedEdge(0, 1)), edge_word(OrientedEdge(1, 2)))
