@@ -4,12 +4,16 @@ graphpres goes through.
 
 Everything here is exact and immutable.  A group is always the
 breadth-first closure of its generators, and its elements are referred to
-by their index in the order that search finds them.
+by their index in the order that search finds them.  Permutations are read
+through `operator.itemgetter`, so composing two of them, or reading one at
+the points of a base, is one call into C.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 CLOSURE_LIMIT = 100_000
@@ -116,11 +120,18 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(images)
 
 
+def _right_multiplier(q: Perm) -> Callable[[Perm], Perm]:
+    """p -> p * q, an itemgetter reading p at the images of q.  Below degree
+    2 the only permutation is the identity, where itemgetter would return a
+    bare image (one point) or refuse (no points), so p * q is p."""
+    return itemgetter(*q) if len(q) > 1 else tuple
+
+
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """Left-action composition: (p*q)(i) = p(q(i))."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} != {len(q)}")
-    return tuple([p[j] for j in q])
+    return _right_multiplier(q)(p)
 
 
 class FiniteGroupTable:
@@ -128,19 +139,24 @@ class FiniteGroupTable:
     element list whose element 0 is the identity.
 
     No product table is stored: a *base* (a short list of points whose
-    images tell all elements apart) is chosen once, and `product(i, j)`
-    looks up the element with the base images of p_i * p_j, so memory is
+    images tell all elements apart) is chosen once, and each element's base
+    images are kept as the key that looks it up.  `product(i, j)` builds one
+    itemgetter over the base images of p_j and reads p_i with it, which
+    gives the base images of p_i * p_j; `index` reads a permutation with an
+    itemgetter over the base.  No getter is stored per element, so memory is
     O(|G| * degree).  Inverses are precomputed.
 
     The elements are found by one breadth-first search from 1 that steps
-    from each element p found to p * g for every generator g.  The set S it
-    finds contains 1, is closed under right multiplication by each
-    generator, and consists of products of generators.  Such a finite S is
-    the group generated: right multiplication by g is injective, so
-    S * g = S, hence S * g^-1 = S and S is closed under right
-    multiplication by the whole group, which contains 1, so the group lies
-    in S.  So S is closed under products, and since two elements of S that
-    agree on the base are equal, the base lookup returns the true product.
+    from each element p found to p * g for every generator g, one
+    itemgetter per generator.  The set S it finds contains 1, is closed
+    under right multiplication by each generator, and consists of products
+    of generators.  Such a finite S is the group generated: right
+    multiplication by g is injective, so S * g = S, hence S * g^-1 = S and S
+    is closed under right multiplication by the whole group, which contains
+    1, so the group lies in S.  So S is closed under products, and since two
+    elements of S that agree on the base are equal, the base lookup returns
+    the true product.  An element reached as p * g has the inverse
+    g^-1 * p^-1, one product down the search tree.
 
     The order of discovery is the element order: identity first, then BFS
     layers with the generators applied on the right in their given order;
@@ -156,9 +172,10 @@ class FiniteGroupTable:
         degree = len(gens[0])
         if any(len(g) != degree for g in gens):
             raise ValueError("generators must have equal degree")
+        multipliers = [_right_multiplier(g) for g in gens]
 
-        def successors(p: Perm) -> list[tuple[None, Perm]]:
-            return [(None, tuple([p[k] for k in g])) for g in gens]
+        def successors(p: Perm) -> Iterable[tuple[int, Perm]]:
+            return enumerate([times(p) for times in multipliers])
 
         cap = CLOSURE_ENTRY_LIMIT // max(degree, 1)
         try:
@@ -167,10 +184,27 @@ class FiniteGroupTable:
             raise _limit_error(limit, cap, degree) from None
         self.elements = elements = list(found)
         self.base = base = _separating_base(elements)
-        self._base_images = [tuple([p[b] for b in base]) for p in elements]
-        self._by_key = {key: i for i, key in enumerate(self._base_images)}
+        # A key is what itemgetter returns: a tuple of images, or one bare
+        # image on a one-point base.  The trivial group's empty base is read
+        # through an empty slice, so its one key is ().
+        points = base or (slice(0),)
+        self._key = itemgetter(*points)
+        keys = list(map(self._key, elements))
+        self._by_key = dict(zip(keys, range(len(keys))))
+        # product(i, j) reads p_i where p_j sends the base: at the tuple of
+        # those images, a 1-tuple on a one-point base, and at the empty slice
+        # on the empty base
+        if len(base) > 1:
+            self._base_images = keys
+        elif base:
+            self._base_images = list(zip(keys))
+        else:
+            self._base_images = [points]
         self.gen_indices = tuple(self.index(g) for g in gens)
-        self._inv = [self._by_key[tuple([p.index(b) for b in base])] for p in elements]
+        gen_inverses = [self.index(perm_inverse(g)) for g in gens]
+        inv = self._inv = [0]
+        for parent, k in islice(found.values(), 1, None):
+            inv.append(self.product(gen_inverses[k], inv[self.index(parent)]))
 
     @property
     def order(self) -> int:
@@ -178,11 +212,10 @@ class FiniteGroupTable:
 
     def index(self, p: Perm) -> int:
         """The index of the element p, looked up by its base images."""
-        return self._by_key[tuple([p[b] for b in self.base])]
+        return self._by_key[self._key(p)]
 
     def product(self, i: int, j: int) -> int:
-        p = self.elements[i]
-        return self._by_key[tuple([p[k] for k in self._base_images[j]])]
+        return self._by_key[itemgetter(*self._base_images[j])(self.elements[i])]
 
     def inverse(self, i: int) -> int:
         return self._inv[i]
@@ -226,22 +259,25 @@ class FiniteGroupTable:
         return tree_words(bfs_tree(0, lambda a: [(letter, product(a, g)) for letter, g in steps]))
 
 
-def _separating_base(images: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Points, in increasing order, whose images tell the given distinct
-    permutations apart: a point is kept when it splits some class of
-    permutations that agree on the points kept before it."""
-    labels = [0] * len(images)
-    classes = 1
+def _separating_base(group: Sequence[Perm]) -> tuple[int, ...]:
+    """Points, in increasing order, whose images tell the elements of a
+    permutation group apart: a point is kept when it splits some class of
+    elements that agree on the points kept before it.
+
+    Two elements agree on the kept points exactly when they lie in one left
+    coset of the subgroup fixing those points, so a point splits a class,
+    and then every class, exactly when that subgroup moves it.  Only the
+    shrinking subgroup is scanned, not every class of the group.
+    """
+    fixing = group
     base = []
-    for point in range(len(images[0])):
-        if classes == len(images):
+    for point in range(len(fixing[0])):
+        if len(fixing) == 1:
             break
-        refined: dict[tuple[int, int], int] = {}
-        split = [refined.setdefault((label, p[point]), len(refined))
-                 for label, p in zip(labels, images)]
-        if len(refined) > classes:
+        stabilizer = [p for p in fixing if p[point] == point]
+        if len(stabilizer) < len(fixing):
             base.append(point)
-            labels, classes = split, len(refined)
+            fixing = stabilizer
     return tuple(base)
 
 

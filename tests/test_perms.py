@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from graphpres.builtins import load_builtin
 from graphpres.perms import (ClosureLimitError, FiniteGroupTable, bfs_tree, generate_closure,
                              identity, perm, perm_compose, perm_inverse, transposition,
                              tree_fold, tree_words)
@@ -59,8 +62,13 @@ def test_closure_symmetric_group():
 
 
 def test_closure_identity_only():
-    table = generate_closure([identity(3)])
-    assert table.order == 1
+    # below degree 2 the identity is the one permutation, and an empty base
+    # keys it by ()
+    for degree in (0, 1, 3):
+        table = generate_closure([identity(degree)])
+        assert table.order == 1 and table.base == ()
+        assert table.index(identity(degree)) == 0 and table.product(0, 0) == 0
+        assert perm_compose(identity(degree), identity(degree)) == identity(degree)
 
 
 def test_generators_are_looked_up_by_their_base_images():
@@ -168,18 +176,60 @@ def _binary_icosahedral_carrier():
     return binary_icosahedral_action().input.ag.group
 
 
+def _symmetric(n):
+    return generate_closure([t(n, i, i + 1) for i in range(n - 1)])
+
+
+def _cyclic_regular(n):
+    return generate_closure([perm([(i + 1) % n for i in range(n)])])
+
+
+def _order(p):
+    n, q = 1, p
+    while q != identity(len(p)):
+        q = perm_compose(q, p)
+        n += 1
+    return n
+
+
+# The base lengths 0 and 1 are where the lookup key is not a tuple of
+# images: an empty base keys the one element by (), a one-point base by a
+# bare image.
 @pytest.mark.parametrize("build, order, base_length", [
-    (lambda: generate_closure([t(4, 0, 1), t(4, 1, 2), t(4, 2, 3)]), 24, 3),
-    (_dihedral_7, 14, 2),
+    (lambda: generate_closure([identity(1)]), 1, 0),
+    (lambda: _cyclic_regular(12), 12, 1),
     (_binary_icosahedral_carrier, 120, 1),
-], ids=["s4", "dihedral-7", "binary-icosahedral"])
+    (_dihedral_7, 14, 2),
+    (lambda: load_builtin("dihedral:200").ag.group, 400, 2),
+    (lambda: _symmetric(4), 24, 3),
+    (lambda: _symmetric(6), 720, 5),
+], ids=["trivial", "c12-regular", "binary-icosahedral", "dihedral-7", "dihedral-200", "s4",
+        "s6"])
 def test_products_match_composition(build, order, base_length):
     table = build()
     assert table.order == order and len(table.base) == base_length
     elements = table.elements
     for i, p in enumerate(elements):
+        assert table.index(p) == i
         assert elements[table.inverse(i)] == perm_inverse(p)
+        assert table.element_order(i) == _order(p)
         for j, q in enumerate(elements):
             pq = perm_compose(p, q)
             assert elements[table.product(i, j)] == pq
             assert elements[table.word_product([i, j, i])] == perm_compose(pq, p)
+
+
+# Taken before the table read permutations through operator.itemgetter: a
+# change to the closure's order of discovery or to the base fails here, not
+# only through the derive digests of test_pinned.
+@pytest.mark.parametrize("build, digest", [
+    (lambda: load_builtin("simplex:6").ag.group,
+     "588b5a3228280f26a49df586f8275cdff5d3ce29554572a2a038b1bbf453b309"),
+    (lambda: load_builtin("dihedral:50").ag.group,
+     "80de5b08b797a5b52266132a199c2b62926c92831a780844607b2298104c7416"),
+    (_binary_icosahedral_carrier,
+     "186db629a495f3d2539b580422503a0276d5df4acc5aa43b0cd53fc847d22700"),
+], ids=["simplex-6", "dihedral-50", "binary-icosahedral"])
+def test_tables_keep_their_elements_and_base(build, digest):
+    table = build()
+    assert hashlib.sha256(repr((table.base, table.elements)).encode()).hexdigest() == digest
