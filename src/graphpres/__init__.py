@@ -1,8 +1,8 @@
 """Finite group presentations from group actions on graphs.
 
 The pipeline takes a finite simple graph with an edge-preserving action of a
-finite group, chooses a regular scaffolding (orbit representatives, coset
-transversals, carrier elements), emits the edge / out-and-back / loop / tree
+finite group, chooses a regular scaffolding (orbit representatives, their reversal
+pairing, carrier elements), emits the edge / out-and-back / loop / tree
 relation families over the supplied vertex-stabilizer presentations, and
 verifies the result independently: coset enumeration must give the group
 order and rebuilding the graph from the presented group must reproduce it.
@@ -22,7 +22,7 @@ from .graphs import (ActionedGraph, Graph, OrientedEdge, find_inversion,
 from .perms import (FiniteGroupTable, Perm, bfs_tree, generate_closure, perm, perm_compose,
                     perm_inverse)
 from .scaffold import (Scaffolding, build_regular_scaffolding, build_spanning_tree,
-                       scaffolding_to_json, validate_regularity)
+                       validate_regularity)
 from .verify import (abelianization_smith, build_kozsul_model,
                      check_covering_isomorphism, presentation_order_check,
                      smith_normal_form)

@@ -30,32 +30,11 @@ UNIVERSAL_GRZ = Presentation.from_strings(
     ],
 )
 
-_G = [("g", 1)]
-_R = [("r", 1)]
-_S = [("r", -1)]                 # s = r^-1
-_T = [("r", 1), ("g", 1)]        # t = r g
-_Z = [("g", 1), ("g", 1)]        # z = g^2
-
-
-def _w(*parts: Sequence[tuple[str, int]] | int) -> list[tuple[str, int]]:
-    """Concatenate word parts; an integer exponent applies to the previous part."""
-    out: list[tuple[str, int]] = []
-    parts = list(parts)
-    i = 0
-    while i < len(parts):
-        part = parts[i]
-        if i + 1 < len(parts) and isinstance(parts[i + 1], int):
-            n = parts[i + 1]
-            i += 2
-        else:
-            n = 1
-            i += 1
-        seq = list(part)  # type: ignore[arg-type]
-        if n < 0:
-            seq = list(inverse_word(seq))
-            n = -n
-        out.extend(seq * n)
-    return out
+_G = (("g", 1),)
+_R = (("r", 1),)
+_S = (("r", -1),)                # s = r^-1
+_T = (("r", 1), ("g", 1))        # t = r g
+_Z = (("g", 1), ("g", 1))        # z = g^2
 
 
 @dataclass(frozen=True)
@@ -88,18 +67,18 @@ def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
     quotient = todd_coxeter(UNIVERSAL_GRZ, subgroup_words=[[(0, 1), (0, 1)]], limit=limit)
 
     checks = [
-        ("z = g^2 = r^-3", elem(_Z) == elem(_w(_R, -3))),
-        ("z = (rg)^5", elem(_Z) == elem(_w(_w(_R, 1, _G, 1), 5))),
-        ("s^3 = z", elem(_w(_S, 3)) == z),
-        ("t^5 = z", elem(_w(_T, 5)) == z),
-        ("(st)^2 = z", elem(_w(_w(_S, 1, _T, 1), 2)) == z),
-        ("s^2 = t s t", elem(_w(_S, 2)) == elem(_w(_T, 1, _S, 1, _T, 1))),
-        ("t^4 = s t s", elem(_w(_T, 4)) == elem(_w(_S, 1, _T, 1, _S, 1))),
-        ("t = s^2 t^-1 s^-1", elem(_T) == elem(_w(_S, 2, _T, -1, _S, -1))),
-        ("s = t^-1 s^-1 t^4", elem(_S) == elem(_w(_T, -1, _S, -1, _T, 4))),
-        ("s^3 = (s t^-1)^5", elem(_w(_S, 3)) == elem(_w(_w(_S, 1, _T, -1), 5))),
-        ("t^5 = (s^-1 t^2)^5", elem(_w(_T, 5)) == elem(_w(_w(_S, -1, _T, 2), 5))),
-        ("t^5 = (t^-2 s)^5", elem(_w(_T, 5)) == elem(_w(_w(_T, -2, _S, 1), 5))),
+        ("z = g^2 = r^-3", elem(_Z) == elem(inverse_word(_R) * 3)),
+        ("z = (rg)^5", elem(_Z) == elem((_R + _G) * 5)),
+        ("s^3 = z", elem(_S * 3) == z),
+        ("t^5 = z", elem(_T * 5) == z),
+        ("(st)^2 = z", elem((_S + _T) * 2) == z),
+        ("s^2 = t s t", elem(_S * 2) == elem(_T + _S + _T)),
+        ("t^4 = s t s", elem(_T * 4) == elem(_S + _T + _S)),
+        ("t = s^2 t^-1 s^-1", elem(_T) == elem(_S * 2 + inverse_word(_T) + inverse_word(_S))),
+        ("s = t^-1 s^-1 t^4", elem(_S) == elem(inverse_word(_T) + inverse_word(_S) + _T * 4)),
+        ("s^3 = (s t^-1)^5", elem(_S * 3) == elem((_S + inverse_word(_T)) * 5)),
+        ("t^5 = (s^-1 t^2)^5", elem(_T * 5) == elem((inverse_word(_S) + _T * 2) * 5)),
+        ("t^5 = (t^-2 s)^5", elem(_T * 5) == elem((inverse_word(_T) * 2 + _S) * 5)),
         ("z^2 = 1", group.product(z, z) == 0),
     ]
     ok = (group.order == 120 and z_order == 2 and z_central and quotient.n == 60

@@ -75,12 +75,6 @@ class GoldenNum:
     def __neg__(self) -> GoldenNum:
         return _new(-self.p, -self.q, self.d)
 
-    def conj(self) -> GoldenNum:
-        return _new(self.p, -self.q, self.d)
-
-    def field_norm(self) -> Fraction:
-        return Fraction(self.p * self.p - 5 * self.q * self.q, self.d * self.d)
-
     def inverse(self) -> GoldenNum:
         # d / (p + q sqrt5) = d (p - q sqrt5) / (p^2 - 5 q^2); the norm is 0
         # only at 0, since sqrt5 is irrational
@@ -125,18 +119,6 @@ class GoldenNum:
         if p > 0:  # q < 0
             return 1 if p * p > 5 * q * q else -1
         return 1 if p * p < 5 * q * q else -1
-
-    def __lt__(self, other: GoldenNum | _Rat) -> bool:
-        return (self - _coerce(other)).sign() < 0
-
-    def __le__(self, other: GoldenNum | _Rat) -> bool:
-        return (self - _coerce(other)).sign() <= 0
-
-    def __gt__(self, other: GoldenNum | _Rat) -> bool:
-        return (self - _coerce(other)).sign() > 0
-
-    def __ge__(self, other: GoldenNum | _Rat) -> bool:
-        return (self - _coerce(other)).sign() >= 0
 
     def __repr__(self) -> str:
         if self.q == 0:
@@ -293,14 +275,6 @@ class GoldenQuat:
         return _golden(sum(n[k] * n[k] + 5 * n[k + 1] * n[k + 1] for k in range(0, 8, 2)),
                        sum(2 * n[k] * n[k + 1] for k in range(0, 8, 2)), n[8] * n[8])
 
-    def inverse(self) -> GoldenQuat:
-        n = self.norm()
-        if n.is_zero():
-            raise ZeroDivisionError("zero quaternion")
-        ni = n.inverse()
-        c = self.conj()
-        return GoldenQuat(c.w * ni, c.x * ni, c.y * ni, c.z * ni)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GoldenQuat) and self.n == other.n
 
@@ -312,13 +286,6 @@ class GoldenQuat:
         *_, x0, x1, y0, y1, z0, z1, d = _hamilton(_hamilton(self.n, GoldenQuat(ZERO, *p).n),
                                                   _conj(self.n))
         return (_golden(x0, x1, d), _golden(y0, y1, d), _golden(z0, z1, d))
-
-    def power(self, n: int) -> GoldenQuat:
-        acc = QUAT_ONE
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            acc = quat_mul(acc, base)
-        return acc
 
     def __repr__(self) -> str:
         return f"GoldenQuat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .perms import FiniteGroupTable, Perm, bfs_tree, generate_closure, identity, perm
+from .perms import FiniteGroupTable, Perm, bfs_tree, generate_closure, perm
 
 
 class OrientedEdge(NamedTuple):
@@ -97,10 +97,6 @@ class ActionedGraph:
     def apply_edge(self, g: int, e: OrientedEdge) -> OrientedEdge:
         p = self.action[g]
         return OrientedEdge(p[e.origin], p[e.target])
-
-    def kernel(self) -> tuple[int, ...]:
-        one = identity(self.graph.vertex_count)
-        return tuple(i for i, p in enumerate(self.action) if p == one)
 
     def stabilizer(self, v: int) -> tuple[int, ...]:
         """Indices of the elements fixing the vertex v, in increasing order."""

@@ -1,37 +1,35 @@
 """Scaffoldings: the bundle of choices turning a graph action into relations.
 
 A scaffolding fixes orbit representatives for vertices and oriented edges,
-coset transversals inside the vertex stabilizers, and for every oriented
-edge e with origin in the representative set an element s_e carrying the
-base vertex of its far endpoint to that endpoint.  `build_regular_scaffolding`
-makes the canonical deterministic choices satisfying the regularity
-conditions (i)-(iv) checked by `validate_regularity`.
+for every oriented edge e with origin in the representative set an element
+s_e carrying the base vertex of its far endpoint to that endpoint, and the
+decomposition e = u(e0) of each such edge by a representative e0 and an
+element u fixing the origin.  `build_regular_scaffolding` makes the
+canonical deterministic choices satisfying the regularity conditions
+(i)-(iv) checked by `validate_regularity`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from .graphs import (ActionedGraph, OrientedEdge, edge_orbits_at, find_inversion,
                      first_carriers, orbit_of_vertex, vertex_orbits)
 
 
 @dataclass(frozen=True)
 class Scaffolding:
+    """Each choice is stored once; the representatives E0 are the keys of
+    `iota`."""
+
     base_vertices: tuple[int, ...]                      # V, one per vertex orbit
     base_of: dict[int, int]                             # x -> v(x), the base vertex of its orbit
     tree_edges: tuple[tuple[int, int], ...]             # undirected edges of the subtree A on V
-    edge_reps: dict[int, tuple[OrientedEdge, ...]]      # per base vertex: orbit representatives (E0)
-    pair_reps: tuple[OrientedEdge, ...]                 # one per reversal-pairing orbit (E1)
-    transversals: dict[OrientedEdge, tuple[int, ...]]   # per representative: coset reps in G_v / G_e
+    pair_reps: tuple[OrientedEdge, ...]                 # e in E0 with e <= iota(e) (E1)
     s: dict[OrientedEdge, int]                          # e -> s_e, carrying base_of[target(e)] to target(e)
-    iota: dict[OrientedEdge, OrientedEdge]              # pairing on E0
-    rep_decomposition: dict[OrientedEdge, tuple[OrientedEdge, int]] = field(default_factory=dict)
-    # e -> (representative e0, transversal element u) with u(e0) = e
-
-    @property
-    def all_reps(self) -> tuple[OrientedEdge, ...]:
-        return tuple(e for v in self.base_vertices for e in self.edge_reps[v])
+    iota: dict[OrientedEdge, OrientedEdge]              # the reversal pairing on E0
+    rep_decomposition: dict[OrientedEdge, tuple[OrientedEdge, int]]
+    # e -> (representative e0, element u of G_origin) with u(e0) = e
 
     def oriented_tree_edges(self) -> tuple[OrientedEdge, ...]:
         out = []
@@ -39,23 +37,6 @@ class Scaffolding:
             out.append(OrientedEdge(u, w))
             out.append(OrientedEdge(w, u))
         return tuple(sorted(out))
-
-
-def scaffolding_to_json(sc: Scaffolding) -> dict:
-    """Plain-data form (element indices and edge lists) for golden files."""
-    def edge(e: OrientedEdge) -> list[int]:
-        return [e.origin, e.target]
-
-    return {
-        "base_vertices": list(sc.base_vertices),
-        "tree_edges": [list(t) for t in sc.tree_edges],
-        "edge_reps": {str(v): [edge(e) for e in reps]
-                      for v, reps in sorted(sc.edge_reps.items())},
-        "pair_reps": [edge(e) for e in sc.pair_reps],
-        "transversals": [[edge(e), list(us)] for e, us in sorted(sc.transversals.items())],
-        "s": [[edge(e), g] for e, g in sorted(sc.s.items())],
-        "pairing": [[edge(e), edge(d)] for e, d in sorted(sc.iota.items())],
-    }
 
 
 class DisconnectedGraphError(ValueError):
@@ -104,8 +85,9 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     edge with the least-index inversion as s; any other orbit is primary in
     its reversal pair, its least edge choosing s freely (the least-index
     carrier, `ActionedGraph.carriers`) and forcing the partner's
-    representative and s.  All non-representative edges inherit s by
-    transversal conjugation; the transversals are `first_carriers` in G_v.
+    representative and s.  Every other edge d at a base vertex v is u(e0)
+    for its representative e0 and the first carrier u in G_v
+    (`first_carriers`), and inherits s from e0 through u.
     """
     base_vertices, tree_edges = build_spanning_tree(ag)
     group = ag.group
@@ -113,19 +95,19 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
                 for orbit in edge_orbits_at(ag, v) for e in orbit}
     base_of = {w: v for v in base_vertices for w in orbit_of_vertex(ag, v)}
 
-    rep_of: dict[tuple[OrientedEdge, ...], OrientedEdge] = {}
+    represented: set[tuple[OrientedEdge, ...]] = set()
     s: dict[OrientedEdge, int] = {}
     iota: dict[OrientedEdge, OrientedEdge] = {}
     for u, w in tree_edges:
         for e in (OrientedEdge(u, w), OrientedEdge(w, u)):
-            rep_of[orbit_of[e]] = e
+            represented.add(orbit_of[e])
             s[e] = 0
             iota[e] = e.reverse()
 
     for orbit in sorted(set(orbit_of.values())):
-        if orbit in rep_of:
+        if orbit in represented:
             continue
-        rep = rep_of[orbit] = orbit[0]
+        rep = orbit[0]
         if (inversion := find_inversion(ag, rep)) is not None:
             s[rep] = inversion
             iota[rep] = rep
@@ -134,41 +116,32 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
         partner = ag.apply_edge(group.inverse(s[rep]), rep.reverse())
         if orbit_of[partner] == orbit:
             raise RuntimeError(f"pairing failed at {rep}")
-        rep_of[orbit_of[partner]] = partner
+        represented.add(orbit_of[partner])
         s[partner] = group.inverse(s[rep])
         iota[rep] = partner
         iota[partner] = rep
 
-    pair_reps = tuple(sorted(e for e in iota if e <= iota[e]))
-    # every representative starts at a base vertex
-    by_origin: dict[int, list[OrientedEdge]] = {v: [] for v in base_vertices}
-    for e in rep_of.values():
-        by_origin[e.origin].append(e)
-    edge_reps = {v: tuple(sorted(reps)) for v, reps in by_origin.items()}
-
-    # transversals and propagation of s over each orbit: conjugation when the
-    # far endpoint shares the origin's orbit (then u fixes the base vertex),
-    # plain translation u s_e across orbits (then k(e,u) = 1)
-    transversals: dict[OrientedEdge, tuple[int, ...]] = {}
+    # propagation of s over each orbit, representatives in sorted order (so
+    # grouped by base vertex): conjugation when the far endpoint shares the
+    # origin's orbit (then u fixes the base vertex), plain translation
+    # u s_e across orbits (then k(e,u) = 1)
     rep_decomposition: dict[OrientedEdge, tuple[OrientedEdge, int]] = {}
-    for v in base_vertices:
-        stab = ag.stabilizer(v)
-        for rep in edge_reps[v]:
-            same_orbit = base_of[rep.target] == v
-            carried = first_carriers(stab, ag.apply_edge, rep)
-            for d, u in carried.items():
-                rep_decomposition[d] = (rep, u)
-                if d != rep:
-                    if same_orbit:
-                        s[d] = group.word_product((u, s[rep], group.inverse(u)))
-                    else:
-                        s[d] = group.product(u, s[rep])
-            if len(carried) * len(ag.edge_stabilizer(rep)) != len(stab):
-                raise RuntimeError("transversal size mismatch")
-            transversals[rep] = tuple(carried.values())
+    for rep in sorted(iota):
+        stab = ag.stabilizer(rep.origin)
+        same_orbit = base_of[rep.target] == rep.origin
+        carried = first_carriers(stab, ag.apply_edge, rep)
+        for d, u in carried.items():
+            rep_decomposition[d] = (rep, u)
+            if d != rep:
+                if same_orbit:
+                    s[d] = group.word_product((u, s[rep], group.inverse(u)))
+                else:
+                    s[d] = group.product(u, s[rep])
+        if len(carried) * len(ag.edge_stabilizer(rep)) != len(stab):
+            raise RuntimeError("transversal size mismatch")
 
-    return Scaffolding(base_vertices, base_of, tree_edges, edge_reps, pair_reps,
-                       transversals, s, iota, rep_decomposition)
+    pair_reps = tuple(sorted(e for e in iota if e <= iota[e]))
+    return Scaffolding(base_vertices, base_of, tree_edges, pair_reps, s, iota, rep_decomposition)
 
 
 @dataclass(frozen=True)
@@ -182,43 +155,63 @@ class RegularityViolation:
 def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolation | None:
     """Exhaustively check the regularity conditions; None when all hold.
 
-    (0) every s_e carries base_of[target(e)] to target(e);
-    (i) a representative admitting an inversion has an inversion as s_e;
-    (ii) otherwise s_e^{-1}(reversed e) is a representative with s = s_e^{-1};
-    (iii) s_{u(e)} = u s_e u^{-1} over each transversal when the far endpoint
-          shares the origin's orbit, and s_{u(e)} = u s_e across orbits
-          (conjugation cannot carry the base vertex correctly there);
+    (0) every s_e carries base_of[target(e)], a base vertex, to target(e),
+        and each representative (key of iota) has an s_e;
+    (i) a representative admitting an inversion has an inversion as s_e and
+        is paired with itself;
+    (ii) otherwise s_e^{-1}(reversed e) is a representative with s = s_e^{-1},
+         and iota pairs the two both ways; pair_reps are the sorted
+         representatives e with e <= iota(e);
+    (iii) the decomposed edges are the edges with an s, each d = u(e0) with
+          e0 a representative and u fixing its origin, and s_d = u s_{e0} u^{-1}
+          when the far endpoint shares the origin's orbit, s_d = u s_{e0}
+          across orbits (conjugation cannot carry the base vertex correctly
+          there);
     (iv) oriented tree edges are representatives with s = 1.
     """
     group = ag.group
     for e, se in sorted(sc.s.items()):
-        if ag.apply(se, sc.base_of[e.target]) != e.target:
-            return RegularityViolation("0", e, se, "s_e does not carry the base vertex to the target")
-    rep_set = set(sc.all_reps)
-    for e in sorted(rep_set):
+        w = sc.base_of.get(e.target)
+        if w is None or sc.base_of.get(w) != w or ag.apply(se, w) != e.target:
+            return RegularityViolation("0", e, se, "s_e does not carry a base vertex to the target")
+    for e in sorted(sc.iota):
+        if e not in sc.s:
+            return RegularityViolation("0", e, None, "representative without s_e")
         se = sc.s[e]
         if find_inversion(ag, e) is not None:
             p = ag.action[se]
             if not (p[e.origin] == e.target and p[e.target] == e.origin):
                 return RegularityViolation("i", e, se, "s_e is not an inversion")
+            if sc.iota[e] != e:
+                return RegularityViolation("i", e, se, "inverted edge is not paired with itself")
         else:
             partner = ag.apply_edge(group.inverse(se), e.reverse())
-            if partner not in rep_set:
+            if partner not in sc.iota:
                 return RegularityViolation("ii", e, se, "paired edge is not a representative")
-            if sc.s[partner] != group.inverse(se):
+            if sc.s.get(partner) != group.inverse(se):
                 return RegularityViolation("ii", e, se, "paired edge has s != s_e^{-1}")
-    for e in sorted(rep_set):
-        same_orbit = sc.base_of[e.target] == e.origin
-        for u in sc.transversals[e]:
-            d = ag.apply_edge(u, e)
-            if same_orbit:
-                expected = group.word_product((u, sc.s[e], group.inverse(u)))
-            else:
-                expected = group.product(u, sc.s[e])
-            if sc.s.get(d) != expected:
-                return RegularityViolation("iii", e, u, f"s of {d} is not propagated from {e}")
+            if sc.iota[e] != partner or sc.iota[partner] != e:
+                return RegularityViolation("ii", e, se, f"iota does not pair it with {partner}")
+    pair_reps = tuple(sorted(e for e in sc.iota if e <= sc.iota[e]))
+    if tuple(sc.pair_reps) != pair_reps:
+        e = min(set(sc.pair_reps).symmetric_difference(pair_reps), default=pair_reps[0])
+        return RegularityViolation("ii", e, None, "pair_reps are not the e <= iota(e)")
+    if set(sc.rep_decomposition) != set(sc.s):
+        e = min(set(sc.rep_decomposition).symmetric_difference(sc.s))
+        return RegularityViolation("iii", e, None, "decomposed edges are not the edges with s")
+    for d, (e, u) in sorted(sc.rep_decomposition.items()):
+        if e not in sc.iota:
+            return RegularityViolation("iii", d, u, f"{e} is not a representative")
+        if ag.apply(u, e.origin) != e.origin or ag.apply_edge(u, e) != d:
+            return RegularityViolation("iii", d, u, f"not u({e}) with u fixing the origin")
+        if sc.base_of[e.target] == e.origin:
+            expected = group.word_product((u, sc.s[e], group.inverse(u)))
+        else:
+            expected = group.product(u, sc.s[e])
+        if sc.s[d] != expected:
+            return RegularityViolation("iii", e, u, f"s of {d} is not propagated from {e}")
     for e in sc.oriented_tree_edges():
-        if e not in rep_set:
+        if e not in sc.iota:
             return RegularityViolation("iv", e, None, "tree edge is not a representative")
         if sc.s[e] != 0:
             return RegularityViolation("iv", e, sc.s[e], "tree edge with s != 1")

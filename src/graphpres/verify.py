@@ -279,13 +279,14 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     f: dict[tuple[int, int], int] = {}
 
-    # the covering map f((v, c)) = phi(delta)^-1(v), with phi(delta) carried
-    # down the coset table's spanning tree
+    # the covering map f((v, c)) = phi(delta)^-1(v), carried down the coset
+    # table's spanning tree as a vertex: phi(delta) = phi(parent) phi(letter),
+    # so f(delta) = phi(letter)^-1(f(parent))
     for v in sc.base_vertices:
-        carried = tree_fold(tables[v].tree(), 0,
-                            lambda g, step: group.product(g, letter_element[step]))
+        images = tree_fold(tables[v].tree(), v,
+                           lambda x, step: ag.apply(letter_element[step[0], -step[1]], x))
         for c in range(tables[v].n):
-            f[(v, c)] = ag.apply(group.inverse(carried[c]), v)
+            f[(v, c)] = images[c]
 
     # edges: the orbit of (coset 0 at v, coset g_e^-1 at w) per edge generator
     for name, e in derived.edge_gens.items():

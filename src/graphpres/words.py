@@ -263,12 +263,8 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
             continue
         e0, u = sc.rep_decomposition[letter.edge]
         e1 = sc.iota[e0]
-        if e0 <= e1:  # the rule `pair_reps` is built by
-            core = EdgeLetter(e0, 1)
-        elif sc.iota[e1] == e0:
-            core = EdgeLetter(e1, -1)
-        else:
-            raise ValueError("pairing representatives are inconsistent")
+        # the rule `pair_reps` is built by
+        core = EdgeLetter(e0, 1) if e0 <= e1 else EdgeLetter(e1, -1)
         if u == 0:
             expansion = [core]
         else:

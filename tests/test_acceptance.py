@@ -174,7 +174,7 @@ def test_criterion_8_property_suites():
     # (c) the pairing is an involution fixing exactly the invertible edges
     involutive = True
     for inp in builtin_inputs + list(dihedral_inputs.values()):
-        for e in inp.sc.all_reps:
+        for e in inp.sc.iota:
             partner = inp.sc.iota[e]
             involutive = involutive and inp.sc.iota[partner] == e
             involutive = involutive and (

@@ -108,7 +108,7 @@ def check_against_scans(inp):
                   for orbit in scan_edge_orbits_at(ag, v) for e in orbit}
     base_of = {w: v for v in sc.base_vertices for w in scan_carriers(ag, v)}
     tree = set(sc.oriented_tree_edges())
-    for e in sc.all_reps:
+    for e in sc.iota:
         if e in tree:
             assert sc.s[e] == 0
         elif (inversion := find_inversion(ag, e)) is not None:
@@ -116,7 +116,7 @@ def check_against_scans(inp):
         elif least_edge[e] < least_edge[sc.iota[e]]:  # the primary edge of its pair
             assert sc.s[e] == scan_carriers(ag, base_of[e.target])[e.target]
         trans, covered = scan_transversal(ag, e.origin, e)
-        assert sc.transversals[e] == trans
+        assert tuple(u for e0, u in sc.rep_decomposition.values() if e0 == e) == trans
         for d, u in covered.items():
             assert sc.rep_decomposition[d] == (e, u)
     assert set(sc.rep_decomposition) == set(sc.s)

@@ -118,8 +118,36 @@ def dihedral_with_an_edge_name():
     return dataclasses.replace(inp, stabilizers={0: clash})
 
 
+def prism_with_a_broken_pairing():
+    # the representative (0, 1), reversal-paired with (0, 4), paired with itself
+    inp = action_from_json(ACTIONS["prism-5x2"])
+    e = OrientedEdge(0, 1)
+    assert inp.sc.iota[e] == OrientedEdge(0, 4)
+    iota = {**inp.sc.iota, e: e}
+    return dataclasses.replace(inp, sc=dataclasses.replace(inp.sc, iota=iota))
+
+
+def square_missing_a_decomposition():
+    # the edge (0, 3) = m(0, 1) keeps its s but loses its decomposition
+    inp = action_from_json(ACTIONS["square"])
+    d = OrientedEdge(0, 3)
+    kept = {e: dec for e, dec in inp.sc.rep_decomposition.items() if e != d}
+    assert len(kept) == len(inp.sc.rep_decomposition) - 1
+    return dataclasses.replace(inp, sc=dataclasses.replace(inp.sc, rep_decomposition=kept))
+
+
+def square_missing_a_base_vertex():
+    # vertex 1, the target of the base edge, has no base vertex recorded
+    inp = action_from_json(ACTIONS["square"])
+    base_of = {x: v for x, v in inp.sc.base_of.items() if x != 1}
+    return dataclasses.replace(inp, sc=dataclasses.replace(inp.sc, base_of=base_of))
+
+
 @pytest.mark.parametrize("build, error, message", [
     (irregular_dodecahedron, DerivationInputError, "scaffolding is not regular"),
+    (prism_with_a_broken_pairing, DerivationInputError, "scaffolding is not regular"),
+    (square_missing_a_decomposition, DerivationInputError, "scaffolding is not regular"),
+    (square_missing_a_base_vertex, DerivationInputError, "scaffolding is not regular"),
     (lambda: dataclasses.replace(simplex_action(6), stabilizers={}), DerivationInputError,
      "missing stabilizer presentation for vertex 0"),
     (lambda: simplex6_with(lambda d: dataclasses.replace(
@@ -135,7 +163,8 @@ def dihedral_with_an_edge_name():
      "stabilizer generator name g[0] at 0 is an edge generator's name"),
     (lambda: simplex6_with(lambda d: dataclasses.replace(d, gen_elements={})), ValueError,
      "presentation generators and evaluation map disagree"),
-], ids=["irregular-scaffolding", "missing-stabilizer", "non-generating-stabilizer",
+], ids=["irregular-scaffolding", "broken-pairing", "missing-decomposition",
+        "missing-base-vertex", "missing-stabilizer", "non-generating-stabilizer",
         "open-stabilizer-presentation", "wrong-stabilizer-order", "shared-generator-name",
         "edge-generator-name", "evaluation-map-names"])
 def test_derivation_refuses_bad_library_inputs(build, error, message):

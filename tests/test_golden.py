@@ -40,17 +40,9 @@ def test_equality_is_coefficientwise():
 def test_division(rng):
     for _ in range(50):
         x, y = rand_golden(rng), rand_golden(rng)
-        if y.is_zero() or y.field_norm() == 0:
+        if y.is_zero():
             continue
         assert (x / y) * y == x
-
-
-def test_exact_ordering():
-    assert GoldenNum(0) < PHI
-    assert GoldenNum(2) > PHI
-    assert GoldenNum(Fraction(161803, 100000)) < PHI
-    assert GoldenNum(-1) < GoldenNum(0, 1) < GoldenNum(3)
-    assert GoldenNum(-3, 1) < 0  # sqrt5 - 3 < 0
 
 
 def test_golden_sqrt_roundtrip(rng):
@@ -113,9 +105,11 @@ def test_zero_angle_is_identity():
 def test_third_turn_about_vertex_axis():
     half = GoldenNum(Fraction(1, 2))
     h = quat_from_rotation(vec3(1, 1, 1), half, half)
-    assert h.power(3) == QUAT_C
-    assert h.power(6) == QUAT_ONE
-    assert h.power(2) != QUAT_ONE and h.power(3) != QUAT_ONE
+    h2 = quat_mul(h, h)
+    h3 = quat_mul(h2, h)
+    assert h3 == QUAT_C
+    assert quat_mul(h3, h3) == QUAT_ONE
+    assert h2 != QUAT_ONE and h3 != QUAT_ONE
 
 
 def test_from_rotation_rejects_non_unit():
@@ -221,8 +215,7 @@ def test_arithmetic_matches_fraction_pair_reference(rng):
         gx, gy = GoldenNum(*x), GoldenNum(*y)
         assert pair(gx) == x and pair(gy) == y
         results = [(gx + gy, ref_add(x, y)), (gx - gy, ref_sub(x, y)),
-                   (gx * gy, ref_mul(x, y)), (-gx, (-x[0], -x[1])),
-                   (gx.conj(), (x[0], -x[1]))]
+                   (gx * gy, ref_mul(x, y)), (-gx, (-x[0], -x[1]))]
         if y != (0, 0):
             results += [(gx / gy, ref_mul(x, ref_inverse(y))), (gy.inverse(), ref_inverse(y))]
         else:
@@ -232,10 +225,7 @@ def test_arithmetic_matches_fraction_pair_reference(rng):
             assert pair(got) == want
             assert got == GoldenNum(*want) and hash(got) == hash(GoldenNum(*want))
             assert_lowest_terms(got)
-        assert gx.field_norm() == ref_norm(x) and isinstance(gx.field_norm(), Fraction)
         assert gx.sign() == ref_sign(x)
-        s = ref_sign(ref_sub(x, y))
-        assert ((gx < gy), (gx <= gy), (gx > gy), (gx >= gy)) == (s < 0, s <= 0, s > 0, s >= 0)
         for z in (x, ref_mul(x, x), (x[0] * x[0], Fraction(0)), (5 * x[0] * x[0], Fraction(0))):
             root, want = golden_sqrt(GoldenNum(*z)), ref_sqrt(z)
             assert (root is None and want is None) or pair(root) == want

@@ -40,7 +40,8 @@ faces, the 120 quaternions of the binary icosahedral group in breadth-first
 order, the truncated dodecahedron's coordinates and faces, and the
 `face_boundary_check()` report.  These digests were taken while Q(sqrt 5)
 numbers were still stored as `Fraction` pairs, before the arithmetic moved
-to integer numerators over a common denominator.
+to integer numerators over a common denominator.  So are the records of the
+scaffolding (`PINNED_SCAFFOLDINGS`), the choices the derivation reads.
 """
 
 import dataclasses
@@ -135,6 +136,43 @@ def derived_json_text(name: str) -> str:
 @pytest.mark.parametrize("name", list(PINNED))
 def test_derived_json_digest(name):
     assert hashlib.sha256(derived_json_text(name).encode()).hexdigest() == PINNED[name]
+
+
+# the seven scaffolding records, taken while the scaffolding still stored
+# its representatives and transversals a second time, beside `iota` and
+# `rep_decomposition`
+PINNED_SCAFFOLDINGS = {
+    "simplex:3": "cd8813fe8ee082575071e199ff99609ccad8a94b16e1e6e4bb23e910f9596a39",
+    "simplex:4": "b651338138a8348196f31e68f4c68868598136c0b0d647d37c5bdb026d1c0446",
+    "simplex:5": "78be6ccefea73e6f21b2cd44bc8975a937c7d8f454f48d0a165540580568c013",
+    "simplex:6": "b9728ca93a28eecc98d6b9a3534b56821650e85b42014c07e3125e97e403003e",
+    "dodecahedron": "39d3a8e34de52ce027b8d0c7d573e9d197e20a57718c96dc8443020890042b0c",
+    "binary-icosahedral": "48de265226679a6d30d4ce74d3e2db7f03307d333d10622fdeaacba1559b7cac",
+    "dihedral:5": "05e4830d6f65416b122c7f278fdb4f6e4e305706875825aaeea9b61679c7f0d5",
+    "dihedral:12": "f98336a2eb4adf05e54027f6b7421d2cf874b29cb07ebee62cebc37447a9d2b3",
+    "square": "1b2d1059c087b7286e1b516ced1ebaed6360973872833aa61e0c86d3ebb855c7",
+    "cube": "4b4d1685229affb102fb6e6f6b029b2736236ee4115edb657c86860f8f54f1a2",
+    "petersen": "71644e13d88853b57f6bec1767e5c58793d7d4f60da3dc0fc342934bb404e8b1",
+    "prism-5x2": "2ecbdccc765a3b7f3546d8523099bc3bdc67924c81db87c3eeda8e9b67d7e856",
+    "prism-4x3-dihedral": "01a5548d18c10008cd832b207693952009d009f6b13f4f6977cfe53ce9c464be",
+    "hexagon-rotation": "3271fd3368f019e23bea5594b84e1ddc1f6c147652cfea4ddcae66b468c51874",
+}
+
+
+def scaffolding_text(name: str) -> str:
+    """Every record of the scaffolding as canonical JSON, a map as its sorted
+    items (an oriented edge is written as its [origin, target]), so that a
+    record added or dropped changes the digest too."""
+    inp = action_from_json(ACTIONS[name], name) if name in ACTIONS else load_builtin(name)
+    records = {f.name: getattr(inp.sc, f.name) for f in dataclasses.fields(inp.sc)}
+    return json.dumps({k: sorted(v.items()) if isinstance(v, dict) else v
+                       for k, v in records.items()}, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", list(PINNED_SCAFFOLDINGS))
+def test_scaffolding_digest(name):
+    digest = hashlib.sha256(scaffolding_text(name).encode()).hexdigest()
+    assert digest == PINNED_SCAFFOLDINGS[name]
 
 
 def test_coxeter_check_report_digest(capsys):

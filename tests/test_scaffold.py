@@ -4,10 +4,13 @@ import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
                                 dodecahedron_action, simplex_action)
+from graphpres.cli import action_from_json
 from graphpres.graphs import ActionedGraph, Graph, OrientedEdge
 from graphpres.perms import identity, perm, transposition
 from graphpres.scaffold import (DisconnectedGraphError, build_regular_scaffolding,
                                 build_spanning_tree, validate_regularity)
+
+from test_pinned import ACTIONS
 
 
 def triangle_with_midpoints():
@@ -55,11 +58,16 @@ def test_spanning_tree_needs_connected():
         build_spanning_tree(ag)
 
 
+def transversal(sc, e):
+    """The elements u of the decompositions u(e) of the edges in e's orbit."""
+    return tuple(u for e0, u in sc.rep_decomposition.values() if e0 == e)
+
+
 def test_simplex_scaffolding_matches_hand_data():
     inp = simplex_action(4)
     sc = inp.sc
     assert sc.base_vertices == (0,)
-    assert sc.edge_reps[0] == (OrientedEdge(0, 1),)
+    assert tuple(sc.iota) == (OrientedEdge(0, 1),)
     e = OrientedEdge(0, 1)
     # the flip of the base edge
     p = inp.ag.action[sc.s[e]]
@@ -69,7 +77,7 @@ def test_simplex_scaffolding_matches_hand_data():
         q = inp.ag.action[sc.s[OrientedEdge(0, i)]]
         assert q[0] == i and q[i] == 0
         assert all(q[x] == x for x in range(4) if x not in (0, i))
-    assert len(sc.transversals[e]) == 3
+    assert len(transversal(sc, e)) == 3
 
 
 def test_dodecahedron_scaffolding_matches_hand_data():
@@ -77,11 +85,11 @@ def test_dodecahedron_scaffolding_matches_hand_data():
     sc, ag = inp.sc, inp.ag
     e = OrientedEdge(0, 1)
     assert sc.pair_reps == (e,)
-    assert len(sc.transversals[e]) == 3
+    assert len(transversal(sc, e)) == 3
     h = ag.generator_labels["h"]
     s1 = ag.generator_labels["s1"]
     assert sc.s[e] == s1
-    assert set(sc.transversals[e]) == set(ag.stabilizer(0))
+    assert set(transversal(sc, e)) == set(ag.stabilizer(0))
     # propagation by conjugation: s of h(e) is h s1 h^-1
     e3 = ag.apply_edge(h, e)
     assert sc.s[e3] == ag.group.conjugate(h, s1)
@@ -91,8 +99,8 @@ def test_double_cover_scaffolding():
     bi = binary_icosahedral_action()
     sc, ag = bi.input.sc, bi.input.ag
     e = OrientedEdge(0, 1)
-    assert set(sc.transversals[e]) != set(ag.stabilizer(0))  # proper transversal
-    assert len(sc.transversals[e]) == 3
+    assert set(transversal(sc, e)) != set(ag.stabilizer(0))  # proper transversal
+    assert len(transversal(sc, e)) == 3
     assert ag.group.product(sc.s[e], sc.s[e]) == bi.named["c"]
 
 
@@ -141,10 +149,31 @@ def test_regularity_violation_i_detected():
     assert violation is not None and violation.condition in ("i", "iii")
 
 
+def prism_5x2():
+    return action_from_json(ACTIONS["prism-5x2"])
+
+
+@pytest.mark.parametrize("build, change, condition", [
+    # the inverted base edge paired with another edge
+    (dodecahedron_action, lambda sc: {"iota": {OrientedEdge(0, 1): OrientedEdge(0, 2)}}, "i"),
+    # (0, 1) and (0, 4) are reversal partners; (0, 1) paired with itself
+    (prism_5x2, lambda sc: {"iota": {**sc.iota, OrientedEdge(0, 1): OrientedEdge(0, 1)}}, "ii"),
+    (prism_5x2, lambda sc: {"pair_reps": sc.pair_reps[1:]}, "ii"),
+    # (0, 4) is no image of (0, 1) under the identity
+    (prism_5x2, lambda sc: {"rep_decomposition": {
+        **sc.rep_decomposition, OrientedEdge(0, 4): (OrientedEdge(0, 1), 0)}}, "iii"),
+], ids=["inverted-edge-paired-away", "partner-unpaired", "pair-reps-short", "wrong-decomposition"])
+def test_regularity_violation_of_the_pairing_and_decompositions(build, change, condition):
+    inp = build()
+    assert validate_regularity(inp.sc, inp.ag) is None
+    violation = validate_regularity(dataclasses.replace(inp.sc, **change(inp.sc)), inp.ag)
+    assert violation is not None and violation.condition == condition
+
+
 def test_scaffolding_determinism():
     a = build_regular_scaffolding(dodecahedron_action().ag)
     b = build_regular_scaffolding(dodecahedron_action().ag)
-    assert a.s == b.s and a.pair_reps == b.pair_reps and a.transversals == b.transversals
+    assert a.s == b.s and a.pair_reps == b.pair_reps and a.rep_decomposition == b.rep_decomposition
 
 
 def test_counting_invariants():
@@ -152,27 +181,14 @@ def test_counting_invariants():
         sc, ag = inp.sc, inp.ag
         total_edges = sum(len(ag.graph.oriented_edges_at(v)) for v in sc.base_vertices)
         assert len(sc.s) == total_edges
-        assert sum(len(sc.transversals[r]) for r in sc.all_reps) == total_edges
+        assert sum(len(transversal(sc, r)) for r in sc.iota) == total_edges
         # the pairing representatives meet each pairing orbit exactly once
         seen = set()
         for r in sc.pair_reps:
             assert r not in seen
             seen.add(r)
             seen.add(sc.iota[r])
-        assert seen == set(sc.all_reps)
-
-
-def test_scaffolding_json_golden_snapshot():
-    import json
-
-    from graphpres.scaffold import scaffolding_to_json
-    sc = dodecahedron_action().sc
-    data = scaffolding_to_json(sc)
-    assert data["base_vertices"] == [0]
-    assert data["pair_reps"] == [[0, 1]]
-    assert len(data["s"]) == 3
-    json.dumps(data)  # plain data, serializable
-    assert scaffolding_to_json(dodecahedron_action().sc) == data  # stable
+        assert seen == set(sc.iota)
 
 
 def test_transversal_identity_k_property():
@@ -181,8 +197,7 @@ def test_transversal_identity_k_property():
                 binary_icosahedral_action().input):
         sc, ag = inp.sc, inp.ag
         group = ag.group
-        for e in sc.all_reps:
-            for u in sc.transversals[e]:
-                d = ag.apply_edge(u, e)
-                k = group.word_product((group.inverse(sc.s[d]), u, sc.s[e]))
-                assert k == u
+        for d, (e, u) in sc.rep_decomposition.items():
+            assert ag.apply_edge(u, e) == d
+            k = group.word_product((group.inverse(sc.s[d]), u, sc.s[e]))
+            assert k == u
