@@ -2,8 +2,8 @@
 icosahedral double cover, the truncated dodecahedron, and dihedral cycles.
 
 Each constructor returns a ready DerivationInput (validated action, regular
-scaffolding, loop set, stabilizer presentations, edge-stabilizer generators)
-plus whatever exact data the example carries.
+scaffolding, loop set, stabilizer presentations) plus whatever exact data the
+example carries.
 """
 
 from __future__ import annotations
@@ -51,14 +51,7 @@ def simplex_action(n: int) -> DerivationInput:
     pres = Presentation.from_strings(stab_names, _standard_sym_relators(stab_names))
     gen_elements = {f"s{i}": ag.generator_labels[f"x{i}"] for i in range(2, n)}
     stabilizers = {0: StabilizerData(pres, gen_elements)}
-
-    subgroup_gens = {}
-    (e0,) = sc.pair_reps
-    h_e = tuple(gen_elements[f"s{i}"] for i in range(3, n))
-    if h_e:
-        subgroup_gens = {e0: h_e}
-    return DerivationInput(ag, sc, ((0, 1, 2, 0),), stabilizers, subgroup_gens,
-                           {"g[0]": "s1"}, f"simplex:{n}")
+    return DerivationInput(ag, sc, ((0, 1, 2, 0),), stabilizers, {"g[0]": "s1"}, f"simplex:{n}")
 
 
 def standard_symmetric_presentation(n: int) -> Presentation:
@@ -81,8 +74,7 @@ def dihedral_cycle_action(n: int) -> DerivationInput:
     stabilizers = {0: StabilizerData(
         Presentation.from_strings(["m"], [[("m", 1), ("m", 1)]]), {"m": m_idx})}
     loop = tuple(range(n)) + (0,)
-    return DerivationInput(ag, sc, (loop,), stabilizers, {},
-                           {"g[0]": "g"}, f"dihedral:{n}")
+    return DerivationInput(ag, sc, (loop,), stabilizers, {"g[0]": "g"}, f"dihedral:{n}")
 
 
 def dodecahedron_action() -> DerivationInput:
@@ -94,8 +86,7 @@ def dodecahedron_action() -> DerivationInput:
     h_idx = ag.generator_labels["h"]
     stabilizers = {0: StabilizerData(
         Presentation.from_strings(["h"], [[("h", 1)] * 3]), {"h": h_idx})}
-    return DerivationInput(ag, sc, (model.base_loop,), stabilizers, {},
-                           {"g[0]": "g"}, "dodecahedron")
+    return DerivationInput(ag, sc, (model.base_loop,), stabilizers, {"g[0]": "g"}, "dodecahedron")
 
 
 @dataclass(frozen=True)
@@ -130,9 +121,7 @@ def binary_icosahedral_action() -> BinaryIcosahedral:
     sc = build_regular_scaffolding(ag)
     stabilizers = {0: StabilizerData(
         Presentation.from_strings(["h"], [[("h", 1)] * 6]), {"h": named["h"]})}
-    (e0,) = sc.pair_reps
-    subgroup_gens = {e0: (named["c"],)}
-    inp = DerivationInput(ag, sc, (model.base_loop,), stabilizers, subgroup_gens,
+    inp = DerivationInput(ag, sc, (model.base_loop,), stabilizers,
                           {"g[0]": "g", "h": "r"}, "binary-icosahedral")
     return BinaryIcosahedral(inp, tuple(quats), named)
 

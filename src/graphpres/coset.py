@@ -215,9 +215,6 @@ class CosetTable:
         self._tree: dict | None = None
         self._columns: list[list[int]] | None = None
 
-    def step(self, coset: int, gen: int, sign: int = 1) -> int:
-        return self.rows[coset][2 * gen + (0 if sign > 0 else 1)]
-
     def trace(self, coset: int, word: SignedWord) -> int:
         for g, s in word:
             coset = self.rows[coset][2 * g + (0 if s > 0 else 1)]

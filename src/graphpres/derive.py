@@ -5,7 +5,8 @@ generator per pairing representative, and carries the stabilizer relators
 plus four added families, each built as a word of `words` and rewritten over
 the representatives:
 
-- edge relations against the edge-stabilizer generators, by `edge_relation`;
+- edge relations against the greedy generators of each edge stabilizer,
+  by `edge_relation`;
 - out-and-back relations g_e^2 = s_e^2 for each inverted representative
   e = (v, w), by `loop_relation` on the walk (v, w, v);
 - loop relations of the loops, by `loop_relation`;
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 from .coset import STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
 from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion,  # noqa: F401
-                     first_carriers)
+                     first_carriers, loop_problem)
 from .perms import FiniteGroupTable, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_normal_form,
@@ -50,7 +51,6 @@ class DerivationInput:
     sc: Scaffolding
     loops: tuple[tuple[int, ...], ...]
     stabilizers: dict[int, StabilizerData]
-    subgroup_gens: dict[OrientedEdge, tuple[int, ...]] = field(default_factory=dict)
     suggested_renaming: dict[str, str] = field(default_factory=dict)
     name: str = ""
     loop_source: str = "given"  # "given", "picked" or "fundamental"
@@ -63,8 +63,10 @@ class DerivationInputError(ValueError):
 def validate_input(inp: DerivationInput) -> None:
     """Check the input invariants; raises DerivationInputError on failure."""
     ag, sc = inp.ag, inp.sc
-    if validate_regularity(sc, ag) is not None:
-        raise DerivationInputError("scaffolding is not regular")
+    if (violation := validate_regularity(sc, ag)) is not None:
+        raise DerivationInputError(
+            f"scaffolding is not regular: ({violation.condition}) at {tuple(violation.edge)}: "
+            f"{violation.detail}")
     # the names derive_presentation gives the edge generators
     edge_names = {f"g[{k}]" for k in range(len(sc.pair_reps))}
     owners: dict[str, int] = {}
@@ -95,22 +97,16 @@ def validate_input(inp: DerivationInput) -> None:
         if table.n != len(stab):
             raise DerivationInputError(
                 f"stabilizer presentation at {v} has order {table.n}, action says {len(stab)}")
-    for e in sc.pair_reps:
-        gens = inp.subgroup_gens.get(e, ())
-        g_e = set(ag.edge_stabilizer(e))
-        closure = set(ag.group.subgroup_closure(gens))
-        if closure != g_e:
-            raise DerivationInputError(
-                f"edge-stabilizer generators at {e} generate {len(closure)} of {len(g_e)}")
+    if (problem := loop_problem(ag.graph, inp.loops)) is not None:
+        raise DerivationInputError(problem)
     for loop in inp.loops:
-        if not loop or sc.base_of.get(loop[0]) != loop[0] or sc.base_of.get(loop[-1]) != loop[-1]:
+        if sc.base_of.get(loop[0]) != loop[0] or sc.base_of.get(loop[-1]) != loop[-1]:
             raise DerivationInputError(f"path {loop} does not begin and end at base vertices")
 
 
 @dataclass
 class DerivedPresentation:
     presentation: Presentation
-    relator_words: tuple[Word, ...]        # same order as presentation.relators
     families: dict[str, int]               # relator counts per family
     edge_gens: dict[str, OrientedEdge]     # edge generator name -> representative
     stab_owners: dict[str, int]            # stabilizer generator name -> base vertex
@@ -169,23 +165,23 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
     # of it or of its inverse, so dropping it leaves the normal closure unchanged
     emitted: dict[tuple, tuple] = {}
 
-    def emit(relator: Sequence[tuple[int, int]], word: Word, family: str) -> None:
+    def emit(relator: Sequence[tuple[int, int]], family: str) -> None:
         relator = tuple(free_reduce(relator))
         if relator:  # an empty relator adds nothing to the normal closure
-            emitted.setdefault(_free_cyclic_form(relator), (relator, word, family))
+            emitted.setdefault(_free_cyclic_form(relator), (relator, family))
 
     def add(word: Word, family: str) -> None:
-        reduced = normal_form(rewrite_word_to_E1(word, ag, sc), ag)
-        emit(spell(reduced), reduced, family)
+        emit(spell(normal_form(rewrite_word_to_E1(word, ag, sc), ag)), family)
 
     for v in sc.base_vertices:
         data = inp.stabilizers[v]
         for rel in data.presentation.relators:
             emit(tuple((name_index[data.presentation.generators[i]], s) for i, s in rel),
-                 tuple(StabLetter(v, data.gen_elements[data.presentation.generators[i]], s)
-                       for i, s in rel), "stabilizer")
+                 "stabilizer")
+    # t -> s_e^-1 t s_e is a homomorphism on G_e, so the relations for a
+    # generating set of G_e give those for all of it
     for e in sc.pair_reps:
-        for t in inp.subgroup_gens.get(e, ()):
+        for t in greedy_generators(group, ag.edge_stabilizer(e)):
             add(edge_relation(e, t, ag, sc), "edge")
     for e in sc.pair_reps:
         if sc.iota[e] == e:
@@ -197,11 +193,10 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
             add(edge_word(e), "tree")
 
     families = {"stabilizer": 0, "edge": 0, "edge_loop": 0, "loop": 0, "tree": 0}
-    for _, _, family in emitted.values():
+    for _, family in emitted.values():
         families[family] += 1
-    presentation = Presentation(tuple(gen_names), tuple(r for r, _, _ in emitted.values()))
-    return DerivedPresentation(presentation, tuple(w for _, w, _ in emitted.values()), families,
-                               edge_gens, stab_owners, gen_elements,
+    presentation = Presentation(tuple(gen_names), tuple(r for r, _ in emitted.values()))
+    return DerivedPresentation(presentation, families, edge_gens, stab_owners, gen_elements,
                                dict(inp.suggested_renaming), inp.name)
 
 
@@ -330,7 +325,7 @@ def derived_from_json(data: dict) -> DerivedPresentation:
     """A stored presentation file; an error names the JSON path."""
     read_json(data, PRESENTATION_FILE)
     return DerivedPresentation(
-        Presentation.from_strings(data["generators"], data["relators"]), (),
+        Presentation.from_strings(data["generators"], data["relators"]),
         dict(data.get("families", {})),
         {n: OrientedEdge(*pair) for n, pair in data["edge_gens"].items()},
         dict(data["stab_owners"]), dict(data["gen_elements"]),
@@ -536,8 +531,7 @@ def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | No
     when its collapse check fails, the fundamental cycles of a breadth-first
     spanning tree at the first base vertex; either way their translates
     make the graph simply connected.  Stabilizer presentations are derived
-    recursively (`stabilizer_presentation`), and edge-stabilizer generators
-    are a greedy generating set.
+    recursively (`stabilizer_presentation`).
     """
     sc = build_regular_scaffolding(ag)
     source = "given"
@@ -546,7 +540,4 @@ def auto_derivation_input(ag: ActionedGraph, loops: Sequence[Sequence[int]] | No
         if loops is None:
             loops, source = fundamental_loops(ag, sc.base_vertices[0]), "fundamental"
     stabilizers = {v: stabilizer_presentation(ag, v, f"t{v}_") for v in sc.base_vertices}
-    subgroup_gens = {e: tuple(greedy_generators(ag.group, ag.edge_stabilizer(e)))
-                     for e in sc.pair_reps}
-    return DerivationInput(ag, sc, tuple(tuple(l) for l in loops), stabilizers,
-                           subgroup_gens, {}, name, source)
+    return DerivationInput(ag, sc, tuple(tuple(l) for l in loops), stabilizers, {}, name, source)

@@ -40,9 +40,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def oriented_edges_at(self, v: int) -> list[OrientedEdge]:
         return [OrientedEdge(v, w) for w in self.adjacency[v]]
 
@@ -156,6 +153,12 @@ def validate_action(graph: Graph, gens: Mapping[str, Perm],
                 return f"generator {name} maps the edge ({u},{v}) to a non-edge"
     if not graph.is_connected():
         return "the graph is not connected"
+    return loop_problem(graph, loops)
+
+
+def loop_problem(graph: Graph, loops: Iterable[Sequence[int]]) -> str | None:
+    """The first loop that is empty or steps between non-adjacent vertices,
+    as a reason, or None."""
     for loop in loops:
         if not loop or not all(graph.has_edge(a, b) for a, b in zip(loop, loop[1:])):
             return f"loop {list(loop)} does not walk along edges"

@@ -162,7 +162,8 @@ def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolati
     (ii) otherwise s_e^{-1}(reversed e) is a representative with s = s_e^{-1},
          and iota pairs the two both ways; pair_reps are the sorted
          representatives e with e <= iota(e);
-    (iii) the decomposed edges are the edges with an s, each d = u(e0) with
+    (iii) the decomposed edges and the edges with an s are the oriented
+          edges whose origin is a base vertex, each d = u(e0) with
           e0 a representative and u fixing its origin, and s_d = u s_{e0} u^{-1}
           when the far endpoint shares the origin's orbit, s_d = u s_{e0}
           across orbits (conjugation cannot carry the base vertex correctly
@@ -191,25 +192,32 @@ def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolati
             if sc.s.get(partner) != group.inverse(se):
                 return RegularityViolation("ii", e, se, "paired edge has s != s_e^{-1}")
             if sc.iota[e] != partner or sc.iota[partner] != e:
-                return RegularityViolation("ii", e, se, f"iota does not pair it with {partner}")
+                return RegularityViolation("ii", e, se,
+                                           f"iota does not pair it with {tuple(partner)}")
     pair_reps = tuple(sorted(e for e in sc.iota if e <= sc.iota[e]))
     if tuple(sc.pair_reps) != pair_reps:
         e = min(set(sc.pair_reps).symmetric_difference(pair_reps), default=pair_reps[0])
         return RegularityViolation("ii", e, None, "pair_reps are not the e <= iota(e)")
-    if set(sc.rep_decomposition) != set(sc.s):
-        e = min(set(sc.rep_decomposition).symmetric_difference(sc.s))
-        return RegularityViolation("iii", e, None, "decomposed edges are not the edges with s")
+    vertices = range(ag.graph.vertex_count)  # a base vertex off the graph has no edges
+    at_base = {e for v in sc.base_vertices if v in vertices
+               for e in ag.graph.oriented_edges_at(v)}
+    for edges, what in ((sc.s, "edges with s"), (sc.rep_decomposition, "decomposed edges")):
+        if set(edges) != at_base:
+            e = min(at_base.symmetric_difference(edges))
+            return RegularityViolation("iii", e, None, f"{what} are not the edges at base vertices")
     for d, (e, u) in sorted(sc.rep_decomposition.items()):
         if e not in sc.iota:
-            return RegularityViolation("iii", d, u, f"{e} is not a representative")
+            return RegularityViolation("iii", d, u, f"{tuple(e)} is not a representative")
         if ag.apply(u, e.origin) != e.origin or ag.apply_edge(u, e) != d:
-            return RegularityViolation("iii", d, u, f"not u({e}) with u fixing the origin")
+            return RegularityViolation("iii", d, u,
+                                       f"not u{tuple(e)} with u fixing the origin")
         if sc.base_of[e.target] == e.origin:
             expected = group.word_product((u, sc.s[e], group.inverse(u)))
         else:
             expected = group.product(u, sc.s[e])
         if sc.s[d] != expected:
-            return RegularityViolation("iii", e, u, f"s of {d} is not propagated from {e}")
+            return RegularityViolation("iii", e, u,
+                                       f"s of {tuple(d)} is not propagated from {tuple(e)}")
     for e in sc.oriented_tree_edges():
         if e not in sc.iota:
             return RegularityViolation("iv", e, None, "tree edge is not a representative")

@@ -43,7 +43,7 @@ def test_dodecahedron_combinatorics():
     model = dodecahedron_model()
     assert model.graph.vertex_count == 20
     assert len(model.graph.edges) == 30
-    assert all(model.graph.degree(v) == 3 for v in range(20))
+    assert all(len(model.graph.neighbors(v)) == 3 for v in range(20))
     assert len(model.faces) == 12
     assert all(len(f) == 5 for f in model.faces)
     inp = dodecahedron_action()
@@ -144,7 +144,7 @@ def test_truncated_dodecahedron_counts():
     assert len(Y.triangle_edges) == 60
     assert len(Y.faces) == 32
     assert sorted(len(f) for f in Y.faces) == [3] * 20 + [10] * 12
-    assert all(Y.graph.degree(v) == 3 for v in range(60))
+    assert all(len(Y.graph.neighbors(v)) == 3 for v in range(60))
 
 
 def test_truncated_action_is_free():

@@ -65,8 +65,8 @@ def test_table_is_complete_and_relators_close():
         assert table.relator_closes_everywhere(rel)
     for c in range(table.n):
         for g in range(3):
-            assert 0 <= table.step(c, g, 1) < table.n
-            assert table.step(table.step(c, g, 1), g, -1) == c
+            assert 0 <= table.trace(c, [(g, 1)]) < table.n
+            assert table.trace(c, [(g, 1), (g, -1)]) == c
 
 
 def test_determinism():

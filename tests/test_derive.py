@@ -7,7 +7,7 @@ import pytest
 
 import graphpres.derive as derive_module
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
-                                dodecahedron_action, simplex_action,
+                                dodecahedron_action, load_builtin, simplex_action,
                                 standard_symmetric_presentation)
 from graphpres.coset import todd_coxeter
 from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic_form,
@@ -19,11 +19,11 @@ from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic
 from graphpres.cli import action_from_json, main
 from graphpres.graphs import ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion
 from graphpres.perms import perm, transposition
-from graphpres.words import Presentation, evaluate_word_in_G, normal_form
+from graphpres.words import Presentation
 
 from reference_picks import reference_collapses, reference_pick_loops
 from test_carriers import relabelled
-from test_pinned import ACTIONS, prism
+from test_pinned import ACTIONS, PINNED, prism
 from test_verify import trivial_grid
 
 
@@ -66,14 +66,6 @@ def test_validate_input_catches_stabilizer_relator_that_fails_in_G():
     inp.stabilizers[0] = StabilizerData(unsound, inp.stabilizers[0].gen_elements)
     with pytest.raises(DerivationInputError,
                        match="^stabilizer relator 1 at 0 does not evaluate to 1$"):
-        validate_input(inp)
-
-
-def test_validate_input_catches_non_generating_edge_set():
-    bi = binary_icosahedral_action()
-    inp = bi.input
-    inp.subgroup_gens[inp.sc.pair_reps[0]] = ()
-    with pytest.raises(DerivationInputError):
         validate_input(inp)
 
 
@@ -136,6 +128,26 @@ def square_missing_a_decomposition():
     return dataclasses.replace(inp, sc=dataclasses.replace(inp.sc, rep_decomposition=kept))
 
 
+def square_missing_an_edge():
+    # the edge (0, 3) = m(0, 1) at the base vertex 0 dropped from s and from
+    # the decompositions: every remaining record is consistent
+    inp = action_from_json(ACTIONS["square"])
+    d = OrientedEdge(0, 3)
+    s = {e: se for e, se in inp.sc.s.items() if e != d}
+    kept = {e: dec for e, dec in inp.sc.rep_decomposition.items() if e != d}
+    return dataclasses.replace(inp, sc=dataclasses.replace(inp.sc, s=s, rep_decomposition=kept))
+
+
+def square_based_off_the_graph():
+    # the base vertex 9 of a 4-vertex graph: the edges with s are at vertex 0
+    inp = action_from_json(ACTIONS["square"])
+    return dataclasses.replace(inp, sc=dataclasses.replace(inp.sc, base_vertices=(9,)))
+
+
+def dihedral_with_loops(*loops):
+    return dataclasses.replace(dihedral_cycle_action(5), loops=loops)
+
+
 def square_missing_a_base_vertex():
     # vertex 1, the target of the base edge, has no base vertex recorded
     inp = action_from_json(ACTIONS["square"])
@@ -144,10 +156,25 @@ def square_missing_a_base_vertex():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (irregular_dodecahedron, DerivationInputError, "scaffolding is not regular"),
-    (prism_with_a_broken_pairing, DerivationInputError, "scaffolding is not regular"),
-    (square_missing_a_decomposition, DerivationInputError, "scaffolding is not regular"),
-    (square_missing_a_base_vertex, DerivationInputError, "scaffolding is not regular"),
+    (irregular_dodecahedron, DerivationInputError,
+     "scaffolding is not regular: (i) at (0, 1): s_e is not an inversion"),
+    (prism_with_a_broken_pairing, DerivationInputError,
+     "scaffolding is not regular: (ii) at (0, 1): iota does not pair it with (0, 4)"),
+    (square_missing_a_decomposition, DerivationInputError,
+     "scaffolding is not regular: (iii) at (0, 3): "
+     "decomposed edges are not the edges at base vertices"),
+    (square_missing_an_edge, DerivationInputError,
+     "scaffolding is not regular: (iii) at (0, 3): "
+     "edges with s are not the edges at base vertices"),
+    (square_missing_a_base_vertex, DerivationInputError,
+     "scaffolding is not regular: (0) at (0, 1): s_e does not carry a base vertex to the target"),
+    (square_based_off_the_graph, DerivationInputError,
+     "scaffolding is not regular: (iii) at (0, 1): "
+     "edges with s are not the edges at base vertices"),
+    (lambda: dihedral_with_loops((0, 2, 0)), DerivationInputError,
+     "loop [0, 2, 0] does not walk along edges"),
+    (lambda: dihedral_with_loops((0, 1, 2, 3, 4, 0), ()), DerivationInputError,
+     "loop [] does not walk along edges"),
     (lambda: dataclasses.replace(simplex_action(6), stabilizers={}), DerivationInputError,
      "missing stabilizer presentation for vertex 0"),
     (lambda: simplex6_with(lambda d: dataclasses.replace(
@@ -163,10 +190,11 @@ def square_missing_a_base_vertex():
      "stabilizer generator name g[0] at 0 is an edge generator's name"),
     (lambda: simplex6_with(lambda d: dataclasses.replace(d, gen_elements={})), ValueError,
      "presentation generators and evaluation map disagree"),
-], ids=["irregular-scaffolding", "broken-pairing", "missing-decomposition",
-        "missing-base-vertex", "missing-stabilizer", "non-generating-stabilizer",
-        "open-stabilizer-presentation", "wrong-stabilizer-order", "shared-generator-name",
-        "edge-generator-name", "evaluation-map-names"])
+], ids=["irregular-scaffolding", "broken-pairing", "missing-decomposition", "missing-edge",
+        "missing-base-vertex", "base-vertex-off-the-graph", "loop-off-the-edges", "empty-loop",
+        "missing-stabilizer", "non-generating-stabilizer", "open-stabilizer-presentation",
+        "wrong-stabilizer-order", "shared-generator-name", "edge-generator-name",
+        "evaluation-map-names"])
 def test_derivation_refuses_bad_library_inputs(build, error, message):
     # validate_input alone refuses every input that derive_presentation refuses
     for check in (validate_input, derive_presentation):
@@ -230,7 +258,9 @@ def test_relator_count_discipline():
     d = derive_presentation(inp)
     invertible = sum(1 for e in inp.sc.pair_reps if find_inversion(inp.ag, e) is not None)
     assert d.families["edge_loop"] == invertible == 1
-    assert d.families["edge"] == sum(len(v) for v in inp.subgroup_gens.values()) == 2
+    edge_gens = [greedy_generators(inp.ag.group, inp.ag.edge_stabilizer(e))
+                 for e in inp.sc.pair_reps]
+    assert d.families["edge"] == sum(map(len, edge_gens)) == 2
     assert d.families["loop"] == len(inp.loops) == 1
     assert d.families["tree"] == 0
     assert len(d.presentation.relators) == sum(d.families.values())
@@ -306,14 +336,12 @@ def test_coxeter_substitution_rejects_wrong_pattern():
 
 
 def test_derived_json_round_trip():
-    inp = simplex_action(4)
-    d = derive_presentation(inp)
-    data = derived_to_json(d)
-    back = derived_from_json(data)
-    assert back.presentation == d.presentation
-    assert back.edge_gens == d.edge_gens
-    assert back.gen_elements == d.gen_elements
-    assert derived_to_json(back) == data
+    # a derived presentation holds exactly the fields of its file, for every
+    # pinned builtin and file action
+    for name in dict.fromkeys([*PINNED, *ACTIONS]):
+        inp = action_from_json(ACTIONS[name], name) if name in ACTIONS else load_builtin(name)
+        d = derive_presentation(inp)
+        assert derived_from_json(derived_to_json(d)) == d, name
 
 
 def test_random_dihedral_instances_sound(rng):
@@ -321,8 +349,8 @@ def test_random_dihedral_instances_sound(rng):
         n = rng.randint(3, 24)
         inp = dihedral_cycle_action(n)
         d = derive_presentation(inp)
-        for word in d.relator_words:
-            assert evaluate_word_in_G(normal_form(word, inp.ag), inp.ag, inp.sc) == 0
+        letters = [d.gen_elements[name] for name in d.presentation.generators]
+        assert all(inp.ag.group.evaluate(letters, rel) == 0 for rel in d.presentation.relators)
         assert todd_coxeter(d.presentation).n == 2 * n
 
 
@@ -393,7 +421,7 @@ def test_a_repeated_relator_is_emitted_once():
     inp = square_action([[0, 1, 2, 3, 0], [0, 3, 2, 1, 0]])
     d = derive_presentation(inp)
     assert len(inp.loops) == 2 and d.families["loop"] == 1
-    assert len(d.presentation.relators) == len(d.relator_words) == sum(d.families.values())
+    assert len(d.presentation.relators) == sum(d.families.values())
     keys = [_free_cyclic_form(rel) for rel in d.presentation.relators]
     assert len(set(keys)) == len(keys)
     assert d.presentation == derive_presentation(square_action([[0, 1, 2, 3, 0]])).presentation

@@ -162,7 +162,13 @@ def prism_5x2():
     # (0, 4) is no image of (0, 1) under the identity
     (prism_5x2, lambda sc: {"rep_decomposition": {
         **sc.rep_decomposition, OrientedEdge(0, 4): (OrientedEdge(0, 1), 0)}}, "iii"),
-], ids=["inverted-edge-paired-away", "partner-unpaired", "pair-reps-short", "wrong-decomposition"])
+    # the edge (0, 3) at the base vertex dropped from s and the decompositions
+    (lambda: action_from_json(ACTIONS["square"]), lambda sc: {
+        "s": {e: se for e, se in sc.s.items() if e != OrientedEdge(0, 3)},
+        "rep_decomposition": {e: dec for e, dec in sc.rep_decomposition.items()
+                              if e != OrientedEdge(0, 3)}}, "iii"),
+], ids=["inverted-edge-paired-away", "partner-unpaired", "pair-reps-short", "wrong-decomposition",
+        "edge-at-base-vertex-left-out"])
 def test_regularity_violation_of_the_pairing_and_decompositions(build, change, condition):
     inp = build()
     assert validate_regularity(inp.sc, inp.ag) is None

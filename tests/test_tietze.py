@@ -41,8 +41,8 @@ def check_reduced(presentation, subgroup_words, limit=100_000):
     assert all(len(row) == 2 * ngens for row in table.rows)
     cosets = list(range(table.n))
     for g in range(ngens):
-        forward = [table.step(c, g, 1) for c in cosets]
-        backward = [table.step(c, g, -1) for c in cosets]
+        forward = [table.rows[c][2 * g] for c in cosets]
+        backward = [table.rows[c][2 * g + 1] for c in cosets]
         assert sorted(forward) == cosets
         assert all(backward[forward[c]] == c for c in cosets)
     for rel in presentation.relators:

@@ -183,7 +183,7 @@ def reference_edges(derived, ag, sc, tables):
     def carry(table, other, start):
         image = {}
         for c, (parent, step) in table.tree().items():
-            image[c] = start if parent is None else other.step(image[parent], *step)
+            image[c] = start if parent is None else other.trace(image[parent], [step])
         return image
 
     edges = set()

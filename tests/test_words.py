@@ -158,7 +158,9 @@ def test_tautological_relation():
     ag = ActionedGraph.from_generators(graph, {"e": identity(3)})
     derived = derive_presentation(auto_derivation_input(ag))
     assert derived.families["tree"] == 2
-    assert derived.relator_words == (edge_word(OrientedEdge(0, 1)), edge_word(OrientedEdge(1, 2)))
+    gens = derived.presentation.generators
+    assert [(derived.edge_gens[gens[i]], s) for (i, s), in derived.presentation.relators] == \
+        [(OrientedEdge(0, 1), 1), (OrientedEdge(1, 2), 1)]
 
 
 def test_rewrite_identity_on_representatives():
