@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derive import DerivationInput, StabilizerData
-from .golden import GoldenQuat, ONE, QUAT_C, Vec3
+from .golden import GoldenQuat, QUAT_C, Vec3, from_numerators, numerators
 from .graphs import ActionedGraph, Graph, OrientedEdge, first_carriers
 from .perms import (FiniteGroupTable, Perm, identity, perm, perm_compose, perm_inverse,
                     require_listable, transposition, tree_fold)
@@ -158,11 +158,10 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
     flags = sorted((v, w) for v in range(X.vertex_count) for w in X.neighbors(v))
     flag_index = {fl: i for i, fl in enumerate(flags)}
 
-    quarter = ONE / 4
-    coords = []
-    for v, w in flags:
-        p, q = model.coords[v], model.coords[w]
-        coords.append(tuple(a + (b - a) * quarter for a, b in zip(p, q)))
+    # the flag (v, w) sits at p + (q - p)/4 = (3p + q)/4: rows 3 r_v + r_w over 4d
+    rows, d = numerators(model.coords)
+    flag_rows = [tuple(3 * a + b for a, b in zip(rows[v], rows[w])) for v, w in flags]
+    coords = from_numerators(flag_rows, 4 * d)
 
     pentagon, triangle = set(), set()
     edges = []
@@ -189,19 +188,21 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
     faces: list[tuple[int, ...]] = []
     for v in range(X.vertex_count):
         cyc = tuple(flag_index[(v, w)] for w in X.neighbors(v))
-        faces.append(orient_clockwise(cyc, coords))
+        faces.append(orient_clockwise(cyc, flag_rows))
     for face in model.faces:  # already clockwise vertex cycles of X
         cyc = []
         for a, b in zip(face, face[1:] + face[:1]):
             cyc.append(flag_index[(a, b)])
             cyc.append(flag_index[(b, a)])
-        faces.append(orient_clockwise(tuple(cyc), coords))
-    assert len(faces) == 32
+        faces.append(orient_clockwise(tuple(cyc), flag_rows))
+    if len(faces) != 32:
+        raise RuntimeError(f"the truncation has {len(faces)} faces, not 32")
 
     # free transitive action: the one element reaching each flag from the base flag
     base = flag_index[(model.labels["v"], model.labels["w1"])]
     reach = first_carriers(range(group.order), lambda g, fl: flag_action[g][fl], base)
-    assert len(reach) == 60
+    if len(reach) != 60:
+        raise RuntimeError("the rotations do not reach all 60 flags from the base flag")
 
     t_map: dict[OrientedEdge, int] = {}
     for i, j in edges:

@@ -1,12 +1,11 @@
 """Exact arithmetic in the field Q(sqrt 5) and in its quaternion algebra.
 
 No floating point: a number is stored as integers (p + q*sqrt(5)) / d in
-lowest terms, and a quaternion as the integer numerators of its four
-coordinates over one common denominator, so the polyhedral identities
-checked downstream hold bit-exactly, and sums, products and inverses cost a
-few integer operations and one `math.gcd`.  The rational parts of a number
-still read as `Fraction`s (`.a`, `.b`), and a rational number hashes like
-its `Fraction`.
+lowest terms, and a quaternion, like a list of points (`numerators`), as the
+integer numerators of its coordinates over one common denominator, so the
+polyhedral identities hold bit-exactly, and sums, products and inverses cost
+a few integer operations and one `math.gcd`.  The rational parts of a number
+read as `Fraction`s (`.a`, `.b`); a rational number hashes like its `Fraction`.
 """
 
 from __future__ import annotations
@@ -106,19 +105,7 @@ class GoldenNum:
 
     def sign(self) -> int:
         """Exact sign of the real value (p + q*sqrt(5)) / d; d > 0."""
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with 5 q^2
-        if p > 0:  # q < 0
-            return 1 if p * p > 5 * q * q else -1
-        return 1 if p * p < 5 * q * q else -1
+        return golden_sign(self.p, self.q)
 
     def __repr__(self) -> str:
         if self.q == 0:
@@ -129,6 +116,14 @@ class GoldenNum:
 _set_p = GoldenNum.p.__set__
 _set_q = GoldenNum.q.__set__
 _set_d = GoldenNum.d.__set__
+
+
+def golden_sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(5) for integers p, q."""
+    if p * q >= 0:  # same signs, or one of them 0
+        return (p + q > 0) - (p + q < 0)
+    # opposite signs: the larger of p^2 and 5 q^2 (never equal) decides
+    return (p > 0) - (p < 0) if p * p > 5 * q * q else (q > 0) - (q < 0)
 
 
 def _new(p: int, q: int, d: int) -> GoldenNum:
@@ -223,10 +218,38 @@ def dot(u: Sequence[GoldenNum], v: Sequence[GoldenNum]) -> GoldenNum:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def cross(u: Vec3, v: Vec3) -> Vec3:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+def numerators(points: Sequence[Sequence[GoldenNum]]) -> tuple[list[tuple[int, ...]], int]:
+    """The points as integer rows (x0, x1, y0, y1, ...) over one common
+    denominator d > 0, coordinate (x0 + x1*sqrt(5)) / d and so on, as
+    `GoldenQuat.n` stores a quaternion; d is the least such denominator."""
+    d = math.lcm(*(c.d for p in points for c in p))
+    return [tuple(n * (d // c.d) for c in p for n in (c.p, c.q)) for p in points], d
+
+
+def from_numerators(rows: Sequence[Sequence[int]], d: int) -> list[tuple[GoldenNum, ...]]:
+    """The points of integer rows over the denominator d > 0, in lowest terms."""
+    return [tuple(_golden(r[k], r[k + 1], d) for k in range(0, len(r), 2)) for r in rows]
+
+
+def sq_dist(r: Sequence[int], s: Sequence[int]) -> tuple[int, int]:
+    """(P, Q) with |r - s|^2 = (P + Q*sqrt(5)) / d^2, for two points' rows
+    over d: a difference a0 + a1*sqrt(5) squares to a0^2 + 5 a1^2 + 2 a0 a1 sqrt(5)."""
+    x0, x1, y0, y1, z0, z1 = (a - b for a, b in zip(r, s))
+    return (x0 * x0 + y0 * y0 + z0 * z0 + 5 * (x1 * x1 + y1 * y1 + z1 * z1),
+            2 * (x0 * x1 + y0 * y1 + z0 * z1))
+
+
+def triple(r: Sequence[int], s: Sequence[int], t: Sequence[int]) -> tuple[int, int]:
+    """(P, Q) with det(r, s, t) = r . (s x t) = (P + Q*sqrt(5)) / d^3, for
+    three rows over d; the sum runs over the cyclic shifts (x, y, z) of the
+    coordinates of r_x (s_y t_z - s_z t_y)."""
+    P = Q = 0
+    for i, j, k in ((0, 2, 4), (2, 4, 0), (4, 0, 2)):
+        c0 = s[j] * t[k] - s[k] * t[j] + 5 * (s[j + 1] * t[k + 1] - s[k + 1] * t[j + 1])
+        c1 = s[j] * t[k + 1] + s[j + 1] * t[k] - s[k] * t[j + 1] - s[k + 1] * t[j]
+        P += r[i] * c0 + 5 * r[i + 1] * c1
+        Q += r[i] * c1 + r[i + 1] * c0
+    return P, Q
 
 
 class GoldenQuat:
@@ -241,12 +264,8 @@ class GoldenQuat:
                  y: GoldenNum | _Rat = 0, z: GoldenNum | _Rat = 0):
         # in lowest terms, since each coordinate is and d is their least
         # common denominator
-        coords = [_coerce(c) for c in (w, x, y, z)]
-        d = math.lcm(*(c.d for c in coords))
-        n = []
-        for c in coords:
-            n += (c.p * (d // c.d), c.q * (d // c.d))
-        _set_n(self, tuple(n) + (d,))
+        (n,), d = numerators([[_coerce(c) for c in (w, x, y, z)]])
+        _set_n(self, n + (d,))
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenQuat is immutable")
@@ -283,9 +302,8 @@ class GoldenQuat:
 
     def rotate(self, p: Vec3) -> Vec3:
         """Image of the point p under the rotation this unit quaternion encodes."""
-        *_, x0, x1, y0, y1, z0, z1, d = _hamilton(_hamilton(self.n, GoldenQuat(ZERO, *p).n),
-                                                  _conj(self.n))
-        return (_golden(x0, x1, d), _golden(y0, y1, d), _golden(z0, z1, d))
+        n = _hamilton(_hamilton(self.n, GoldenQuat(ZERO, *p).n), _conj(self.n))
+        return from_numerators([n[2:8]], n[8])[0]  # type: ignore[return-value]
 
     def __repr__(self) -> str:
         return f"GoldenQuat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

@@ -3,17 +3,20 @@
 Vertices carry Q(sqrt 5) coordinates; the labeled vertices v, w1..w3, a..f
 around the base corner follow the standard corner picture, so traced loops
 and golden identities can be checked literally.  The double cover is realized
-by unit quaternions over the same field.
+by unit quaternions over the same field.  The combinatorics (edges, rotation
+permutations, face orientations) are found on the integer numerators of the
+points over one common denominator (`golden.numerators`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, cross, dot,
-                     golden_sqrt, quat_from_rotation, quat_mul, vec3)
+from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, _conj, _hamilton, dot,
+                     from_numerators, golden_sign, golden_sqrt, numerators, quat_from_rotation,
+                     quat_mul, sq_dist, triple, vec3)
 from .graphs import Graph
-from .perms import Perm, bfs_tree, perm
+from .perms import Perm, bfs_tree, perm, perm_inverse
 from .words import least_rotation
 
 HALF = ONE / 2
@@ -32,20 +35,20 @@ def _coordinates() -> list[Vec3]:
                 p = [GoldenNum(0), s1 * INV_PHI, s2 * PHI]
                 p = p[-shift:] + p[:-shift]
                 pts.append(tuple(p))  # type: ignore[arg-type]
-    assert len(pts) == 20
     return pts
 
 
 EDGE_SQ_DIST = GoldenNum(6, -2)  # squared edge length: 6 - 2*sqrt(5)
 
 
-def _sq_dist(p: Vec3, q: Vec3) -> GoldenNum:
-    d = tuple(a - b for a, b in zip(p, q))
-    return dot(d, d)
-
-
-def _rotation_perm(coords: list[Vec3], index: dict[Vec3, int], q: GoldenQuat) -> Perm:
-    return perm(index[q.rotate(p)] for p in coords)
+def _rotation_perm(rows: list[tuple[int, ...]], d: int, q: GoldenQuat) -> Perm:
+    """The permutation the rotation q makes of the points with these rows
+    over d: q p q^-1 has numerators over d e^2, e the denominator of q, so
+    each image is looked up among the rows times e^2."""
+    e2 = q.n[8] * q.n[8]
+    index = {tuple(e2 * c for c in r): i for i, r in enumerate(rows)}
+    qc = _conj(q.n)
+    return perm(index[_hamilton(_hamilton(q.n, (0, 0) + r + (d,)), qc)[2:8]] for r in rows)
 
 
 @dataclass(frozen=True)
@@ -66,32 +69,15 @@ class DodecahedronModel:
         return (L["v"], L["w1"], L["a"], L["b"], L["w2"], L["v"])
 
 
-def _find_faces(graph: Graph) -> list[tuple[int, ...]]:
-    """All 5-cycles; this graph has girth 5, so these are the 12 faces."""
-    faces = set()
-    for v0 in range(graph.vertex_count):
-        for v1 in graph.neighbors(v0):
-            for v2 in graph.neighbors(v1):
-                if v2 in (v0, v1):
-                    continue
-                for v3 in graph.neighbors(v2):
-                    if v3 in (v0, v1, v2):
-                        continue
-                    for v4 in graph.neighbors(v3):
-                        if v4 not in (v0, v1, v2, v3) and graph.has_edge(v4, v0):
-                            cyc = (v0, v1, v2, v3, v4)
-                            faces.add(least_rotation(cyc, cyc[::-1]))
-    return sorted(faces)
-
-
-def orient_clockwise(cycle: tuple[int, ...], coords: list[Vec3]) -> tuple[int, ...]:
-    """Reorder a face cycle to run clockwise as seen from outside."""
-    pts = [coords[i] for i in cycle]
-    center = tuple(sum((p[k] for p in pts), GoldenNum(0)) / len(pts) for k in range(3))
-    u = tuple(a - b for a, b in zip(pts[0], center))
-    w = tuple(a - b for a, b in zip(pts[1], center))
-    sign = dot(cross(u, w), center).sign()  # type: ignore[arg-type]
-    assert sign != 0
+def orient_clockwise(cycle: tuple[int, ...], rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Reorder a face cycle to run clockwise as seen from outside, given the
+    numerator rows of the points over one denominator d > 0: clockwise when
+    (p0 - c) x (p1 - c) . c < 0 for the centre c, whose sign is that of
+    det(r0, r1, sum of the rows).  A degenerate face raises ValueError."""
+    center = tuple(map(sum, zip(*(rows[i] for i in cycle))))
+    sign = golden_sign(*triple(rows[cycle[0]], rows[cycle[1]], center))
+    if sign == 0:
+        raise ValueError(f"face {cycle} is degenerate: it has no outside")
     if sign > 0:  # counterclockwise from outside; reverse
         cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
     return cycle
@@ -108,70 +94,69 @@ def _half_turn_quat(axis: Vec3) -> GoldenQuat:
 
 def build_dodecahedron() -> DodecahedronModel:
     raw = _coordinates()
+    raw_rows, d = numerators(raw)
     v = vec3(1, 1, 1)
     w1 = (GoldenNum(0), INV_PHI, PHI)
-
     h_quat = quat_from_rotation(vec3(1, 1, 1), HALF, HALF)
-
-    # provisional indexing to discover the combinatorics
-    tmp_index = {p: i for i, p in enumerate(raw)}
-    edges = [(i, j) for i in range(20) for j in range(i + 1, 20)
-             if _sq_dist(raw[i], raw[j]) == EDGE_SQ_DIST]
-    tmp_graph = Graph(20, edges)
-
-    w3 = h_quat.rotate(w1)
-    w2 = h_quat.rotate(w3)
-    assert {tmp_index[w1], tmp_index[w2], tmp_index[w3]} == set(
-        tmp_graph.neighbors(tmp_index[v]))
-
     s1_quat = _half_turn_quat(tuple(a + b for a, b in zip(v, w1)))
+
+    # provisional indexing to discover the combinatorics; EDGE_SQ_DIST over d^2
+    edge = (EDGE_SQ_DIST.p * d * d, EDGE_SQ_DIST.q * d * d)
+    edges = [(i, j) for i in range(20) for j in range(i + 1, 20)
+             if sq_dist(raw_rows[i], raw_rows[j]) == edge]
+    tmp_graph = Graph(20, edges)
+    h, s1 = (_rotation_perm(raw_rows, d, q) for q in (h_quat, s1_quat))
+
+    iv, iw1 = raw.index(v), raw.index(w1)
+    iw3, iw2 = h[iw1], h[h[iw1]]
+    if {iw1, iw2, iw3} != set(tmp_graph.neighbors(iv)):
+        raise RuntimeError("the corner turn does not cycle the neighbors of v")
 
     # the face through the corner edges v-w1 and v-w2: v, w1, a, b, w2, the
     # only such a ~ b, as each 2-path of a cubic planar graph lies on one face
-    iv, iw1, iw2 = tmp_index[v], tmp_index[w1], tmp_index[w2]
     ((ia, ib),) = [(a, b) for a in tmp_graph.neighbors(iw1) if a != iv
                    for b in tmp_graph.neighbors(iw2) if b != iv and tmp_graph.has_edge(a, b)]
-    a_pt, b_pt = raw[ia], raw[ib]
 
-    def s1(p: Vec3) -> Vec3:
-        return s1_quat.rotate(p)
-
-    def s3(p: Vec3) -> Vec3:
-        # s3 = h s1 h^-1
-        return h_quat.rotate(s1(h_quat.conj().rotate(p)))
-
-    c_pt = s1(w2)
-    d_pt = s1(b_pt)
-    e_pt = s3(c_pt)
-    f_pt = s3(w1)
-
-    named = [v, w1, w2, w3, a_pt, b_pt, c_pt, d_pt, e_pt, f_pt]
+    s3 = [h[s1[j]] for j in perm_inverse(h)]  # s3 = h s1 h^-1
     names = ["v", "w1", "w2", "w3", "a", "b", "c", "d", "e", "f"]
-    assert len(set(named)) == 10
-    rest = sorted((p for p in raw if p not in set(named)),
-                  key=lambda p: tuple((x.a, x.b) for x in p))
-    coords = named + rest
-    index = {p: i for i, p in enumerate(coords)}
+    named = [iv, iw1, iw2, iw3, ia, ib, s1[iw2], s1[ib], s3[s1[iw2]], s3[iw1]]
+    if len(set(named)) != 10:
+        raise RuntimeError("the labeled corner points are not distinct")
+    # the rest in the order of their coordinates, which is that of their rows
+    order = named + sorted(set(range(20)) - set(named), key=raw_rows.__getitem__)
+    pos = perm_inverse(order)
+    coords = [raw[i] for i in order]
+    rows = [raw_rows[i] for i in order]
     labels = {name: i for i, name in enumerate(names)}
 
-    graph = Graph(20, [(index[raw[i]], index[raw[j]]) for i, j in edges])
-    h_perm = _rotation_perm(coords, index, h_quat)
-    s1_perm = _rotation_perm(coords, index, s1_quat)
+    graph = Graph(20, [(pos[i], pos[j]) for i, j in edges])
+    h_perm = perm(pos[h[i]] for i in order)
+    s1_perm = perm(pos[s1[i]] for i in order)
 
     # face axis: clockwise fifth turn about the center of the base face
-    face_pts = [v, w1, a_pt, b_pt, w2]
-    center = tuple(sum((p[k] for p in face_pts), GoldenNum(0)) / 5 for k in range(3))
+    base_face = (labels["v"], labels["w1"], labels["a"], labels["b"], labels["w2"])
+    face_sum = tuple(map(sum, zip(*(rows[i] for i in base_face))))
+    (center,) = from_numerators([face_sum], 5 * d)
     sin_sq = GoldenNum(10, -2) / 16  # sin^2(pi/5)
     lam = golden_sqrt(sin_sq / dot(center, center))
-    assert lam is not None
+    if lam is None:
+        raise RuntimeError("sin(pi/5) / |face center| is not in the field")
     f_quat = quat_from_rotation(center, PHI * HALF, -lam)
     # pin the turn direction: it must take v to w1 (like g*h on the base face)
     if f_quat.rotate(v) != w1:
         f_quat = quat_from_rotation(center, PHI * HALF, lam)
-    assert f_quat.rotate(v) == w1
+    if f_quat.rotate(v) != w1:
+        raise RuntimeError("the face turn does not take v to w1")
 
-    oriented_faces = tuple(orient_clockwise(f, coords)
-                           for f in _find_faces(graph))
+    # the rotations act transitively on the faces, so the faces are the
+    # orbit of the base face, each as the least rotation of either direction
+    def key(f: tuple[int, ...]) -> tuple[int, ...]:
+        return least_rotation(f, f[::-1])
+    faces = bfs_tree(key(base_face), lambda f: (
+        (k, key(tuple(p[i] for i in f))) for k, p in enumerate((h_perm, s1_perm))))
+    if len(faces) != 12:
+        raise RuntimeError(f"the base face has {len(faces)} images, not 12")
+    oriented_faces = tuple(orient_clockwise(f, rows) for f in sorted(faces))
 
     return DodecahedronModel(graph, tuple(coords), labels, oriented_faces,
                              h_perm, s1_perm, h_quat, s1_quat, f_quat)
