@@ -10,11 +10,10 @@ order and rebuilding the graph from the presented group must reproduce it.
 
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 from .coxeter import (build_coxeter_context, coxeter_implication_check,
-                      face_boundary_check, greedy_disc_ordering,
-                      milnor_product_check, path_product)
+                      coxeter_substitution, face_boundary_check, greedy_disc_ordering)
 from .derive import (DerivationInput, DerivedPresentation, StabilizerData,
-                     auto_derivation_input, coxeter_substitution, derive_presentation,
-                     presentation_matches, validate_input)
+                     auto_derivation_input, derive_presentation, presentation_matches,
+                     validate_input)
 from .dot import cayley_underlying_graph, export_cayley_dot, export_graph_dot
 from .golden import GoldenNum, GoldenQuat, golden_sqrt, quat_from_rotation, quat_mul
 from .graphs import (ActionedGraph, Graph, OrientedEdge, find_inversion,

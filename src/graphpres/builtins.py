@@ -137,19 +137,13 @@ class TruncatedDodecahedron:
 
     graph: Graph
     flags: tuple[tuple[int, int], ...]
-    flag_index: dict[tuple[int, int], int]
     coords: tuple[Vec3, ...]
-    pentagon_edges: frozenset[tuple[int, int]]
-    triangle_edges: frozenset[tuple[int, int]]
+    pentagon_edges: frozenset[tuple[int, int]]  # the other edges are triangle sides
     faces: tuple[tuple[int, ...], ...]          # 32 clockwise boundary cycles
     group: FiniteGroupTable                      # the 60 rotations (vertex perms)
     flag_action: tuple[Perm, ...]                # the same elements on flags
     t_map: dict[OrientedEdge, int]
     model: DodecahedronModel
-
-    def edge_kind(self, e: OrientedEdge) -> str:
-        key = (min(e), max(e))
-        return "pentagon" if key in self.pentagon_edges else "triangle"
 
 
 def truncated_dodecahedron() -> TruncatedDodecahedron:
@@ -163,7 +157,7 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
     flag_rows = [tuple(3 * a + b for a, b in zip(rows[v], rows[w])) for v, w in flags]
     coords = from_numerators(flag_rows, 4 * d)
 
-    pentagon, triangle = set(), set()
+    pentagon = set()
     edges = []
     for v, w in flags:
         i = flag_index[(v, w)]
@@ -177,7 +171,6 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
             k = flag_index[(v, w2)]
             if i < k:
                 edges.append((i, k))
-                triangle.add((i, k))
     graph = Graph(60, edges)
 
     group = ActionedGraph.from_generators(model.graph,
@@ -210,8 +203,7 @@ def truncated_dodecahedron() -> TruncatedDodecahedron:
         t_map[OrientedEdge(i, j)] = group.product(gj, group.inverse(gi))
         t_map[OrientedEdge(j, i)] = group.product(gi, group.inverse(gj))
 
-    return TruncatedDodecahedron(graph, tuple(flags), flag_index, tuple(coords),
-                                 frozenset(pentagon), frozenset(triangle),
+    return TruncatedDodecahedron(graph, tuple(flags), tuple(coords), frozenset(pentagon),
                                  tuple(faces), group, flag_action, t_map, model)
 
 

@@ -160,6 +160,8 @@ def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
         "defect": cover.defect, "cosets": sum(table.n for table in tables),
         "cosets_defined": sum(table.stats.defined for table in tables),
     }
+    if not cover.ok:
+        report["reconstruction"]["witness"] = cover.witness
     return report, EXIT_OK if cover.ok else EXIT_VERIFY
 
 

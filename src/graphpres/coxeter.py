@@ -7,16 +7,18 @@ dodecahedron machinery re-derives z^2 = 1 geometrically: every face boundary
 multiplies to z, assembling the 32 faces along a disc ordering cancels
 everything except one z per pentagon edge, and 32 - 30 = 2 is the Euler
 characteristic of the sphere.
+
+`coxeter_substitution` rewrites the double cover as s^3 = t^5 = (st)^2 = z,
+z^2 = 1, reading s, t and z off the one spelling `_S`, `_T`, `_Z`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .builtins import TruncatedDodecahedron, truncated_dodecahedron
-from .coset import todd_coxeter
-from .golden import GoldenQuat, ONE, quat_mul
+from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 from .graphs import OrientedEdge, first_carriers
 from .perms import FiniteGroupTable, bfs_tree
 from .words import Presentation, inverse_word
@@ -35,6 +37,62 @@ _R = (("r", 1),)
 _S = (("r", -1),)                # s = r^-1
 _T = (("r", 1), ("g", 1))        # t = r g
 _Z = (("g", 1), ("g", 1))        # z = g^2
+
+# the double cover over s, t, z: s^3 = t^5 = (st)^2 = z, z^2 = 1
+COXETER_STZ = Presentation.from_strings(
+    ("s", "t", "z"),
+    [
+        [("s", 1)] * 3 + [("z", -1)],
+        [("t", 1)] * 5 + [("z", -1)],
+        [("s", 1), ("t", 1)] * 2 + [("z", -1)],
+        [("z", 1)] * 2,
+    ],
+)
+
+
+class PatternMismatchError(ValueError):
+    pass
+
+
+def coxeter_substitution(p: Presentation) -> Presentation:
+    """Tietze substitution z = g^2 = r^-3, s = r^-1, t = rg on a two-generator
+    presentation of the order-120 double cover; returns the s,t,z form.
+
+    The input must present the same group: this is verified by enumerating
+    both presentations and checking each one's relators map to the identity
+    in the other.  Raises PatternMismatchError otherwise.
+    """
+    if len(p.generators) != 2:
+        raise PatternMismatchError("expected a presentation on two generators")
+    try:
+        src = todd_coxeter(p, limit=100_000)
+    except EnumerationLimitError as exc:
+        raise PatternMismatchError("input presentation does not close") from exc
+    if src.n != 120:
+        raise PatternMismatchError(f"input presents a group of order {src.n}, not 120")
+    tgt = todd_coxeter(COXETER_STZ)
+    if tgt.n != 120:
+        raise RuntimeError("internal: s,t,z presentation should have order 120")
+
+    for a, b in ((0, 1), (1, 0)):
+        # candidate roles: generator a plays g, generator b plays r
+        # forward: g -> s t, r -> s^-1; back: s, t, z -> _S, _T, _Z
+        role = {"g": a, "r": b}
+        fwd = {a: ((0, 1), (1, 1)), b: ((0, -1),)}
+        back = {k: tuple((role[n], e) for n, e in w) for k, w in enumerate((_S, _T, _Z))}
+        if _maps_to_identity(p, src=tgt, translation=fwd) and \
+           _maps_to_identity(COXETER_STZ, src=src, translation=back):
+            return COXETER_STZ
+    raise PatternMismatchError("presentation is not the double-cover pattern")
+
+
+def _maps_to_identity(pres: Presentation, src: CosetTable,
+                      translation: Mapping[int, tuple[tuple[int, int], ...]]) -> bool:
+    """Do all relators of `pres`, translated, evaluate to 1 in the table `src`?"""
+    return all(src.trace(0, [letter for g, e in rel
+                             for letter in (translation[g] if e > 0
+                                            else inverse_word(translation[g]))]) == 0
+               for rel in pres.relators)
 
 
 @dataclass(frozen=True)
@@ -134,16 +192,13 @@ def build_coxeter_context() -> CoxeterContext:
     g_of_x_edge = {d: cover.conjugate(lift(c), g) for d, c in edge_carriers.items()}
     r_of_x_vertex = {w: cover.conjugate(lift(c), r) for w, c in vertex_carriers.items()}
 
-    clockwise_triangle_steps = set()
-    for face in Y.faces:
-        if len(face) == 3:
-            for a, b in zip(face, face[1:] + face[:1]):
-                clockwise_triangle_steps.add((a, b))
+    clockwise_triangle_steps = {(a, b) for face in Y.faces if len(face) == 3
+                                for a, b in zip(face, face[1:] + face[:1])}
 
     tau: dict[OrientedEdge, int] = {}
     for e in Y.t_map:
         i, j = e
-        if Y.edge_kind(e) == "pentagon":
+        if (min(e), max(e)) in Y.pentagon_edges:
             x, y = Y.flags[i][0], Y.flags[j][0]
             tau[e] = g_of_x_edge[(min(x, y), max(x, y))]
         else:
@@ -151,18 +206,6 @@ def build_coxeter_context() -> CoxeterContext:
             r_w = r_of_x_vertex[w]
             tau[e] = cover.inverse(r_w) if (i, j) in clockwise_triangle_steps else r_w
     return CoxeterContext(Y, cover, z, tau)
-
-
-def path_product(path: Sequence[int], Y: TruncatedDodecahedron) -> int:
-    """Product in the rotation group of the edge labels along a path of the
-    truncated dodecahedron, last step leftmost (`CoxeterContext.product_along`
-    multiplies in the double cover)."""
-    acc = 0
-    for a, b in zip(path, path[1:]):
-        if not Y.graph.has_edge(a, b):
-            raise ValueError(f"vertices {a},{b} of the path are not adjacent")
-        acc = Y.group.product(Y.t_map[OrientedEdge(a, b)], acc)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -189,10 +232,9 @@ def face_boundary_check(ctx: CoxeterContext | None = None) -> FaceBoundaryReport
     f = len(Y.faces)
     euler = v - e + f
     z2 = ctx.group.product(ctx.z, ctx.z) == 0
-    ok = (all_z and v == 60 and e == 90 and len(Y.pentagon_edges) == 30
-          and len(Y.triangle_edges) == 60 and f == 32 and euler == 2 and z2)
-    return FaceBoundaryReport(ok, all_z, v, e, len(Y.pentagon_edges),
-                              len(Y.triangle_edges), f, euler, z2)
+    pentagon = len(Y.pentagon_edges)
+    ok = all_z and v == 60 and e == 90 and pentagon == 30 and f == 32 and euler == 2 and z2
+    return FaceBoundaryReport(ok, all_z, v, e, pentagon, e - pentagon, f, euler, z2)
 
 
 @dataclass(frozen=True)
@@ -254,12 +296,3 @@ def greedy_disc_ordering(faces: Sequence[Sequence[int]]) -> DiscOrdering:
         return DiscOrdering(False, (), f"the last face {rest[0]} does not close the disc")
     return DiscOrdering(True, tuple(order + rest))
 
-
-def milnor_product_check(p: GoldenQuat, q: GoldenQuat, r: GoldenQuat) -> GoldenQuat:
-    """Exact product of three rotations; for the clockwise corner rotations
-    of a spherical triangle (by twice its interior angles) the result is the
-    full turn.  Returns the product for comparison with the central element."""
-    for x in (p, q, r):
-        if x.norm() != ONE:
-            raise ValueError("inputs must be unit quaternions")
-    return quat_mul(quat_mul(p, q), r)

@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .coset import STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError, todd_coxeter
+from .coset import STABILIZER_COSET_LIMIT, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
 from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion,  # noqa: F401
                      first_carriers, loop_problem)
@@ -243,68 +243,6 @@ def presentation_matches(derived: DerivedPresentation, target: Presentation,
 def _free_cyclic_form(letters: Sequence[tuple]) -> tuple:
     word = cyclic_reduce(letters)
     return least_rotation(tuple(word), inverse_word(word))
-
-
-class PatternMismatchError(ValueError):
-    pass
-
-
-COXETER_STZ = Presentation.from_strings(
-    ("s", "t", "z"),
-    [
-        [("s", 1)] * 3 + [("z", -1)],
-        [("t", 1)] * 5 + [("z", -1)],
-        [("s", 1), ("t", 1)] * 2 + [("z", -1)],
-        [("z", 1)] * 2,
-    ],
-)
-
-
-def coxeter_substitution(p: Presentation) -> Presentation:
-    """Tietze substitution z = g^2 = r^3, s = r^-1, t = rg on a two-generator
-    presentation of the order-120 double cover; returns the s,t,z form.
-
-    The input must present the same group: this is verified by enumerating
-    both presentations and checking each one's relators map to the identity
-    in the other.  Raises PatternMismatchError otherwise.
-    """
-    if len(p.generators) != 2:
-        raise PatternMismatchError("expected a presentation on two generators")
-    try:
-        src = todd_coxeter(p, limit=100_000)
-    except EnumerationLimitError as exc:
-        raise PatternMismatchError("input presentation does not close") from exc
-    if src.n != 120:
-        raise PatternMismatchError(f"input presents a group of order {src.n}, not 120")
-    tgt = todd_coxeter(COXETER_STZ)
-    if tgt.n != 120:
-        raise RuntimeError("internal: s,t,z presentation should have order 120")
-
-    for a, b in ((0, 1), (1, 0)):
-        # candidate roles: generator a plays g, generator b plays r
-        # forward: g -> s t, r -> s^-1 ; backward: s -> r^-1, t -> r g, z -> g g
-        fwd = {a: [(0, 1), (1, 1)], b: [(0, -1)]}
-        back = {0: [(b, -1)], 1: [(b, 1), (a, 1)], 2: [(a, 1), (a, 1)]}
-        if _maps_to_identity(p, src=tgt, translation=fwd) and \
-           _maps_to_identity(COXETER_STZ, src=src, translation=back):
-            return COXETER_STZ
-    raise PatternMismatchError("presentation is not the double-cover pattern")
-
-
-def _maps_to_identity(pres: Presentation, src: CosetTable,
-                      translation: Mapping[int, list[tuple[int, int]]]) -> bool:
-    """Do all relators of `pres`, translated, evaluate to 1 in the table `src`?"""
-    for rel in pres.relators:
-        word: list[tuple[int, int]] = []
-        for gidx, sign in rel:
-            sub = translation[gidx]
-            if sign > 0:
-                word.extend(sub)
-            else:
-                word.extend(inverse_word(sub))
-        if src.trace(0, word) != 0:
-            return False
-    return True
 
 
 def derived_to_json(d: DerivedPresentation) -> dict:

@@ -204,7 +204,7 @@ def trace_path(path: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> list[
 
     Returns edges e_1..e_n with s_1...s_{i-1}(e_i) equal to the i-th step of
     the path; the defining property s_1...s_i(base_of[target(e_i)]) = path[i] is
-    asserted at every step.
+    checked at every step.
     """
     if not path:
         raise ValueError("empty path")
@@ -222,7 +222,8 @@ def trace_path(path: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> list[
             raise ValueError(f"translated edge {e} has no origin in V; bad scaffolding")
         edges.append(e)
         prefix = group.product(prefix, sc.s[e])
-        assert ag.apply(prefix, sc.base_of[e.target]) == b, "trace lost the path"
+        if ag.apply(prefix, sc.base_of[e.target]) != b:
+            raise ValueError(f"trace lost the path at {a},{b}; bad scaffolding")
     return edges
 
 

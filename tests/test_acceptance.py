@@ -14,10 +14,9 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
                                 truncated_dodecahedron)
 from graphpres.coset import EnumerationLimitError, todd_coxeter
 from graphpres.coxeter import (build_coxeter_context, coxeter_implication_check,
-                               face_boundary_check, greedy_disc_ordering,
-                               milnor_product_check, _face_edges, _is_simple_path)
-from graphpres.derive import (coxeter_substitution, derive_presentation,
-                              presentation_matches)
+                               coxeter_substitution, face_boundary_check,
+                               greedy_disc_ordering, _face_edges, _is_simple_path)
+from graphpres.derive import derive_presentation, presentation_matches
 from graphpres.dot import cayley_underlying_graph
 from graphpres.golden import QUAT_C, quat_mul
 from graphpres.graphs import find_inversion
@@ -124,7 +123,7 @@ def test_criterion_5_face_products():
 def test_criterion_6_milnor_identity():
     started = time.perf_counter()
     model = dodecahedron_model()
-    triple = milnor_product_check(model.h_quat.conj(), model.s1_quat, model.f_quat)
+    triple = quat_mul(quat_mul(model.h_quat.conj(), model.s1_quat), model.f_quat)
     x = quat_mul(model.s1_quat, model.h_quat)
     fifth = x
     for _ in range(4):
@@ -226,7 +225,7 @@ def test_criterion_9_cayley_diagram_is_truncation():
     Y = truncated_dodecahedron()
     # the witness a -> a(base flag) is a bijection onto the 60 flags that
     # maps the 90 Cayley edges to edges of Y, which has 90: an isomorphism
-    base = Y.flag_index[(Y.model.labels["v"], Y.model.labels["w1"])]
+    base = Y.flags.index((Y.model.labels["v"], Y.model.labels["w1"]))
     witness = [Y.flag_action[a][base] for a in range(cayley.vertex_count)]
     iso = (Y.group.elements == table.elements
            and cayley.vertex_count == 60 and sorted(witness) == list(range(60))

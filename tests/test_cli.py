@@ -86,6 +86,37 @@ def test_verify_rejects_broken_presentation(tmp_path, capsys):
     assert code == 3
 
 
+def test_verify_names_the_edge_a_swapped_edge_generator_misses(tmp_path, capsys):
+    # the C6 x P3 prism under rotation and mirror; swapping the edges of two
+    # edge generators keeps the group, so only the rebuilt graph is wrong
+    n, k = 6, 3
+
+    def v(i, j):
+        return j * n + i % n
+    action = {"vertices": n * k,
+              "edges": [[v(i, j), v(i + 1, j)] for j in range(k) for i in range(n)]
+              + [[v(i, j), v(i, j + 1)] for j in range(k - 1) for i in range(n)],
+              "generators": {"r": [v(i + 1, j) for j in range(k) for i in range(n)],
+                             "m": [v(-i, j) for j in range(k) for i in range(n)]}}
+    path = tmp_path / "prism.json"
+    path.write_text(json.dumps(action))
+    run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))
+    pres_path = tmp_path / "prism.presentation.json"
+    data = json.loads(pres_path.read_text())
+    edge_gens = data["edge_gens"]
+    assert (edge_gens["g[3]"], edge_gens["g[4]"]) == ([6, 12], [12, 13])
+    edge_gens["g[3]"], edge_gens["g[4]"] = edge_gens["g[4]"], edge_gens["g[3]"]
+    pres_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(pres_path), "--action", str(path))
+    assert code == 3
+    report = json.loads(out)
+    assert report["order_check"]["ok"] and report["order_check"]["proof"] == "lagrange"
+    rec = report["reconstruction"]
+    assert not rec["ok"]
+    assert rec["defect"] == "edges do not map onto the graph's edges"
+    assert rec["witness"] == [6, 12]
+
+
 def test_coxeter_check(capsys):
     code, out, _ = run(capsys, "coxeter-check")
     assert code == 0

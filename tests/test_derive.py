@@ -10,12 +10,12 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
                                 dodecahedron_action, load_builtin, simplex_action,
                                 standard_symmetric_presentation)
 from graphpres.coset import todd_coxeter
+from graphpres.coxeter import PatternMismatchError, coxeter_substitution
 from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic_form,
-                              auto_derivation_input,
-                              coxeter_substitution, derive_presentation,
+                              auto_derivation_input, derive_presentation,
                               derived_from_json, derived_to_json, greedy_generators,
                               fundamental_loops, pick_loops, presentation_matches,
-                              PatternMismatchError, stabilizer_presentation, validate_input)
+                              stabilizer_presentation, validate_input)
 from graphpres.cli import action_from_json, main
 from graphpres.graphs import ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion
 from graphpres.perms import perm, transposition
@@ -328,11 +328,21 @@ def test_coxeter_substitution_from_derived():
 
 
 def test_coxeter_substitution_rejects_wrong_pattern():
-    with pytest.raises(PatternMismatchError):
-        coxeter_substitution(Presentation.from_strings(
-            ["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3, [("a", 1), ("b", 1)] * 3]))
-    with pytest.raises(PatternMismatchError):
-        coxeter_substitution(Presentation.from_strings(["a"], [[("a", 1)] * 5]))
+    cases = [
+        (["a"], [[("a", 1)] * 5], "^expected a presentation on two generators$"),
+        # the modular group, infinite
+        (["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3], "^input presentation does not close$"),
+        # A4, of order 12
+        (["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3, [("a", 1), ("b", 1)] * 3],
+         "^input presents a group of order 12, not 120$"),
+        # S5, of order 120: <a, b | a^2, b^5, (ab)^4, [a, b]^3>
+        (["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 5, [("a", 1), ("b", 1)] * 4,
+                      [("a", -1), ("b", -1), ("a", 1), ("b", 1)] * 3],
+         "^presentation is not the double-cover pattern$"),
+    ]
+    for generators, relators, message in cases:
+        with pytest.raises(PatternMismatchError, match=message):
+            coxeter_substitution(Presentation.from_strings(generators, relators))
 
 
 def test_derived_json_round_trip():

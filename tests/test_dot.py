@@ -49,7 +49,7 @@ def test_cayley_diagram_of_rotations_is_the_truncation():
     assert cayley.vertex_count == 60 and len(cayley.edges) == len(Y.graph.edges) == 90
     # the witness, the element sending the base flag around, is a bijection
     # that maps each of the 90 edges to an edge: an isomorphism
-    base = Y.flag_index[(Y.model.labels["v"], Y.model.labels["w1"])]
+    base = Y.flags.index((Y.model.labels["v"], Y.model.labels["w1"]))
     witness = {a: Y.flag_action[a][base] for a in range(60)}
     assert sorted(witness.values()) == list(range(60))
     assert all(Y.graph.has_edge(witness[u], witness[w]) for u, w in cayley.edges)

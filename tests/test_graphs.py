@@ -136,7 +136,7 @@ def test_find_inversion_triangle_edges_of_truncation():
     Y = truncated_dodecahedron()
     ag = ActionedGraph(Y.graph, Y.group, Y.flag_action)
     pe = min(Y.pentagon_edges)
-    te = min(Y.triangle_edges)
+    te = min(Y.graph.edges - Y.pentagon_edges)
     assert find_inversion(ag, OrientedEdge(*pe)) is not None
     assert find_inversion(ag, OrientedEdge(*te)) is None
 

@@ -116,10 +116,14 @@ def test_covering_reports_local_defect():
     inp = simplex_action(3)
     d = derive_presentation(inp)
     good = build_kozsul_model(d, inp.ag, inp.sc)
-    broken = KozsulModel(good.vertices, set(list(good.edges)[:2]), good.f, good.tables)
+    kept = sorted(good.edges)[:2]
+    broken = KozsulModel(good.vertices, set(kept), good.f, good.tables)
     report = check_covering_isomorphism(broken, inp.ag)
     assert not report.ok
-    assert report.defect == "neighborhood does not map bijectively"
+    assert report.defect == "edges do not map onto the graph's edges"
+    # the least edge of the graph that no kept edge maps onto
+    hit = {tuple(sorted((good.f[a], good.f[b]))) for a, b in kept}
+    assert report.witness == min(inp.ag.graph.edges - hit)
 
 
 # the model as it was built before the reconstruction read the reduced
@@ -332,7 +336,7 @@ def test_abelianization_golden_cases():
 
 
 def test_abelianization_of_substituted_presentation_without_z_order():
-    from graphpres.derive import COXETER_STZ
+    from graphpres.coxeter import COXETER_STZ
     rels = [rel for rel in COXETER_STZ.relators if len(rel) != 2]
     p = Presentation(COXETER_STZ.generators, tuple(rels))
     assert abelianization_smith(p) == [1, 1, 1]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
@@ -117,6 +119,12 @@ def test_trace_rejects_bad_paths():
     inp2 = dihedral_cycle_action(6)
     with pytest.raises(ValueError):
         trace_path([0, 2], inp2.ag, inp2.sc)  # not adjacent
+    # a carrier that does not reach the edge's target: the square under D4
+    # with s_(0,1) replaced by the identity
+    inp3 = dihedral_cycle_action(4)
+    sc = dataclasses.replace(inp3.sc, s={**inp3.sc.s, OrientedEdge(0, 1): 0})
+    with pytest.raises(ValueError, match=r"^trace lost the path at 0,1; bad scaffolding$"):
+        trace_path((0, 1), inp3.ag, sc)
 
 
 def test_loop_relation_evaluates_to_identity():
