@@ -105,12 +105,11 @@ def _load_input(args) -> DerivationInput:
     return action_from_json(_read_json_file(Path(args.action)), Path(args.action).stem)
 
 
-def _load_action(args) -> tuple[ActionedGraph, Scaffolding | None]:
-    """The action, with a builtin's scaffolding; an action file builds no more."""
+def _load_action(args) -> ActionedGraph:
+    """The action named by --builtin or --action."""
     if args.builtin:
-        inp = _load_input(args)
-        return inp.ag, inp.sc
-    return action_graph_from_json(_read_json_file(Path(args.action)))[0], None
+        return _load_input(args).ag
+    return action_graph_from_json(_read_json_file(Path(args.action)))[0]
 
 
 def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
@@ -231,8 +230,8 @@ def cmd_verify(args) -> int:
         derived = derived_from_json(data)
     except ValueError as exc:
         raise InputError(f"bad presentation file: {exc}") from None
-    ag, sc = _load_action(args)
-    sc = build_regular_scaffolding(ag) if sc is None else sc  # as `derive` builds it
+    ag = _load_action(args)
+    sc = build_regular_scaffolding(ag)  # as `derive` builds it
     problem = presentation_file_problem(derived, ag, sc)
     if problem is not None:
         raise InputError(f"bad presentation file: {problem}")
@@ -243,7 +242,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_coxeter_check(args) -> int:
-    rep = coxeter_implication_check(limit=args.limit)
+    rep = coxeter_implication_check()
     print(json.dumps({
         "ok": rep.ok,
         "group_order": rep.group_order,
@@ -273,7 +272,7 @@ def _resolve_generators(ag: ActionedGraph, names: str) -> dict[str, int]:
 
 
 def cmd_export_cayley(args) -> int:
-    ag, _ = _load_action(args)
+    ag = _load_action(args)
     gens = _resolve_generators(ag, args.gens)
     if len(ag.group.subgroup_closure(gens.values())) != ag.group.order:
         print("warning: the set does not generate; exporting the subgroup diagram",
@@ -286,7 +285,7 @@ def cmd_export_graph(args) -> int:
     if args.builtin == "truncated-dodecahedron":
         graph = builtin_actions.truncated_dodecahedron().graph
     else:
-        graph = _load_action(args)[0].graph
+        graph = _load_action(args).graph
     _write_or_stdout(args.out, export_graph_dot(graph))
     return EXIT_OK
 
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("coxeter-check", help="run the double-cover implication checks")
-    p.add_argument("--limit", type=positive_int, default=100_000)
     p.set_defaults(func=cmd_coxeter_check)
 
     p = subs.add_parser("export-cayley", help="write a Cayley diagram as DOT")

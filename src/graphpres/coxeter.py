@@ -105,14 +105,14 @@ class ImplicationReport:
     identities: tuple[tuple[str, bool], ...]
 
 
-def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
+def coxeter_implication_check() -> ImplicationReport:
     """Enumerate the universal two-relator group and verify the implication.
 
     The group closes at order 120 with z = g^2 central of order exactly 2 and
     quotient of order 60 modulo z; every intermediate identity of the
     classical derivation is re-checked as an element equality.
     """
-    group = todd_coxeter(UNIVERSAL_GRZ, limit=limit).regular_group()
+    group = todd_coxeter(UNIVERSAL_GRZ).regular_group()
     g, r = group.gen_indices
     gens = {"g": g, "r": r}
 
@@ -122,7 +122,7 @@ def coxeter_implication_check(limit: int = 100_000) -> ImplicationReport:
     z = elem(_Z)
     z_central = group.conjugate(g, z) == z and group.conjugate(r, z) == z
     z_order = group.element_order(z)
-    quotient = todd_coxeter(UNIVERSAL_GRZ, subgroup_words=[[(0, 1), (0, 1)]], limit=limit)
+    quotient = todd_coxeter(UNIVERSAL_GRZ, subgroup_words=[[(0, 1), (0, 1)]])
 
     checks = [
         ("z = g^2 = r^-3", elem(_Z) == elem(inverse_word(_R) * 3)),

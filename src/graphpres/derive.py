@@ -28,9 +28,9 @@ from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_invers
 from .perms import FiniteGroupTable, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
 from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_normal_form,
-                    cyclic_reduce, edge_relation, edge_word, free_reduce, inverse_word,
-                    least_rotation, loop_relation, normal_form, read_json, rewrite_word_to_E1,
-                    tietze_reduce)
+                    cyclic_reduce, edge_relation, edge_word, free_reduce, inverse_letters,
+                    inverse_word, least_rotation, loop_relation, normal_form, read_json,
+                    rewrite_word_to_E1, tietze_reduce)
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,7 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
             if isinstance(letter, EdgeLetter):
                 out.append((edge_index[letter.edge], letter.sign))
             else:
-                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
-                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][elem])
+                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][letter.element])
         return tuple(out)
 
     # free cyclic form -> the first relator with it; a later one is a conjugate
@@ -218,20 +217,15 @@ def presentation_matches(derived: DerivedPresentation, target: Presentation,
     for name, e in derived.edge_gens.items():
         letter_of[rename.get(name, name)] = EdgeLetter(e, 1)
     for name, vertex in derived.stab_owners.items():
-        letter_of[rename.get(name, name)] = StabLetter(vertex, derived.gen_elements[name], 1)
+        letter_of[rename.get(name, name)] = StabLetter(vertex, derived.gen_elements[name])
 
     def split(pres: Presentation) -> tuple[list, list]:
         pure, mixed = [], []
         for rel in pres.relators:
             names = [(pres.generators[i], s) for i, s in rel]
             if any(isinstance(letter_of[n], EdgeLetter) for n, _ in names):
-                letters = []
-                for n, s in names:
-                    base = letter_of[n]
-                    if isinstance(base, EdgeLetter):
-                        letters.append(EdgeLetter(base.edge, s))
-                    else:
-                        letters.append(StabLetter(base.vertex, base.element, s))
+                letters = [letter_of[n] if s > 0 else inverse_letters((letter_of[n],), ag)[0]
+                           for n, s in names]
                 mixed.append(cyclic_normal_form(letters, ag))
             else:
                 pure.append(_free_cyclic_form(names))

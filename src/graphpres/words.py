@@ -2,10 +2,11 @@
 
 A word is a tuple of letters in the free product of the free group on the
 edge generators with the vertex stabilizers: edge letters are formal symbols
-g_e carrying a sign, stabilizer letters carry an actual group-element index
-tagged with the base vertex that owns it.  Reduction (`normal_form`)
-multiplies adjacent stabilizer letters inside their finite group, so reduced
-words are normal forms in the free product.
+g_e carrying a sign, and a stabilizer letter is an element of G_v, an actual
+group-element index tagged with the base vertex v that owns it (its inverse
+is the inverse element).  Reduction (`normal_form`) multiplies adjacent
+stabilizer letters inside their finite group, so reduced words are normal
+forms in the free product.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class EdgeLetter(NamedTuple):
 class StabLetter(NamedTuple):
     vertex: int
     element: int
-    sign: int
 
 
 Letter = EdgeLetter | StabLetter
@@ -39,14 +39,14 @@ def _cancel(a: Sequence, b: Sequence) -> tuple | None:
 
 
 def _fold_stabilizers(ag: ActionedGraph):
-    """The free-product rule: positive stabilizer letters at one vertex
-    multiply in the group; edge letters cancel as in the free group."""
+    """The free-product rule: stabilizer letters at one vertex multiply in
+    the group; edge letters cancel as in the free group."""
     group = ag.group
 
     def merge(a: Letter, b: Letter) -> tuple | None:
         if isinstance(a, StabLetter) and isinstance(b, StabLetter) and a.vertex == b.vertex:
             elem = group.product(a.element, b.element)
-            return () if elem == 0 else (StabLetter(a.vertex, elem, 1),)
+            return () if elem == 0 else (StabLetter(a.vertex, elem),)
         return _cancel(a, b)
 
     return merge
@@ -82,34 +82,30 @@ def cyclic_reduce(letters: Iterable, merge=_cancel) -> list:
     return letters
 
 
-def inverse_letters(word: Sequence[Letter]) -> Word:
+def inverse_letters(word: Sequence[Letter], ag: ActionedGraph) -> Word:
     """The inverse of a word of edge and stabilizer letters."""
+    inverse = ag.group.inverse
     return tuple(EdgeLetter(x.edge, -x.sign) if isinstance(x, EdgeLetter)
-                 else StabLetter(x.vertex, x.element, -x.sign) for x in reversed(word))
+                 else StabLetter(x.vertex, inverse(x.element)) for x in reversed(word))
 
 
 def normal_form(word: Iterable[Letter], ag: ActionedGraph) -> Word:
     """Normal form in the free product: cancel g_e g_e^-1, fold stabilizer
     letters into single group elements, drop identities."""
-    return tuple(free_reduce(_positive_letters(word, ag), _fold_stabilizers(ag)))
+    return tuple(free_reduce(_non_identity(word), _fold_stabilizers(ag)))
 
 
 def cyclic_normal_form(word: Iterable[Letter], ag: ActionedGraph) -> tuple:
-    """Canonical form under free-product reduction, rotation and inversion."""
-    letters = cyclic_reduce(_positive_letters(word, ag), _fold_stabilizers(ag))
-    inverse = normal_form(inverse_letters(letters), ag)
+    """Canonical form under free-product reduction, rotation and inversion.
+
+    The inverse of a cyclically reduced word is cyclically reduced."""
+    letters = cyclic_reduce(_non_identity(word), _fold_stabilizers(ag))
+    inverse = inverse_letters(letters, ag)
     return least_rotation(tuple(map(_letter_key, letters)), tuple(map(_letter_key, inverse)))
 
 
-def _positive_letters(word: Iterable[Letter], ag: ActionedGraph) -> Iterable[Letter]:
-    """The letters with stabilizer letters as positive non-identity elements."""
-    for letter in word:
-        if isinstance(letter, StabLetter):
-            elem = letter.element if letter.sign > 0 else ag.group.inverse(letter.element)
-            if elem == 0:
-                continue
-            letter = StabLetter(letter.vertex, elem, 1)
-        yield letter
+def _non_identity(word: Iterable[Letter]) -> Iterable[Letter]:
+    return (x for x in word if isinstance(x, EdgeLetter) or x.element)
 
 
 def inverse_word(word: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -150,9 +146,8 @@ def _least_rotation_of(w: tuple) -> tuple:
 
 
 def _letter_key(letter: Letter) -> tuple:
-    if isinstance(letter, EdgeLetter):
-        return (0, letter.edge, letter.sign)
-    return (1, letter.vertex, letter.element, letter.sign)
+    """Edge letters sort before stabilizer letters."""
+    return (isinstance(letter, StabLetter), *letter)
 
 
 def edge_word(e: OrientedEdge) -> Word:
@@ -170,12 +165,12 @@ def evaluate_word_in_G(word: Word, ag: ActionedGraph, sc: Scaffolding) -> int:
             if letter.edge not in sc.s:
                 raise ValueError(f"word references unknown edge {letter.edge}")
             elem = sc.s[letter.edge]
+            if letter.sign < 0:
+                elem = group.inverse(elem)
         else:
             if not 0 <= letter.element < group.order:
                 raise ValueError(f"word references unknown element {letter.element}")
             elem = letter.element
-        if letter.sign < 0:
-            elem = group.inverse(elem)
         acc = group.product(acc, elem)
     return acc
 
@@ -196,7 +191,7 @@ def edge_relation(e: OrientedEdge, t: int, ag: ActionedGraph, sc: Scaffolding) -
     if ag.apply(k, w) != w:
         raise ValueError("k(e,t) does not fix the base vertex; scaffolding data broken")
     # (g_d^-1 t g_e)^-1 * k
-    return (EdgeLetter(e, -1), StabLetter(v, t, -1), EdgeLetter(d, 1), StabLetter(w, k, 1))
+    return (EdgeLetter(e, -1), StabLetter(v, group.inverse(t)), EdgeLetter(d, 1), StabLetter(w, k))
 
 
 def trace_path(path: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> list[OrientedEdge]:
@@ -243,7 +238,7 @@ def loop_relation(loop: Sequence[int], ag: ActionedGraph, sc: Scaffolding) -> Wo
     end = loop[-1]
     if ag.apply(product, end) != end:
         raise ValueError("traced product does not stabilize the endpoint")
-    return (*(EdgeLetter(e, -1) for e in reversed(edges)), StabLetter(end, product, 1))
+    return (*(EdgeLetter(e, -1) for e in reversed(edges)), StabLetter(end, product))
 
 
 def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
@@ -272,8 +267,8 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
             v = letter.edge.origin
             w = sc.base_of[e0.target]
             k = group.word_product((group.inverse(sc.s[letter.edge]), u, sc.s[e0]))
-            expansion = [StabLetter(v, u, 1), core, StabLetter(w, k, -1)]
-        out.extend(expansion if letter.sign > 0 else inverse_letters(expansion))
+            expansion = [StabLetter(v, u), core, StabLetter(w, group.inverse(k))]
+        out.extend(expansion if letter.sign > 0 else inverse_letters(expansion, ag))
     return tuple(out)
 
 

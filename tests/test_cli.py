@@ -433,10 +433,7 @@ def test_complete_graph_k6_derives_with_schreier_stabilizers(tmp_path, capsys):
     ["derive", "--builtin", "dihedral:5", "--limit", "0"],
     ["derive", "--builtin", "dihedral:5", "--verify", "--limit", "-3"],
     ["verify", "missing.json", "--builtin", "dihedral:5", "--limit", "0"],
-    ["coxeter-check", "--limit", "-3"],
-    ["coxeter-check", "--limit", "2.5"],
-], ids=["derive-zero", "derive-negative", "verify-zero", "coxeter-negative",
-        "coxeter-fraction"])
+], ids=["derive-zero", "derive-negative", "verify-zero"])
 def test_limit_must_be_a_positive_integer(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -451,7 +448,9 @@ def test_limit_must_be_a_positive_integer(capsys, argv):
      "one of the arguments --builtin --action is required"),
     (["verify", "x.json", "--builtin", "dihedral:5", "--limit", "abc"], "graphpres verify",
      "argument --limit: invalid positive_int value: 'abc'"),
-], ids=["unknown-flag", "missing-source", "verify-limit-not-a-number"])
+    (["coxeter-check", "--limit", "5"], "graphpres", "unrecognized arguments: --limit 5"),
+], ids=["unknown-flag", "missing-source", "verify-limit-not-a-number",
+        "coxeter-check-has-no-limit"])
 def test_usage_error_exits_2_with_one_line(capsys, argv, prog, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

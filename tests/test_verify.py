@@ -180,8 +180,7 @@ def reference_edges(derived, ag, sc, tables):
             if isinstance(letter, EdgeLetter):
                 out.append((edge_index[letter.edge], letter.sign))
             else:
-                elem = letter.element if letter.sign > 0 else group.inverse(letter.element)
-                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][elem])
+                out.extend((name_index[n], s) for n, s in stab_words[letter.vertex][letter.element])
         return tuple(out)
 
     def carry(table, other, start):

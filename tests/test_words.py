@@ -4,12 +4,14 @@ import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
                                 simplex_action)
+from graphpres.cli import action_from_json
 from graphpres.graphs import OrientedEdge
 from graphpres.perms import identity, transposition
 from graphpres.words import (EdgeLetter, Presentation, StabLetter, cyclic_normal_form,
                              edge_relation, edge_word, evaluate_word_in_G, inverse_letters,
                              least_rotation, loop_relation, normal_form, read_json,
                              rewrite_word_to_E1, trace_path)
+from test_pinned import ACTIONS
 
 
 def test_evaluate_empty_word():
@@ -35,12 +37,12 @@ def test_free_reduce_cancels_and_folds():
     ag = inp.ag
     h = ag.generator_labels["h"]
     e = OrientedEdge(0, 1)
-    w = (StabLetter(0, h, 1), StabLetter(0, h, 1), StabLetter(0, h, 1),
+    w = (StabLetter(0, h), StabLetter(0, h), StabLetter(0, h),
          EdgeLetter(e, 1), EdgeLetter(e, -1))
     assert normal_form(w, ag) == ()
-    w2 = (StabLetter(0, h, 1), StabLetter(0, h, -1))
+    w2 = (StabLetter(0, h), StabLetter(0, ag.group.inverse(h)))
     assert normal_form(w2, ag) == ()
-    w3 = (StabLetter(0, h, 1), StabLetter(0, h, 1))
+    w3 = (StabLetter(0, h), StabLetter(0, h))
     (letter,) = normal_form(w3, ag)
     assert letter.element == ag.group.product(h, h)
 
@@ -147,7 +149,7 @@ def test_edge_loop_relation_squares():
     e = OrientedEdge(0, 1)
     rel = loop_relation((0, 1, 0), inp.ag, inp.sc)
     square = inp.ag.group.product(inp.sc.s[e], inp.sc.s[e])
-    assert rel == (EdgeLetter(e, -1), EdgeLetter(e, -1), StabLetter(0, square, 1))
+    assert rel == (EdgeLetter(e, -1), EdgeLetter(e, -1), StabLetter(0, square))
     assert evaluate_word_in_G(rel, inp.ag, inp.sc) == 0
     # the flip squares to the identity here, so the relator is plain g^-2
     assert normal_form(rel, inp.ag) == (EdgeLetter(e, -1), EdgeLetter(e, -1))
@@ -155,7 +157,7 @@ def test_edge_loop_relation_squares():
     bi = binary_icosahedral_action()
     rel2 = loop_relation((0, 1, 0), bi.input.ag, bi.input.sc)
     letters = normal_form(rel2, bi.input.ag)
-    assert letters[-1] == StabLetter(0, bi.named["c"], 1)
+    assert letters[-1] == StabLetter(0, bi.named["c"])
 
 
 def test_tautological_relation():
@@ -184,8 +186,8 @@ def test_rewrite_dodecahedron_conjugation():
     h = ag.generator_labels["h"]
     e3 = ag.apply_edge(h, OrientedEdge(0, 1))
     out = rewrite_word_to_E1(edge_word(e3), ag, sc)
-    assert out == (StabLetter(0, h, 1), EdgeLetter(OrientedEdge(0, 1), 1),
-                   StabLetter(0, h, -1))
+    assert out == (StabLetter(0, h), EdgeLetter(OrientedEdge(0, 1), 1),
+                   StabLetter(0, ag.group.inverse(h)))
 
 
 def test_rewrite_simplex_conjugation():
@@ -195,8 +197,8 @@ def test_rewrite_simplex_conjugation():
     e3 = ag.apply_edge(s2, OrientedEdge(0, 1))
     assert e3 == OrientedEdge(0, 2)
     out = rewrite_word_to_E1(edge_word(e3), ag, sc)
-    assert out == (StabLetter(0, s2, 1), EdgeLetter(OrientedEdge(0, 1), 1),
-                   StabLetter(0, s2, -1))
+    assert out == (StabLetter(0, s2), EdgeLetter(OrientedEdge(0, 1), 1),
+                   StabLetter(0, ag.group.inverse(s2)))
 
 
 def test_rewrite_preserves_evaluation(rng):
@@ -211,7 +213,7 @@ def test_rewrite_preserves_evaluation(rng):
                 if rng.random() < 0.6:
                     letters.append(EdgeLetter(rng.choice(edges), rng.choice((1, -1))))
                 else:
-                    letters.append(StabLetter(0, rng.choice(stab), rng.choice((1, -1))))
+                    letters.append(StabLetter(0, rng.choice(stab)))
             w = tuple(letters)
             out = rewrite_word_to_E1(w, ag, sc)
             for letter in out:
@@ -272,14 +274,48 @@ def test_cyclic_normal_form_rotation_and_inversion():
     ag = inp.ag
     h = ag.generator_labels["h"]
     e = OrientedEdge(0, 1)
-    w1 = (EdgeLetter(e, 1), StabLetter(0, h, 1)) * 3
+    h_inv = ag.group.inverse(h)
+    w1 = (EdgeLetter(e, 1), StabLetter(0, h)) * 3
     # a rotated and inverted variant
-    w2 = (StabLetter(0, h, -1), EdgeLetter(e, -1)) * 3
-    assert w2 == inverse_letters(w1)
+    w2 = (StabLetter(0, h_inv), EdgeLetter(e, -1)) * 3
+    assert w2 == inverse_letters(w1, ag)
     assert cyclic_normal_form(w1, ag) == cyclic_normal_form(w2, ag)
     # conjugation disappears cyclically
-    w3 = (StabLetter(0, h, 1),) + w1 + (StabLetter(0, h, -1),)
+    w3 = (StabLetter(0, h),) + w1 + (StabLetter(0, h_inv),)
     assert cyclic_normal_form(w3, ag) == cyclic_normal_form(w1, ag)
+
+
+def test_word_layer_at_several_base_vertices(rng):
+    # the flip of the dihedral prism fixes its base vertices 0, 4 and 8, so
+    # one element names a letter at each of them; these must not fold
+    inp = action_from_json(ACTIONS["prism-4x3-dihedral"], "prism")
+    ag, sc = inp.ag, inp.sc
+    stabs = {v: ag.stabilizer(v) for v in sc.base_vertices}
+    assert sorted(stabs) == [0, 4, 8] and all(len(stab) == 2 for stab in stabs.values())
+    flips = tuple(StabLetter(v, x) for v, stab in stabs.items() for x in stab if x)
+    assert len(flips) == 3 and normal_form(flips, ag) == flips
+    edges = sorted(sc.s)
+    for _ in range(300):
+        letters = []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.5:
+                letters.append(EdgeLetter(rng.choice(edges), rng.choice((1, -1))))
+            else:
+                v = rng.choice(sc.base_vertices)
+                letters.append(StabLetter(v, rng.choice(stabs[v])))
+        w = tuple(letters)
+        inverse = inverse_letters(w, ag)
+        assert inverse_letters(inverse, ag) == w
+        assert normal_form(w + inverse, ag) == ()
+        reduced = normal_form(w, ag)
+        assert evaluate_word_in_G(reduced, ag, sc) == evaluate_word_in_G(w, ag, sc)
+        assert all(isinstance(x, EdgeLetter) or x.element for x in reduced)
+        for x, y in zip(reduced, reduced[1:]):  # no two adjacent letters interact
+            assert x[0] != y[0] or (isinstance(x, EdgeLetter) and x.sign == y.sign)
+        form = cyclic_normal_form(w, ag)
+        assert cyclic_normal_form(inverse, ag) == form
+        r = rng.randrange(len(w) + 1)
+        assert cyclic_normal_form(w[r:] + w[:r], ag) == form
 
 
 def test_least_rotation_matches_every_rotation(rng):
