@@ -8,7 +8,7 @@ example carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derive import DerivationInput, StabilizerData
 from .golden import GoldenQuat, QUAT_C, Vec3, from_numerators, numerators
@@ -54,12 +54,6 @@ def simplex_action(n: int) -> DerivationInput:
     return DerivationInput(ag, sc, ((0, 1, 2, 0),), stabilizers, {"g[0]": "s1"}, f"simplex:{n}")
 
 
-def standard_symmetric_presentation(n: int) -> Presentation:
-    """The adjacent-swap presentation of the symmetric group on n points."""
-    names = [f"s{i}" for i in range(1, n)]
-    return Presentation.from_strings(names, _standard_sym_relators(names))
-
-
 def dihedral_cycle_action(n: int) -> DerivationInput:
     """The dihedral group of order 2n on the n-cycle."""
     if n < 3:
@@ -89,8 +83,7 @@ def dodecahedron_action() -> DerivationInput:
     return DerivationInput(ag, sc, (model.base_loop,), stabilizers, {"g[0]": "g"}, "dodecahedron")
 
 
-@dataclass(frozen=True)
-class BinaryIcosahedral:
+class BinaryIcosahedral(NamedTuple):
     input: DerivationInput
     quats: tuple[GoldenQuat, ...]         # element index -> quaternion
     named: dict[str, int]                 # h, s1, c, f
@@ -126,8 +119,7 @@ def binary_icosahedral_action() -> BinaryIcosahedral:
     return BinaryIcosahedral(inp, tuple(quats), named)
 
 
-@dataclass(frozen=True)
-class TruncatedDodecahedron:
+class TruncatedDodecahedron(NamedTuple):
     """The corner-truncated dodecahedron graph with its free rotation action.
 
     Vertices of Y are corner flags (vertex, neighbor) of the dodecahedron,

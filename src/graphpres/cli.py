@@ -73,27 +73,17 @@ def action_from_json(data: dict, name: str = "action") -> DerivationInput:
     return auto_derivation_input(*action_graph_from_json(data), name)
 
 
-def action_to_json(inp: DerivationInput) -> dict:
-    ag = inp.ag
-    return {
-        "vertices": ag.graph.vertex_count,
-        "edges": [list(e) for e in sorted(ag.graph.edges)],
-        "generators": {name: list(ag.action[idx])
-                       for name, idx in sorted(ag.generator_labels.items())},
-        "orbit_reps": list(inp.sc.base_vertices),
-        "loops": [list(loop) for loop in inp.loops],
-    }
-
-
 def _read_json_file(path: Path):
-    """A file's JSON data; text that is not JSON, or not UTF-8, is an input
-    error that names the file."""
+    """A file's JSON data; text that is not JSON, not UTF-8, or nested past
+    the parser's recursion limit is an input error that names the file."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read") from None
 
 
 def _load_input(args) -> DerivationInput:
@@ -317,62 +307,106 @@ def _add_source(sub, required=True):
     group.add_argument("--action", help="path to an action JSON file")
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is one `graphpres <cmd>: error: ...` line and exit 2,
-    like every other input error; subcommand parsers share the class."""
-
-    def error(self, message):
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="graphpres", description="presentations from graph actions")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("derive", help="derive a presentation from an action")
+def _derive_arguments(p) -> None:
     _add_source(p)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--verify", action="store_true",
                    help="enumerate and reconstruct the graph afterwards")
     p.add_argument("--limit", type=positive_int, default=COSET_LIMIT)
-    p.set_defaults(func=cmd_derive)
 
-    p = subs.add_parser("verify", help="verify a stored presentation against an action")
+
+def _verify_arguments(p) -> None:
     p.add_argument("presentation", help="presentation JSON file")
     _add_source(p)
     p.add_argument("--limit", type=positive_int, default=COSET_LIMIT)
-    p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("coxeter-check", help="run the double-cover implication checks")
-    p.set_defaults(func=cmd_coxeter_check)
 
-    p = subs.add_parser("export-cayley", help="write a Cayley diagram as DOT")
+def _export_cayley_arguments(p) -> None:
     _add_source(p)
     p.add_argument("--gens", required=True,
                    help="comma-separated generator names, ^-1 marks inverses")
     p.add_argument("--out", default="-", help="output file, - for stdout")
-    p.set_defaults(func=cmd_export_cayley)
 
-    p = subs.add_parser("export-graph", help="write the action's graph as DOT")
+
+def _export_graph_arguments(p) -> None:
     _add_source(p)
     p.add_argument("--out", default="-", help="output file, - for stdout")
-    p.set_defaults(func=cmd_export_graph)
 
-    p = subs.add_parser("list-builtins", help="list builtin action names")
-    p.set_defaults(func=cmd_list_builtins)
+
+def _no_arguments(p) -> None:
+    pass
+
+
+# command -> (help, argument builder, handler), in the order help lists them
+COMMANDS = {
+    "derive": ("derive a presentation from an action", _derive_arguments, cmd_derive),
+    "verify": ("verify a stored presentation against an action", _verify_arguments,
+               cmd_verify),
+    "coxeter-check": ("run the double-cover implication checks", _no_arguments,
+                      cmd_coxeter_check),
+    "export-cayley": ("write a Cayley diagram as DOT", _export_cayley_arguments,
+                      cmd_export_cayley),
+    "export-graph": ("write the action's graph as DOT", _export_graph_arguments,
+                     cmd_export_graph),
+    "list-builtins": ("list builtin action names", _no_arguments, cmd_list_builtins),
+}
+
+
+def _usage_error(prog: str, message: str):
+    """A usage error is one `<prog>: error: ...` line and exit 2, like every
+    other input error."""
+    sys.stderr.write(f"{prog}: error: {message}\n")
+    sys.exit(EXIT_INPUT)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        _usage_error(self.prog, message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with a subparser `graphpres <cmd>` for each command."""
+    parser = _Parser(prog="graphpres", description="presentations from graph actions")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
+def parse_command(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command that argv names and its arguments.
+
+    When argv[0] is a command, only that command's parser is built: the
+    full parser hands a subparser every argument after the command and
+    reports what it leaves over as its own `graphpres: error:
+    unrecognized arguments`, which is done here the same way.  Any other
+    argv (none, -h, an unknown command) goes to the full parser.
+    """
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments, _ = COMMANDS[argv[0]]
+        parser = _Parser(prog=f"graphpres {argv[0]}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            _usage_error("graphpres", f"unrecognized arguments: {' '.join(extras)}")
+        return argv[0], args
+    args = build_parser().parse_args(argv)
+    return args.command, args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = parse_command(sys.argv[1:] if argv is None else list(argv))
+    _, _, run = COMMANDS[command]
     try:
-        return args.func(args)
+        return run(args)
     except (InputError, DerivationInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EnumerationLimitError, ClosureLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError:
+        print(f"error: {command} ran out of memory", file=sys.stderr)
         return EXIT_LIMIT
 
 

@@ -35,8 +35,7 @@ Theory, ch. 5) gives, for these reasons:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, bfs_tree
 from .words import Presentation
@@ -50,8 +49,8 @@ SignedWord = Sequence[tuple[int, int]]  # (generator index, +-1)
 
 
 class EnumerationLimitError(RuntimeError):
-    def __init__(self, limit: int, defined: int, live: int):
-        super().__init__(f"coset limit {limit} exceeded ({defined} defined, {live} live)")
+    def __init__(self, limit: int, defined: int, live: int, where: str = ""):
+        super().__init__(f"{where}coset limit {limit} exceeded ({defined} defined, {live} live)")
         self.limit = limit
         self.defined = defined
         self.live = live
@@ -74,8 +73,7 @@ def _power(word: list[int]) -> tuple[list[int], int]:
     return word, 1
 
 
-@dataclass(frozen=True)
-class EnumerationStats:
+class EnumerationStats(NamedTuple):
     """Counters of one enumeration."""
 
     defined: int  # cosets defined, coset 0 included

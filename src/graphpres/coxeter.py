@@ -14,8 +14,7 @@ z^2 = 1, reading s, t and z off the one spelling `_S`, `_T`, `_Z`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .builtins import TruncatedDodecahedron, truncated_dodecahedron
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
@@ -95,8 +94,7 @@ def _maps_to_identity(pres: Presentation, src: CosetTable,
                for rel in pres.relators)
 
 
-@dataclass(frozen=True)
-class ImplicationReport:
+class ImplicationReport(NamedTuple):
     ok: bool
     group_order: int
     z_order: int
@@ -144,15 +142,14 @@ def coxeter_implication_check() -> ImplicationReport:
     return ImplicationReport(ok, group.order, z_order, z_central, quotient.n, tuple(checks))
 
 
-@dataclass
-class CoxeterContext:
+class CoxeterContext(NamedTuple):
     """The universal group enumerated, with its lift of the edge labeling of
     the truncated dodecahedron."""
 
     Y: TruncatedDodecahedron
     group: FiniteGroupTable                # the universal group, 120 elements
     z: int
-    tau: dict[OrientedEdge, int] = field(default_factory=dict)
+    tau: dict[OrientedEdge, int]
 
     def product_along(self, path: Sequence[int]) -> int:
         acc = 0
@@ -208,8 +205,7 @@ def build_coxeter_context() -> CoxeterContext:
     return CoxeterContext(Y, cover, z, tau)
 
 
-@dataclass(frozen=True)
-class FaceBoundaryReport:
+class FaceBoundaryReport(NamedTuple):
     ok: bool
     face_products_are_z: bool
     vertex_count: int
@@ -237,8 +233,7 @@ def face_boundary_check(ctx: CoxeterContext | None = None) -> FaceBoundaryReport
     return FaceBoundaryReport(ok, all_z, v, e, pentagon, e - pentagon, f, euler, z2)
 
 
-@dataclass(frozen=True)
-class DiscOrdering:
+class DiscOrdering(NamedTuple):
     ok: bool
     order: tuple[int, ...]
     detail: str = ""

@@ -17,9 +17,8 @@ the representatives:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coset import STABILIZER_COSET_LIMIT, EnumerationLimitError, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
@@ -27,31 +26,30 @@ from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_invers
                      first_carriers, loop_problem)
 from .perms import FiniteGroupTable, bfs_tree
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
-from .words import (EdgeLetter, Presentation, StabLetter, Word, cyclic_normal_form,
-                    cyclic_reduce, edge_relation, edge_word, free_reduce, inverse_letters,
-                    inverse_word, least_rotation, loop_relation, normal_form, read_json,
-                    rewrite_word_to_E1, tietze_reduce)
+from .words import (CheckedRecord, EdgeLetter, Presentation, StabLetter, Word,
+                    cyclic_normal_form, cyclic_reduce, edge_relation, edge_word, free_reduce,
+                    inverse_letters, inverse_word, least_rotation, loop_relation, normal_form,
+                    read_json, rewrite_word_to_E1, tietze_reduce)
 
 
-@dataclass(frozen=True)
-class StabilizerData:
+class StabilizerData(CheckedRecord):
     """A presentation of one vertex stabilizer plus its evaluation map."""
 
-    presentation: Presentation
-    gen_elements: dict[str, int]
+    __slots__ = ("presentation", "gen_elements")
 
-    def __post_init__(self):
-        if set(self.presentation.generators) != set(self.gen_elements):
+    def __init__(self, presentation: Presentation, gen_elements: dict[str, int]):
+        if set(presentation.generators) != set(gen_elements):
             raise ValueError("presentation generators and evaluation map disagree")
+        self.presentation = presentation
+        self.gen_elements = gen_elements
 
 
-@dataclass
-class DerivationInput:
+class DerivationInput(NamedTuple):
     ag: ActionedGraph
     sc: Scaffolding
     loops: tuple[tuple[int, ...], ...]
     stabilizers: dict[int, StabilizerData]
-    suggested_renaming: dict[str, str] = field(default_factory=dict)
+    suggested_renaming: dict[str, str]
     name: str = ""
     loop_source: str = "given"  # "given", "picked" or "fundamental"
 
@@ -93,7 +91,8 @@ def validate_input(inp: DerivationInput) -> None:
         try:
             table = todd_coxeter(data.presentation, limit=STABILIZER_COSET_LIMIT)
         except EnumerationLimitError as exc:
-            raise DerivationInputError(f"stabilizer presentation at {v} did not close") from exc
+            raise EnumerationLimitError(exc.limit, exc.defined, exc.live,
+                                        f"stabilizer presentation at {v}: ") from None
         if table.n != len(stab):
             raise DerivationInputError(
                 f"stabilizer presentation at {v} has order {table.n}, action says {len(stab)}")
@@ -104,8 +103,7 @@ def validate_input(inp: DerivationInput) -> None:
             raise DerivationInputError(f"path {loop} does not begin and end at base vertices")
 
 
-@dataclass
-class DerivedPresentation:
+class DerivedPresentation(NamedTuple):
     presentation: Presentation
     families: dict[str, int]               # relator counts per family
     edge_gens: dict[str, OrientedEdge]     # edge generator name -> representative

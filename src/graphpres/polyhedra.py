@@ -10,7 +10,7 @@ points over one common denominator (`golden.numerators`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, _conj, _hamilton, dot,
                      from_numerators, golden_sign, golden_sqrt, numerators, quat_from_rotation,
@@ -51,8 +51,7 @@ def _rotation_perm(rows: list[tuple[int, ...]], d: int, q: GoldenQuat) -> Perm:
     return perm(index[_hamilton(_hamilton(q.n, (0, 0) + r + (d,)), qc)[2:8]] for r in rows)
 
 
-@dataclass(frozen=True)
-class DodecahedronModel:
+class DodecahedronModel(NamedTuple):
     graph: Graph
     coords: tuple[Vec3, ...]
     labels: dict[str, int]          # v, w1..w3, a..f

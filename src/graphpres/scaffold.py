@@ -12,13 +12,13 @@ canonical deterministic choices satisfying the regularity conditions
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .graphs import (ActionedGraph, OrientedEdge, edge_orbits_at, find_inversion,
                      first_carriers, orbit_of_vertex, vertex_orbits)
 
 
-@dataclass(frozen=True)
-class Scaffolding:
+class Scaffolding(NamedTuple):
     """Each choice is stored once; the representatives E0 are the keys of
     `iota`."""
 
@@ -144,8 +144,7 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
     return Scaffolding(base_vertices, base_of, tree_edges, pair_reps, s, iota, rep_decomposition)
 
 
-@dataclass(frozen=True)
-class RegularityViolation:
+class RegularityViolation(NamedTuple):
     condition: str
     edge: OrientedEdge
     element: int | None = None

@@ -73,8 +73,7 @@ g = h^+-1) is substituted away, to a fixpoint.  This is sound for these reasons:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coset import (COSET_LIMIT, STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError,
                     todd_coxeter)
@@ -85,8 +84,7 @@ from .scaffold import Scaffolding
 from .words import Presentation, TietzeReduction, inverse_word, tietze_reduce
 
 
-@dataclass(frozen=True)
-class OrderCheck:
+class OrderCheck(NamedTuple):
     """The order check's verdict.
 
     `enumerated` is the proven order, or the count a failed enumeration
@@ -197,8 +195,7 @@ def _subgroup_key(words: Iterable[tuple]) -> tuple:
     return tuple(dict.fromkeys(spelling(w) for w in words if w))
 
 
-@dataclass
-class KozsulModel:
+class KozsulModel(NamedTuple):
     """The graph rebuilt from the presented group, with its map back to X.
 
     Vertices are pairs (base vertex, coset) over the per-base-vertex coset
@@ -302,8 +299,7 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     return KozsulModel(vertices, edges, f, tables)
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(NamedTuple):
     ok: bool
     model_vertices: int
     graph_vertices: int

@@ -12,7 +12,6 @@ forms in the free product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .graphs import ActionedGraph, OrientedEdge
@@ -313,22 +312,47 @@ def _expected(path: str, expected: str, value) -> NoReturn:
     raise ValueError(f"{path or 'the file'}: expected {expected}, got {got}")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class CheckedRecord:
+    """Fields named by `__slots__`, compared, hashed and shown by value as a
+    NamedTuple's are.  Unlike a NamedTuple, every construction runs
+    `__init__`, where a subclass checks its fields: `_replace` and `_make`
+    would skip a check made in `__new__`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Presentation(CheckedRecord):
     """Generator names and relators as signed sequences over them."""
 
-    generators: tuple[str, ...]
-    relators: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple[str, ...],
+                 relators: tuple[tuple[tuple[int, int], ...], ...]):
         first: dict[str, int] = {}
-        for j, name in enumerate(self.generators):
+        for j, name in enumerate(generators):
             if first.setdefault(name, j) != j:
                 raise ValueError(f"generators[{j}]: repeated generator name {name!r}")
-        for k, rel in enumerate(self.relators):
+        for k, rel in enumerate(relators):
             for j, (idx, sign) in enumerate(rel):
-                if not 0 <= idx < len(self.generators) or sign not in (1, -1):
+                if not 0 <= idx < len(generators) or sign not in (1, -1):
                     raise ValueError(f"relators[{k}][{j}]: expected a generator and 1 or -1")
+        self.generators = generators
+        self.relators = relators
 
     @staticmethod
     def from_strings(generators: Sequence[str], relators: Iterable[Sequence[tuple[str, int]]]) -> Presentation:
@@ -351,8 +375,7 @@ class Presentation:
                 "relators": [[[self.generators[i], s] for i, s in rel] for rel in self.relators]}
 
 
-@dataclass(frozen=True)
-class TietzeReduction:
+class TietzeReduction(NamedTuple):
     """A presentation with the generators that short relators pin down removed.
 
     `pins[g]` says what original generator g became: (k, s) for generator k

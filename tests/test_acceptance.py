@@ -9,9 +9,7 @@ import random
 import time
 
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
-                                dodecahedron_action, simplex_action,
-                                standard_symmetric_presentation,
-                                truncated_dodecahedron)
+                                dodecahedron_action, simplex_action, truncated_dodecahedron)
 from graphpres.coset import EnumerationLimitError, todd_coxeter
 from graphpres.coxeter import (build_coxeter_context, coxeter_implication_check,
                                coxeter_substitution, face_boundary_check,
@@ -25,6 +23,8 @@ from graphpres.scaffold import validate_regularity
 from graphpres.verify import (abelianization_smith, build_kozsul_model,
                               check_covering_isomorphism)
 from graphpres.words import Presentation
+
+from test_coset import standard_symmetric_presentation
 
 
 def _verdict(number: int, ok: bool, detail: str, started: float, budget: float):
@@ -196,8 +196,7 @@ def test_criterion_8_property_suites():
     checked.append(("d", local))
 
     # (e) negative control: no loop relations
-    inp = dodecahedron_action()
-    inp.loops = ()
+    inp = dodecahedron_action()._replace(loops=())
     derived = derive_presentation(inp)
     negative = False
     try:

@@ -9,7 +9,7 @@ import pytest
 import graphpres.builtins
 import graphpres.cli
 import graphpres.derive
-from graphpres.cli import InputError, action_from_json, action_to_json, main
+from graphpres.cli import COMMANDS, InputError, action_from_json, main
 
 
 def run(capsys, *argv):
@@ -148,19 +148,6 @@ def test_export_graph(tmp_path, capsys):
     assert code == 0 and out.count(" -- ") == 30
     code, out, _ = run(capsys, "export-graph", "--builtin", "truncated-dodecahedron")
     assert code == 0 and out.count(" -- ") == 90
-
-
-def test_action_round_trip_byte_identical(tmp_path, capsys):
-    from graphpres.derive import derive_presentation, derived_to_json
-    action = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
-              "generators": {"r": [1, 2, 3, 0], "m": [0, 3, 2, 1]}}
-    inp1 = action_from_json(action, "square")
-    exported = action_to_json(inp1)
-    inp2 = action_from_json(exported, "square")
-    d1 = json.dumps(derived_to_json(derive_presentation(inp1)), sort_keys=True)
-    d2 = json.dumps(derived_to_json(derive_presentation(inp2)), sort_keys=True)
-    assert d1 == d2
-    assert action_to_json(inp2) == exported
 
 
 @pytest.mark.parametrize("name, message", [
@@ -429,11 +416,14 @@ def test_complete_graph_k6_derives_with_schreier_stabilizers(tmp_path, capsys):
     assert report["relator_count"] <= 60
 
 
-@pytest.mark.parametrize("argv", [
-    ["derive", "--builtin", "dihedral:5", "--limit", "0"],
-    ["derive", "--builtin", "dihedral:5", "--verify", "--limit", "-3"],
-    ["verify", "missing.json", "--builtin", "dihedral:5", "--limit", "0"],
-], ids=["derive-zero", "derive-negative", "verify-zero"])
+BAD_LIMITS = {
+    "derive-zero": ["derive", "--builtin", "dihedral:5", "--limit", "0"],
+    "derive-negative": ["derive", "--builtin", "dihedral:5", "--verify", "--limit", "-3"],
+    "verify-zero": ["verify", "missing.json", "--builtin", "dihedral:5", "--limit", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_LIMITS.values(), ids=BAD_LIMITS.keys())
 def test_limit_must_be_a_positive_integer(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -441,22 +431,117 @@ def test_limit_must_be_a_positive_integer(capsys, argv):
     assert "error: argument --limit:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, prog, message", [
-    (["derive", "--builtin", "dihedral:5", "--no-such-flag"], "graphpres",
-     "unrecognized arguments: --no-such-flag"),
-    (["derive", "--out", "out"], "graphpres derive",
-     "one of the arguments --builtin --action is required"),
-    (["verify", "x.json", "--builtin", "dihedral:5", "--limit", "abc"], "graphpres verify",
-     "argument --limit: invalid positive_int value: 'abc'"),
-    (["coxeter-check", "--limit", "5"], "graphpres", "unrecognized arguments: --limit 5"),
-], ids=["unknown-flag", "missing-source", "verify-limit-not-a-number",
-        "coxeter-check-has-no-limit"])
+USAGE_ERRORS = {
+    "unknown-flag": (["derive", "--builtin", "dihedral:5", "--no-such-flag"], "graphpres",
+                     "unrecognized arguments: --no-such-flag"),
+    "missing-source": (["derive", "--out", "out"], "graphpres derive",
+                       "one of the arguments --builtin --action is required"),
+    "verify-limit-not-a-number": (["verify", "x.json", "--builtin", "dihedral:5", "--limit",
+                                   "abc"], "graphpres verify",
+                                  "argument --limit: invalid positive_int value: 'abc'"),
+    "coxeter-check-has-no-limit": (["coxeter-check", "--limit", "5"], "graphpres",
+                                   "unrecognized arguments: --limit 5"),
+}
+
+
+@pytest.mark.parametrize("argv, prog, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_error_exits_2_with_one_line(capsys, argv, prog, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err == f"{prog}: error: {message}\n"
+
+
+PARSED = {
+    "derive": ["derive", "--builtin", "dihedral:5"],
+    "derive-all-options": ["derive", "--action", "a.json", "--out", "o", "--verify",
+                           "--limit", "7"],
+    "derive-abbreviated": ["derive", "--verif", "--act", "a.json"],
+    "verify": ["verify", "p.json", "--builtin", "dihedral:5", "--limit", "9"],
+    "coxeter-check": ["coxeter-check"],
+    "export-cayley": ["export-cayley", "--builtin", "dodecahedron", "--gens", "s1,h",
+                      "--out", "x.dot"],
+    "export-graph": ["export-graph", "--action", "a.json"],
+    "list-builtins": ["list-builtins"],
+    "after-double-dash": ["derive", "--builtin", "dihedral:5", "--", "extra"],
+    **{f"usage-{name}": argv for name, (argv, _, _) in USAGE_ERRORS.items()},
+    **{f"limit-{name}": argv for name, argv in BAD_LIMITS.items()},
+    "help": ["-h"],
+    **{f"help-{name}": [name, "-h"] for name in COMMANDS},
+    "no-arguments": [],
+    "unknown-command": ["icosahedron", "--builtin", "dihedral:5"],
+    "command-after-an-option": ["--no-such-flag", "derive"],
+}
+
+
+def parse_outcome(capsys, parse, argv):
+    """(namespace without `command`, exit code, stdout, stderr) of one parse."""
+    try:
+        args, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    if args is not None:
+        args.pop("command", None)
+    return args, code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSED.values(), ids=PARSED.keys())
+def test_one_command_parser_agrees_with_the_full_parser(capsys, monkeypatch, argv):
+    full = parse_outcome(capsys, lambda a: graphpres.cli.build_parser().parse_args(a), argv)
+
+    def no_full_parser():
+        raise AssertionError("full parser built for a command")
+
+    if argv and argv[0] in COMMANDS:
+        monkeypatch.setattr(graphpres.cli, "build_parser", no_full_parser)
+    one = parse_outcome(capsys, lambda a: graphpres.cli.parse_command(a)[1], argv)
+    assert one == full
+    assert full[1] in (None, 0, 2) and (full[0] is None) == (full[1] is not None)
+
+
+def test_import_generates_no_dataclass_code():
+    src = str(Path(graphpres.cli.__file__).parents[1])
+    probe = ("import sys, graphpres.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--action", "{deep}", "--out", "{tmp}"],
+    ["verify", "{deep}", "--builtin", "dihedral:5"],
+], ids=["action-file", "presentation-file"])
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *[arg.format(deep=deep, tmp=tmp_path) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {deep} is nested too deeply to read\n")
+
+
+def test_stabilizer_presentation_past_its_limit_exits_4(tmp_path, capsys, monkeypatch):
+    # K6 under S6: the Schreier presentation of the S5 at vertex 0 defines
+    # more than 50 cosets
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps({
+        "vertices": 6, "edges": [[a, b] for a in range(6) for b in range(a + 1, 6)],
+        "generators": {"s": [1, 0, 2, 3, 4, 5], "c": [1, 2, 3, 4, 5, 0]}}))
+    monkeypatch.setattr(graphpres.derive, "STABILIZER_COSET_LIMIT", 50)
+    code, out, err = run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: stabilizer presentation at 0: coset limit 50 exceeded (")
+
+
+def test_exhausted_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(graphpres.cli, "derive_presentation", exhausted)
+    code, out, err = run(capsys, "derive", "--builtin", "dihedral:5", "--out", str(tmp_path))
+    assert (code, out, err) == (4, "", "error: derive ran out of memory\n")
 
 
 def test_order_check_limit_exits_4(tmp_path, capsys):

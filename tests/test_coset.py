@@ -7,7 +7,6 @@ import graphpres.coxeter
 import graphpres.derive
 import graphpres.perms
 import graphpres.verify
-from graphpres.builtins import standard_symmetric_presentation
 from graphpres.cli import main
 from graphpres.coset import (CosetTable, EnumerationLimitError, EnumerationStats, _Enumerator,
                              _cols, todd_coxeter)
@@ -18,6 +17,20 @@ from test_pinned import ACTIONS
 
 def pres(gens, rels):
     return Presentation.from_strings(gens, rels)
+
+
+def standard_symmetric_presentation(n):
+    """The Coxeter presentation of S_n on the adjacent swaps s1 .. s(n-1):
+    squares, (x y)^3 for neighbouring swaps, commutators for distant ones."""
+    names = [f"s{i}" for i in range(1, n)]
+    rels = []
+    for i, x in enumerate(names):
+        rels.append([(x, 1)] * 2)
+        for j in range(i + 1, len(names)):
+            y = names[j]
+            rels.append([(x, 1), (y, 1)] * 3 if j == i + 1
+                        else [(x, 1), (y, 1), (x, -1), (y, -1)])
+    return pres(names, rels)
 
 
 CYCLIC3 = pres(["a"], [[("a", 1)] * 3])

@@ -6,7 +6,6 @@ Gamma when that bound does not decide.  Both routes must reach the same
 verdict and the same order as a direct `todd_coxeter` of the presentation.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -43,8 +42,7 @@ def without_first_loop_relator(derived):
     first = fam["stabilizer"] + fam["edge"] + fam["edge_loop"]
     rels = derived.presentation.relators
     kept = rels[:first] + rels[first + 1:]
-    return dataclasses.replace(derived,
-                               presentation=Presentation(derived.presentation.generators, kept))
+    return derived._replace(presentation=Presentation(derived.presentation.generators, kept))
 
 
 @pytest.mark.parametrize("name", NAMES)

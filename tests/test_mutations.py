@@ -3,12 +3,14 @@
 Every action of `test_pinned.ACTIONS`, written with the loops it derives
 with, and the presentation file `derive` writes for it, is mutated
 `MUTATIONS` times: a key is deleted, a value set to a string, a float, a
-bool or null, a list truncated or extended, a number put out of range, or a
-name duplicated.  Each mutated file runs under `--limit 2000` (`derive
---verify` for an action, `verify` for a presentation) and must exit 0, 2, 3
-or 4 without a traceback, print exactly one stderr line for codes 2 and 4
-and none otherwise, and a changed type must exit 2 with a message that
-names its JSON path.  `pytest --seed N` draws other mutations.
+bool or null, a list truncated or extended, a number put out of range, a
+name duplicated, or a value replaced by arrays nested `NESTING` deep.  Each
+mutated file runs under `--limit 2000` (`derive --verify` for an action,
+`verify` for a presentation) and must exit 0, 2, 3 or 4 without a
+traceback, print exactly one stderr line for codes 2 and 4 and none
+otherwise; a changed type must exit 2 with a message that names its JSON
+path, and deep nesting must exit 2 with a message that says so.
+`pytest --seed N` draws other mutations.
 """
 
 import copy
@@ -17,11 +19,32 @@ import random
 
 import pytest
 
-from graphpres.cli import action_from_json, action_to_json, main
+from graphpres.cli import action_from_json, main
 from test_pinned import ACTIONS
 
 MUTATIONS = 8  # per file and seed
 LIMIT = "2000"
+NESTING = 100_000  # past any recursion limit of the JSON parser
+NESTED = "<nested>"  # stands for the nested arrays until the file is written
+
+
+def action_file(name):
+    """The action file of `ACTIONS[name]` with the loops it derives with:
+    its edges sorted, its generators by name."""
+    inp = action_from_json(ACTIONS[name], name)
+    ag = inp.ag
+    return {
+        "vertices": ag.graph.vertex_count,
+        "edges": [list(e) for e in sorted(ag.graph.edges)],
+        "generators": {gen: list(ag.action[idx])
+                       for gen, idx in sorted(ag.generator_labels.items())},
+        "loops": [list(loop) for loop in inp.loops],
+    }
+
+
+def dump(data):
+    """JSON text of `data`, with the nested arrays where `NESTED` stands."""
+    return json.dumps(data).replace(json.dumps(NESTED), "[" * NESTING + "]" * NESTING)
 
 
 def nodes(value, path=""):
@@ -44,6 +67,7 @@ def mutate(data, rng):
     candidates = {
         "delete": [n for n in found if isinstance(n[1], dict)],
         "type": found,
+        "nest": found,
         "length": [n for n in found if isinstance(n[1][n[2]], list) and n[1][n[2]]],
         "range": [n for n in found if type(n[1][n[2]]) is int],
         # a name list, or a name map whose later key, written twice, wins
@@ -56,6 +80,8 @@ def mutate(data, rng):
     value = container[key]
     if kind == "delete":
         del container[key]
+    elif kind == "nest":
+        container[key] = NESTED
     elif kind == "type":
         container[key] = rng.choice([new for new in ("x", 0.5, True, None)
                                      if type(new) is not type(value)])
@@ -88,10 +114,8 @@ def run_cli(capsys, label, *argv):
 def test_mutated_files_exit_with_one_line(tmp_path, capsys, request, name, file_kind):
     seed = request.config.getoption("--seed")
     rng = random.Random(f"{seed}:{name}:{file_kind}")
-    data = action_to_json(action_from_json(ACTIONS[name], name))
-    del data["orbit_reps"]  # not read
     action = tmp_path / f"{name}.json"
-    action.write_text(json.dumps(data))
+    action.write_text(json.dumps(action_file(name)))
     code, _, _ = run_cli(capsys, name, "derive", "--action", str(action), "--out", str(tmp_path))
     assert code == 0
     original = tmp_path / f"{name}.presentation.json"
@@ -100,7 +124,7 @@ def test_mutated_files_exit_with_one_line(tmp_path, capsys, request, name, file_
     for _ in range(MUTATIONS):
         changed, kind, where = mutate(data, rng)
         label = f"{name} {file_kind}, {kind} at {where} (seed {seed})"
-        mutated.write_text(json.dumps(changed))
+        mutated.write_text(dump(changed))
         if file_kind == "action":
             argv = ["derive", "--action", str(mutated), "--verify", "--limit", LIMIT,
                     "--out", str(tmp_path / "out")]
@@ -111,3 +135,5 @@ def test_mutated_files_exit_with_one_line(tmp_path, capsys, request, name, file_
         assert err.count("\n") == (code in (2, 4)) and "Traceback" not in err, (label, err)
         if kind == "type":
             assert code == 2 and f": {where}: expected " in err, (label, err)
+        if kind == "nest":
+            assert code == 2 and err.endswith(" is nested too deeply to read\n"), (label, err)

@@ -44,7 +44,6 @@ to integer numerators over a common denominator.  So are the records of the
 scaffolding (`PINNED_SCAFFOLDINGS`), the choices the derivation reads.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -164,7 +163,7 @@ def scaffolding_text(name: str) -> str:
     items (an oriented edge is written as its [origin, target]), so that a
     record added or dropped changes the digest too."""
     inp = action_from_json(ACTIONS[name], name) if name in ACTIONS else load_builtin(name)
-    records = {f.name: getattr(inp.sc, f.name) for f in dataclasses.fields(inp.sc)}
+    records = inp.sc._asdict()
     return json.dumps({k: sorted(v.items()) if isinstance(v, dict) else v
                        for k, v in records.items()}, sort_keys=True)
 
@@ -245,7 +244,7 @@ def truncated_text() -> str:
 
 
 def face_boundary_text() -> str:
-    return json.dumps(dataclasses.asdict(face_boundary_check()), sort_keys=True)
+    return json.dumps(face_boundary_check()._asdict(), sort_keys=True)
 
 
 PINNED_MODELS = {

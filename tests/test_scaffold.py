@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
@@ -129,7 +127,7 @@ def test_regularity_violation_iii_detected():
     d = inp.ag.apply_edge(h, e)
     broken = dict(sc.s)
     broken[d] = inp.ag.group.product(sc.s[d], sc.s[d])  # not u s_e u^-1 any more
-    mutated = dataclasses.replace(sc, s=broken)
+    mutated = sc._replace(s=broken)
     violation = validate_regularity(mutated, inp.ag)
     assert violation is not None
 
@@ -144,7 +142,7 @@ def test_regularity_violation_i_detected():
                  if inp.ag.apply(i, 0) == 1 and inp.ag.apply(i, 1) != 0)
     broken = dict(sc.s)
     broken[e] = other
-    mutated = dataclasses.replace(sc, s=broken)
+    mutated = sc._replace(s=broken)
     violation = validate_regularity(mutated, inp.ag)
     assert violation is not None and violation.condition in ("i", "iii")
 
@@ -172,7 +170,7 @@ def prism_5x2():
 def test_regularity_violation_of_the_pairing_and_decompositions(build, change, condition):
     inp = build()
     assert validate_regularity(inp.sc, inp.ag) is None
-    violation = validate_regularity(dataclasses.replace(inp.sc, **change(inp.sc)), inp.ag)
+    violation = validate_regularity(inp.sc._replace(**change(inp.sc)), inp.ag)
     assert violation is not None and violation.condition == condition
 
 

@@ -233,8 +233,8 @@ def test_reduction_that_contradicts_an_original_relator_is_refused(monkeypatch):
                             "generators": {"r": [1, 2, 0]}}, "triangle")
     derived = derive_presentation(inp)
     (g,) = derived.presentation.generators
-    derived.presentation = Presentation.from_strings(
-        [g, "a"], [[(g, 1)] * 3, [("a", 1), (g, -1)]])
+    derived = derived._replace(presentation=Presentation.from_strings(
+        [g, "a"], [[(g, 1)] * 3, [("a", 1), (g, -1)]]))
     derived.gen_elements["a"] = derived.gen_elements[g]
     assert tietze_reduce(derived.presentation).pins == ((0, 1), (0, 1))
     assert check_covering_isomorphism(build_kozsul_model(derived, inp.ag, inp.sc), inp.ag).ok

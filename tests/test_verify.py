@@ -32,7 +32,7 @@ def test_order_check_detects_dropped_relator():
     d = derive_presentation(inp)
     kept = tuple(rel for rel in d.presentation.relators if len(rel) < 8)
     assert len(kept) == len(d.presentation.relators) - 1  # the long loop relator goes
-    d.presentation = Presentation(d.presentation.generators, kept)
+    d = d._replace(presentation=Presentation(d.presentation.generators, kept))
     check = presentation_order_check(d, inp.ag, limit=20_000)
     assert not check.ok
     assert "exceeded" in check.detail
@@ -81,8 +81,7 @@ def test_kozsul_double_cover_quotient():
 def test_kozsul_detects_missing_loop_relation():
     # with no loops the presented group is infinite here, so the order check
     # must fail by hitting the enumeration limit rather than concluding
-    inp = dodecahedron_action()
-    inp.loops = ()
+    inp = dodecahedron_action()._replace(loops=())
     d = derive_presentation(inp)
     check = presentation_order_check(d, inp.ag, limit=20_000)
     assert not check.ok

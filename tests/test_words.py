@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
@@ -124,7 +122,7 @@ def test_trace_rejects_bad_paths():
     # a carrier that does not reach the edge's target: the square under D4
     # with s_(0,1) replaced by the identity
     inp3 = dihedral_cycle_action(4)
-    sc = dataclasses.replace(inp3.sc, s={**inp3.sc.s, OrientedEdge(0, 1): 0})
+    sc = inp3.sc._replace(s={**inp3.sc.s, OrientedEdge(0, 1): 0})
     with pytest.raises(ValueError, match=r"^trace lost the path at 0,1; bad scaffolding$"):
         trace_path((0, 1), inp3.ag, sc)
 
