@@ -17,8 +17,8 @@ from .perms import (FiniteGroupTable, Perm, identity, perm, perm_compose, perm_i
                     require_listable, transposition, tree_fold)
 from .polyhedra import (DodecahedronModel, dodecahedron_model, icosian_group,
                         orient_clockwise)
+from .presentation import Presentation
 from .scaffold import build_regular_scaffolding
-from .words import Presentation
 
 
 def _standard_sym_relators(names: list[str]) -> list[list[tuple[str, int]]]:

@@ -2,34 +2,34 @@
 
 Subcommands: derive, verify, coxeter-check, export-cayley, export-graph,
 list-builtins.  Exit codes: 0 success, 2 input error, 3 verification
-failure, 4 resource limit.
+failure, 4 resource limit, 141 (128 + SIGPIPE) a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import builtins as builtin_actions
 from .coset import COSET_LIMIT, EnumerationLimitError
 from .coxeter import coxeter_implication_check
-from .derive import (DerivationInput, DerivationInputError, DerivedPresentation,
-                     auto_derivation_input, derive_presentation,
-                     derived_from_json, derived_to_json)
+from .derive import (DerivationInput, DerivationInputError, auto_derivation_input,
+                     derive_presentation)
 from .dot import export_cayley_dot, export_graph_dot
 from .graphs import ActionedGraph, Graph, degree_problem, validate_action
 from .perms import ClosureLimitError, perm
-from .scaffold import Scaffolding, build_regular_scaffolding
-from .verify import (build_kozsul_model, check_covering_isomorphism,
-                     presentation_order_check)
-from .words import read_json
+from .presentation import read_json
+from .verify import (build_kozsul_model, check_covering_isomorphism, derived_from_json,
+                     derived_to_json, presentation_file_problem, presentation_order_check)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_LIMIT = 4
+EXIT_PIPE = 141
 
 
 class InputError(ValueError):
@@ -102,34 +102,26 @@ def _load_action(args) -> ActionedGraph:
     return action_graph_from_json(_read_json_file(Path(args.action)))[0]
 
 
-def _verification_report(derived, ag, sc, limit: int) -> tuple[dict, int]:
-    """The verification report and its exit code.
-
-    The order check refutes what it can before anything is enumerated:
-    generation, relator soundness, and the abelianization of the
-    Tietze-reduced presentation.  Only then does it ask for the
-    reconstruction, over that same reduction, whose coset tables give its
-    Lagrange bound the index it needs.  When the reconstruction stops at
-    the limit, the order check enumerates the presented group in full; the
-    stop is reported (exit 4) only after that check has passed, with the
-    order check and no reconstruction.
+def _verification_report(derived, ag, limit: int) -> tuple[dict, int]:
+    """The verification report and its exit code.  The order check asks for
+    the reconstruction (its Lagrange bound's index) only after its
+    refutations; a reconstruction stopped at the limit is reported (exit 4)
+    once the full enumeration has proved the order, without a reconstruction.
     """
     model, stopped = None, None
 
     def reconstruct(reduction):
         nonlocal model, stopped
         try:
-            model = build_kozsul_model(derived, ag, sc, limit=limit, reduction=reduction)
+            model = build_kozsul_model(derived, ag, limit=limit, reduction=reduction)
         except EnumerationLimitError as exc:
             stopped = exc
         return model
 
     order = presentation_order_check(derived, ag, limit=limit, reconstruct=reconstruct)
-    check = {"ok": order.ok, "enumerated": order.enumerated, "expected": order.expected,
-             "detail": order.detail, "proof": order.proof}
-    if order.proof == "lagrange":
-        check.update(base_vertex=order.base_vertex, index=order.index,
-                     stabilizer_order=order.stabilizer_order)
+    check = order._asdict()
+    if order.proof != "lagrange":  # only a Lagrange proof names these
+        del check["base_vertex"], check["index"], check["stabilizer_order"]
     report = {"order_check": check}
     if not order.ok:
         # only the full enumeration stops without a verdict: the witnesses
@@ -170,48 +162,12 @@ def cmd_derive(args) -> int:
                         str(out_dir / f"{stem}.relators.txt")]}
     code = EXIT_OK
     if args.verify:
-        vreport, code = _verification_report(derived, inp.ag, inp.sc, args.limit)
+        vreport, code = _verification_report(derived, inp.ag, args.limit)
         report.update(vreport)
         if code == EXIT_OK:
             report["order"] = vreport["order_check"]["enumerated"]
     print(json.dumps(report, indent=2, sort_keys=True))
     return code
-
-
-def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph,
-                              sc: Scaffolding) -> str | None:
-    """The first reason a stored presentation does not fit the action, or None.
-
-    Every generator must name a group element; edge generators must name
-    each pairing representative of the scaffolding once; stabilizer
-    generators must belong to base vertices and generate their stabilizers.
-    """
-    group = ag.group
-    generators = set(derived.presentation.generators)
-    for name in derived.presentation.generators:
-        if name not in derived.gen_elements:
-            return f"generator {name} has no group element"
-    for name in [*derived.edge_gens, *derived.stab_owners]:
-        if name not in generators:
-            return f"{name} is not a generator of the presentation"
-    for name, elem in derived.gen_elements.items():
-        if not 0 <= elem < group.order:
-            return f"generator {name} names element {elem}, the group has {group.order}"
-    named = sorted(derived.edge_gens.values())
-    if named != sorted(sc.pair_reps):
-        stray = sorted(set(named) - set(sc.pair_reps))
-        if stray:
-            return f"edge ({stray[0].origin}, {stray[0].target}) is not a pairing representative"
-        return "edge generators do not name each pairing representative once"
-    owned: dict[int, list[int]] = {v: [] for v in sc.base_vertices}
-    for name, v in derived.stab_owners.items():
-        if v not in owned:
-            return f"stabilizer generator {name} belongs to {v}, not a base vertex"
-        owned[v].append(derived.gen_elements[name])
-    for v, gens in owned.items():
-        if set(group.subgroup_closure(gens)) != set(ag.stabilizer(v)):
-            return f"the stabilizer generators at {v} do not generate its stabilizer"
-    return None
 
 
 def cmd_verify(args) -> int:
@@ -221,11 +177,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad presentation file: {exc}") from None
     ag = _load_action(args)
-    sc = build_regular_scaffolding(ag)  # as `derive` builds it
-    problem = presentation_file_problem(derived, ag, sc)
-    if problem is not None:
+    if problem := presentation_file_problem(derived, ag):
         raise InputError(f"bad presentation file: {problem}")
-    report, code = _verification_report(derived, ag, sc, args.limit)
+    report, code = _verification_report(derived, ag, args.limit)
     report["presentation"] = args.presentation
     print(json.dumps(report, indent=2, sort_keys=True))
     return code
@@ -233,14 +187,8 @@ def cmd_verify(args) -> int:
 
 def cmd_coxeter_check(args) -> int:
     rep = coxeter_implication_check()
-    print(json.dumps({
-        "ok": rep.ok,
-        "group_order": rep.group_order,
-        "z_order": rep.z_order,
-        "z_central": rep.z_central,
-        "quotient_order": rep.quotient_order,
-        "identities": {label: flag for label, flag in rep.identities},
-    }, indent=2, sort_keys=True))
+    report = {**rep._asdict(), "identities": dict(rep.identities)}
+    print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
 
@@ -398,7 +346,13 @@ def main(argv=None) -> int:
     command, args = parse_command(sys.argv[1:] if argv is None else list(argv))
     _, _, run = COMMANDS[command]
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # no error: stdout goes to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (InputError, DerivationInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import CLOSURE_ENTRY_LIMIT, ClosureLimitError, FiniteGroupTable, bfs_tree
-from .words import Presentation
+from .presentation import Presentation
 
 COSET_LIMIT = 1_000_000
 # cosets a vertex-stabilizer presentation may define before it counts as not

@@ -20,7 +20,7 @@ from .builtins import TruncatedDodecahedron, truncated_dodecahedron
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 from .graphs import OrientedEdge, first_carriers
 from .perms import FiniteGroupTable, bfs_tree
-from .words import Presentation, inverse_word
+from .presentation import Presentation, inverse_word
 
 # the universal example: z := g^2 = r^-3 = (rg)^5, with no order imposed on z
 UNIVERSAL_GRZ = Presentation.from_strings(

@@ -25,11 +25,13 @@ from .coset import STABILIZER_COSET_LIMIT, EnumerationLimitError, todd_coxeter
 from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion,  # noqa: F401
                      first_carriers, loop_problem)
 from .perms import FiniteGroupTable, bfs_tree
+from .presentation import (CheckedRecord, Presentation, cyclic_reduce, free_reduce,
+                           inverse_word, least_rotation, tietze_reduce)
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
-from .words import (CheckedRecord, EdgeLetter, Presentation, StabLetter, Word,
-                    cyclic_normal_form, cyclic_reduce, edge_relation, edge_word, free_reduce,
-                    inverse_letters, inverse_word, least_rotation, loop_relation, normal_form,
-                    read_json, rewrite_word_to_E1, tietze_reduce)
+# the file is verify's; tests/test_pinned.py takes digests by derive.derived_to_json
+from .verify import DerivedPresentation, derived_to_json  # noqa: F401
+from .words import (EdgeLetter, StabLetter, Word, cyclic_normal_form, edge_relation, edge_word,
+                    inverse_letters, loop_relation, normal_form, rewrite_word_to_E1)
 
 
 class StabilizerData(CheckedRecord):
@@ -101,19 +103,6 @@ def validate_input(inp: DerivationInput) -> None:
     for loop in inp.loops:
         if sc.base_of.get(loop[0]) != loop[0] or sc.base_of.get(loop[-1]) != loop[-1]:
             raise DerivationInputError(f"path {loop} does not begin and end at base vertices")
-
-
-class DerivedPresentation(NamedTuple):
-    presentation: Presentation
-    families: dict[str, int]               # relator counts per family
-    edge_gens: dict[str, OrientedEdge]     # edge generator name -> representative
-    stab_owners: dict[str, int]            # stabilizer generator name -> base vertex
-    gen_elements: dict[str, int]           # every generator -> group element index
-    suggested_renaming: dict[str, str]
-    name: str = ""
-
-    def renamed(self) -> Presentation:
-        return self.presentation.rename(self.suggested_renaming)
 
 
 def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
@@ -235,31 +224,6 @@ def presentation_matches(derived: DerivedPresentation, target: Presentation,
 def _free_cyclic_form(letters: Sequence[tuple]) -> tuple:
     word = cyclic_reduce(letters)
     return least_rotation(tuple(word), inverse_word(word))
-
-
-def derived_to_json(d: DerivedPresentation) -> dict:
-    return {**d.presentation.to_json_dict(), "name": d.name, "families": dict(d.families),
-            "edge_gens": {n: [e.origin, e.target] for n, e in d.edge_gens.items()},
-            "stab_owners": dict(d.stab_owners), "gen_elements": dict(d.gen_elements),
-            "renaming": dict(d.suggested_renaming)}
-
-
-# the file `derived_to_json` writes; verify reads no families, renaming or name
-PRESENTATION_FILE = {"generators": [str], "relators": [[(str, int)]],
-                     "edge_gens": {str: (int, int)}, "stab_owners": {str: int},
-                     "gen_elements": {str: int}, "families?": {str: int},
-                     "renaming?": {str: str}, "name?": str}
-
-
-def derived_from_json(data: dict) -> DerivedPresentation:
-    """A stored presentation file; an error names the JSON path."""
-    read_json(data, PRESENTATION_FILE)
-    return DerivedPresentation(
-        Presentation.from_strings(data["generators"], data["relators"]),
-        dict(data.get("families", {})),
-        {n: OrientedEdge(*pair) for n, pair in data["edge_gens"].items()},
-        dict(data["stab_owners"]), dict(data["gen_elements"]),
-        dict(data.get("renaming", {})), data.get("name", ""))
 
 
 def greedy_generators(group: FiniteGroupTable, elements: Sequence[int]) -> list[int]:

@@ -17,7 +17,7 @@ from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, _conj, _ha
                      quat_mul, sq_dist, triple, vec3)
 from .graphs import Graph
 from .perms import Perm, bfs_tree, perm, perm_inverse
-from .words import least_rotation
+from .presentation import least_rotation
 
 HALF = ONE / 2
 INV_PHI = PHI - ONE  # 1/phi

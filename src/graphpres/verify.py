@@ -2,7 +2,8 @@
 
 Order comparison, reconstruction of the graph from the presented group (one
 orbit of edges per edge generator, with the covering map onto the original
-graph), and integer abelianization via the Smith normal form.
+graph), integer abelianization via the Smith normal form, and the file of a
+presentation with its checks: they read the file and the action alone.
 
 The order check proves |Gamma| = |G| for the presented group Gamma and the
 acting group G, by Lagrange's theorem where it can (the coset-table index
@@ -41,7 +42,7 @@ enumeration accepts too, and the abelianization rejects only presentations
 with |Gamma| != |G|.
 
 The abelianization, the reconstruction and the full enumeration run on one
-Tietze reduction of the presentation (`words.tietze_reduce`): every
+Tietze reduction of the presentation (`presentation.tietze_reduce`): every
 generator that a relator of length one or two pins down (g = 1, or
 g = h^+-1) is substituted away, to a fixpoint.  This is sound for these reasons:
 
@@ -77,11 +78,111 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coset import (COSET_LIMIT, STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError,
                     todd_coxeter)
-from .derive import DerivedPresentation
-from .graphs import ActionedGraph
+from .graphs import ActionedGraph, OrientedEdge, first_carriers
 from .perms import bfs_tree, tree_fold
-from .scaffold import Scaffolding
-from .words import Presentation, TietzeReduction, inverse_word, tietze_reduce
+from .presentation import (Presentation, TietzeReduction, inverse_word, read_json,
+                           tietze_reduce)
+
+
+class DerivedPresentation(NamedTuple):
+    presentation: Presentation
+    families: dict[str, int]               # relator counts per family
+    edge_gens: dict[str, OrientedEdge]     # edge generator name -> representative
+    stab_owners: dict[str, int]            # stabilizer generator name -> base vertex
+    gen_elements: dict[str, int]           # every generator -> group element index
+    suggested_renaming: dict[str, str]
+    name: str = ""
+
+    def renamed(self) -> Presentation:
+        return self.presentation.rename(self.suggested_renaming)
+
+
+def derived_to_json(d: DerivedPresentation) -> dict:
+    return {**d.presentation.to_json_dict(), "name": d.name, "families": dict(d.families),
+            "edge_gens": {n: [e.origin, e.target] for n, e in d.edge_gens.items()},
+            "stab_owners": dict(d.stab_owners), "gen_elements": dict(d.gen_elements),
+            "renaming": dict(d.suggested_renaming)}
+
+
+# the file `derived_to_json` writes; verify reads no families, renaming or name
+PRESENTATION_FILE = {"generators": [str], "relators": [[(str, int)]],
+                     "edge_gens": {str: (int, int)}, "stab_owners": {str: int},
+                     "gen_elements": {str: int}, "families?": {str: int},
+                     "renaming?": {str: str}, "name?": str}
+
+
+def derived_from_json(data: dict) -> DerivedPresentation:
+    """A stored presentation file; an error names the JSON path."""
+    read_json(data, PRESENTATION_FILE)
+    return DerivedPresentation(
+        Presentation.from_strings(data["generators"], data["relators"]),
+        dict(data.get("families", {})),
+        {n: OrientedEdge(*pair) for n, pair in data["edge_gens"].items()},
+        dict(data["stab_owners"]), dict(data["gen_elements"]),
+        dict(data.get("renaming", {})), data.get("name", ""))
+
+
+def _named_vertices(derived: DerivedPresentation) -> list[int]:
+    """The base vertices named: stabilizer owners and edge generator origins."""
+    return sorted({*derived.stab_owners.values(), *(e.origin for e in derived.edge_gens.values())})
+
+
+def base_of_vertices(derived: DerivedPresentation, ag: ActionedGraph) -> dict[int, int]:
+    """Each vertex -> its orbit's base vertex: the least named vertex, else
+    the least far end s_e^-1(target of e) of an edge generator g_e, else the
+    least vertex (no edge in the graph); for derive's files, the scaffolding's."""
+    far_ends = sorted(ag.apply(ag.group.inverse(derived.gen_elements[name]), e.target)
+                      for name, e in derived.edge_gens.items())
+    base_of: dict[int, int] = {}
+    for v in [*_named_vertices(derived), *far_ends, *range(ag.graph.vertex_count)]:
+        if v not in base_of:
+            base_of.update(dict.fromkeys(ag.carriers(v), v))
+    return base_of
+
+
+def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph) -> str | None:
+    """The first reason a stored presentation does not fit the action, or None:
+    generators name group elements, edges and vertices, named base vertices
+    lie in distinct orbits, each base vertex's generators generate its
+    stabilizer, and each undirected edge orbit holds one edge generator's
+    edge.  With the order check, g_e rebuilds the orbit of the edge from e's
+    origin to s_e(w), w the base of e's target: e's orbit if s_e(w) = target."""
+    group, graph = ag.group, ag.graph
+    generators = set(derived.presentation.generators)
+    for name in derived.presentation.generators:
+        if name not in derived.gen_elements:
+            return f"generator {name} has no group element"
+    for name in [*derived.edge_gens, *derived.stab_owners]:
+        if name not in generators:
+            return f"{name} is not a generator of the presentation"
+    for name, elem in derived.gen_elements.items():
+        if not 0 <= elem < group.order:
+            return f"generator {name} names element {elem}, the group has {group.order}"
+    for name, (a, b) in derived.edge_gens.items():
+        if not graph.has_edge(a, b):
+            return f"edge generator {name} names ({a}, {b}), not an edge of the graph"
+    for name, v in derived.stab_owners.items():
+        if not 0 <= v < graph.vertex_count:
+            return f"stabilizer generator {name} belongs to {v}, not a vertex of the graph"
+    base_of = base_of_vertices(derived, ag)
+    for v in _named_vertices(derived):
+        if base_of[v] != v:
+            return f"vertices {base_of[v]} and {v} are named as base vertices of one orbit"
+    owned: dict[int, list[int]] = {v: [] for v in base_of.values()}
+    for name, v in derived.stab_owners.items():
+        owned[v].append(derived.gen_elements[name])
+    for v, gens in sorted(owned.items()):
+        if set(group.subgroup_closure(gens)) != set(ag.stabilizer(v)):
+            return f"the stabilizer generators at {v} do not generate its stabilizer"
+    named_by: dict[tuple[int, ...], str] = {}  # edge -> the generator naming its orbit
+    for name, e in derived.edge_gens.items():
+        if (edge := tuple(sorted(e))) in named_by:
+            return f"edge generators {named_by[edge]} and {name} name one edge orbit"
+        orbit = first_carriers(ag.action, lambda p, x: tuple(sorted((p[x[0]], p[x[1]]))), e)
+        named_by.update(dict.fromkeys(orbit, name))
+    if unnamed := graph.edges - named_by.keys():
+        return f"no edge generator names the orbit of the edge {min(unnamed)}"
+    return None
 
 
 class OrderCheck(NamedTuple):
@@ -149,8 +250,7 @@ def presentation_order_check(
     def stab_letters(v: int | None) -> list[int]:
         return [i for i, name in enumerate(pres.generators) if derived.stab_owners.get(name) == v]
 
-    named = smallest({*derived.stab_owners.values(),
-                      *(e.origin for e in derived.edge_gens.values())})
+    named = smallest(_named_vertices(derived))
     generated = _generated_order(ag, gens, named, [gens[i] for i in stab_letters(named)])
     if generated != group.order:
         return OrderCheck(False, None, group.order,
@@ -159,8 +259,7 @@ def presentation_order_check(
         if group.evaluate(gens, rel) != 0:
             return OrderCheck(False, None, group.order, f"relator {k} does not evaluate to 1")
     reduction = tietze_reduce(pres)
-    ruled_out = _abelianization_rules_out(reduction.presentation, group.order)
-    if ruled_out:
+    if ruled_out := _abelianization_rules_out(reduction.presentation, group.order):
         return OrderCheck(False, None, group.order, ruled_out, proof="abelianization")
 
     model = None if reconstruct is None else reconstruct(reduction)
@@ -209,18 +308,18 @@ class KozsulModel(NamedTuple):
     tables: dict[int, CosetTable]
 
 
-def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaffolding,
+def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
                        limit: int = COSET_LIMIT,
                        reduction: TietzeReduction | None = None) -> KozsulModel:
     """Rebuild the graph from the presented group Gamma.
 
-    Each base vertex v contributes the cosets of H_v, the subgroup its
-    stabilizer generators generate, enumerated over the Tietze-reduced
-    presentation (module docstring), which `reduction` holds when the
-    caller has computed it.  Each edge generator g_e, for the pairing
-    representative e from v to the base vertex w of its far end, contributes
-    the Gamma-orbit of the edge between coset 0 at v and coset g_e^-1 at w.
-    These are all the edges:
+    Each base vertex v (`base_of_vertices`) contributes the cosets of H_v,
+    the subgroup its stabilizer generators generate, enumerated over the
+    Tietze-reduced presentation (module docstring), which `reduction` holds
+    when the caller has computed it.  Each edge generator g_e, for the
+    pairing representative e from v to the base vertex w of its far end,
+    contributes the Gamma-orbit of the edge between coset 0 at v and coset
+    g_e^-1 at w.  These are all the edges:
 
     - An oriented edge u(e0) at v, with e0 a representative and u in G_v,
       has g_{u(e0)} = u g_{e0} k^-1 with u in H_v and k in H_w.  Its edge
@@ -244,8 +343,10 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     """
     pres = derived.presentation
     group = ag.group
+    base_of = base_of_vertices(derived, ag)
+    base_vertices = sorted(set(base_of.values()))
     name_index = {n: i for i, n in enumerate(pres.generators)}
-    stab_gen_words: dict[int, list] = {v: [] for v in sc.base_vertices}
+    stab_gen_words: dict[int, list] = {v: [] for v in base_vertices}
     for name, v in derived.stab_owners.items():
         stab_gen_words[v].append(((name_index[name], 1),))
     # enumerate the Tietze-reduced presentation; base vertices with equal
@@ -258,7 +359,7 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
     original_relators = [reduction.word(rel) for rel in pres.relators]
     by_words: dict[tuple, CosetTable] = {}
     tables: dict[int, CosetTable] = {}
-    for v in sc.base_vertices:
+    for v in base_vertices:
         key = _subgroup_key(map(reduction.word, stab_gen_words[v]))
         if key not in by_words:
             table = by_words[key] = todd_coxeter(reduced_pres, key, limit=limit)
@@ -272,22 +373,21 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph, sc: Scaf
                                                for n in reduced_pres.generators)
                       for s in (1, -1)}
 
-    vertices = [(v, c) for v in sc.base_vertices for c in range(tables[v].n)]
+    vertices = [(v, c) for v in base_vertices for c in range(tables[v].n)]
     edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     f: dict[tuple[int, int], int] = {}
 
     # the covering map f((v, c)) = phi(delta)^-1(v), carried down the coset
     # table's spanning tree as a vertex: phi(delta) = phi(parent) phi(letter),
     # so f(delta) = phi(letter)^-1(f(parent))
-    for v in sc.base_vertices:
+    for v in base_vertices:
         images = tree_fold(tables[v].tree(), v,
                            lambda x, step: ag.apply(letter_element[step[0], -step[1]], x))
-        for c in range(tables[v].n):
-            f[(v, c)] = images[c]
+        f.update(((v, c), images[c]) for c in range(tables[v].n))
 
     # edges: the orbit of (coset 0 at v, coset g_e^-1 at w) per edge generator
     for name, e in derived.edge_gens.items():
-        v, w = e.origin, sc.base_of[e.target]
+        v, w = e.origin, base_of[e.target]
         columns = list(zip(tables[v].columns()[::2], tables[w].columns()[::2]))
         start = (0, tables[w].trace(0, reduction.word(((name_index[name], -1),))))
         orbit = bfs_tree(start, lambda pair: ((None, (cv[pair[0]], cw[pair[1]]))

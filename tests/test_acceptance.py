@@ -22,7 +22,7 @@ from graphpres.polyhedra import dodecahedron_model
 from graphpres.scaffold import validate_regularity
 from graphpres.verify import (abelianization_smith, build_kozsul_model,
                               check_covering_isomorphism)
-from graphpres.words import Presentation
+from graphpres.presentation import Presentation
 
 from test_coset import standard_symmetric_presentation
 
@@ -57,7 +57,7 @@ def test_criterion_2_dodecahedron():
         ["g", "h"], [[("g", 1)] * 2, [("h", 1)] * 3, [("g", 1), ("h", 1)] * 5])
     shape = presentation_matches(derived, target, inp.ag)
     count = todd_coxeter(derived.presentation).n
-    model = build_kozsul_model(derived, inp.ag, inp.sc)
+    model = build_kozsul_model(derived, inp.ag)
     cover = check_covering_isomorphism(model, inp.ag)
     ok = (shape and count == 60 and len(model.vertices) == 20
           and len(model.edges) == 30 and cover.ok)
@@ -74,7 +74,7 @@ def test_criterion_3_binary_icosahedral():
     stz = coxeter_substitution(derived.renamed())
     stz_shape = (stz.generators == ("s", "t", "z")
                  and ((2, 1), (2, 1)) in stz.relators)
-    model = build_kozsul_model(derived, bi.input.ag, bi.input.sc)
+    model = build_kozsul_model(derived, bi.input.ag)
     cover = check_covering_isomorphism(model, bi.input.ag)
     ok = count == 120 and stz_shape and len(model.vertices) == 20 and cover.ok
     _verdict(3, ok, f"{count} cosets, substitution to s,t,z with z^2 "
@@ -184,7 +184,7 @@ def test_criterion_8_property_suites():
     local = True
     for inp in builtin_inputs:
         derived = derive_presentation(inp)
-        model = build_kozsul_model(derived, inp.ag, inp.sc)
+        model = build_kozsul_model(derived, inp.ag)
         neighbors = {x: set() for x in model.vertices}
         for a, b in model.edges:
             neighbors[a].add(b)
@@ -202,7 +202,7 @@ def test_criterion_8_property_suites():
     try:
         table = todd_coxeter(derived.presentation, limit=20_000)
         if table.n != 60 and table.n % 60 == 0:
-            model = build_kozsul_model(derived, inp.ag, inp.sc)
+            model = build_kozsul_model(derived, inp.ag)
             negative = not check_covering_isomorphism(model, inp.ag).ok
     except EnumerationLimitError:
         negative = True

@@ -231,9 +231,14 @@ def test_bad_generator_of_a_large_action_names_one_image(tmp_path, capsys, image
     ({"gen_elements": {"g[0]": 2, "h": 999}}, "h names element 999, the group has 60"),
     ({"gen_elements": {"g[0]": 2, "h": -1}}, "h names element -1"),
     ({"gen_elements": {"h": 1}}, "generator g[0] has no group element"),
-    ({"edge_gens": {"g[0]": [5, 6]}}, "edge (5, 6) is not a pairing representative"),
-    ({"edge_gens": {}}, "do not name each pairing representative once"),
-    ({"stab_owners": {"h": 7}}, "belongs to 7, not a base vertex"),
+    ({"edge_gens": {"g[0]": [1, 4]}}, "vertices 0 and 1 are named as base vertices of one orbit"),
+    ({"edge_gens": {}}, "no edge generator names the orbit of the edge (0, 1)"),
+    ({"stab_owners": {"h": 7}}, "vertices 0 and 7 are named as base vertices of one orbit"),
+    ({"edge_gens": {"g[0]": [5, 6]}}, "edge generator g[0] names (5, 6), not an edge of the graph"),
+    ({"stab_owners": {"h": 20}}, "stabilizer generator h belongs to 20, not a vertex of the graph"),
+    ({"generators": ["h", "g[0]", "g[1]"], "edge_gens": {"g[0]": [0, 1], "g[1]": [0, 2]},
+      "gen_elements": {"g[0]": 2, "g[1]": 2, "h": 1}},
+     "edge generators g[0] and g[1] name one edge orbit"),
     ({"stab_owners": {"x": 0}}, "x is not a generator"),
     ({"stab_owners": {}}, "do not generate its stabilizer"),
     ({"gen_elements": {"g[0]": 2, "h": 3.7}}, "gen_elements['h']: expected an integer, got 3.7"),
@@ -253,7 +258,8 @@ def test_bad_generator_of_a_large_action_names_one_image(tmp_path, capsys, image
     ({"relators": [[["h", 1]] * 3, [["x", 1]]]}, "relators[1][0]: expected a generator and 1 or -1"),
     ({"relators": [5]}, "relators[0]: expected an array, got 5"),
 ], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
-        "rep-unnamed", "owner-not-base", "owner-not-generator", "stabilizer-ungenerated",
+        "rep-unnamed", "owner-not-base", "edge-off-graph", "owner-off-graph",
+        "orbit-named-twice", "owner-not-generator", "stabilizer-ungenerated",
         "element-fractional", "element-boolean", "edge-fractional", "owner-fractional",
         "sign-fractional", "owners-list", "edges-number", "elements-null", "generators-null",
         "relators-null", "generators-string", "edge-triple",
@@ -415,6 +421,65 @@ def test_complete_graph_k6_derives_with_schreier_stabilizers(tmp_path, capsys):
     assert report["order"] == 720 and report["order_check"]["proof"] == "lagrange"
     assert report["relator_count"] <= 60
 
+
+def test_relabelled_stored_file_verifies(tmp_path, capsys):
+    # K7 under S7 and its stored file relabelled together by x -> x + 3 mod 7:
+    # the file names base vertex 3, not the least vertex derive would pick.
+    # Conjugating the generators keeps the closure order, so the file's
+    # group elements stay as they are
+    n = 7
+    action = {"vertices": n, "edges": [[a, b] for a in range(n) for b in range(a + 1, n)],
+              "generators": {"s": [1, 0] + list(range(2, n)), "c": list(range(1, n)) + [0]}}
+    path = tmp_path / "k7.json"
+    path.write_text(json.dumps(action))
+    assert run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))[0] == 0
+    pres_path = tmp_path / "k7.presentation.json"
+    code, out, _ = run(capsys, "verify", str(pres_path), "--action", str(path))
+    assert code == 0
+    original = json.loads(out)
+
+    def move(x):
+        return (x + 3) % n
+    moved = {"vertices": n, "edges": [[move(a), move(b)] for a, b in action["edges"]],
+             "generators": {name: [move(p[(x - 3) % n]) for x in range(n)]
+                            for name, p in action["generators"].items()}}
+    data = json.loads(pres_path.read_text())
+    data["edge_gens"] = {name: [move(a), move(b)] for name, (a, b) in data["edge_gens"].items()}
+    data["stab_owners"] = {name: move(v) for name, v in data["stab_owners"].items()}
+    path.write_text(json.dumps(moved))
+    pres_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(pres_path), "--action", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["order_check"]["base_vertex"] == 3
+    for key in ("index", "stabilizer_order"):
+        assert report["order_check"][key] == original["order_check"][key]
+    for key in ("ok", "cosets", "cosets_defined"):
+        assert report["reconstruction"][key] == original["reconstruction"][key]
+
+
+def test_closed_stdout_exits_141_with_no_error_line(tmp_path, capsys, monkeypatch):
+    # `graphpres list-builtins | head -1`: a reader that stopped early is no
+    # input error.  The pipe is simulated, because a closed pipe need not
+    # give EPIPE everywhere
+    sink = open(tmp_path / "stdout", "w")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return sink.fileno()
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["list-builtins"]) == 141
+    finally:
+        sink.close()
+    assert capsys.readouterr().err == ""
 
 BAD_LIMITS = {
     "derive-zero": ["derive", "--builtin", "dihedral:5", "--limit", "0"],

@@ -11,7 +11,7 @@ from graphpres.cli import main
 from graphpres.coset import (CosetTable, EnumerationLimitError, EnumerationStats, _Enumerator,
                              _cols, todd_coxeter)
 from graphpres.perms import ClosureLimitError
-from graphpres.words import Presentation
+from graphpres.presentation import Presentation
 from test_pinned import ACTIONS
 
 

@@ -10,14 +10,14 @@ from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action
 from graphpres.coset import EnumerationLimitError, todd_coxeter
 from graphpres.coxeter import PatternMismatchError, coxeter_substitution
 from graphpres.derive import (DerivationInputError, StabilizerData, _free_cyclic_form,
-                              auto_derivation_input, derive_presentation,
-                              derived_from_json, derived_to_json, greedy_generators,
+                              auto_derivation_input, derive_presentation, greedy_generators,
                               fundamental_loops, pick_loops, presentation_matches,
                               stabilizer_presentation, validate_input)
 from graphpres.cli import action_from_json, main
 from graphpres.graphs import ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion
 from graphpres.perms import perm, transposition
-from graphpres.words import Presentation
+from graphpres.presentation import Presentation
+from graphpres.verify import derived_from_json, derived_to_json
 
 from reference_picks import reference_collapses, reference_pick_loops
 from test_carriers import relabelled

@@ -15,7 +15,7 @@ from graphpres.cli import action_from_json, main
 from graphpres.coset import EnumerationLimitError, todd_coxeter
 from graphpres.derive import derive_presentation
 from graphpres.verify import build_kozsul_model, presentation_order_check
-from graphpres.words import Presentation
+from graphpres.presentation import Presentation
 from test_pinned import ACTIONS
 
 BUILTINS = ["simplex:3", "simplex:4", "simplex:5", "simplex:6", "simplex:7", "dodecahedron",
@@ -30,7 +30,7 @@ def load(name: str):
 def both_checks(inp, derived, limit=1_000_000):
     """The order check with the reconstruction's tables, and without them."""
     try:
-        model = build_kozsul_model(derived, inp.ag, inp.sc, limit=limit)
+        model = build_kozsul_model(derived, inp.ag, limit=limit)
     except EnumerationLimitError:
         model = None
     return (presentation_order_check(derived, inp.ag, limit=limit, reconstruct=lambda _: model),

@@ -34,7 +34,7 @@ from graphpres.golden import (GoldenNum, dot, from_numerators, golden_sign, nume
                               sq_dist, triple, vec3)
 from graphpres.polyhedra import (EDGE_SQ_DIST, _rotation_perm, build_dodecahedron,
                                  icosian_group, orient_clockwise)
-from graphpres.words import least_rotation
+from graphpres.presentation import least_rotation
 
 
 def ref_cross(u, v):

@@ -119,7 +119,7 @@ def test_random_orbital_graph_actions_derive_and_verify(rng):
         assert picked == reference_pick_loops(inp.ag, inp.sc), data
         assert all(loop[1] != loop[-2] for loop in picked or ()), data
         derived = derive_presentation(inp)
-        report, code = _verification_report(derived, inp.ag, inp.sc, COSET_LIMIT)
+        report, code = _verification_report(derived, inp.ag, COSET_LIMIT)
         assert code == 0, (data, report)
         assert report["order_check"]["enumerated"] == inp.ag.group.order
         assert report["reconstruction"]["ok"]

@@ -10,10 +10,11 @@ from graphpres.coset import COSET_LIMIT, CosetTable, todd_coxeter
 from graphpres.derive import derive_presentation
 from graphpres.perms import tree_fold
 from graphpres.verify import (KozsulModel, _subgroup_key, abelianization_smith,
-                              build_kozsul_model, check_covering_isomorphism,
-                              presentation_order_check, smith_normal_form)
-from graphpres.words import (EdgeLetter, Presentation, edge_word, inverse_word,
-                             rewrite_word_to_E1, tietze_reduce)
+                              base_of_vertices, build_kozsul_model, check_covering_isomorphism,
+                              presentation_file_problem, presentation_order_check,
+                              smith_normal_form)
+from graphpres.presentation import Presentation, inverse_word, tietze_reduce
+from graphpres.words import EdgeLetter, edge_word, rewrite_word_to_E1
 from test_cli import PATH8_EXPONENTS
 from test_pinned import ACTIONS, prism
 from test_tietze import relabelled
@@ -41,7 +42,7 @@ def test_order_check_detects_dropped_relator():
 def test_kozsul_triangle():
     inp = simplex_action(3)
     d = derive_presentation(inp)
-    model = build_kozsul_model(d, inp.ag, inp.sc)
+    model = build_kozsul_model(d, inp.ag)
     assert len(model.vertices) == 3 and len(model.edges) == 3
     assert check_covering_isomorphism(model, inp.ag).ok
 
@@ -56,7 +57,7 @@ def test_kozsul_free_base_vertices_share_one_table():
     rotate = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
     inp = action_from_json({"vertices": 2 * n, "edges": edges,
                             "generators": {"r": rotate}}, "prism-5x2")
-    model = build_kozsul_model(derive_presentation(inp), inp.ag, inp.sc)
+    model = build_kozsul_model(derive_presentation(inp), inp.ag)
     first, second = (model.tables[v] for v in inp.sc.base_vertices)
     assert first is second and first.n == n
     assert check_covering_isomorphism(model, inp.ag).ok
@@ -65,7 +66,7 @@ def test_kozsul_free_base_vertices_share_one_table():
 def test_kozsul_dodecahedron():
     inp = dodecahedron_action()
     d = derive_presentation(inp)
-    model = build_kozsul_model(d, inp.ag, inp.sc)
+    model = build_kozsul_model(d, inp.ag)
     assert len(model.vertices) == 20 and len(model.edges) == 30
     assert check_covering_isomorphism(model, inp.ag).ok
 
@@ -73,7 +74,7 @@ def test_kozsul_dodecahedron():
 def test_kozsul_double_cover_quotient():
     bi = binary_icosahedral_action()
     d = derive_presentation(bi.input)
-    model = build_kozsul_model(d, bi.input.ag, bi.input.sc)
+    model = build_kozsul_model(d, bi.input.ag)
     assert len(model.vertices) == 120 // 6 == 20
     assert check_covering_isomorphism(model, bi.input.ag).ok
 
@@ -94,7 +95,7 @@ def test_covering_reports_non_injective_witness():
     from graphpres.verify import KozsulModel
     inp = simplex_action(3)
     d = derive_presentation(inp)
-    good = build_kozsul_model(d, inp.ag, inp.sc)
+    good = build_kozsul_model(d, inp.ag)
     vertices = [(0, c) for c in range(6)]
     edges = set()
     for (v, a), (w, b) in good.edges:
@@ -114,7 +115,7 @@ def test_covering_reports_local_defect():
     from graphpres.verify import KozsulModel
     inp = simplex_action(3)
     d = derive_presentation(inp)
-    good = build_kozsul_model(d, inp.ag, inp.sc)
+    good = build_kozsul_model(d, inp.ag)
     kept = sorted(good.edges)[:2]
     broken = KozsulModel(good.vertices, set(kept), good.f, good.tables)
     report = check_covering_isomorphism(broken, inp.ag)
@@ -263,15 +264,27 @@ def test_edge_orbits_match_the_per_edge_reference(monkeypatch, name):
     else:
         inp = load_builtin(name)
     derived = derive_presentation(inp)
-    model = build_kozsul_model(derived, inp.ag, inp.sc)
+    model = build_kozsul_model(derived, inp.ag)
     reference = reference_kozsul_model(derived, inp.ag, inp.sc)
     assert model.vertices == reference.vertices
     assert model.f == reference.f
     assert model.edges == reference.edges
-    report = _verification_report(derived, inp.ag, inp.sc, COSET_LIMIT)
+    report = _verification_report(derived, inp.ag, COSET_LIMIT)
     assert report[0]["reconstruction"]["ok"]
-    monkeypatch.setattr(graphpres.cli, "build_kozsul_model", reference_kozsul_model)
-    assert _verification_report(derived, inp.ag, inp.sc, COSET_LIMIT) == report
+    monkeypatch.setattr(graphpres.cli, "build_kozsul_model",
+                        lambda d, ag, **kwargs: reference_kozsul_model(d, ag, inp.sc, **kwargs))
+    assert _verification_report(derived, inp.ag, COSET_LIMIT) == report
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_BUILTINS + list(CROSS_CHECK_FILES))
+def test_base_vertices_read_off_the_file_are_the_scaffoldings(name):
+    # the verifier bases each orbit at a vertex the file names, never asking
+    # the scaffolding; for every file derive writes the two agree
+    data = CROSS_CHECK_FILES.get(name)
+    inp = action_from_json(data, name) if data else load_builtin(name)
+    derived = derive_presentation(inp)
+    assert base_of_vertices(derived, inp.ag) == inp.sc.base_of
+    assert presentation_file_problem(derived, inp.ag) is None
 
 
 def test_smith_normal_form_golden_cases():

@@ -5,10 +5,10 @@ from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
 from graphpres.cli import action_from_json
 from graphpres.graphs import OrientedEdge
 from graphpres.perms import identity, transposition
-from graphpres.words import (EdgeLetter, Presentation, StabLetter, cyclic_normal_form,
-                             edge_relation, edge_word, evaluate_word_in_G, inverse_letters,
-                             least_rotation, loop_relation, normal_form, read_json,
-                             rewrite_word_to_E1, trace_path)
+from graphpres.presentation import Presentation, least_rotation, read_json
+from graphpres.words import (EdgeLetter, StabLetter, cyclic_normal_form, edge_relation,
+                             edge_word, evaluate_word_in_G, inverse_letters, loop_relation,
+                             normal_form, rewrite_word_to_E1, trace_path)
 from test_pinned import ACTIONS
 
 
