@@ -21,6 +21,7 @@ from .derive import (DerivationInput, DerivationInputError, auto_derivation_inpu
 from .dot import export_cayley_dot, export_graph_dot
 from .graphs import ActionedGraph, Graph, degree_problem, validate_action
 from .perms import ClosureLimitError, perm
+from .polyhedra import truncated_dodecahedron
 from .presentation import read_json
 from .verify import (build_kozsul_model, check_covering_isomorphism, derived_from_json,
                      derived_to_json, presentation_file_problem, presentation_order_check)
@@ -221,7 +222,7 @@ def cmd_export_cayley(args) -> int:
 
 def cmd_export_graph(args) -> int:
     if args.builtin == "truncated-dodecahedron":
-        graph = builtin_actions.truncated_dodecahedron().graph
+        graph = truncated_dodecahedron().graph
     else:
         graph = _load_action(args).graph
     _write_or_stdout(args.out, export_graph_dot(graph))
@@ -361,6 +362,12 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
     except MemoryError:
         print(f"error: {command} ran out of memory", file=sys.stderr)
+        return EXIT_LIMIT
+    except SystemError as exc:
+        # under an address-space limit CPython has raised it for an allocation
+        # that failed without setting MemoryError
+        print(f"error: {command} stopped on SystemError: {exc} "
+              "(most likely a failed allocation under a memory limit)", file=sys.stderr)
         return EXIT_LIMIT
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .builtins import TruncatedDodecahedron, truncated_dodecahedron
 from .coset import CosetTable, EnumerationLimitError, todd_coxeter
 from .graphs import OrientedEdge, first_carriers
 from .perms import FiniteGroupTable, bfs_tree
+from .polyhedra import TruncatedDodecahedron, truncated_dodecahedron
 from .presentation import Presentation, inverse_word
 
 # the universal example: z := g^2 = r^-3 = (rg)^5, with no order imposed on z

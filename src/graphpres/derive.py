@@ -28,8 +28,7 @@ from .perms import FiniteGroupTable, bfs_tree
 from .presentation import (CheckedRecord, Presentation, cyclic_reduce, free_reduce,
                            inverse_word, least_rotation, tietze_reduce)
 from .scaffold import Scaffolding, build_regular_scaffolding, validate_regularity
-# the file is verify's; tests/test_pinned.py takes digests by derive.derived_to_json
-from .verify import DerivedPresentation, derived_to_json  # noqa: F401
+from .verify import DerivedPresentation
 from .words import (EdgeLetter, StabLetter, Word, cyclic_normal_form, edge_relation, edge_word,
                     inverse_letters, loop_relation, normal_form, rewrite_word_to_E1)
 

@@ -1,11 +1,14 @@
-"""Exact model of the regular dodecahedron and its rotation groups.
+"""Exact models: the regular dodecahedron, its rotation groups, and its
+corner truncation.
 
 Vertices carry Q(sqrt 5) coordinates; the labeled vertices v, w1..w3, a..f
 around the base corner follow the standard corner picture, so traced loops
 and golden identities can be checked literally.  The double cover is realized
-by unit quaternions over the same field.  The combinatorics (edges, rotation
-permutations, face orientations) are found on the integer numerators of the
-points over one common denominator (`golden.numerators`).
+by its 120 unit quaternions over the same field.  The combinatorics (edges,
+rotation permutations, face orientations) are found on the integer numerators
+of the points over one common denominator (`golden.numerators`).  The
+truncated dodecahedron, on which `coxeter` multiplies face boundaries, is
+built from the dodecahedron's corner flags.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from typing import NamedTuple
 from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, _conj, _hamilton, dot,
                      from_numerators, golden_sign, golden_sqrt, numerators, quat_from_rotation,
                      quat_mul, sq_dist, triple, vec3)
-from .graphs import Graph
-from .perms import Perm, bfs_tree, perm, perm_inverse
+from .graphs import ActionedGraph, Graph, OrientedEdge, first_carriers
+from .perms import FiniteGroupTable, Perm, bfs_tree, perm, perm_inverse
 from .presentation import least_rotation
 
 HALF = ONE / 2
@@ -187,3 +190,83 @@ def icosian_group(model: DodecahedronModel | None = None) -> tuple[dict, dict]:
         return enumerate(right[q])
 
     return bfs_tree(QUAT_ONE, steps), right
+
+
+class TruncatedDodecahedron(NamedTuple):
+    """The corner-truncated dodecahedron graph with its free rotation action.
+
+    Vertices of Y are corner flags (vertex, neighbor) of the dodecahedron,
+    numbered by sorted flag; `t_map` sends each oriented edge of Y to the
+    unique rotation carrying its origin flag to its target flag.
+    """
+
+    graph: Graph
+    flags: tuple[tuple[int, int], ...]
+    coords: tuple[Vec3, ...]
+    pentagon_edges: frozenset[tuple[int, int]]  # the other edges are triangle sides
+    faces: tuple[tuple[int, ...], ...]          # 32 clockwise boundary cycles
+    group: FiniteGroupTable                      # the 60 rotations (vertex perms)
+    flag_action: tuple[Perm, ...]                # the same elements on flags
+    t_map: dict[OrientedEdge, int]
+    model: DodecahedronModel
+
+
+def truncated_dodecahedron() -> TruncatedDodecahedron:
+    model = dodecahedron_model()
+    X = model.graph
+    flags = sorted((v, w) for v in range(X.vertex_count) for w in X.neighbors(v))
+    flag_index = {fl: i for i, fl in enumerate(flags)}
+
+    # the flag (v, w) sits at p + (q - p)/4 = (3p + q)/4: rows 3 r_v + r_w over 4d
+    rows, d = numerators(model.coords)
+    flag_rows = [tuple(3 * a + b for a, b in zip(rows[v], rows[w])) for v, w in flags]
+    coords = from_numerators(flag_rows, 4 * d)
+
+    pentagon = set()
+    edges = []
+    for v, w in flags:
+        i = flag_index[(v, w)]
+        j = flag_index[(w, v)]
+        if i < j:
+            edges.append((i, j))
+            pentagon.add((i, j))
+        for w2 in X.neighbors(v):
+            if w2 == w:
+                continue
+            k = flag_index[(v, w2)]
+            if i < k:
+                edges.append((i, k))
+    graph = Graph(60, edges)
+
+    group = ActionedGraph.from_generators(model.graph,
+                                          {"h": model.h_perm, "s1": model.s1_perm}).group
+    flag_action = tuple(perm(flag_index[(p[v], p[w])] for v, w in flags)
+                        for p in group.elements)
+
+    faces: list[tuple[int, ...]] = []
+    for v in range(X.vertex_count):
+        cyc = tuple(flag_index[(v, w)] for w in X.neighbors(v))
+        faces.append(orient_clockwise(cyc, flag_rows))
+    for face in model.faces:  # already clockwise vertex cycles of X
+        cyc = []
+        for a, b in zip(face, face[1:] + face[:1]):
+            cyc.append(flag_index[(a, b)])
+            cyc.append(flag_index[(b, a)])
+        faces.append(orient_clockwise(tuple(cyc), flag_rows))
+    if len(faces) != 32:
+        raise RuntimeError(f"the truncation has {len(faces)} faces, not 32")
+
+    # free transitive action: the one element reaching each flag from the base flag
+    base = flag_index[(model.labels["v"], model.labels["w1"])]
+    reach = first_carriers(range(group.order), lambda g, fl: flag_action[g][fl], base)
+    if len(reach) != 60:
+        raise RuntimeError("the rotations do not reach all 60 flags from the base flag")
+
+    t_map: dict[OrientedEdge, int] = {}
+    for i, j in edges:
+        gi, gj = reach[i], reach[j]
+        t_map[OrientedEdge(i, j)] = group.product(gj, group.inverse(gi))
+        t_map[OrientedEdge(j, i)] = group.product(gi, group.inverse(gj))
+
+    return TruncatedDodecahedron(graph, tuple(flags), tuple(coords), frozenset(pentagon),
+                                 tuple(faces), group, flag_action, t_map, model)

@@ -9,7 +9,7 @@ import random
 import time
 
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
-                                dodecahedron_action, simplex_action, truncated_dodecahedron)
+                                dodecahedron_action, simplex_action)
 from graphpres.coset import EnumerationLimitError, todd_coxeter
 from graphpres.coxeter import (build_coxeter_context, coxeter_implication_check,
                                coxeter_substitution, face_boundary_check,
@@ -18,7 +18,7 @@ from graphpres.derive import derive_presentation, presentation_matches
 from graphpres.dot import cayley_underlying_graph
 from graphpres.golden import QUAT_C, quat_mul
 from graphpres.graphs import find_inversion
-from graphpres.polyhedra import dodecahedron_model
+from graphpres.polyhedra import dodecahedron_model, truncated_dodecahedron
 from graphpres.scaffold import validate_regularity
 from graphpres.verify import (abelianization_smith, build_kozsul_model,
                               check_covering_isomorphism)

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
-                                dodecahedron_action, load_builtin, simplex_action,
-                                truncated_dodecahedron)
+                                dodecahedron_action, load_builtin, simplex_action)
 from graphpres.derive import validate_input
 from graphpres.golden import GoldenNum, PHI, QUAT_C
 from graphpres.graphs import OrientedEdge, validate_action, vertex_orbits
 from graphpres.perms import identity, perm, perm_compose, perm_inverse, tree_fold
-from graphpres.polyhedra import dodecahedron_model, icosian_group
+from graphpres.polyhedra import dodecahedron_model, icosian_group, truncated_dodecahedron
 
 
 def test_simplex_rejects_small_n():

@@ -609,6 +609,19 @@ def test_exhausted_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (4, "", "error: derive ran out of memory\n")
 
 
+def test_system_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    # what an allocation that fails under an address-space limit can raise
+    # in place of MemoryError
+    def failed_allocation(*args):
+        raise SystemError("error return without exception set")
+
+    monkeypatch.setattr(graphpres.cli, "derive_presentation", failed_allocation)
+    code, out, err = run(capsys, "derive", "--builtin", "dihedral:5", "--out", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err == ("error: derive stopped on SystemError: error return without exception set "
+                   "(most likely a failed allocation under a memory limit)\n")
+
+
 def test_order_check_limit_exits_4(tmp_path, capsys):
     # the report goes to stdout and its detail, as one line, to stderr; the
     # square under D4 with no loops presents an infinite group

@@ -1,7 +1,8 @@
-from graphpres.builtins import dodecahedron_action, truncated_dodecahedron
+from graphpres.builtins import dodecahedron_action
 from graphpres.dot import cayley_underlying_graph, export_cayley_dot, export_graph_dot
 from graphpres.graphs import Graph
 from graphpres.perms import generate_closure, transposition
+from graphpres.polyhedra import truncated_dodecahedron
 
 
 def test_cyclic_three_cayley_digraph():

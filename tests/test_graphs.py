@@ -132,7 +132,7 @@ def test_find_inversion_trivial_group():
 
 
 def test_find_inversion_triangle_edges_of_truncation():
-    from graphpres.builtins import truncated_dodecahedron
+    from graphpres.polyhedra import truncated_dodecahedron
     Y = truncated_dodecahedron()
     ag = ActionedGraph(Y.graph, Y.group, Y.flag_action)
     pe = min(Y.pentagon_edges)

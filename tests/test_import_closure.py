@@ -1,14 +1,24 @@
-"""The verifier stands apart from the derivation it checks.
+"""The two independent checks stand apart from the derivation.
 
-The import graph is read from the sources with `ast`, not by importing:
-`import graphpres.verify` runs the package `__init__`, which loads every
-module.  Only relative `from .x import ...` edges connect the modules.
+`verify` checks a derived presentation and `coxeter` checks Coxeter's
+theorem; neither may reach the modules the derivation builds with.  The
+import graph is read from the sources with `ast`: only relative
+`from .x import ...` edges connect the modules.  The package `__init__`
+imports nothing, so a fresh interpreter that imports one module loads
+exactly that module's closure and the package.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphpres"
+DERIVATION = {"derive", "scaffold", "words", "builtins"}
 
 
 def import_graph() -> dict[str, set[str]]:
@@ -42,4 +52,21 @@ def test_verify_coset_and_presentation_import_nothing_the_derivation_builds_with
         print(f"{name}: {sorted(modules)}, {lines(modules)} lines")
     assert reach["presentation"] == {"presentation"}
     assert reach["coset"] == {"coset", "perms", "presentation"}
-    assert not reach["verify"] & {"derive", "scaffold", "words", "builtins"}
+    assert not reach["verify"] & DERIVATION
+
+
+def test_coxeter_imports_nothing_the_derivation_or_the_verifier_builds_with():
+    modules = closure(import_graph(), "coxeter")
+    print(f"coxeter: {sorted(modules)}, {lines(modules)} lines")
+    assert not modules & (DERIVATION | {"verify"})
+
+
+@pytest.mark.parametrize("module", ["verify", "coxeter", "coset"])
+def test_a_fresh_import_loads_only_the_static_closure(module):
+    script = (f"import json, sys, graphpres.{module}; "
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'graphpres')))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    loaded = set(json.loads(out))
+    assert loaded == {"graphpres"} | {f"graphpres.{name}"
+                                      for name in closure(import_graph(), module)}

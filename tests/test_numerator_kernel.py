@@ -29,11 +29,10 @@ from fractions import Fraction
 
 import pytest
 
-from graphpres.builtins import truncated_dodecahedron
 from graphpres.golden import (GoldenNum, dot, from_numerators, golden_sign, numerators,
                               sq_dist, triple, vec3)
 from graphpres.polyhedra import (EDGE_SQ_DIST, _rotation_perm, build_dodecahedron,
-                                 icosian_group, orient_clockwise)
+                                 icosian_group, orient_clockwise, truncated_dodecahedron)
 from graphpres.presentation import least_rotation
 
 

@@ -50,11 +50,12 @@ import json
 
 import pytest
 
-from graphpres.builtins import load_builtin, truncated_dodecahedron
+from graphpres.builtins import load_builtin
 from graphpres.cli import action_from_json, main
 from graphpres.coxeter import build_coxeter_context, face_boundary_check
-from graphpres.derive import derive_presentation, derived_to_json, fundamental_loops
-from graphpres.polyhedra import build_dodecahedron, icosian_group
+from graphpres.derive import derive_presentation, fundamental_loops
+from graphpres.polyhedra import build_dodecahedron, icosian_group, truncated_dodecahedron
+from graphpres.verify import derived_to_json
 
 
 def petersen() -> dict:
