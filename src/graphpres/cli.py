@@ -104,11 +104,13 @@ def _load_action(args) -> ActionedGraph:
 
 
 def _verification_report(derived, ag, limit: int) -> tuple[dict, int]:
-    """The verification report and its exit code.  The order check asks for
-    the reconstruction (its Lagrange bound's index) only after its
-    refutations; a reconstruction stopped at the limit is reported (exit 4)
-    once the full enumeration has proved the order, without a reconstruction.
-    """
+    """The verification report and its exit code, for `derive --verify` and
+    `verify` alike: a presentation that does not fit the action is an input
+    error.  The order check asks for the reconstruction (its Lagrange bound's
+    index) only after its refutations; a reconstruction stopped at the limit is
+    reported (exit 4), without it, once the full enumeration proved the order."""
+    if problem := presentation_file_problem(derived, ag):
+        raise InputError(f"bad presentation file: {problem}")
     model, stopped = None, None
 
     def reconstruct(reduction):
@@ -177,10 +179,7 @@ def cmd_verify(args) -> int:
         derived = derived_from_json(data)
     except ValueError as exc:
         raise InputError(f"bad presentation file: {exc}") from None
-    ag = _load_action(args)
-    if problem := presentation_file_problem(derived, ag):
-        raise InputError(f"bad presentation file: {problem}")
-    report, code = _verification_report(derived, ag, args.limit)
+    report, code = _verification_report(derived, _load_action(args), args.limit)
     report["presentation"] = args.presentation
     print(json.dumps(report, indent=2, sort_keys=True))
     return code

@@ -183,7 +183,7 @@ class FiniteGroupTable:
         except ClosureLimitError:
             raise _limit_error(limit, cap, degree) from None
         self.elements = elements = list(found)
-        self.base = base = _separating_base(elements)
+        self.base = base = separating_base(elements)
         # A key is what itemgetter returns: a tuple of images, or one bare
         # image on a one-point base.  The trivial group's empty base is read
         # through an empty slice, so its one key is ().
@@ -259,7 +259,7 @@ class FiniteGroupTable:
         return tree_words(bfs_tree(0, lambda a: [(letter, product(a, g)) for letter, g in steps]))
 
 
-def _separating_base(group: Sequence[Perm]) -> tuple[int, ...]:
+def separating_base(group: Sequence[Perm]) -> tuple[int, ...]:
     """Points, in increasing order, whose images tell the elements of a
     permutation group apart: a point is kept when it splits some class of
     elements that agree on the points kept before it.

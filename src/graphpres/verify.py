@@ -10,12 +10,12 @@ acting group G, by Lagrange's theorem where it can (the coset-table index
 bound; Neubueser 1982, Holt-Eick-O'Brien 2005, ch. 5):
 
 1. Sending each generator to its group element defines an onto map
-   Gamma -> G: every relator evaluates to 1, and the elements generate G.
-   Hence |Gamma| >= |G|.  Generation is checked by orbit-stabilizer at a
-   vertex v the presentation names: K = <elements> has
-   |K| = |K v| |K_v| >= |K v| |<S_v>|, where S_v are v's stabilizer
-   generators (elements fixing v), so |K v| |<S_v>| = |G| proves K = G;
-   otherwise K is listed and counted.
+   Gamma -> G: every relator evaluates to 1 (its letters' permutations,
+   `group.elements`, compose to fix a base of G), and the elements generate
+   G.  Hence |Gamma| >= |G|.  The file check (`presentation_file_problem`)
+   proves <S_v> = G_v at every base vertex v, S_v its stabilizer generators,
+   so K = <elements> has K_v = G_v and |K| = |K v| |G_v|: K = G exactly when
+   K v = G v, which is checked at the base vertex with the smallest stabilizer.
 2. The abelianization is a quotient of Gamma: when it is infinite or its
    order does not divide |G|, then |Gamma| != |G|, and the check fails
    before anything is enumerated.
@@ -74,12 +74,14 @@ g = h^+-1) is substituted away, to a fixpoint.  This is sound for these reasons:
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coset import (COSET_LIMIT, STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError,
                     todd_coxeter)
 from .graphs import ActionedGraph, OrientedEdge, first_carriers
-from .perms import bfs_tree, tree_fold
+from .perms import (bfs_tree, identity, perm_compose, perm_inverse, separating_base,
+                    tree_fold)
 from .presentation import (Presentation, TietzeReduction, inverse_word, read_json,
                            tietze_reduce)
 
@@ -131,12 +133,18 @@ def base_of_vertices(derived: DerivedPresentation, ag: ActionedGraph) -> dict[in
     """Each vertex -> its orbit's base vertex: the least named vertex, else
     the least far end s_e^-1(target of e) of an edge generator g_e, else the
     least vertex (no edge in the graph); for derive's files, the scaffolding's."""
-    far_ends = sorted(ag.apply(ag.group.inverse(derived.gen_elements[name]), e.target)
-                      for name, e in derived.edge_gens.items())
     base_of: dict[int, int] = {}
-    for v in [*_named_vertices(derived), *far_ends, *range(ag.graph.vertex_count)]:
-        if v not in base_of:
-            base_of.update(dict.fromkeys(ag.carriers(v), v))
+
+    def base(vertices: Iterable[int]) -> None:
+        for v in vertices:
+            if v not in base_of:
+                base_of.update(dict.fromkeys(ag.carriers(v), v))
+
+    base(_named_vertices(derived))
+    # a far end lies in its target's orbit: only orbits without a named vertex ask for one
+    base(sorted(ag.action[derived.gen_elements[name]].index(e.target)
+                for name, e in derived.edge_gens.items() if e.target not in base_of))
+    base(range(ag.graph.vertex_count))
     return base_of
 
 
@@ -171,14 +179,20 @@ def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph) -
     owned: dict[int, list[int]] = {v: [] for v in base_of.values()}
     for name, v in derived.stab_owners.items():
         owned[v].append(derived.gen_elements[name])
+    one = identity(len(group.elements[0]))
     for v, gens in sorted(owned.items()):
-        if set(group.subgroup_closure(gens)) != set(ag.stabilizer(v)):
+        # <S_v> is the closure of its permutations, or [one] (not hashed) when S_v is empty
+        carriers = [group.elements[g] for g in gens]
+        closure = (bfs_tree(one, lambda p: ((c, perm_compose(p, c)) for c in carriers))
+                   if carriers else [one])
+        if any(ag.apply(g, v) != v for g in gens) or len(closure) != len(ag.stabilizer(v)):
             return f"the stabilizer generators at {v} do not generate its stabilizer"
     named_by: dict[tuple[int, ...], str] = {}  # edge -> the generator naming its orbit
-    for name, e in derived.edge_gens.items():
-        if (edge := tuple(sorted(e))) in named_by:
+    for name, (a, b) in derived.edge_gens.items():
+        if (edge := (min(a, b), max(a, b))) in named_by:
             return f"edge generators {named_by[edge]} and {name} name one edge orbit"
-        orbit = first_carriers(ag.action, lambda p, x: tuple(sorted((p[x[0]], p[x[1]]))), e)
+        orbit = first_carriers(ag.action,
+                               lambda p, _: (p[a], p[b]) if p[a] < p[b] else (p[b], p[a]), edge)
         named_by.update(dict.fromkeys(orbit, name))
     if unnamed := graph.edges - named_by.keys():
         return f"no edge generator names the orbit of the edge {min(unnamed)}"
@@ -205,21 +219,8 @@ class OrderCheck(NamedTuple):
     stabilizer_order: int | None = None
 
 
-def _generated_order(ag: ActionedGraph, gens: Sequence[int], v: int | None,
-                     stab_gens: Sequence[int]) -> int:
-    """The order of the subgroup `gens` generate, or |G| as soon as
-    orbit-stabilizer at v shows that they generate G (module docstring)."""
-    group = ag.group
-    if v is not None and all(ag.apply(g, v) == v for g in stab_gens):
-        orbit = bfs_tree(v, lambda x: [(g, ag.apply(g, x)) for g in gens])
-        if len(orbit) * len(group.subgroup_closure(stab_gens)) == group.order:
-            return group.order
-    return len(group.subgroup_closure(gens))
-
-
 def _subpresentation(pres: Presentation, letters: Sequence[int]) -> Presentation:
-    """The generators `letters` (indices into `pres`) with the relators of
-    `pres` that use only them."""
+    """The generators `letters` (indices into `pres`) and the relators of `pres` over them."""
     renumber = {g: k for k, g in enumerate(letters)}
     relators = tuple(tuple((renumber[g], s) for g, s in rel) for rel in pres.relators
                      if all(g in renumber for g, _ in rel))
@@ -232,31 +233,33 @@ def presentation_order_check(
 ) -> OrderCheck:
     """Prove that the presented group has the acting group's order.
 
-    Fails, naming the witness, when the generators do not generate G, a
-    relator does not evaluate to 1, or the abelianization of the
-    Tietze-reduced presentation rules |G| out.  Only then does it call
-    `reconstruct` on that reduction, which returns the reconstruction of
-    the same presentation or None, and try the Lagrange bound at the base
-    vertex with the smallest stabilizer; when that does not decide, it
-    enumerates the reduction; the module docstring has the argument.
+    For a file `presentation_file_problem` accepts, fails, naming the
+    witness, when the generators do not generate G, a relator does not
+    evaluate to 1, or the abelianization of the Tietze-reduced presentation
+    rules |G| out.  Only then does it call `reconstruct` on that reduction,
+    which returns the reconstruction of the same presentation or None, and
+    try the Lagrange bound at the base vertex with the smallest stabilizer;
+    when that does not decide, it enumerates the reduction; the module
+    docstring has the argument.
     """
     group = ag.group
     pres = derived.presentation
     gens = [derived.gen_elements[name] for name in pres.generators]
-
-    def smallest(vertices: Iterable[int]) -> int | None:
-        return min(vertices, key=lambda u: (len(ag.stabilizer(u)), u), default=None)
-
-    def stab_letters(v: int | None) -> list[int]:
-        return [i for i, name in enumerate(pres.generators) if derived.stab_owners.get(name) == v]
-
-    named = smallest(_named_vertices(derived))
-    generated = _generated_order(ag, gens, named, [gens[i] for i in stab_letters(named)])
-    if generated != group.order:
+    v = min(set(base_of_vertices(derived, ag).values()),
+            key=lambda u: (len(ag.stabilizer(u)), u))
+    distinct = set(gens)
+    reached = len(bfs_tree(v, lambda x: ((g, ag.apply(g, x)) for g in distinct)))
+    orbit = len(ag.carriers(v))
+    if reached != orbit:
         return OrderCheck(False, None, group.order,
-                          f"generators generate {generated} of {group.order} elements")
+                          f"generators carry {v} to {reached} of the {orbit} vertices of its orbit")
+    # a relator holds when its letters' permutations compose to fix a base of G
+    base = separating_base(group.elements)
+    letter = {(g, s): p if s > 0 else perm_inverse(p)
+              for g, p in zip(distinct, [group.elements[g] for g in distinct]) for s in (1, -1)}
     for k, rel in enumerate(pres.relators):
-        if group.evaluate(gens, rel) != 0:
+        carriers = [letter[gens[i], s] for i, s in reversed(rel)]
+        if any(reduce(lambda y, p: p[y], carriers, x) != x for x in base):
             return OrderCheck(False, None, group.order, f"relator {k} does not evaluate to 1")
     reduction = tietze_reduce(pres)
     if ruled_out := _abelianization_rules_out(reduction.presentation, group.order):
@@ -264,10 +267,11 @@ def presentation_order_check(
 
     model = None if reconstruct is None else reconstruct(reduction)
     if model is not None:
-        v = smallest(model.tables)
         index = model.tables[v].n
+        stab_letters = [i for i, name in enumerate(pres.generators)
+                        if derived.stab_owners.get(name) == v]
         try:
-            stabilizer_order = todd_coxeter(_subpresentation(pres, stab_letters(v)),
+            stabilizer_order = todd_coxeter(_subpresentation(pres, stab_letters),
                                             limit=min(limit, STABILIZER_COSET_LIMIT)).n
         except EnumerationLimitError:
             stabilizer_order = None
@@ -342,7 +346,6 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
       as a derived one.
     """
     pres = derived.presentation
-    group = ag.group
     base_of = base_of_vertices(derived, ag)
     base_vertices = sorted(set(base_of.values()))
     name_index = {n: i for i, n in enumerate(pres.generators)}
@@ -367,11 +370,9 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
                 if not table.relator_closes_everywhere(rel):
                     raise RuntimeError("an original relator fails to close on the reduced table")
         tables[v] = by_words[key]
-    # the element each reduced letter (generator index, +-1) evaluates to
-    letter_element = {(i, s): elem if s > 0 else group.inverse(elem)
-                      for i, elem in enumerate(derived.gen_elements[n]
-                                               for n in reduced_pres.generators)
-                      for s in (1, -1)}
+    # the vertex permutation of each reduced generator, and its inverse
+    moves = [ag.action[derived.gen_elements[n]] for n in reduced_pres.generators]
+    inverses = list(map(perm_inverse, moves))
 
     vertices = [(v, c) for v in base_vertices for c in range(tables[v].n)]
     edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
@@ -382,7 +383,7 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
     # so f(delta) = phi(letter)^-1(f(parent))
     for v in base_vertices:
         images = tree_fold(tables[v].tree(), v,
-                           lambda x, step: ag.apply(letter_element[step[0], -step[1]], x))
+                           lambda x, step: (inverses if step[1] > 0 else moves)[step[0]][x])
         f.update(((v, c), images[c]) for c in range(tables[v].n))
 
     # edges: the orbit of (coset 0 at v, coset g_e^-1 at w) per edge generator

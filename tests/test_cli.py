@@ -241,6 +241,8 @@ def test_bad_generator_of_a_large_action_names_one_image(tmp_path, capsys, image
      "edge generators g[0] and g[1] name one edge orbit"),
     ({"stab_owners": {"x": 0}}, "x is not a generator"),
     ({"stab_owners": {}}, "do not generate its stabilizer"),
+    # element 9 has order 3, as |G_0| is, but moves 0
+    ({"gen_elements": {"g[0]": 2, "h": 9}}, "the stabilizer generators at 0 do not generate"),
     ({"gen_elements": {"g[0]": 2, "h": 3.7}}, "gen_elements['h']: expected an integer, got 3.7"),
     ({"gen_elements": {"g[0]": True, "h": 1}}, "gen_elements['g[0]']: expected an integer, got true"),
     ({"edge_gens": {"g[0]": [0.9, 1.2]}}, "edge_gens['g[0]'][0]: expected an integer, got 0.9"),
@@ -260,6 +262,7 @@ def test_bad_generator_of_a_large_action_names_one_image(tmp_path, capsys, image
 ], ids=["element-too-large", "element-negative", "element-missing", "edge-not-rep",
         "rep-unnamed", "owner-not-base", "edge-off-graph", "owner-off-graph",
         "orbit-named-twice", "owner-not-generator", "stabilizer-ungenerated",
+        "stabilizer-moves-its-vertex",
         "element-fractional", "element-boolean", "edge-fractional", "owner-fractional",
         "sign-fractional", "owners-list", "edges-number", "elements-null", "generators-null",
         "relators-null", "generators-string", "edge-triple",
@@ -674,7 +677,7 @@ def test_lagrange_proof_verifies_under_a_small_limit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("element, detail", [
-    (0, "generators generate 3 of 60 elements"),
+    (0, "generators carry 0 to 1 of the 20 vertices of its orbit"),
     (4, "relator 1 does not evaluate to 1"),
 ], ids=["identity-does-not-generate", "unsound-relator"])
 def test_order_check_names_its_witness(tmp_path, capsys, element, detail):
@@ -688,6 +691,26 @@ def test_order_check_names_its_witness(tmp_path, capsys, element, detail):
     assert code == 3
     check = json.loads(out)["order_check"]
     assert not check["ok"] and check["detail"] == detail
+
+
+def test_derive_verify_runs_the_file_check_of_verify(tmp_path, capsys, monkeypatch):
+    # a derivation that names a non-edge is refused by derive --verify with
+    # the line that verify prints for the file it wrote
+    from graphpres.graphs import OrientedEdge
+    derive = graphpres.cli.derive_presentation
+
+    def corrupted(inp):
+        derived = derive(inp)
+        return derived._replace(edge_gens={**derived.edge_gens, "g[0]": OrientedEdge(0, 2)})
+
+    monkeypatch.setattr(graphpres.cli, "derive_presentation", corrupted)
+    code, out, err = run(capsys, "derive", "--builtin", "dihedral:5", "--verify",
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: bad presentation file: edge generator g[0] names (0, 2), "
+                   "not an edge of the graph\n")
+    stored = str(tmp_path / "dihedral_5.presentation.json")
+    assert run(capsys, "verify", stored, "--builtin", "dihedral:5") == (2, "", err)
 
 
 def recording_enumerations(monkeypatch):

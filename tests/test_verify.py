@@ -8,7 +8,7 @@ from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
 from graphpres.cli import _verification_report, action_from_json
 from graphpres.coset import COSET_LIMIT, CosetTable, todd_coxeter
 from graphpres.derive import derive_presentation
-from graphpres.perms import tree_fold
+from graphpres.perms import FiniteGroupTable, tree_fold
 from graphpres.verify import (KozsulModel, _subgroup_key, abelianization_smith,
                               base_of_vertices, build_kozsul_model, check_covering_isomorphism,
                               presentation_file_problem, presentation_order_check,
@@ -285,6 +285,28 @@ def test_base_vertices_read_off_the_file_are_the_scaffoldings(name):
     derived = derive_presentation(inp)
     assert base_of_vertices(derived, inp.ag) == inp.sc.base_of
     assert presentation_file_problem(derived, inp.ag) is None
+
+
+# every arithmetic method of FiniteGroupTable: the verifier reads the
+# listed elements and the order alone
+TABLE_ARITHMETIC = ("product", "inverse", "evaluate", "subgroup_closure", "index",
+                    "word_product", "conjugate", "words", "element_order")
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_BUILTINS + list(CROSS_CHECK_FILES))
+def test_verification_calls_no_group_table_arithmetic(monkeypatch, name):
+    data = CROSS_CHECK_FILES.get(name)
+    inp = action_from_json(data, name) if data else load_builtin(name)
+    derived = derive_presentation(inp)
+    report = _verification_report(derived, inp.ag, COSET_LIMIT)
+    ag = (action_from_json(data, name) if data else load_builtin(name)).ag
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier called the group table's arithmetic")
+
+    for method in TABLE_ARITHMETIC:
+        monkeypatch.setattr(FiniteGroupTable, method, refuse)
+    assert _verification_report(derived, ag, COSET_LIMIT) == report
 
 
 def test_smith_normal_form_golden_cases():
