@@ -23,8 +23,8 @@ from .graphs import ActionedGraph, Graph, degree_problem, validate_action
 from .perms import ClosureLimitError, perm
 from .polyhedra import truncated_dodecahedron
 from .presentation import read_json
-from .verify import (build_kozsul_model, check_covering_isomorphism, derived_from_json,
-                     derived_to_json, presentation_file_problem, presentation_order_check)
+from .verify import (build_kozsul_model, check_covering_isomorphism, check_presentation_file,
+                     derived_from_json, derived_to_json, presentation_order_check)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -109,19 +109,19 @@ def _verification_report(derived, ag, limit: int) -> tuple[dict, int]:
     error.  The order check asks for the reconstruction (its Lagrange bound's
     index) only after its refutations; a reconstruction stopped at the limit is
     reported (exit 4), without it, once the full enumeration proved the order."""
-    if problem := presentation_file_problem(derived, ag):
-        raise InputError(f"bad presentation file: {problem}")
+    if isinstance(checked := check_presentation_file(derived, ag), str):
+        raise InputError(f"bad presentation file: {checked}")
     model, stopped = None, None
 
     def reconstruct(reduction):
         nonlocal model, stopped
         try:
-            model = build_kozsul_model(derived, ag, limit=limit, reduction=reduction)
+            model = build_kozsul_model(checked, reduction, limit)
         except EnumerationLimitError as exc:
             stopped = exc
         return model
 
-    order = presentation_order_check(derived, ag, limit=limit, reconstruct=reconstruct)
+    order = presentation_order_check(checked, reconstruct, limit)
     check = order._asdict()
     if order.proof != "lagrange":  # only a Lagrange proof names these
         del check["base_vertex"], check["index"], check["stabilizer_order"]
@@ -260,13 +260,15 @@ def _derive_arguments(p) -> None:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--verify", action="store_true",
                    help="enumerate and reconstruct the graph afterwards")
-    p.add_argument("--limit", type=positive_int, default=COSET_LIMIT)
+    p.add_argument("--limit", type=positive_int, default=COSET_LIMIT,
+                   help="coset limit of each enumeration --verify runs")
 
 
 def _verify_arguments(p) -> None:
     p.add_argument("presentation", help="presentation JSON file")
     _add_source(p)
-    p.add_argument("--limit", type=positive_int, default=COSET_LIMIT)
+    p.add_argument("--limit", type=positive_int, default=COSET_LIMIT,
+                   help="coset limit of each enumeration")
 
 
 def _export_cayley_arguments(p) -> None:
@@ -345,6 +347,7 @@ def parse_command(argv: list[str]) -> tuple[str, argparse.Namespace]:
 def main(argv=None) -> int:
     command, args = parse_command(sys.argv[1:] if argv is None else list(argv))
     _, _, run = COMMANDS[command]
+    # handlers keep the line; it is written once the traceback lets the failed run go
     try:
         code = run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
@@ -354,20 +357,18 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
     except (InputError, DerivationInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, line = EXIT_INPUT, str(exc)
     except (EnumerationLimitError, ClosureLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        code, line = EXIT_LIMIT, str(exc)
     except MemoryError:
-        print(f"error: {command} ran out of memory", file=sys.stderr)
-        return EXIT_LIMIT
+        code, line = EXIT_LIMIT, f"{command} ran out of memory"
     except SystemError as exc:
         # under an address-space limit CPython has raised it for an allocation
         # that failed without setting MemoryError
-        print(f"error: {command} stopped on SystemError: {exc} "
-              "(most likely a failed allocation under a memory limit)", file=sys.stderr)
-        return EXIT_LIMIT
+        code, line = EXIT_LIMIT, (f"{command} stopped on SystemError: {exc} "
+                                  "(most likely a failed allocation under a memory limit)")
+    print(f"error: {line}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,10 +12,12 @@ bound; Neubueser 1982, Holt-Eick-O'Brien 2005, ch. 5):
 1. Sending each generator to its group element defines an onto map
    Gamma -> G: every relator evaluates to 1 (its letters' permutations,
    `group.elements`, compose to fix a base of G), and the elements generate
-   G.  Hence |Gamma| >= |G|.  The file check (`presentation_file_problem`)
+   G.  Hence |Gamma| >= |G|.  The file check (`check_presentation_file`)
    proves <S_v> = G_v at every base vertex v, S_v its stabilizer generators,
    so K = <elements> has K_v = G_v and |K| = |K v| |G_v|: K = G exactly when
    K v = G v, which is checked at the base vertex with the smallest stabilizer.
+   The order check and the reconstruction take only the record the check
+   returns (`CheckedFile`), so neither runs on a file it has not accepted.
 2. The abelianization is a quotient of Gamma: when it is infinite or its
    order does not divide |G|, then |Gamma| != |G|, and the check fails
    before anything is enumerated.
@@ -124,37 +126,30 @@ def derived_from_json(data: dict) -> DerivedPresentation:
         dict(data.get("renaming", {})), data.get("name", ""))
 
 
-def _named_vertices(derived: DerivedPresentation) -> list[int]:
-    """The base vertices named: stabilizer owners and edge generator origins."""
-    return sorted({*derived.stab_owners.values(), *(e.origin for e in derived.edge_gens.values())})
+class CheckedFile(NamedTuple):
+    """A presentation file that fits its action, with what the check read off it."""
+
+    derived: DerivedPresentation
+    ag: ActionedGraph
+    base_of: dict[int, int]         # vertex -> its orbit's base vertex
+    owned: dict[int, list[str]]     # base vertex, sorted -> its stabilizer generators
 
 
-def base_of_vertices(derived: DerivedPresentation, ag: ActionedGraph) -> dict[int, int]:
-    """Each vertex -> its orbit's base vertex: the least named vertex, else
-    the least far end s_e^-1(target of e) of an edge generator g_e, else the
-    least vertex (no edge in the graph); for derive's files, the scaffolding's."""
-    base_of: dict[int, int] = {}
+def check_presentation_file(derived: DerivedPresentation, ag: ActionedGraph) -> str | CheckedFile:
+    """The first reason a stored presentation does not fit the action, or the
+    checked file: generators name group elements, edges and vertices, named
+    base vertices lie in distinct orbits, each base vertex's generators
+    generate its stabilizer, and each undirected edge orbit holds one edge
+    generator's edge.  With the order check, g_e rebuilds the orbit of the
+    edge from e's origin to s_e(w), w the base of e's target: e's orbit if
+    s_e(w) = target.
 
-    def base(vertices: Iterable[int]) -> None:
-        for v in vertices:
-            if v not in base_of:
-                base_of.update(dict.fromkeys(ag.carriers(v), v))
-
-    base(_named_vertices(derived))
-    # a far end lies in its target's orbit: only orbits without a named vertex ask for one
-    base(sorted(ag.action[derived.gen_elements[name]].index(e.target)
-                for name, e in derived.edge_gens.items() if e.target not in base_of))
-    base(range(ag.graph.vertex_count))
-    return base_of
-
-
-def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph) -> str | None:
-    """The first reason a stored presentation does not fit the action, or None:
-    generators name group elements, edges and vertices, named base vertices
-    lie in distinct orbits, each base vertex's generators generate its
-    stabilizer, and each undirected edge orbit holds one edge generator's
-    edge.  With the order check, g_e rebuilds the orbit of the edge from e's
-    origin to s_e(w), w the base of e's target: e's orbit if s_e(w) = target."""
+    An orbit's base vertex is the least vertex the file names in it (a
+    stabilizer owner or an edge generator's origin), else the least far end
+    s_e^-1(target of e) of an edge generator g_e, else its least vertex (an
+    orbit without edges); for derive's files, the scaffolding's.  `owned`
+    lists each base vertex's stabilizer generators in `stab_owners` order.
+    """
     group, graph = ag.group, ag.graph
     generators = set(derived.presentation.generators)
     for name in derived.presentation.generators:
@@ -172,16 +167,25 @@ def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph) -
     for name, v in derived.stab_owners.items():
         if not 0 <= v < graph.vertex_count:
             return f"stabilizer generator {name} belongs to {v}, not a vertex of the graph"
-    base_of = base_of_vertices(derived, ag)
-    for v in _named_vertices(derived):
-        if base_of[v] != v:
+    base_of: dict[int, int] = {}
+    named = {*derived.stab_owners.values(), *(e.origin for e in derived.edge_gens.values())}
+    for v in sorted(named):
+        if v in base_of:
             return f"vertices {base_of[v]} and {v} are named as base vertices of one orbit"
-    owned: dict[int, list[int]] = {v: [] for v in base_of.values()}
+        base_of.update(dict.fromkeys(ag.carriers(v), v))
+    # a far end lies in its target's orbit: only orbits without a named vertex ask for one
+    far_ends = sorted(ag.action[derived.gen_elements[name]].index(e.target)
+                      for name, e in derived.edge_gens.items() if e.target not in base_of)
+    for v in (*far_ends, *range(graph.vertex_count)):
+        if v not in base_of:
+            base_of.update(dict.fromkeys(ag.carriers(v), v))
+    owned: dict[int, list[str]] = {v: [] for v in sorted(set(base_of.values()))}
     for name, v in derived.stab_owners.items():
-        owned[v].append(derived.gen_elements[name])
+        owned[v].append(name)
     one = identity(len(group.elements[0]))
-    for v, gens in sorted(owned.items()):
+    for v, names in owned.items():
         # <S_v> is the closure of its permutations, or [one] (not hashed) when S_v is empty
+        gens = [derived.gen_elements[name] for name in names]
         carriers = [group.elements[g] for g in gens]
         closure = (bfs_tree(one, lambda p: ((c, perm_compose(p, c)) for c in carriers))
                    if carriers else [one])
@@ -196,7 +200,7 @@ def presentation_file_problem(derived: DerivedPresentation, ag: ActionedGraph) -
         named_by.update(dict.fromkeys(orbit, name))
     if unnamed := graph.edges - named_by.keys():
         return f"no edge generator names the orbit of the edge {min(unnamed)}"
-    return None
+    return CheckedFile(derived, ag, base_of, owned)
 
 
 class OrderCheck(NamedTuple):
@@ -228,12 +232,11 @@ def _subpresentation(pres: Presentation, letters: Sequence[int]) -> Presentation
 
 
 def presentation_order_check(
-        derived: DerivedPresentation, ag: ActionedGraph, limit: int = COSET_LIMIT,
-        reconstruct: Callable[[TietzeReduction], KozsulModel | None] | None = None,
-) -> OrderCheck:
+        checked: CheckedFile, reconstruct: Callable[[TietzeReduction], KozsulModel | None],
+        limit: int = COSET_LIMIT) -> OrderCheck:
     """Prove that the presented group has the acting group's order.
 
-    For a file `presentation_file_problem` accepts, fails, naming the
+    For a file `check_presentation_file` accepted, fails, naming the
     witness, when the generators do not generate G, a relator does not
     evaluate to 1, or the abelianization of the Tietze-reduced presentation
     rules |G| out.  Only then does it call `reconstruct` on that reduction,
@@ -242,11 +245,10 @@ def presentation_order_check(
     when that does not decide, it enumerates the reduction; the module
     docstring has the argument.
     """
-    group = ag.group
-    pres = derived.presentation
+    derived, ag = checked.derived, checked.ag
+    group, pres = ag.group, derived.presentation
     gens = [derived.gen_elements[name] for name in pres.generators]
-    v = min(set(base_of_vertices(derived, ag).values()),
-            key=lambda u: (len(ag.stabilizer(u)), u))
+    v = min(checked.owned, key=lambda u: (len(ag.stabilizer(u)), u))
     distinct = set(gens)
     reached = len(bfs_tree(v, lambda x: ((g, ag.apply(g, x)) for g in distinct)))
     orbit = len(ag.carriers(v))
@@ -265,11 +267,9 @@ def presentation_order_check(
     if ruled_out := _abelianization_rules_out(reduction.presentation, group.order):
         return OrderCheck(False, None, group.order, ruled_out, proof="abelianization")
 
-    model = None if reconstruct is None else reconstruct(reduction)
-    if model is not None:
+    if (model := reconstruct(reduction)) is not None:
         index = model.tables[v].n
-        stab_letters = [i for i, name in enumerate(pres.generators)
-                        if derived.stab_owners.get(name) == v]
+        stab_letters = sorted(map(pres.generators.index, checked.owned[v]))
         try:
             stabilizer_order = todd_coxeter(_subpresentation(pres, stab_letters),
                                             limit=min(limit, STABILIZER_COSET_LIMIT)).n
@@ -301,29 +301,26 @@ def _subgroup_key(words: Iterable[tuple]) -> tuple:
 class KozsulModel(NamedTuple):
     """The graph rebuilt from the presented group, with its map back to X.
 
-    Vertices are pairs (base vertex, coset) over the per-base-vertex coset
-    tables of the presented group modulo the image of that stabilizer; base
+    Vertices, the keys of `f`, are pairs (base vertex, coset) over the coset
+    tables of the presented group modulo each base vertex's stabilizer; base
     vertices whose Tietze-reduced stabilizer words agree share one table.
     """
 
-    vertices: list[tuple[int, int]]
     edges: set[tuple[tuple[int, int], tuple[int, int]]]
     f: dict[tuple[int, int], int]
     tables: dict[int, CosetTable]
 
 
-def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
-                       limit: int = COSET_LIMIT,
-                       reduction: TietzeReduction | None = None) -> KozsulModel:
+def build_kozsul_model(checked: CheckedFile, reduction: TietzeReduction,
+                       limit: int = COSET_LIMIT) -> KozsulModel:
     """Rebuild the graph from the presented group Gamma.
 
-    Each base vertex v (`base_of_vertices`) contributes the cosets of H_v,
-    the subgroup its stabilizer generators generate, enumerated over the
-    Tietze-reduced presentation (module docstring), which `reduction` holds
-    when the caller has computed it.  Each edge generator g_e, for the
-    pairing representative e from v to the base vertex w of its far end,
-    contributes the Gamma-orbit of the edge between coset 0 at v and coset
-    g_e^-1 at w.  These are all the edges:
+    Each base vertex v of the checked file contributes the cosets of
+    H_v = <S_v>, enumerated over `reduction`, the order check's Tietze
+    reduction (module docstring).  Each edge generator g_e, for the pairing
+    representative e from v to the base vertex w of its far end, contributes
+    the Gamma-orbit of the edge between coset 0 at v and coset g_e^-1 at w.
+    These are all the edges:
 
     - An oriented edge u(e0) at v, with e0 a representative and u in G_v,
       has g_{u(e0)} = u g_{e0} k^-1 with u in H_v and k in H_w.  Its edge
@@ -345,25 +342,19 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
       of G holds in Gamma, and a stored presentation gets the same edge set
       as a derived one.
     """
+    derived, ag, base_of = checked.derived, checked.ag, checked.base_of
     pres = derived.presentation
-    base_of = base_of_vertices(derived, ag)
-    base_vertices = sorted(set(base_of.values()))
     name_index = {n: i for i, n in enumerate(pres.generators)}
-    stab_gen_words: dict[int, list] = {v: [] for v in base_vertices}
-    for name, v in derived.stab_owners.items():
-        stab_gen_words[v].append(((name_index[name], 1),))
     # enumerate the Tietze-reduced presentation; base vertices with equal
     # reduced subgroup words (none, for a free action) share one enumeration
-    if reduction is None:
-        reduction = tietze_reduce(pres)
     reduced_pres = reduction.presentation
     # every original relator, respelled over the reduced generators, must
     # close at every coset: the tables do not rest on the reduction alone
     original_relators = [reduction.word(rel) for rel in pres.relators]
     by_words: dict[tuple, CosetTable] = {}
     tables: dict[int, CosetTable] = {}
-    for v in base_vertices:
-        key = _subgroup_key(map(reduction.word, stab_gen_words[v]))
+    for v, names in checked.owned.items():
+        key = _subgroup_key(reduction.word(((name_index[name], 1),)) for name in names)
         if key not in by_words:
             table = by_words[key] = todd_coxeter(reduced_pres, key, limit=limit)
             for rel in original_relators:
@@ -374,14 +365,13 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
     moves = [ag.action[derived.gen_elements[n]] for n in reduced_pres.generators]
     inverses = list(map(perm_inverse, moves))
 
-    vertices = [(v, c) for v in base_vertices for c in range(tables[v].n)]
     edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     f: dict[tuple[int, int], int] = {}
 
     # the covering map f((v, c)) = phi(delta)^-1(v), carried down the coset
     # table's spanning tree as a vertex: phi(delta) = phi(parent) phi(letter),
     # so f(delta) = phi(letter)^-1(f(parent))
-    for v in base_vertices:
+    for v in checked.owned:
         images = tree_fold(tables[v].tree(), v,
                            lambda x, step: (inverses if step[1] > 0 else moves)[step[0]][x])
         f.update(((v, c), images[c]) for c in range(tables[v].n))
@@ -397,7 +387,7 @@ def build_kozsul_model(derived: DerivedPresentation, ag: ActionedGraph,
             a, b = (v, c), (w, d)
             edges.add((a, b) if a < b else (b, a))
 
-    return KozsulModel(vertices, edges, f, tables)
+    return KozsulModel(edges, f, tables)
 
 
 class CoveringReport(NamedTuple):
@@ -421,12 +411,11 @@ def check_covering_isomorphism(model: KozsulModel, ag: ActionedGraph) -> Coverin
     """
     nX = ag.graph.vertex_count
     mX = len(ag.graph.edges)
-    nM = len(model.vertices)
+    nM = len(model.f)
     mM = len(model.edges)
 
     image: dict[int, tuple[int, int]] = {}
-    for x in model.vertices:
-        fx = model.f[x]
+    for x, fx in model.f.items():
         if fx in image:
             return CoveringReport(False, nM, nX, mM, mX,
                                   "two vertices map to the same vertex",

@@ -20,11 +20,11 @@ from graphpres.golden import QUAT_C, quat_mul
 from graphpres.graphs import find_inversion
 from graphpres.polyhedra import dodecahedron_model, truncated_dodecahedron
 from graphpres.scaffold import validate_regularity
-from graphpres.verify import (abelianization_smith, build_kozsul_model,
-                              check_covering_isomorphism)
+from graphpres.verify import abelianization_smith, check_covering_isomorphism
 from graphpres.presentation import Presentation
 
 from test_coset import standard_symmetric_presentation
+from verify_steps import kozsul_model
 
 
 def _verdict(number: int, ok: bool, detail: str, started: float, budget: float):
@@ -57,12 +57,12 @@ def test_criterion_2_dodecahedron():
         ["g", "h"], [[("g", 1)] * 2, [("h", 1)] * 3, [("g", 1), ("h", 1)] * 5])
     shape = presentation_matches(derived, target, inp.ag)
     count = todd_coxeter(derived.presentation).n
-    model = build_kozsul_model(derived, inp.ag)
+    model = kozsul_model(derived, inp.ag)
     cover = check_covering_isomorphism(model, inp.ag)
-    ok = (shape and count == 60 and len(model.vertices) == 20
+    ok = (shape and count == 60 and len(model.f) == 20
           and len(model.edges) == 30 and cover.ok)
     _verdict(2, ok, f"shape {shape}, {count} cosets, rebuilt graph "
-             f"{len(model.vertices)}/{len(model.edges)}, covering {cover.ok}",
+             f"{len(model.f)}/{len(model.edges)}, covering {cover.ok}",
              started, 5.0)
 
 
@@ -74,11 +74,11 @@ def test_criterion_3_binary_icosahedral():
     stz = coxeter_substitution(derived.renamed())
     stz_shape = (stz.generators == ("s", "t", "z")
                  and ((2, 1), (2, 1)) in stz.relators)
-    model = build_kozsul_model(derived, bi.input.ag)
+    model = kozsul_model(derived, bi.input.ag)
     cover = check_covering_isomorphism(model, bi.input.ag)
-    ok = count == 120 and stz_shape and len(model.vertices) == 20 and cover.ok
+    ok = count == 120 and stz_shape and len(model.f) == 20 and cover.ok
     _verdict(3, ok, f"{count} cosets, substitution to s,t,z with z^2 "
-             f"{stz_shape}, rebuilt graph on {len(model.vertices)} vertices",
+             f"{stz_shape}, rebuilt graph on {len(model.f)} vertices",
              started, 10.0)
 
 
@@ -184,12 +184,12 @@ def test_criterion_8_property_suites():
     local = True
     for inp in builtin_inputs:
         derived = derive_presentation(inp)
-        model = build_kozsul_model(derived, inp.ag)
-        neighbors = {x: set() for x in model.vertices}
+        model = kozsul_model(derived, inp.ag)
+        neighbors = {x: set() for x in model.f}
         for a, b in model.edges:
             neighbors[a].add(b)
             neighbors[b].add(a)
-        for x in model.vertices:
+        for x in model.f:
             image = {model.f[y] for y in neighbors[x]}
             local = local and len(image) == len(neighbors[x])
             local = local and image == set(inp.ag.graph.neighbors(model.f[x]))
@@ -202,7 +202,7 @@ def test_criterion_8_property_suites():
     try:
         table = todd_coxeter(derived.presentation, limit=20_000)
         if table.n != 60 and table.n % 60 == 0:
-            model = build_kozsul_model(derived, inp.ag)
+            model = kozsul_model(derived, inp.ag)
             negative = not check_covering_isomorphism(model, inp.ag).ok
     except EnumerationLimitError:
         negative = True

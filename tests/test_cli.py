@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -623,6 +624,35 @@ def test_system_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err == ("error: derive stopped on SystemError: error return without exception set "
                    "(most likely a failed allocation under a memory limit)\n")
+
+
+def test_out_of_memory_line_is_written_once_the_failed_run_is_released(tmp_path, monkeypatch):
+    # the handler keeps only the line: while it is written, no traceback
+    # holds the objects of the run that ran out of memory
+    class Held:
+        pass
+
+    refs = []
+
+    def exhausted(*args):
+        held = Held()
+        refs.append(weakref.ref(held))
+        raise MemoryError
+
+    written = []  # (text, whether the run's object was alive at the write)
+
+    class Stderr:
+        def write(self, text):
+            written.append((text, refs[0]() is not None))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(graphpres.cli, "derive_presentation", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    code = main(["derive", "--builtin", "dihedral:5", "--out", str(tmp_path)])
+    assert (code, "".join(text for text, _ in written)) == (4, "error: derive ran out of memory\n")
+    assert not any(alive for _, alive in written)
 
 
 def test_order_check_limit_exits_4(tmp_path, capsys):

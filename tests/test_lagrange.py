@@ -14,9 +14,10 @@ from graphpres.builtins import load_builtin
 from graphpres.cli import action_from_json, main
 from graphpres.coset import EnumerationLimitError, todd_coxeter
 from graphpres.derive import derive_presentation
-from graphpres.verify import build_kozsul_model, presentation_order_check
+from graphpres.verify import presentation_order_check
 from graphpres.presentation import Presentation
 from test_pinned import ACTIONS
+from verify_steps import checked_file, kozsul_model
 
 BUILTINS = ["simplex:3", "simplex:4", "simplex:5", "simplex:6", "simplex:7", "dodecahedron",
             "binary-icosahedral", "dihedral:3", "dihedral:5", "dihedral:50"]
@@ -30,11 +31,12 @@ def load(name: str):
 def both_checks(inp, derived, limit=1_000_000):
     """The order check with the reconstruction's tables, and without them."""
     try:
-        model = build_kozsul_model(derived, inp.ag, limit=limit)
+        model = kozsul_model(derived, inp.ag, limit)
     except EnumerationLimitError:
         model = None
-    return (presentation_order_check(derived, inp.ag, limit=limit, reconstruct=lambda _: model),
-            presentation_order_check(derived, inp.ag, limit=limit))
+    checked = checked_file(derived, inp.ag)
+    return (presentation_order_check(checked, lambda _: model, limit),
+            presentation_order_check(checked, lambda _: None, limit))
 
 
 def without_first_loop_relator(derived):

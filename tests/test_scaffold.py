@@ -174,6 +174,53 @@ def test_regularity_violation_of_the_pairing_and_decompositions(build, change, c
     assert violation is not None and violation.condition == condition
 
 
+def prism_4x3_dihedral():
+    return action_from_json(ACTIONS["prism-4x3-dihedral"])
+
+
+def other_carrier(inp, e):
+    """An element other than s_e that carries e's origin to its target."""
+    return next(g for g in range(inp.ag.group.order)
+                if inp.ag.apply(g, e.origin) == e.target and g != inp.sc.s[e])
+
+
+E = OrientedEdge
+
+
+@pytest.mark.parametrize("build, change, condition, edge, detail", [
+    # the representative (0, 1) of K4 dropped from s
+    (lambda: simplex_action(4), lambda inp: {"s": {e: se for e, se in inp.sc.s.items()
+                                                   if e != E(0, 1)}},
+     "0", E(0, 1), "representative without s_e"),
+    # (0, 4), the reversal partner of (0, 1), dropped from the representatives
+    (prism_5x2, lambda inp: {"iota": {e: f for e, f in inp.sc.iota.items() if e != E(0, 4)}},
+     "ii", E(0, 1), "paired edge is not a representative"),
+    # the tree edge (4, 0) given the flip, which fixes 0 and 4, as its s
+    (prism_4x3_dihedral, lambda inp: {"s": {**inp.sc.s, E(4, 0): inp.ag.generator_labels["m"]}},
+     "ii", E(0, 4), "paired edge has s != s_e^{-1}"),
+    (prism_5x2, lambda inp: {"rep_decomposition": {**inp.sc.rep_decomposition,
+                                                   E(0, 4): (E(1, 2), 0)}},
+     "iii", E(0, 4), "(1, 2) is not a representative"),
+    # s of (0, 2) still carries 0 to 2, but is not u s_(0, 1) u^-1
+    (lambda: simplex_action(4),
+     lambda inp: {"s": {**inp.sc.s, E(0, 2): other_carrier(inp, E(0, 2))}},
+     "iii", E(0, 1), "s of (0, 2) is not propagated from (0, 1)"),
+    (lambda: simplex_action(4), lambda inp: {"tree_edges": ((0, 2),)},
+     "iv", E(0, 2), "tree edge is not a representative"),
+    # (0, 1) represents its orbit, with an inversion as s
+    (lambda: simplex_action(4), lambda inp: {"tree_edges": ((0, 1),)},
+     "iv", E(0, 1), "tree edge with s != 1"),
+], ids=["representative-without-s", "partner-not-a-representative", "partner-s-not-inverse",
+        "decomposed-over-a-non-representative", "s-not-propagated",
+        "tree-edge-not-a-representative", "tree-edge-with-s"])
+def test_regularity_refusals_name_the_condition_and_the_edge(
+        build, change, condition, edge, detail):
+    inp = build()
+    violation = validate_regularity(inp.sc._replace(**change(inp)), inp.ag)
+    assert violation is not None
+    assert (violation.condition, violation.edge, violation.detail) == (condition, edge, detail)
+
+
 def test_scaffolding_determinism():
     a = build_regular_scaffolding(dodecahedron_action().ag)
     b = build_regular_scaffolding(dodecahedron_action().ag)

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-import graphpres.verify
 from graphpres.cli import action_from_json, main
 from graphpres.coset import todd_coxeter
 from graphpres.derive import derive_presentation
@@ -22,6 +21,7 @@ from graphpres.verify import build_kozsul_model, check_covering_isomorphism
 from graphpres.presentation import Presentation, TietzeReduction, tietze_reduce
 from test_coset import inverse_word, random_word, rotated
 from test_pinned import ACTIONS, prism
+from verify_steps import checked_file, kozsul_model
 
 PRISM_SHAPES = [(60, 4, False), (40, 5, False), (75, 3, False), (30, 4, True)]
 RELABELLINGS = [1, 2, 3]
@@ -68,7 +68,7 @@ def check_action(inp):
     words = stabilizer_words(derived)
     for v in inp.sc.base_vertices:
         check_reduced(derived.presentation, words.get(v, []))
-    model = build_kozsul_model(derived, inp.ag)
+    model = kozsul_model(derived, inp.ag)
     assert check_covering_isomorphism(model, inp.ag).ok
     return derived, model
 
@@ -226,7 +226,7 @@ def test_widened_tables_of_random_presentations_with_short_relators(rng):
         assert len(reduction.presentation.generators) <= base_ngens
 
 
-def test_reduction_that_contradicts_an_original_relator_is_refused(monkeypatch):
+def test_reduction_that_contradicts_an_original_relator_is_refused():
     # C3 on a triangle, presented with a second name a for the rotation g;
     # a reduction that pins a to 1, not to g, breaks the relator a g^-1
     inp = action_from_json({"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]],
@@ -237,11 +237,10 @@ def test_reduction_that_contradicts_an_original_relator_is_refused(monkeypatch):
         [g, "a"], [[(g, 1)] * 3, [("a", 1), (g, -1)]]))
     derived.gen_elements["a"] = derived.gen_elements[g]
     assert tietze_reduce(derived.presentation).pins == ((0, 1), (0, 1))
-    assert check_covering_isomorphism(build_kozsul_model(derived, inp.ag), inp.ag).ok
+    assert check_covering_isomorphism(kozsul_model(derived, inp.ag), inp.ag).ok
     wrong = TietzeReduction(Presentation.from_strings([g], [[(g, 1)] * 3]), ((0, 1), None))
-    monkeypatch.setattr(graphpres.verify, "tietze_reduce", lambda p: wrong)
     with pytest.raises(RuntimeError, match="original relator"):
-        build_kozsul_model(derived, inp.ag)
+        build_kozsul_model(checked_file(derived, inp.ag), wrong)
 
 
 # -- (b) subgroup words are reduced freely, never cyclically -------------------
@@ -269,7 +268,7 @@ def test_path_under_the_trivial_group_rebuilds_from_one_coset():
     reduction = tietze_reduce(derived.presentation)
     assert reduction.presentation.generators == () and reduction.presentation.relators == ()
     assert set(reduction.pins) == {None}
-    model = build_kozsul_model(derived, inp.ag)
+    model = kozsul_model(derived, inp.ag)
     (table,) = distinct_tables(model)
     assert table.n == 1
     assert table.gen_names == () and table.rows == [[]]
@@ -281,7 +280,7 @@ def test_path_under_the_trivial_group_rebuilds_from_one_coset():
 @pytest.mark.parametrize("seed", RELABELLINGS)
 def test_dihedral_prism_shares_one_table_of_few_definitions(seed):
     inp = prism_input(30, 4, True, seed)
-    model = build_kozsul_model(derive_presentation(inp), inp.ag)
+    model = kozsul_model(derive_presentation(inp), inp.ag)
     (table,) = distinct_tables(model)
     assert len(model.tables) == 4 and table.n == 30
     assert table.stats.defined <= 3 * table.n
@@ -290,7 +289,7 @@ def test_dihedral_prism_shares_one_table_of_few_definitions(seed):
 @pytest.mark.parametrize("seed", RELABELLINGS)
 def test_free_prism_table_defines_at_most_twice_its_index(seed):
     inp = prism_input(60, 4, False, seed)
-    model = build_kozsul_model(derive_presentation(inp), inp.ag)
+    model = kozsul_model(derive_presentation(inp), inp.ag)
     (table,) = distinct_tables(model)
     assert table.n == 60 and table.stats.defined <= 2 * table.n
 
@@ -311,7 +310,7 @@ def test_report_counts_cosets_over_distinct_tables(tmp_path, capsys, data, table
     assert main(["derive", "--action", str(path), "--verify", "--out", str(tmp_path)]) == 0
     recon = json.loads(capsys.readouterr().out)["reconstruction"]
     inp = action_from_json(data, "action")
-    distinct = distinct_tables(build_kozsul_model(derive_presentation(inp), inp.ag))
+    distinct = distinct_tables(kozsul_model(derive_presentation(inp), inp.ag))
     assert len(distinct) == tables
     assert recon["cosets"] == sum(t.n for t in distinct)
     assert recon["cosets_defined"] == sum(t.stats.defined for t in distinct)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,26 +6,26 @@ import pytest
 import graphpres.cli
 from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
                                 load_builtin, simplex_action)
-from graphpres.cli import _verification_report, action_from_json
+from graphpres.cli import _verification_report, action_from_json, main
 from graphpres.coset import COSET_LIMIT, CosetTable, todd_coxeter
 from graphpres.derive import derive_presentation
 from graphpres.perms import FiniteGroupTable, tree_fold
 from graphpres.verify import (KozsulModel, _subgroup_key, abelianization_smith,
-                              base_of_vertices, build_kozsul_model, check_covering_isomorphism,
-                              presentation_file_problem, presentation_order_check,
+                              check_covering_isomorphism, presentation_order_check,
                               smith_normal_form)
 from graphpres.presentation import Presentation, inverse_word, tietze_reduce
 from graphpres.words import EdgeLetter, edge_word, rewrite_word_to_E1
 from test_cli import PATH8_EXPONENTS
 from test_pinned import ACTIONS, prism
 from test_tietze import relabelled
+from verify_steps import checked_file, kozsul_model
 
 
 def test_order_check_simplex_factorials():
     for n in (3, 4, 5):
         inp = simplex_action(n)
         d = derive_presentation(inp)
-        check = presentation_order_check(d, inp.ag)
+        check = presentation_order_check(checked_file(d, inp.ag), lambda _: None)
         assert check.ok and check.enumerated == math.factorial(n)
 
 
@@ -34,7 +35,7 @@ def test_order_check_detects_dropped_relator():
     kept = tuple(rel for rel in d.presentation.relators if len(rel) < 8)
     assert len(kept) == len(d.presentation.relators) - 1  # the long loop relator goes
     d = d._replace(presentation=Presentation(d.presentation.generators, kept))
-    check = presentation_order_check(d, inp.ag, limit=20_000)
+    check = presentation_order_check(checked_file(d, inp.ag), lambda _: None, limit=20_000)
     assert not check.ok
     assert "exceeded" in check.detail
 
@@ -42,8 +43,8 @@ def test_order_check_detects_dropped_relator():
 def test_kozsul_triangle():
     inp = simplex_action(3)
     d = derive_presentation(inp)
-    model = build_kozsul_model(d, inp.ag)
-    assert len(model.vertices) == 3 and len(model.edges) == 3
+    model = kozsul_model(d, inp.ag)
+    assert len(model.f) == 3 and len(model.edges) == 3
     assert check_covering_isomorphism(model, inp.ag).ok
 
 
@@ -57,7 +58,7 @@ def test_kozsul_free_base_vertices_share_one_table():
     rotate = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
     inp = action_from_json({"vertices": 2 * n, "edges": edges,
                             "generators": {"r": rotate}}, "prism-5x2")
-    model = build_kozsul_model(derive_presentation(inp), inp.ag)
+    model = kozsul_model(derive_presentation(inp), inp.ag)
     first, second = (model.tables[v] for v in inp.sc.base_vertices)
     assert first is second and first.n == n
     assert check_covering_isomorphism(model, inp.ag).ok
@@ -66,16 +67,16 @@ def test_kozsul_free_base_vertices_share_one_table():
 def test_kozsul_dodecahedron():
     inp = dodecahedron_action()
     d = derive_presentation(inp)
-    model = build_kozsul_model(d, inp.ag)
-    assert len(model.vertices) == 20 and len(model.edges) == 30
+    model = kozsul_model(d, inp.ag)
+    assert len(model.f) == 20 and len(model.edges) == 30
     assert check_covering_isomorphism(model, inp.ag).ok
 
 
 def test_kozsul_double_cover_quotient():
     bi = binary_icosahedral_action()
     d = derive_presentation(bi.input)
-    model = build_kozsul_model(d, bi.input.ag)
-    assert len(model.vertices) == 120 // 6 == 20
+    model = kozsul_model(d, bi.input.ag)
+    assert len(model.f) == 120 // 6 == 20
     assert check_covering_isomorphism(model, bi.input.ag).ok
 
 
@@ -84,7 +85,7 @@ def test_kozsul_detects_missing_loop_relation():
     # must fail by hitting the enumeration limit rather than concluding
     inp = dodecahedron_action()._replace(loops=())
     d = derive_presentation(inp)
-    check = presentation_order_check(d, inp.ag, limit=20_000)
+    check = presentation_order_check(checked_file(d, inp.ag), lambda _: None, limit=20_000)
     assert not check.ok
     assert "exceeded" in check.detail
 
@@ -95,15 +96,12 @@ def test_covering_reports_non_injective_witness():
     from graphpres.verify import KozsulModel
     inp = simplex_action(3)
     d = derive_presentation(inp)
-    good = build_kozsul_model(d, inp.ag)
-    vertices = [(0, c) for c in range(6)]
+    good = kozsul_model(d, inp.ag)
     edges = set()
     for (v, a), (w, b) in good.edges:
         edges.add(((v, a), (w, b)))
         edges.add(((v, a + 3), (w, b + 3)))
-    doubled = KozsulModel(vertices, edges,
-                          {(0, c): good.f[(0, c % 3)] for c in range(6)},
-                          good.tables)
+    doubled = KozsulModel(edges, {(0, c): good.f[(0, c % 3)] for c in range(6)}, good.tables)
     report = check_covering_isomorphism(doubled, inp.ag)
     assert not report.ok
     assert report.defect == "two vertices map to the same vertex"
@@ -115,9 +113,9 @@ def test_covering_reports_local_defect():
     from graphpres.verify import KozsulModel
     inp = simplex_action(3)
     d = derive_presentation(inp)
-    good = build_kozsul_model(d, inp.ag)
+    good = kozsul_model(d, inp.ag)
     kept = sorted(good.edges)[:2]
-    broken = KozsulModel(good.vertices, set(kept), good.f, good.tables)
+    broken = KozsulModel(set(kept), good.f, good.tables)
     report = check_covering_isomorphism(broken, inp.ag)
     assert not report.ok
     assert report.defect == "edges do not map onto the graph's edges"
@@ -219,8 +217,7 @@ def reference_kozsul_model(derived, ag, sc, limit=COSET_LIMIT, reduction=None):
         carried = tree_fold(tables[v].tree(), 0, extend)
         for c in range(tables[v].n):
             f[(v, c)] = ag.apply(group.inverse(carried[c]), v)
-    vertices = [(v, c) for v in sc.base_vertices for c in range(tables[v].n)]
-    return KozsulModel(vertices, reference_edges(derived, ag, sc, tables), f, tables)
+    return KozsulModel(reference_edges(derived, ag, sc, tables), f, tables)
 
 
 def trivial_grid(rows: int, cols: int) -> dict:
@@ -264,15 +261,16 @@ def test_edge_orbits_match_the_per_edge_reference(monkeypatch, name):
     else:
         inp = load_builtin(name)
     derived = derive_presentation(inp)
-    model = build_kozsul_model(derived, inp.ag)
+    model = kozsul_model(derived, inp.ag)
     reference = reference_kozsul_model(derived, inp.ag, inp.sc)
-    assert model.vertices == reference.vertices
+    assert list(model.f) == list(reference.f)
     assert model.f == reference.f
     assert model.edges == reference.edges
     report = _verification_report(derived, inp.ag, COSET_LIMIT)
     assert report[0]["reconstruction"]["ok"]
     monkeypatch.setattr(graphpres.cli, "build_kozsul_model",
-                        lambda d, ag, **kwargs: reference_kozsul_model(d, ag, inp.sc, **kwargs))
+                        lambda checked, reduction, limit: reference_kozsul_model(
+                            checked.derived, checked.ag, inp.sc, limit, reduction))
     assert _verification_report(derived, inp.ag, COSET_LIMIT) == report
 
 
@@ -283,8 +281,30 @@ def test_base_vertices_read_off_the_file_are_the_scaffoldings(name):
     data = CROSS_CHECK_FILES.get(name)
     inp = action_from_json(data, name) if data else load_builtin(name)
     derived = derive_presentation(inp)
-    assert base_of_vertices(derived, inp.ag) == inp.sc.base_of
-    assert presentation_file_problem(derived, inp.ag) is None
+    assert checked_file(derived, inp.ag).base_of == inp.sc.base_of
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_BUILTINS + list(CROSS_CHECK_FILES))
+def test_derive_verify_and_verify_of_the_written_file_report_the_same(tmp_path, capsys, name):
+    # one verification for both commands, also on a copy of the file that
+    # lists its stabilizer owners in the reverse order
+    if name in CROSS_CHECK_FILES:
+        (tmp_path / "action.json").write_text(json.dumps(CROSS_CHECK_FILES[name]))
+        source, stem = ["--action", str(tmp_path / "action.json")], "action"
+    else:
+        source, stem = ["--builtin", name], name.replace(":", "_")
+    assert main(["derive", *source, "--verify", "--out", str(tmp_path)]) == 0
+    derived = json.loads(capsys.readouterr().out)
+    written = tmp_path / f"{stem}.presentation.json"
+    data = json.loads(written.read_text())
+    reversed_owners = tmp_path / "reversed.presentation.json"
+    reversed_owners.write_text(json.dumps(
+        {**data, "stab_owners": dict(reversed(data["stab_owners"].items()))}))
+    for path in (written, reversed_owners):
+        assert main(["verify", str(path), *source]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["order_check"], report["reconstruction"]) == (
+            derived["order_check"], derived["reconstruction"])
 
 
 # every arithmetic method of FiniteGroupTable: the verifier reads the

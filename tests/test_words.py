@@ -1,7 +1,7 @@
 import pytest
 
-from graphpres.builtins import (binary_icosahedral_action, dodecahedron_action,
-                                simplex_action)
+from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
+                                dodecahedron_action, simplex_action)
 from graphpres.cli import action_from_json
 from graphpres.graphs import OrientedEdge
 from graphpres.perms import identity, transposition
@@ -125,6 +125,42 @@ def test_trace_rejects_bad_paths():
     sc = inp3.sc._replace(s={**inp3.sc.s, OrientedEdge(0, 1): 0})
     with pytest.raises(ValueError, match=r"^trace lost the path at 0,1; bad scaffolding$"):
         trace_path((0, 1), inp3.ag, sc)
+
+
+def stabilizer_element(inp, v, a, b):
+    """The first element fixing v that carries a to b."""
+    return next(g for g in range(inp.ag.group.order)
+                if inp.ag.apply(g, v) == v and inp.ag.apply(g, a) == b)
+
+
+def edited(inp, **change):
+    """The action and its scaffolding with some of the choices replaced."""
+    return inp.ag, inp.sc._replace(**{k: {**getattr(inp.sc, k), **v} for k, v in change.items()})
+
+
+@pytest.mark.parametrize("call, message", [
+    # a stabilizer letter naming no element of S4
+    (lambda inp: evaluate_word_in_G((StabLetter(0, 24),), inp.ag, inp.sc),
+     "word references unknown element 24"),
+    # s of (0, 2) replaced by the identity, which does not carry 0 to 2
+    (lambda inp: edge_relation(OrientedEdge(0, 1), stabilizer_element(inp, 0, 1, 2),
+                               *edited(inp, s={OrientedEdge(0, 2): 0})),
+     "k(e,t) does not fix the base vertex; scaffolding data broken"),
+    (lambda inp: trace_path((), inp.ag, inp.sc), "empty path"),
+    (lambda inp: trace_path((0, 1), inp.ag, inp.sc._replace(
+        s={e: se for e, se in inp.sc.s.items() if e != OrientedEdge(0, 1)})),
+     "translated edge OrientedEdge(origin=0, target=1) has no origin in V; bad scaffolding"),
+    # the square under D4 with 2 also made a base vertex: the walk 0, 1, 2
+    # traces to (0, 1) and (0, 3), and the product, carrying 3's base vertex
+    # 0 to 2, moves 2
+    (lambda inp: loop_relation((0, 1, 2), *edited(dihedral_cycle_action(4), base_of={2: 2})),
+     "traced product does not stabilize the endpoint"),
+], ids=["unknown-element", "k-off-the-base-vertex", "empty-path", "edge-without-s",
+        "product-off-the-endpoint"])
+def test_word_functions_refuse_bad_words_and_scaffoldings(call, message):
+    with pytest.raises(ValueError) as refused:
+        call(simplex_action(4))
+    assert str(refused.value) == message
 
 
 def test_loop_relation_evaluates_to_identity():
