@@ -124,7 +124,8 @@ def _verification_report(derived, ag, limit: int) -> tuple[dict, int]:
     order = presentation_order_check(checked, reconstruct, limit)
     check = order._asdict()
     if order.proof != "lagrange":  # only a Lagrange proof names these
-        del check["base_vertex"], check["index"], check["stabilizer_order"]
+        for key in ("base_vertex", "index", "stabilizer_order", "stabilizer_chain"):
+            del check[key]
     report = {"order_check": check}
     if not order.ok:
         # only the full enumeration stops without a verdict: the witnesses

@@ -308,3 +308,30 @@ def todd_coxeter(presentation: Presentation, subgroup_words: Iterable[SignedWord
         if not table.relator_closes_everywhere(rel):
             raise RuntimeError("relator fails to close")
     return table
+
+
+def prefix_chain(presentation: Presentation, limit: int = COSET_LIMIT) -> list[int] | None:
+    """Indices whose product bounds the order of the presented group Q, or
+    None when a step defines more than `limit` cosets.
+
+    Q_k is presented by the first k generators x_1 .. x_k and the relators
+    of `presentation` that use only those; Q_n = Q and Q_0 = 1.  The relators
+    of Q_(k-1) hold in Q_k, so <x_1 .. x_(k-1)> in Q_k is a quotient of
+    Q_(k-1), and by Lagrange's theorem
+
+        |Q_k| = [Q_k : <x_1 .. x_(k-1)>] |<x_1 .. x_(k-1)>|
+              <= [Q_k : <x_1 .. x_(k-1)>] |Q_(k-1)|.
+
+    The list holds these indices for k = n down to 1, the last generator
+    dropped first (Neubueser 1982; Holt-Eick-O'Brien 2005, ch. 5), so
+    |Q| <= their product.  The bound can exceed |Q|; with one generator the
+    chain is the enumeration of Q itself, and the bound is |Q|.
+    """
+    chain = []
+    for k in range(len(presentation.generators), 0, -1):
+        q_k = presentation.restricted(range(k))
+        try:
+            chain.append(todd_coxeter(q_k, [((g, 1),) for g in range(k - 1)], limit).n)
+        except EnumerationLimitError:
+            return None
+    return chain

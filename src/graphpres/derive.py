@@ -16,11 +16,12 @@ the representatives:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
-from .coset import STABILIZER_COSET_LIMIT, EnumerationLimitError, todd_coxeter
+from .coset import STABILIZER_COSET_LIMIT, EnumerationLimitError, prefix_chain, todd_coxeter
 # unused here, but perfbench/tracing.py wraps derive.find_inversion by this name
 from .graphs import (ActionedGraph, CycleSpace, Graph, OrientedEdge, find_inversion,  # noqa: F401
                      first_carriers, loop_problem)
@@ -89,6 +90,11 @@ def validate_input(inp: DerivationInput) -> None:
         for k, rel in enumerate(data.presentation.relators):
             if ag.group.evaluate(letters, rel) != 0:
                 raise DerivationInputError(f"stabilizer relator {k} at {v} does not evaluate to 1")
+        # the generators and relators give an onto map Q -> G_v, so |Q| >= |G_v|:
+        # a chain bound of |G_v| proves the order, else Q is enumerated
+        chain = prefix_chain(data.presentation, STABILIZER_COSET_LIMIT)
+        if chain is not None and math.prod(chain) == len(stab):
+            continue
         try:
             table = todd_coxeter(data.presentation, limit=STABILIZER_COSET_LIMIT)
         except EnumerationLimitError as exc:

@@ -168,6 +168,13 @@ class Presentation(CheckedRecord):
         rels = tuple(tuple((index.get(name, -1), sign) for name, sign in rel) for rel in relators)
         return Presentation(tuple(generators), rels)
 
+    def restricted(self, letters: Sequence[int]) -> Presentation:
+        """The generators `letters` (indices) and the relators over them."""
+        renumber = {g: k for k, g in enumerate(letters)}
+        relators = tuple(tuple((renumber[g], s) for g, s in rel) for rel in self.relators
+                         if all(g in renumber for g, _ in rel))
+        return Presentation(tuple(self.generators[g] for g in letters), relators)
+
     def rename(self, mapping: dict[str, str]) -> Presentation:
         return Presentation(tuple(mapping.get(g, g) for g in self.generators), self.relators)
 

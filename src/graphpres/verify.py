@@ -25,23 +25,29 @@ bound; Neubueser 1982, Holt-Eick-O'Brien 2005, ch. 5):
    H_v = <S_v> in Gamma, so its table at v has [Gamma : H_v] rows.
 4. Q_v is the group presented by S_v and those relators of Gamma that use
    only letters of S_v.  Each of them holds in Gamma, so H_v is a quotient
-   of Q_v and |H_v| <= |Q_v|; Q_v is enumerated over the trivial subgroup.
-5. |Gamma| = [Gamma : H_v] |H_v| <= [Gamma : H_v] |Q_v|.  When this product
-   equals |G|, then |G| <= |Gamma| <= |G|, and the onto map is an
-   isomorphism.
+   of Q_v and |H_v| <= |Q_v|.  |Q_v| is bounded by the product of the
+   indices down the chain of its generator prefixes (`coset.prefix_chain`),
+   one table per generator in place of one table of |Q_v| cosets: for S_n
+   on its Coxeter generators, tables of index n, n - 1, ..., 2, not one of
+   index n!.
+5. |Gamma| = [Gamma : H_v] |H_v| <= [Gamma : H_v] |Q_v| <= [Gamma : H_v] b,
+   b the chain's bound.  When this product equals |G|, then
+   |G| <= |Gamma| <= |G|, and the onto map is an isomorphism; so b = |Q_v|.
 
 The vertex v of steps 3-5 is the base vertex with the smallest stabilizer
-(the least such vertex), which makes Q_v the smallest enumeration on offer.
-For a free action Q_v is the trivial group, so the reconstruction's own
-table is the whole proof.
+(the least such vertex), which makes Q_v the smallest group on offer.
+For a free action Q_v is the trivial group, its chain is empty, and the
+reconstruction's own table is the whole proof.
 
-When the bound does not decide -- the product exceeds |G|, Q_v does not
-close within `STABILIZER_COSET_LIMIT` cosets, or there is no
-reconstruction -- the check enumerates Gamma over the trivial subgroup and
-compares the count with |G|.  So no verdict depends on which proof ran: the
-bound accepts only presentations with |Gamma| = |G|, which the full
-enumeration accepts too, and the abelianization rejects only presentations
-with |Gamma| != |G|.
+The chain's bound may exceed |Q_v|, or a step may not close within its
+limit, the lesser of `limit` and `STABILIZER_COSET_LIMIT`; then Q_v is
+enumerated over the trivial subgroup within that limit, unless the chain
+had one step, which was that enumeration.  When neither decides -- the
+product exceeds |G|, Q_v does not close, or there is no reconstruction --
+the check enumerates Gamma over the trivial subgroup and compares the count
+with |G|.  So no verdict depends on which proof ran: the bounds accept only
+presentations with |Gamma| = |G|, which the full enumeration accepts too,
+and the abelianization rejects only presentations with |Gamma| != |G|.
 
 The abelianization, the reconstruction and the full enumeration run on one
 Tietze reduction of the presentation (`presentation.tietze_reduce`): every
@@ -80,7 +86,7 @@ from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coset import (COSET_LIMIT, STABILIZER_COSET_LIMIT, CosetTable, EnumerationLimitError,
-                    todd_coxeter)
+                    prefix_chain, todd_coxeter)
 from .graphs import ActionedGraph, OrientedEdge, first_carriers
 from .perms import (bfs_tree, identity, perm_compose, perm_inverse, separating_base,
                     tree_fold)
@@ -210,7 +216,8 @@ class OrderCheck(NamedTuple):
     reached; it is None when nothing was counted (a limit, or no onto map).
     `proof` is "lagrange", "abelianization" (a failure that `detail`
     explains) or "enumeration"; a Lagrange proof names its base vertex, the
-    index [Gamma : H_v] and the order of Q_v.
+    index [Gamma : H_v], the order of Q_v and the chain of indices whose
+    product proved it.
     """
 
     ok: bool
@@ -221,14 +228,7 @@ class OrderCheck(NamedTuple):
     base_vertex: int | None = None
     index: int | None = None
     stabilizer_order: int | None = None
-
-
-def _subpresentation(pres: Presentation, letters: Sequence[int]) -> Presentation:
-    """The generators `letters` (indices into `pres`) and the relators of `pres` over them."""
-    renumber = {g: k for k, g in enumerate(letters)}
-    relators = tuple(tuple((renumber[g], s) for g, s in rel) for rel in pres.relators
-                     if all(g in renumber for g, _ in rel))
-    return Presentation(tuple(pres.generators[g] for g in letters), relators)
+    stabilizer_chain: list[int] | None = None
 
 
 def presentation_order_check(
@@ -241,9 +241,10 @@ def presentation_order_check(
     evaluate to 1, or the abelianization of the Tietze-reduced presentation
     rules |G| out.  Only then does it call `reconstruct` on that reduction,
     which returns the reconstruction of the same presentation or None, and
-    try the Lagrange bound at the base vertex with the smallest stabilizer;
-    when that does not decide, it enumerates the reduction; the module
-    docstring has the argument.
+    try the Lagrange bound at the base vertex with the smallest stabilizer,
+    first with Q_v's prefix chain, then with Q_v's enumeration; when neither
+    decides, it enumerates the reduction; the module docstring has the
+    argument.
     """
     derived, ag = checked.derived, checked.ag
     group, pres = ag.group, derived.presentation
@@ -270,14 +271,18 @@ def presentation_order_check(
     if (model := reconstruct(reduction)) is not None:
         index = model.tables[v].n
         stab_letters = sorted(map(pres.generators.index, checked.owned[v]))
-        try:
-            stabilizer_order = todd_coxeter(_subpresentation(pres, stab_letters),
-                                            limit=min(limit, STABILIZER_COSET_LIMIT)).n
-        except EnumerationLimitError:
-            stabilizer_order = None
-        if stabilizer_order is not None and index * stabilizer_order == group.order:
-            return OrderCheck(True, group.order, group.order, proof="lagrange",
-                              base_vertex=v, index=index, stabilizer_order=stabilizer_order)
+        q_v, cap = pres.restricted(stab_letters), min(limit, STABILIZER_COSET_LIMIT)
+        chain = prefix_chain(q_v, cap)
+        if (chain is None or index * math.prod(chain) != group.order) and len(stab_letters) > 1:
+            # a chain of one step was this enumeration already
+            try:
+                chain = [todd_coxeter(q_v, limit=cap).n]
+            except EnumerationLimitError:
+                chain = None
+        if chain is not None and index * math.prod(chain) == group.order:
+            return OrderCheck(True, group.order, group.order, proof="lagrange", base_vertex=v,
+                              index=index, stabilizer_order=math.prod(chain),
+                              stabilizer_chain=chain)
     try:
         table = todd_coxeter(reduction.presentation, limit=limit)
     except EnumerationLimitError as exc:

@@ -591,17 +591,18 @@ def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, argv):
 
 
 def test_stabilizer_presentation_past_its_limit_exits_4(tmp_path, capsys, monkeypatch):
-    # K6 under S6: the Schreier presentation of the S5 at vertex 0 defines
-    # more than 50 cosets
+    # K6 under S6: the first step of the chain bound on the S5 at vertex 0
+    # defines 22 cosets, and the enumeration of the S5 at least 120; the
+    # levels below need at most 6
     path = tmp_path / "k6.json"
     path.write_text(json.dumps({
         "vertices": 6, "edges": [[a, b] for a in range(6) for b in range(a + 1, 6)],
         "generators": {"s": [1, 0, 2, 3, 4, 5], "c": [1, 2, 3, 4, 5, 0]}}))
-    monkeypatch.setattr(graphpres.derive, "STABILIZER_COSET_LIMIT", 50)
+    monkeypatch.setattr(graphpres.derive, "STABILIZER_COSET_LIMIT", 20)
     code, out, err = run(capsys, "derive", "--action", str(path), "--out", str(tmp_path))
     assert (code, out) == (4, "")
     assert err.count("\n") == 1
-    assert err.startswith("error: stabilizer presentation at 0: coset limit 50 exceeded (")
+    assert err.startswith("error: stabilizer presentation at 0: coset limit 20 exceeded (")
 
 
 def test_exhausted_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
@@ -657,11 +658,13 @@ def test_out_of_memory_line_is_written_once_the_failed_run_is_released(tmp_path,
 
 def test_order_check_limit_exits_4(tmp_path, capsys):
     # the report goes to stdout and its detail, as one line, to stderr; the
-    # square under D4 with no loops presents an infinite group
+    # index-6 reconstruction of simplex:6 stops at 5 cosets, which leaves the
+    # full enumeration, and the square under D4 with no loops presents an
+    # infinite group
     path = tmp_path / "square.json"
     path.write_text(json.dumps({"vertices": 4, "edges": SQUARE_EDGES, "loops": [],
                                 "generators": {"r": [1, 2, 3, 0], "m": [0, 3, 2, 1]}}))
-    for source, limit in ((["--builtin", "simplex:6"], 50), (["--action", str(path)], 2000)):
+    for source, limit in ((["--builtin", "simplex:6"], 5), (["--action", str(path)], 2000)):
         code, out, err = run(capsys, "derive", *source, "--verify", "--limit", str(limit),
                              "--out", str(tmp_path))
         assert code == 4

@@ -9,7 +9,7 @@ import graphpres.perms
 import graphpres.verify
 from graphpres.cli import main
 from graphpres.coset import (CosetTable, EnumerationLimitError, EnumerationStats, _Enumerator,
-                             _cols, todd_coxeter)
+                             _cols, prefix_chain, todd_coxeter)
 from graphpres.perms import ClosureLimitError
 from graphpres.presentation import Presentation
 from test_pinned import ACTIONS
@@ -489,3 +489,39 @@ def test_scans_of_a_long_power_relator_grow_linearly():
         reads[n] = table_reads(presentation, subgroup)
     # doubling n doubles the work, where quadratic scans would quadruple it
     assert reads[100] < 2.2 * reads[50] and reads[200] < 2.2 * reads[100]
+
+
+def test_prefix_chain_of_the_coxeter_presentation_of_s_n():
+    # Q_k is S_(k+1), of index k + 1 over S_k
+    for n in (2, 4, 7):
+        assert prefix_chain(standard_symmetric_presentation(n)) == list(range(n, 1, -1))
+    assert prefix_chain(pres([], [])) == []
+    assert prefix_chain(CYCLIC3) == [3]
+
+
+def test_prefix_chain_bound_depends_on_the_letter_order():
+    # <a, b | a b^-1, b^2> has order 2: dropping b first leaves <a | >, which
+    # is infinite, so no step closes; dropping a first leaves <b | b^2>
+    relators = [[("a", 1), ("b", -1)], [("b", 1)] * 2]
+    assert todd_coxeter(pres(["a", "b"], relators)).n == 2
+    assert prefix_chain(pres(["a", "b"], relators), limit=1000) is None
+    assert prefix_chain(pres(["b", "a"], relators), limit=1000) == [1, 2]
+
+
+# S3 on the swaps s2, s3 of simplex:4's vertex stabilizer, where s2^2 = 1
+# holds only through s3: its chain bound is [Q : <s2>] |<s2 | s2^4>| = 3 * 4
+LOOSE_S3 = pres(["s2", "s3"], [[("s2", 1)] * 4, [("s3", 1)] * 2,
+                               [("s2", 1), ("s2", 1), ("s3", -1), ("s3", -1)],
+                               [("s2", 1), ("s3", 1)] * 3])
+
+
+def test_prefix_chain_bound_can_exceed_the_order():
+    assert todd_coxeter(LOOSE_S3).n == 6
+    assert prefix_chain(LOOSE_S3) == [3, 4]
+
+
+def test_prefix_chain_stops_at_its_limit():
+    # the first step of S7, the index 7 over S6, defines more than 7 cosets
+    s7 = standard_symmetric_presentation(7)
+    assert prefix_chain(s7, limit=7) is None
+    assert prefix_chain(s7, limit=100) == [7, 6, 5, 4, 3, 2]

@@ -21,7 +21,7 @@ from graphpres.verify import derived_from_json, derived_to_json
 
 from reference_picks import reference_collapses, reference_pick_loops
 from test_carriers import relabelled
-from test_coset import standard_symmetric_presentation
+from test_coset import LOOSE_S3, standard_symmetric_presentation
 from test_pinned import ACTIONS, PINNED, prism
 from test_verify import trivial_grid
 
@@ -66,6 +66,22 @@ def test_validate_input_catches_stabilizer_relator_that_fails_in_G():
     with pytest.raises(DerivationInputError,
                        match="^stabilizer relator 1 at 0 does not evaluate to 1$"):
         validate_input(inp)
+
+
+def test_validate_input_enumerates_when_the_chain_bound_is_too_large(monkeypatch):
+    # the chain bounds the S3 at vertex 0 by 12; the enumeration proves 6
+    inp = simplex_action(4)
+    inp.stabilizers[0] = StabilizerData(LOOSE_S3, inp.stabilizers[0].gen_elements)
+    enumerated = []
+
+    def recording(*args, **kwargs):
+        table = todd_coxeter(*args, **kwargs)
+        enumerated.append(table.n)
+        return table
+
+    monkeypatch.setattr(derive_module, "todd_coxeter", recording)
+    validate_input(inp)
+    assert enumerated == [6]
 
 
 def simplex6_with(change):

@@ -1,21 +1,32 @@
-"""Cross-checks of the Lagrange order proof against full enumeration.
+"""Cross-checks of the Lagrange order proofs against full enumeration.
 
 The order check proves |Gamma| = |G| from the reconstruction's index
-[Gamma : H_v] and the order of Q_v, and falls back to enumerating all of
-Gamma when that bound does not decide.  Both routes must reach the same
-verdict and the same order as a direct `todd_coxeter` of the presentation.
+[Gamma : H_v] and a bound on the order of Q_v, and falls back to
+enumerating all of Gamma when that bound does not decide.  Both routes must
+reach the same verdict and the same order as a direct `todd_coxeter` of the
+presentation.  The bound, the product of the indices down the chain of
+generator prefixes, also proves each stabilizer presentation's order in
+`validate_input`; it must equal the full enumeration's count and |G_v|
+there, at every level of the recursion.
 """
 
 import json
+import math
 
 import pytest
 
+import graphpres.coset
+import graphpres.derive
+import graphpres.verify
 from graphpres.builtins import load_builtin
 from graphpres.cli import action_from_json, main
-from graphpres.coset import EnumerationLimitError, todd_coxeter
-from graphpres.derive import derive_presentation
+from graphpres.coset import (STABILIZER_COSET_LIMIT, EnumerationLimitError, prefix_chain,
+                             todd_coxeter)
+from graphpres.derive import StabilizerData, derive_presentation
 from graphpres.verify import presentation_order_check
 from graphpres.presentation import Presentation
+from test_coset import LOOSE_S3
+from test_orbital import CASES, random_actions
 from test_pinned import ACTIONS
 from verify_steps import checked_file, kozsul_model
 
@@ -59,6 +70,7 @@ def test_lagrange_proof_agrees_with_full_enumeration(name):
     v = lagrange.base_vertex
     assert v == min(inp.sc.base_vertices, key=lambda u: (len(inp.ag.stabilizer(u)), u))
     assert lagrange.stabilizer_order == len(inp.ag.stabilizer(v))
+    assert math.prod(lagrange.stabilizer_chain) == lagrange.stabilizer_order
     assert lagrange.index * lagrange.stabilizer_order == order
 
 
@@ -90,5 +102,102 @@ def test_undecided_bound_falls_back_to_enumeration(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["order_check"]["proof"] == "enumeration"
+    assert "stabilizer_chain" not in report["order_check"]
     assert report["order_check"]["enumerated"] == 60
     assert report["reconstruction"]["ok"]
+
+
+def test_bound_above_the_order_falls_back_to_enumeration(tmp_path, capsys):
+    # h^3 = 1 only through the edge generator, and h^6 = 1 in Q_v: the
+    # bound [Gamma : H_v] |Q_v| = 20 * 6 is twice |G|, which proves nothing
+    assert main(["derive", "--builtin", "dodecahedron", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "dodecahedron.presentation.json"
+    data = json.loads(path.read_text())
+    data["relators"][0] = [["g[0]", 1]] + [["h", 1]] * 3 + [["g[0]", -1]]
+    data["relators"].append([["h", 1]] * 6)
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--builtin", "dodecahedron"]) == 0
+    check = json.loads(capsys.readouterr().out)["order_check"]
+    assert (check["proof"], check["enumerated"]) == ("enumeration", 60)
+
+
+def test_chain_bound_too_large_falls_back_to_enumerating_q_v():
+    # the chain bounds the S3 at vertex 0 by 12, and Q_v's own enumeration,
+    # a chain of one step, proves 6
+    inp = load_builtin("simplex:4")
+    inp.stabilizers[0] = StabilizerData(LOOSE_S3, inp.stabilizers[0].gen_elements)
+    lagrange, full = both_checks(inp, derive_presentation(inp))
+    assert lagrange.ok and full.ok
+    assert (lagrange.proof, lagrange.index, lagrange.stabilizer_chain) == ("lagrange", 4, [6])
+
+
+def validated_stabilizers(monkeypatch, build) -> list[list]:
+    """Per `validate_input` call while `build()` is made and derived, at
+    every level of the recursion: (presentation, |G_v|) for each stabilizer
+    presentation it accepts."""
+    calls = []
+    validate = graphpres.derive.validate_input
+
+    def recording(inp):
+        validate(inp)
+        calls.append([(inp.stabilizers[v].presentation, len(inp.ag.stabilizer(v)))
+                      for v in inp.sc.base_vertices])
+
+    monkeypatch.setattr(graphpres.derive, "validate_input", recording)
+    derive_presentation(build())
+    return calls
+
+
+def assert_chain_bound_is_exact(calls):
+    for presentation, order in (stabilizer for call in calls for stabilizer in call):
+        chain = prefix_chain(presentation, STABILIZER_COSET_LIMIT)
+        assert chain is not None, presentation.pretty()
+        enumerated = todd_coxeter(presentation, limit=STABILIZER_COSET_LIMIT).n
+        assert math.prod(chain) == enumerated == order, presentation.pretty()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_chain_bound_is_every_stabilizer_order(monkeypatch, name):
+    assert_chain_bound_is_exact(validated_stabilizers(monkeypatch, lambda: load(name)))
+
+
+def test_chain_bound_is_every_stabilizer_order_of_the_orbital_actions(monkeypatch, rng):
+    calls = 0
+    for k, data in enumerate(random_actions(rng, CASES)):
+        levels = validated_stabilizers(monkeypatch,
+                                       lambda: action_from_json(data, f"orbital-{k}"))
+        assert_chain_bound_is_exact(levels)
+        calls += len(levels)
+    assert calls > CASES  # the recursion ran below the top level
+
+
+def complete_graph(n: int) -> dict:
+    """S_n on K_n, by a transposition and an n-cycle."""
+    return {"vertices": n, "edges": [[a, b] for a in range(n) for b in range(a + 1, n)],
+            "generators": {"s": [1, 0, *range(2, n)], "c": [*range(1, n), 0]}}
+
+
+@pytest.mark.parametrize("source", ["simplex:7", "k7"])
+def test_no_enumeration_reaches_the_stabilizer_order(tmp_path, capsys, monkeypatch, source):
+    # |G_v| = 720 for S7 on 7 points: the chain's tables have index at most 7
+    indices = []
+    enumerate_ = graphpres.coset.todd_coxeter
+
+    def recording(*args, **kwargs):
+        table = enumerate_(*args, **kwargs)
+        indices.append(table.n)
+        return table
+
+    for module in (graphpres.coset, graphpres.derive, graphpres.verify):
+        monkeypatch.setattr(module, "todd_coxeter", recording)
+    if source == "k7":
+        path = tmp_path / "k7.json"
+        path.write_text(json.dumps(complete_graph(7)))
+        argv = ["--action", str(path)]
+    else:
+        argv = ["--builtin", source]
+    assert main(["derive", *argv, "--verify", "--out", str(tmp_path)]) == 0
+    check = json.loads(capsys.readouterr().out)["order_check"]
+    assert (check["proof"], check["stabilizer_chain"]) == ("lagrange", [6, 5, 4, 3, 2])
+    assert indices and max(indices) < 720

@@ -125,18 +125,22 @@ def test_regularity_violation_iii_detected():
     h = inp.ag.generator_labels["h"]
     e = OrientedEdge(0, 1)
     d = inp.ag.apply_edge(h, e)
+    # s_d k with k != 1 fixing w still carries w to d's target, so only the
+    # propagation s_d = u s_e u^-1 fails
+    w = sc.base_of[d.target]
+    k = next(k for k in inp.ag.stabilizer(w) if k != 0)
     broken = dict(sc.s)
-    broken[d] = inp.ag.group.product(sc.s[d], sc.s[d])  # not u s_e u^-1 any more
+    broken[d] = inp.ag.group.product(sc.s[d], k)
     mutated = sc._replace(s=broken)
     violation = validate_regularity(mutated, inp.ag)
-    assert violation is not None
+    assert violation is not None and violation.condition == "iii"
+    assert violation.detail == f"s of {tuple(d)} is not propagated from {tuple(e)}"
 
 
 def test_regularity_violation_i_detected():
     inp = dodecahedron_action()
     sc = inp.sc
     e = OrientedEdge(0, 1)
-    h = inp.ag.generator_labels["h"]
     # replace the flip with another carrier of the far endpoint (not an inversion)
     other = next(i for i in range(inp.ag.group.order)
                  if inp.ag.apply(i, 0) == 1 and inp.ag.apply(i, 1) != 0)
@@ -144,7 +148,7 @@ def test_regularity_violation_i_detected():
     broken[e] = other
     mutated = sc._replace(s=broken)
     violation = validate_regularity(mutated, inp.ag)
-    assert violation is not None and violation.condition in ("i", "iii")
+    assert violation is not None and violation.condition == "i"
 
 
 def prism_5x2():
