@@ -180,7 +180,7 @@ def derive_presentation(inp: DerivationInput) -> DerivedPresentation:
     for loop in inp.loops:
         add(loop_relation(loop, ag, sc), "loop")
     for e in sc.oriented_tree_edges():
-        if e <= sc.iota[e]:  # the rule `pair_reps` is built by
+        if sc.is_pair_rep(e):
             add(edge_word(e), "tree")
 
     families = {"stabilizer": 0, "edge": 0, "edge_loop": 0, "loop": 0, "tree": 0}

@@ -25,11 +25,15 @@ class Scaffolding(NamedTuple):
     base_vertices: tuple[int, ...]                      # V, one per vertex orbit
     base_of: dict[int, int]                             # x -> v(x), the base vertex of its orbit
     tree_edges: tuple[tuple[int, int], ...]             # undirected edges of the subtree A on V
-    pair_reps: tuple[OrientedEdge, ...]                 # e in E0 with e <= iota(e) (E1)
+    pair_reps: tuple[OrientedEdge, ...]                 # E1, the sorted e in E0 with is_pair_rep(e)
     s: dict[OrientedEdge, int]                          # e -> s_e, carrying base_of[target(e)] to target(e)
     iota: dict[OrientedEdge, OrientedEdge]              # the reversal pairing on E0
     rep_decomposition: dict[OrientedEdge, tuple[OrientedEdge, int]]
     # e -> (representative e0, element u of G_origin) with u(e0) = e
+
+    def is_pair_rep(self, e: OrientedEdge) -> bool:
+        """Is the representative e in the pairing set E1, e <= iota(e)?"""
+        return e <= self.iota[e]
 
     def oriented_tree_edges(self) -> tuple[OrientedEdge, ...]:
         out = []
@@ -140,8 +144,8 @@ def build_regular_scaffolding(ag: ActionedGraph) -> Scaffolding:
         if len(carried) * len(ag.edge_stabilizer(rep)) != len(stab):
             raise RuntimeError("transversal size mismatch")
 
-    pair_reps = tuple(sorted(e for e in iota if e <= iota[e]))
-    return Scaffolding(base_vertices, base_of, tree_edges, pair_reps, s, iota, rep_decomposition)
+    sc = Scaffolding(base_vertices, base_of, tree_edges, (), s, iota, rep_decomposition)
+    return sc._replace(pair_reps=tuple(sorted(filter(sc.is_pair_rep, iota))))
 
 
 class RegularityViolation(NamedTuple):
@@ -193,7 +197,7 @@ def validate_regularity(sc: Scaffolding, ag: ActionedGraph) -> RegularityViolati
             if sc.iota[e] != partner or sc.iota[partner] != e:
                 return RegularityViolation("ii", e, se,
                                            f"iota does not pair it with {tuple(partner)}")
-    pair_reps = tuple(sorted(e for e in sc.iota if e <= sc.iota[e]))
+    pair_reps = tuple(sorted(filter(sc.is_pair_rep, sc.iota)))
     if tuple(sc.pair_reps) != pair_reps:
         e = min(set(sc.pair_reps).symmetric_difference(pair_reps), default=pair_reps[0])
         return RegularityViolation("ii", e, None, "pair_reps are not the e <= iota(e)")

@@ -39,15 +39,15 @@ The vertex v of steps 3-5 is the base vertex with the smallest stabilizer
 For a free action Q_v is the trivial group, its chain is empty, and the
 reconstruction's own table is the whole proof.
 
-The chain's bound may exceed |Q_v|, or a step may not close within its
-limit, the lesser of `limit` and `STABILIZER_COSET_LIMIT`; then Q_v is
-enumerated over the trivial subgroup within that limit, unless the chain
-had one step, which was that enumeration.  When neither decides -- the
-product exceeds |G|, Q_v does not close, or there is no reconstruction --
-the check enumerates Gamma over the trivial subgroup and compares the count
-with |G|.  So no verdict depends on which proof ran: the bounds accept only
-presentations with |Gamma| = |G|, which the full enumeration accepts too,
-and the abelianization rejects only presentations with |Gamma| != |G|.
+The chain's bound may exceed |Q_v|, or a step may not close within the
+lesser of `limit` and `STABILIZER_COSET_LIMIT`.  When the bound does not
+prove |G| -- or there is no reconstruction -- the check enumerates Gamma
+over the trivial subgroup and compares the count with |G|.  So no verdict
+depends on which proof ran: the bound accepts only presentations with
+|Gamma| = |G|, which the full enumeration accepts too, and the
+abelianization rejects only presentations with |Gamma| != |G|.  On the
+files `derive` writes, Q_v's chain is the one `derive.validate_input`
+proved equal to |G_v|.
 
 The abelianization, the reconstruction and the full enumeration run on one
 Tietze reduction of the presentation (`presentation.tietze_reduce`): every
@@ -216,8 +216,8 @@ class OrderCheck(NamedTuple):
     reached; it is None when nothing was counted (a limit, or no onto map).
     `proof` is "lagrange", "abelianization" (a failure that `detail`
     explains) or "enumeration"; a Lagrange proof names its base vertex, the
-    index [Gamma : H_v], the order of Q_v and the chain of indices whose
-    product proved it.
+    index [Gamma : H_v], the order of Q_v and Q_v's prefix chain, the
+    indices whose product proved it.
     """
 
     ok: bool
@@ -241,10 +241,9 @@ def presentation_order_check(
     evaluate to 1, or the abelianization of the Tietze-reduced presentation
     rules |G| out.  Only then does it call `reconstruct` on that reduction,
     which returns the reconstruction of the same presentation or None, and
-    try the Lagrange bound at the base vertex with the smallest stabilizer,
-    first with Q_v's prefix chain, then with Q_v's enumeration; when neither
-    decides, it enumerates the reduction; the module docstring has the
-    argument.
+    try the Lagrange bound with Q_v's prefix chain at the base vertex with
+    the smallest stabilizer; when the bound does not prove |G|, it
+    enumerates the reduction; the module docstring has the argument.
     """
     derived, ag = checked.derived, checked.ag
     group, pres = ag.group, derived.presentation
@@ -270,15 +269,8 @@ def presentation_order_check(
 
     if (model := reconstruct(reduction)) is not None:
         index = model.tables[v].n
-        stab_letters = sorted(map(pres.generators.index, checked.owned[v]))
-        q_v, cap = pres.restricted(stab_letters), min(limit, STABILIZER_COSET_LIMIT)
-        chain = prefix_chain(q_v, cap)
-        if (chain is None or index * math.prod(chain) != group.order) and len(stab_letters) > 1:
-            # a chain of one step was this enumeration already
-            try:
-                chain = [todd_coxeter(q_v, limit=cap).n]
-            except EnumerationLimitError:
-                chain = None
+        q_v = pres.restricted(sorted(map(pres.generators.index, checked.owned[v])))
+        chain = prefix_chain(q_v, min(limit, STABILIZER_COSET_LIMIT))
         if chain is not None and index * math.prod(chain) == group.order:
             return OrderCheck(True, group.order, group.order, proof="lagrange", base_vertex=v,
                               index=index, stabilizer_order=math.prod(chain),

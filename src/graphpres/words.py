@@ -185,9 +185,7 @@ def rewrite_word_to_E1(word: Word, ag: ActionedGraph, sc: Scaffolding) -> Word:
             out.append(letter)
             continue
         e0, u = sc.rep_decomposition[letter.edge]
-        e1 = sc.iota[e0]
-        # the rule `pair_reps` is built by
-        core = EdgeLetter(e0, 1) if e0 <= e1 else EdgeLetter(e1, -1)
+        core = EdgeLetter(e0, 1) if sc.is_pair_rep(e0) else EdgeLetter(sc.iota[e0], -1)
         if u == 0:
             expansion = [core]
         else:

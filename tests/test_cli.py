@@ -699,7 +699,7 @@ def test_reconstruction_limit_keeps_the_report(tmp_path, capsys, monkeypatch):
 
 
 def test_lagrange_proof_verifies_under_a_small_limit(tmp_path, capsys):
-    # the proof needs the reconstruction's 5 cosets and Q_v's 24, not 120
+    # the proof needs the reconstruction's 5 cosets and Q_v's chain 4, 3, 2, not 120
     code, out, _ = run(capsys, "derive", "--builtin", "simplex:5", "--verify",
                        "--limit", "50", "--out", str(tmp_path))
     assert code == 0

@@ -5,12 +5,14 @@ theorem; neither may reach the modules the derivation builds with.  The
 import graph is read from the sources with `ast`: only relative
 `from .x import ...` edges connect the modules.  The package `__init__`
 imports nothing, so a fresh interpreter that imports one module loads
-exactly that module's closure and the package.
+exactly that module's closure and the package.  README quotes each
+check's closure in lines, and must quote the count computed here.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphpres"
+README = SRC.parent.parent / "README.md"
 DERIVATION = {"derive", "scaffold", "words", "builtins"}
 
 
@@ -45,6 +48,13 @@ def lines(modules: set[str]) -> int:
                for name in modules)
 
 
+def readme_lines(module: str) -> int | None:
+    """The closure size README quotes for `module`, "(N lines with `module` itself"."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    quoted = re.search(rf"\((\d+) lines with `{module}` itself", text)
+    return int(quoted.group(1)) if quoted else None
+
+
 def test_verify_coset_and_presentation_import_nothing_the_derivation_builds_with():
     graph = import_graph()
     reach = {name: closure(graph, name) for name in ("presentation", "coset", "verify")}
@@ -53,12 +63,14 @@ def test_verify_coset_and_presentation_import_nothing_the_derivation_builds_with
     assert reach["presentation"] == {"presentation"}
     assert reach["coset"] == {"coset", "perms", "presentation"}
     assert not reach["verify"] & DERIVATION
+    assert readme_lines("verify") == lines(reach["verify"])
 
 
 def test_coxeter_imports_nothing_the_derivation_or_the_verifier_builds_with():
     modules = closure(import_graph(), "coxeter")
     print(f"coxeter: {sorted(modules)}, {lines(modules)} lines")
     assert not modules & (DERIVATION | {"verify"})
+    assert readme_lines("coxeter") == lines(modules)
 
 
 @pytest.mark.parametrize("module", ["verify", "coxeter", "coset"])

@@ -1,13 +1,15 @@
 """Cross-checks of the Lagrange order proofs against full enumeration.
 
-The order check proves |Gamma| = |G| from the reconstruction's index
-[Gamma : H_v] and a bound on the order of Q_v, and falls back to
-enumerating all of Gamma when that bound does not decide.  Both routes must
-reach the same verdict and the same order as a direct `todd_coxeter` of the
-presentation.  The bound, the product of the indices down the chain of
-generator prefixes, also proves each stabilizer presentation's order in
-`validate_input`; it must equal the full enumeration's count and |G_v|
-there, at every level of the recursion.
+The order check has two proofs of |Gamma| = |G|: Lagrange's theorem, with
+the reconstruction's index [Gamma : H_v] times the product of the indices
+down Q_v's chain of generator prefixes, and, when that product does not
+prove |G|, the enumeration of all of Gamma.  Both must reach the same
+verdict and the same order as a direct `todd_coxeter` of the presentation.
+The same chain proves each stabilizer presentation's order in
+`validate_input`; its bound must equal the full enumeration's count and
+|G_v| there, at every level of the recursion.  On every presentation
+`derive` writes, the order check's chain is the chain `validate_input`
+proved, so the Lagrange proof decides.
 """
 
 import json
@@ -50,6 +52,16 @@ def both_checks(inp, derived, limit=1_000_000):
             presentation_order_check(checked, lambda _: None, limit))
 
 
+def assert_chain_is_the_validated_chain(inp, check):
+    """A Lagrange proof of a derived presentation uses the prefix chain of
+    the stabilizer presentation `validate_input` proved, one index per
+    generator."""
+    assert check.proof == "lagrange", inp.name
+    stabilizer = inp.stabilizers[check.base_vertex].presentation
+    assert check.stabilizer_chain == prefix_chain(stabilizer, STABILIZER_COSET_LIMIT)
+    assert len(check.stabilizer_chain) == len(stabilizer.generators)
+
+
 def without_first_loop_relator(derived):
     fam = derived.families
     first = fam["stabilizer"] + fam["edge"] + fam["edge_loop"]
@@ -72,6 +84,18 @@ def test_lagrange_proof_agrees_with_full_enumeration(name):
     assert lagrange.stabilizer_order == len(inp.ag.stabilizer(v))
     assert math.prod(lagrange.stabilizer_chain) == lagrange.stabilizer_order
     assert lagrange.index * lagrange.stabilizer_order == order
+    assert_chain_is_the_validated_chain(inp, lagrange)
+
+
+def test_lagrange_proof_uses_the_validated_chain_on_orbital_actions(rng):
+    for k, data in enumerate(random_actions(rng, CASES)):
+        inp = action_from_json(data, f"orbital-{k}")
+        derived = derive_presentation(inp)
+        checked = checked_file(derived, inp.ag)
+        model = kozsul_model(derived, inp.ag)
+        check = presentation_order_check(checked, lambda _: model)
+        assert check.ok, data
+        assert_chain_is_the_validated_chain(inp, check)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -122,14 +146,15 @@ def test_bound_above_the_order_falls_back_to_enumeration(tmp_path, capsys):
     assert (check["proof"], check["enumerated"]) == ("enumeration", 60)
 
 
-def test_chain_bound_too_large_falls_back_to_enumerating_q_v():
-    # the chain bounds the S3 at vertex 0 by 12, and Q_v's own enumeration,
-    # a chain of one step, proves 6
+def test_chain_bound_too_large_falls_back_to_the_full_enumeration():
+    # the chain bounds the S3 at vertex 0 by 12, so 4 * 12 proves nothing
+    # and Gamma itself is enumerated
     inp = load_builtin("simplex:4")
     inp.stabilizers[0] = StabilizerData(LOOSE_S3, inp.stabilizers[0].gen_elements)
     lagrange, full = both_checks(inp, derive_presentation(inp))
     assert lagrange.ok and full.ok
-    assert (lagrange.proof, lagrange.index, lagrange.stabilizer_chain) == ("lagrange", 4, [6])
+    assert (lagrange.proof, lagrange.enumerated) == ("enumeration", 24)
+    assert lagrange.stabilizer_chain is None
 
 
 def validated_stabilizers(monkeypatch, build) -> list[list]:
