@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .derive import DerivationInput, StabilizerData
-from .golden import GoldenQuat, QUAT_C
+from .golden import QUAT_C, Quat
 from .graphs import ActionedGraph, Graph
 from .perms import (FiniteGroupTable, identity, perm, perm_compose, perm_inverse,
                     require_listable, transposition, tree_fold)
@@ -85,7 +85,7 @@ def dodecahedron_action() -> DerivationInput:
 
 class BinaryIcosahedral(NamedTuple):
     input: DerivationInput
-    quats: tuple[GoldenQuat, ...]         # element index -> quaternion
+    quats: tuple[Quat, ...]               # element index -> quaternion
     named: dict[str, int]                 # h, s1, c, f
 
 

@@ -1,11 +1,12 @@
 """Exact arithmetic in the field Q(sqrt 5) and in its quaternion algebra.
 
 No floating point: a number is stored as integers (p + q*sqrt(5)) / d in
-lowest terms, and a quaternion, like a list of points (`numerators`), as the
-integer numerators of its coordinates over one common denominator, so the
-polyhedral identities hold bit-exactly, and sums, products and inverses cost
-a few integer operations and one `math.gcd`.  The rational parts of a number
-read as `Fraction`s (`.a`, `.b`); a rational number hashes like its `Fraction`.
+lowest terms, and a quaternion is the tuple of the integer numerators of its
+coordinates over one common denominator (`Quat`), as a list of points is
+(`numerators`), so the polyhedral identities hold bit-exactly, and sums,
+products and inverses cost a few integer operations and one `math.gcd`.
+The rational parts of a number read as `Fraction`s (`.a`, `.b`); a rational
+number hashes like its `Fraction`.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ def dot(u: Sequence[GoldenNum], v: Sequence[GoldenNum]) -> GoldenNum:
 
 def numerators(points: Sequence[Sequence[GoldenNum]]) -> tuple[list[tuple[int, ...]], int]:
     """The points as integer rows (x0, x1, y0, y1, ...) over one common
-    denominator d > 0, coordinate (x0 + x1*sqrt(5)) / d and so on, as
-    `GoldenQuat.n` stores a quaternion; d is the least such denominator."""
+    denominator d > 0, coordinate (x0 + x1*sqrt(5)) / d and so on, as a
+    `Quat` stores a quaternion; d is the least such denominator."""
     d = math.lcm(*(c.d for p in points for c in p))
     return [tuple(n * (d // c.d) for c in p for n in (c.p, c.q)) for p in points], d
 
@@ -252,79 +253,39 @@ def triple(r: Sequence[int], s: Sequence[int], t: Sequence[int]) -> tuple[int, i
     return P, Q
 
 
-class GoldenQuat:
-    """Quaternion w + x i + y j + z k with GoldenNum coordinates, stored as
-    the integers (w0, w1, x0, x1, y0, y1, z0, z1, d) of the coordinates
-    (w0 + w1*sqrt(5)) / d, ..., over one common denominator d > 0 in lowest
-    terms, so equal quaternions have equal tuples."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, w: GoldenNum | _Rat, x: GoldenNum | _Rat = 0,
-                 y: GoldenNum | _Rat = 0, z: GoldenNum | _Rat = 0):
-        # in lowest terms, since each coordinate is and d is their least
-        # common denominator
-        (n,), d = numerators([[_coerce(c) for c in (w, x, y, z)]])
-        _set_n(self, n + (d,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GoldenQuat is immutable")
-
-    @property
-    def w(self) -> GoldenNum:
-        return _golden(self.n[0], self.n[1], self.n[8])
-
-    @property
-    def x(self) -> GoldenNum:
-        return _golden(self.n[2], self.n[3], self.n[8])
-
-    @property
-    def y(self) -> GoldenNum:
-        return _golden(self.n[4], self.n[5], self.n[8])
-
-    @property
-    def z(self) -> GoldenNum:
-        return _golden(self.n[6], self.n[7], self.n[8])
-
-    def conj(self) -> GoldenQuat:
-        return _quat_new(_conj(self.n))
-
-    def norm(self) -> GoldenNum:
-        n = self.n
-        return _golden(sum(n[k] * n[k] + 5 * n[k + 1] * n[k + 1] for k in range(0, 8, 2)),
-                       sum(2 * n[k] * n[k + 1] for k in range(0, 8, 2)), n[8] * n[8])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GoldenQuat) and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(self.n)
-
-    def rotate(self, p: Vec3) -> Vec3:
-        """Image of the point p under the rotation this unit quaternion encodes."""
-        n = _hamilton(_hamilton(self.n, GoldenQuat(ZERO, *p).n), _conj(self.n))
-        return from_numerators([n[2:8]], n[8])[0]  # type: ignore[return-value]
-
-    def __repr__(self) -> str:
-        return f"GoldenQuat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+Quat = tuple[int, ...]  # (w0, w1, x0, x1, y0, y1, z0, z1, d), as `quat` describes
 
 
-_set_n = GoldenQuat.n.__set__
+def quat(w: GoldenNum | _Rat, x: GoldenNum | _Rat = 0,
+         y: GoldenNum | _Rat = 0, z: GoldenNum | _Rat = 0) -> Quat:
+    """The quaternion w + x i + y j + z k as the integers (w0, w1, x0, x1,
+    y0, y1, z0, z1, d) of its coordinates (w0 + w1*sqrt(5)) / d, ..., over
+    one common denominator d > 0 in lowest terms, so equal quaternions are
+    equal tuples."""
+    # in lowest terms, since each coordinate is and d is their least
+    # common denominator
+    (n,), d = numerators([[_coerce(c) for c in (w, x, y, z)]])
+    return n + (d,)
 
 
-def _quat_new(n: tuple[int, ...]) -> GoldenQuat:
-    """The GoldenQuat of a numerator-denominator tuple already in lowest terms."""
-    q = object.__new__(GoldenQuat)
-    _set_n(q, n)
-    return q
+def quat_conj(q: Quat) -> Quat:
+    return (q[0], q[1], -q[2], -q[3], -q[4], -q[5], -q[6], -q[7], q[8])
 
 
-def _conj(n: tuple[int, ...]) -> tuple[int, ...]:
-    return (n[0], n[1], -n[2], -n[3], -n[4], -n[5], -n[6], -n[7], n[8])
+def quat_norm(q: Quat) -> GoldenNum:
+    return _golden(sum(q[k] * q[k] + 5 * q[k + 1] * q[k + 1] for k in range(0, 8, 2)),
+                   sum(2 * q[k] * q[k + 1] for k in range(0, 8, 2)), q[8] * q[8])
 
 
-def _hamilton(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
-    """Hamilton product of two `GoldenQuat.n` tuples, not in lowest terms.
+def quat_rotate(q: Quat, p: Vec3) -> Vec3:
+    """Image of the point p under the rotation the unit quaternion q encodes."""
+    n = hamilton(hamilton(q, quat(ZERO, *p)), quat_conj(q))
+    return from_numerators([n[2:8]], n[8])[0]  # type: ignore[return-value]
+
+
+def hamilton(m: Quat, n: Quat) -> tuple[int, ...]:
+    """Hamilton product of two quaternions' tuples, laid out as a `Quat`
+    but not in lowest terms (`quat_mul` reduces it).
 
     Coordinates multiply in Z[sqrt 5] as (u0 + u1 sqrt5)(v0 + v1 sqrt5) =
     (u0 v0 + 5 u1 v1) + (u0 v1 + u1 v0) sqrt5, and the denominators multiply.
@@ -346,18 +307,18 @@ def _hamilton(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
         d * D)
 
 
-QUAT_ONE = GoldenQuat(1)
-QUAT_C = GoldenQuat(-1)  # the central rotation by 2*pi
+QUAT_ONE = quat(1)
+QUAT_C = quat(-1)  # the central rotation by 2*pi
 
 
-def quat_mul(p: GoldenQuat, q: GoldenQuat) -> GoldenQuat:
-    """Hamilton product, exact."""
-    n = _hamilton(p.n, q.n)
+def quat_mul(p: Quat, q: Quat) -> Quat:
+    """Hamilton product, exact, in lowest terms."""
+    n = hamilton(p, q)
     g = math.gcd(*n)
-    return _quat_new(n if g == 1 else tuple(k // g for k in n))
+    return n if g == 1 else tuple(k // g for k in n)
 
 
-def quat_from_rotation(axis: Vec3, half_cos: GoldenNum, half_sin: GoldenNum) -> GoldenQuat:
+def quat_from_rotation(axis: Vec3, half_cos: GoldenNum, half_sin: GoldenNum) -> Quat:
     """Unit quaternion (half_cos, half_sin * axis).
 
     The caller supplies exact cos(theta/2) and a scalar half_sin such that
@@ -365,7 +326,7 @@ def quat_from_rotation(axis: Vec3, half_cos: GoldenNum, half_sin: GoldenNum) -> 
     roots are not closed in Q(sqrt 5), so the split input keeps everything
     exact.  Rejects non-unit data.
     """
-    q = GoldenQuat(half_cos, half_sin * axis[0], half_sin * axis[1], half_sin * axis[2])
-    if q.norm() != ONE:
+    q = quat(half_cos, half_sin * axis[0], half_sin * axis[1], half_sin * axis[2])
+    if quat_norm(q) != ONE:
         raise ValueError("half_cos^2 + half_sin^2*|axis|^2 must equal 1 exactly")
     return q

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_ONE, Vec3, _conj, _hamilton, dot,
-                     from_numerators, golden_sign, golden_sqrt, numerators, quat_from_rotation,
-                     quat_mul, sq_dist, triple, vec3)
+from .golden import (GoldenNum, ONE, PHI, QUAT_ONE, Quat, Vec3, dot, from_numerators,
+                     golden_sign, golden_sqrt, hamilton, numerators, quat_conj,
+                     quat_from_rotation, quat_mul, quat_rotate, sq_dist, triple, vec3)
 from .graphs import ActionedGraph, Graph, OrientedEdge, first_carriers
 from .perms import FiniteGroupTable, Perm, bfs_tree, perm, perm_inverse
 from .presentation import least_rotation
@@ -44,14 +44,14 @@ def _coordinates() -> list[Vec3]:
 EDGE_SQ_DIST = GoldenNum(6, -2)  # squared edge length: 6 - 2*sqrt(5)
 
 
-def _rotation_perm(rows: list[tuple[int, ...]], d: int, q: GoldenQuat) -> Perm:
+def _rotation_perm(rows: list[tuple[int, ...]], d: int, q: Quat) -> Perm:
     """The permutation the rotation q makes of the points with these rows
     over d: q p q^-1 has numerators over d e^2, e the denominator of q, so
     each image is looked up among the rows times e^2."""
-    e2 = q.n[8] * q.n[8]
+    e2 = q[8] * q[8]
     index = {tuple(e2 * c for c in r): i for i, r in enumerate(rows)}
-    qc = _conj(q.n)
-    return perm(index[_hamilton(_hamilton(q.n, (0, 0) + r + (d,)), qc)[2:8]] for r in rows)
+    qc = quat_conj(q)
+    return perm(index[hamilton(hamilton(q, (0, 0) + r + (d,)), qc)[2:8]] for r in rows)
 
 
 class DodecahedronModel(NamedTuple):
@@ -61,9 +61,9 @@ class DodecahedronModel(NamedTuple):
     faces: tuple[tuple[int, ...], ...]   # 12 clockwise 5-cycles (seen from outside)
     h_perm: Perm
     s1_perm: Perm
-    h_quat: GoldenQuat
-    s1_quat: GoldenQuat
-    f_quat: GoldenQuat
+    h_quat: Quat
+    s1_quat: Quat
+    f_quat: Quat
 
     @property
     def base_loop(self) -> tuple[int, ...]:
@@ -85,7 +85,7 @@ def orient_clockwise(cycle: tuple[int, ...], rows: list[tuple[int, ...]]) -> tup
     return cycle
 
 
-def _half_turn_quat(axis: Vec3) -> GoldenQuat:
+def _half_turn_quat(axis: Vec3) -> Quat:
     """Lift of the half turn about the axis, oriented along -axis."""
     n2 = dot(axis, axis)
     lam = golden_sqrt(n2.inverse())
@@ -145,9 +145,9 @@ def build_dodecahedron() -> DodecahedronModel:
         raise RuntimeError("sin(pi/5) / |face center| is not in the field")
     f_quat = quat_from_rotation(center, PHI * HALF, -lam)
     # pin the turn direction: it must take v to w1 (like g*h on the base face)
-    if f_quat.rotate(v) != w1:
+    if quat_rotate(f_quat, v) != w1:
         f_quat = quat_from_rotation(center, PHI * HALF, lam)
-    if f_quat.rotate(v) != w1:
+    if quat_rotate(f_quat, v) != w1:
         raise RuntimeError("the face turn does not take v to w1")
 
     # the rotations act transitively on the faces, so the faces are the

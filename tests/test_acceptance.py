@@ -16,7 +16,7 @@ from graphpres.coxeter import (build_coxeter_context, coxeter_implication_check,
                                greedy_disc_ordering, _face_edges, _is_simple_path)
 from graphpres.derive import derive_presentation, presentation_matches
 from graphpres.dot import cayley_underlying_graph
-from graphpres.golden import QUAT_C, quat_mul
+from graphpres.golden import QUAT_C, quat_conj, quat_mul
 from graphpres.graphs import find_inversion
 from graphpres.polyhedra import dodecahedron_model, truncated_dodecahedron
 from graphpres.scaffold import validate_regularity
@@ -123,7 +123,7 @@ def test_criterion_5_face_products():
 def test_criterion_6_milnor_identity():
     started = time.perf_counter()
     model = dodecahedron_model()
-    triple = quat_mul(quat_mul(model.h_quat.conj(), model.s1_quat), model.f_quat)
+    triple = quat_mul(quat_mul(quat_conj(model.h_quat), model.s1_quat), model.f_quat)
     x = quat_mul(model.s1_quat, model.h_quat)
     fifth = x
     for _ in range(4):

@@ -5,7 +5,7 @@ import pytest
 from graphpres.builtins import (binary_icosahedral_action, dihedral_cycle_action,
                                 dodecahedron_action, load_builtin, simplex_action)
 from graphpres.derive import validate_input
-from graphpres.golden import GoldenNum, PHI, QUAT_C
+from graphpres.golden import GoldenNum, PHI, QUAT_C, from_numerators, quat_conj
 from graphpres.graphs import OrientedEdge, validate_action, vertex_orbits
 from graphpres.perms import identity, perm, perm_compose, perm_inverse, tree_fold
 from graphpres.polyhedra import dodecahedron_model, icosian_group, truncated_dodecahedron
@@ -109,7 +109,7 @@ def test_icosian_coordinate_types():
     half = Fraction(1, 2)
     units = axes = mixed = 0
     for q in bi.quats:
-        coords = [q.w, q.x, q.y, q.z]
+        coords = from_numerators([q[:8]], q[8])[0]
         abs_set = sorted((abs(c.a), abs(c.b)) for c in coords)
         if abs_set == [(0, 0), (0, 0), (0, 0), (1, 0)]:
             axes += 1
@@ -181,7 +181,7 @@ def test_load_builtin_names():
 def test_milnor_triple_is_exact():
     model = dodecahedron_model()
     from graphpres.golden import quat_mul
-    assert quat_mul(quat_mul(model.h_quat.conj(), model.s1_quat), model.f_quat) == QUAT_C
+    assert quat_mul(quat_mul(quat_conj(model.h_quat), model.s1_quat), model.f_quat) == QUAT_C
     acc = model.s1_quat
     step = quat_mul(model.s1_quat, model.h_quat)
     prod = step

@@ -3,7 +3,7 @@ import pytest
 from graphpres.coxeter import (CoxeterContext, UNIVERSAL_GRZ,
                                build_coxeter_context, coxeter_implication_check,
                                face_boundary_check, greedy_disc_ordering)
-from graphpres.golden import GoldenQuat, QUAT_C, quat_mul
+from graphpres.golden import QUAT_C, quat, quat_mul
 from graphpres.graphs import OrientedEdge
 
 
@@ -159,9 +159,9 @@ def test_disc_ordering_rechecks_segments(ctx):
 
 
 def test_milnor_orthogonal_half_turns():
-    i = GoldenQuat(0, 1, 0, 0)
-    j = GoldenQuat(0, 0, 1, 0)
-    k = GoldenQuat(0, 0, 0, 1)
+    i = quat(0, 1, 0, 0)
+    j = quat(0, 0, 1, 0)
+    k = quat(0, 0, 0, 1)
     assert quat_mul(quat_mul(i, j), k) == QUAT_C
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from graphpres.golden import (GoldenNum, GoldenQuat, ONE, PHI, QUAT_C, QUAT_ONE,
-                              golden_sqrt, quat_from_rotation, quat_mul, vec3)
+from graphpres.golden import (GoldenNum, ONE, PHI, QUAT_C, QUAT_ONE, from_numerators,
+                              golden_sqrt, quat, quat_conj, quat_from_rotation, quat_mul,
+                              quat_norm, quat_rotate, vec3)
+from graphpres.polyhedra import icosian_group
 
 
 def rand_golden(rng):
@@ -56,9 +58,9 @@ def test_golden_sqrt_roundtrip(rng):
     assert golden_sqrt(GoldenNum(20)) == GoldenNum(0, 2)
 
 
-I = GoldenQuat(0, 1, 0, 0)
-J = GoldenQuat(0, 0, 1, 0)
-K = GoldenQuat(0, 0, 0, 1)
+I = quat(0, 1, 0, 0)
+J = quat(0, 0, 1, 0)
+K = quat(0, 0, 0, 1)
 
 
 def test_quat_i_squared():
@@ -66,7 +68,7 @@ def test_quat_i_squared():
 
 
 def test_quat_identity():
-    q = GoldenQuat(PHI, ONE, GoldenNum(0, 1), GoldenNum(Fraction(1, 2)))
+    q = quat(PHI, ONE, GoldenNum(0, 1), GoldenNum(Fraction(1, 2)))
     assert quat_mul(QUAT_ONE, q) == q
     assert quat_mul(q, QUAT_ONE) == q
 
@@ -77,15 +79,15 @@ def test_quat_ijk():
 
 def test_quat_norm_multiplicative(rng):
     for _ in range(50):
-        p = GoldenQuat(*(rand_golden(rng) for _ in range(4)))
-        q = GoldenQuat(*(rand_golden(rng) for _ in range(4)))
-        assert quat_mul(p, q).norm() == p.norm() * q.norm()
+        p = quat(*(rand_golden(rng) for _ in range(4)))
+        q = quat(*(rand_golden(rng) for _ in range(4)))
+        assert quat_norm(quat_mul(p, q)) == quat_norm(p) * quat_norm(q)
 
 
 def test_quat_c_is_central_involution(rng):
     assert quat_mul(QUAT_C, QUAT_C) == QUAT_ONE
     for _ in range(20):
-        q = GoldenQuat(*(rand_golden(rng) for _ in range(4)))
+        q = quat(*(rand_golden(rng) for _ in range(4)))
         assert quat_mul(QUAT_C, q) == quat_mul(q, QUAT_C)
 
 
@@ -117,10 +119,23 @@ def test_from_rotation_rejects_non_unit():
         quat_from_rotation(vec3(1, 1, 0), ONE, ONE)
 
 
+def test_icosian_quaternions_are_canonical_tuples():
+    # a quaternion is its tuple, so equality is exact only in lowest terms
+    tree, _ = icosian_group()
+    assert len(tree) == 120 and QUAT_C in tree
+    for q in tree:
+        assert len(q) == 9 and all(type(k) is int for k in q)
+        assert q[8] > 0 and math.gcd(*q) == 1
+        assert quat_norm(q) == ONE
+        assert quat(*from_numerators([q[:8]], q[8])[0]) == q
+        assert quat_mul(q, quat_conj(q)) == QUAT_ONE
+        assert quat_mul(QUAT_C, q) == quat_mul(q, QUAT_C)
+
+
 def test_rotation_action_matches_axis():
     s = quat_from_rotation(vec3(1, 0, 0), GoldenNum(0), ONE)
-    assert s.rotate(vec3(1, 0, 0)) == vec3(1, 0, 0)
-    assert s.rotate(vec3(0, 1, 0)) == vec3(0, -1, 0)
+    assert quat_rotate(s, vec3(1, 0, 0)) == vec3(1, 0, 0)
+    assert quat_rotate(s, vec3(0, 1, 0)) == vec3(0, -1, 0)
 
 
 # -- reference: a + b*sqrt(5) as a plain pair of Fractions ------------------
@@ -277,7 +292,6 @@ def test_quat_mul_matches_fraction_pair_reference(rng):
     for _ in range(100):
         p = [rand_pair(rng) for _ in range(4)]
         q = [rand_pair(rng) for _ in range(4)]
-        got = quat_mul(GoldenQuat(*(GoldenNum(*c) for c in p)),
-                       GoldenQuat(*(GoldenNum(*c) for c in q)))
-        assert [pair(c) for c in (got.w, got.x, got.y, got.z)] == ref_quat_mul(p, q)
-        assert got == GoldenQuat(*(GoldenNum(*c) for c in ref_quat_mul(p, q)))
+        got = quat_mul(quat(*(GoldenNum(*c) for c in p)), quat(*(GoldenNum(*c) for c in q)))
+        assert [pair(c) for c in from_numerators([got[:8]], got[8])[0]] == ref_quat_mul(p, q)
+        assert got == quat(*(GoldenNum(*c) for c in ref_quat_mul(p, q)))

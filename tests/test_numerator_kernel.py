@@ -16,7 +16,7 @@ integer numerators of their points over one common denominator d > 0
   r_i = d p_i and their sum is C = n d c, so det(r0, r1, C) = n d^3
   det(p0, p1, c).  Scaling by the face's positive vertex count n and by
   d > 0 does not change the sign, so no division by n is needed.
-- Rotations.  q p q^-1, taken by `_hamilton` on a row over d, has numerators
+- Rotations.  q p q^-1, taken by `hamilton` on a row over d, has numerators
   over d e^2, e being q's stored denominator.  The numerators of a number
   over a given denominator are unique (sqrt 5 is irrational), so the image is
   the point whose row times e^2 they equal.
@@ -30,7 +30,7 @@ from fractions import Fraction
 import pytest
 
 from graphpres.golden import (GoldenNum, dot, from_numerators, golden_sign, numerators,
-                              sq_dist, triple, vec3)
+                              quat_rotate, sq_dist, triple, vec3)
 from graphpres.polyhedra import (EDGE_SQ_DIST, _rotation_perm, build_dodecahedron,
                                  icosian_group, orient_clockwise, truncated_dodecahedron)
 from graphpres.presentation import least_rotation
@@ -142,7 +142,7 @@ def test_rotation_perms_match_quaternion_rotate():
     rows, d = numerators(coords)
 
     def rotated(q):
-        return tuple(index[q.rotate(p)] for p in coords)
+        return tuple(index[quat_rotate(q, p)] for p in coords)
 
     assert (m.h_perm, m.s1_perm) == (rotated(m.h_quat), rotated(m.s1_quat))
     tree, _ = icosian_group(m)

@@ -54,6 +54,7 @@ from graphpres.builtins import load_builtin
 from graphpres.cli import action_from_json, main
 from graphpres.coxeter import build_coxeter_context, face_boundary_check
 from graphpres.derive import derive_presentation, fundamental_loops
+from graphpres.golden import from_numerators
 from graphpres.polyhedra import build_dodecahedron, icosian_group, truncated_dodecahedron
 from graphpres.verify import derived_to_json
 
@@ -236,7 +237,7 @@ def dodecahedron_text() -> str:
 
 def icosian_text() -> str:
     tree, _ = icosian_group(build_dodecahedron())
-    return json.dumps(_points((q.w, q.x, q.y, q.z) for q in tree))
+    return json.dumps(_points(from_numerators([q[:8]], q[8])[0] for q in tree))
 
 
 def truncated_text() -> str:

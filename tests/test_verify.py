@@ -329,6 +329,36 @@ def test_verification_calls_no_group_table_arithmetic(monkeypatch, name):
     assert _verification_report(derived, ag, COSET_LIMIT) == report
 
 
+# actions on which a wrong product ends in a refusal; on the pinned square,
+# Petersen graph and prism-4x3-dihedral it ends in a ValueError from
+# `words.trace_path`, a kernel fault rather than an input, so they are left out
+SHARED_BUG_ACTIONS = ["dihedral:5", "simplex:4", "simplex:5", "dodecahedron",
+                      "binary-icosahedral", "cube"]
+
+
+@pytest.mark.parametrize("name", SHARED_BUG_ACTIONS)
+def test_wrong_group_product_is_not_reported_as_verified(monkeypatch, capsys, tmp_path, name):
+    # a kernel bug that derive and verify would share: a wrong but
+    # deterministic product on a third of the pairs of non-identity elements
+    product = FiniteGroupTable.product
+
+    def wrong(self, i, j):
+        k = product(self, i, j)
+        return (k + 1) % self.order if i and j and (i + j) % 3 == 0 else k
+
+    if name in ACTIONS:
+        (tmp_path / "action.json").write_text(json.dumps(ACTIONS[name]))
+        source = ["--action", str(tmp_path / "action.json")]
+    else:
+        source = ["--builtin", name]
+    monkeypatch.setattr(FiniteGroupTable, "product", wrong)
+    assert main(["derive", *source, "--verify", "--out", str(tmp_path)]) != 0
+    out = capsys.readouterr().out
+    report = json.loads(out) if out.strip() else {}
+    assert not (report.get("order_check", {}).get("ok")
+                and report.get("reconstruction", {}).get("ok"))
+
+
 def test_smith_normal_form_golden_cases():
     assert smith_normal_form([[2, 3], [-3, -5]]) == [1, 1]
     assert smith_normal_form([[5]]) == [5]
